@@ -103,6 +103,7 @@ from .spectral import (
     field_from_obj,
     field_from_samples,
     field_to_obj,
+    random_real_field,
     resize_field,
     sobolev_norm,
     spatial_derivative,
@@ -110,6 +111,7 @@ from .spectral import (
     to_samples,
     trajectory_from_obj,
     trajectory_to_obj,
+    write_frames_json,
 )
 from .version import VERSION
 

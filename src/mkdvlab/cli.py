@@ -31,7 +31,7 @@ from .errors import (
     GridMismatchError,
     InstabilityError,
 )
-from .gauge import phase_to_obj, solve_phase
+from .gauge import solve_phase
 from .nonlinearity import direct_nonlinearity, nr_trilinear, resonant_term
 from .norms import NormProxyConfig
 from .picard import PicardConfig, picard_solve, picard_step, reconstruct_solution
@@ -56,7 +56,8 @@ from .spectral import (
     Trajectory,
     cosine_field,
     field_from_modes,
-    trajectory_to_obj,
+    random_real_field,
+    write_frames_json,
 )
 from .version import VERSION
 
@@ -101,7 +102,64 @@ def _section(doc: dict, name: str, known: tuple[str, ...], problems: _Problems) 
     return raw
 
 
+# Stands for a config value that failed its type check; _build then skips
+# the constructor, so one bad value gives one problem, not a cascade.
+_INVALID = object()
+
+
+def _as_int(v: Any) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
+        isinstance(v, float) and not v.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _as_seed(v: Any) -> int:
+    n = _as_int(v)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {v!r}")
+    return n
+
+
+def _as_float(v: Any) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _as_bool(v: Any) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _as_int_tuple(v: Any) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list of integers, got {v!r}")
+    return tuple(_as_int(x) for x in v)
+
+
+def _value(problems: _Problems, name: str, section: dict, key: str, default, cast):
+    """section[key], or default when absent, checked and converted by cast.
+
+    A null stands for the default only where the default itself is null.
+    A value that fails the check is recorded as a problem of field
+    name.key and comes back as _INVALID.
+    """
+    val = section.get(key, default)
+    if val is None and default is None:
+        return None
+    try:
+        return cast(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        problems.add(f"{name}.{key}", str(exc))
+        return _INVALID
+
+
 def _build(problems: _Problems, field: str, ctor, **kwargs):
+    if any(v is _INVALID for v in kwargs.values()):
+        return None
     try:
         return ctor(**kwargs)
     except (ConfigError, FieldError, TypeError, ValueError) as exc:
@@ -117,8 +175,8 @@ def _build_initial(section: dict, K: int, problems: _Problems) -> FourierField |
             "initial_data",
             cosine_field,
             K=K,
-            amplitude=float(section.get("amplitude", 1.0)),
-            harmonic=int(section.get("harmonic", 1)),
+            amplitude=_value(problems, "initial_data", section, "amplitude", 1.0, _as_float),
+            harmonic=_value(problems, "initial_data", section, "harmonic", 1, _as_int),
         )
     if kind == "modes-list":
         rows = section.get("modes")
@@ -132,19 +190,17 @@ def _build_initial(section: dict, K: int, problems: _Problems) -> FourierField |
             return None
         return _build(problems, "initial_data", field_from_modes, K=K, modes=modes)
     if kind == "seeded-random":
-        if "seed" not in section:
+        if section.get("seed") is None:
             problems.add("initial_data.seed", "required for kind seeded-random")
             return None
-        seed = int(section["seed"])
-        decay = float(section.get("decay_exponent", 1.0))
-        rng = np.random.default_rng(seed)
-        k = np.arange(1, K + 1, dtype=float)
-        moduli = rng.random(K) * (1.0 + k * k) ** (-0.5 * decay)
-        phases = rng.random(K) * (2.0 * np.pi)
-        c = np.zeros(2 * K + 1, dtype=complex)
-        c[K + 1 :] = moduli * np.exp(1j * phases)
-        c[:K] = np.conj(c[K + 1 :])[::-1]
-        return FourierField(c, real_symmetric=True)
+        return _build(
+            problems,
+            "initial_data",
+            random_real_field,
+            K=K,
+            seed=_value(problems, "initial_data", section, "seed", None, _as_seed),
+            decay=_value(problems, "initial_data", section, "decay_exponent", 1.0, _as_float),
+        )
     problems.add("initial_data.kind", f"unknown kind {kind!r}")
     return None
 
@@ -189,9 +245,9 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         problems,
         "grid",
         GridSpec,
-        K=int(grid_sec.get("K", 16)),
-        M=int(grid_sec.get("M", 64)),
-        T=float(grid_sec.get("T", 0.01)),
+        K=_value(problems, "grid", grid_sec, "K", 16, _as_int),
+        M=_value(problems, "grid", grid_sec, "M", 64, _as_int),
+        T=_value(problems, "grid", grid_sec, "T", 0.01, _as_float),
     )
 
     params_sec = _section(doc, "params", ("s0", "s1", "b", "delta"), problems)
@@ -199,10 +255,10 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         problems,
         "params",
         SobolevIndex,
-        s0=float(params_sec.get("s0", 0.3)),
-        s1=params_sec.get("s1"),
-        b=params_sec.get("b"),
-        delta=params_sec.get("delta"),
+        s0=_value(problems, "params", params_sec, "s0", 0.3, _as_float),
+        s1=_value(problems, "params", params_sec, "s1", None, _as_float),
+        b=_value(problems, "params", params_sec, "b", None, _as_float),
+        delta=_value(problems, "params", params_sec, "delta", None, _as_float),
     )
     if params is not None:
         try:
@@ -220,10 +276,10 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
             problems,
             "proxy",
             NormProxyConfig,
-            s=float(proxy_sec.get("s", params.s0)),
-            b=float(proxy_sec.get("b", params.b)),
+            s=_value(problems, "proxy", proxy_sec, "s", params.s0, _as_float),
+            b=_value(problems, "proxy", proxy_sec, "b", params.b, _as_float),
             window=proxy_sec.get("window", "hann"),
-            pad_factor=int(proxy_sec.get("pad_factor", 4)),
+            pad_factor=_value(problems, "proxy", proxy_sec, "pad_factor", 4, _as_int),
             phase=proxy_sec.get("phase", "modified"),
         )
 
@@ -237,11 +293,13 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         problems,
         "etd",
         ETDConfig,
-        dt=float(etd_sec.get("dt", 1e-3)),
+        dt=_value(problems, "etd", etd_sec, "dt", 1e-3, _as_float),
         scheme=etd_sec.get("scheme", "etdrk4"),
         linear_phase=etd_sec.get("linear_phase", "airy"),
-        contour_points=int(etd_sec.get("contour_points", 32)),
-        nonlinearity_enabled=bool(etd_sec.get("nonlinearity_enabled", True)),
+        contour_points=_value(problems, "etd", etd_sec, "contour_points", 32, _as_int),
+        nonlinearity_enabled=_value(
+            problems, "etd", etd_sec, "nonlinearity_enabled", True, _as_bool
+        ),
     )
 
     picard_sec = _section(
@@ -267,15 +325,19 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
             "picard",
             PicardConfig,
             params=params,
-            T=float(picard_sec.get("T", grid.T)),
-            M=int(picard_sec.get("M", grid.M)),
-            tol=float(picard_sec.get("tol", 1e-10)),
-            max_iters=int(picard_sec.get("max_iters", 25)),
-            phase_tol=float(picard_sec.get("phase_tol", 1e-12)),
-            phase_max_sweeps=int(picard_sec.get("phase_max_sweeps", 50)),
+            T=_value(problems, "picard", picard_sec, "T", grid.T, _as_float),
+            M=_value(problems, "picard", picard_sec, "M", grid.M, _as_int),
+            tol=_value(problems, "picard", picard_sec, "tol", 1e-10, _as_float),
+            max_iters=_value(problems, "picard", picard_sec, "max_iters", 25, _as_int),
+            phase_tol=_value(problems, "picard", picard_sec, "phase_tol", 1e-12, _as_float),
+            phase_max_sweeps=_value(
+                problems, "picard", picard_sec, "phase_max_sweeps", 50, _as_int
+            ),
             nr_method=picard_sec.get("nr_method", "fast"),
             window=picard_sec.get("window", proxy.window),
-            pad_factor=int(picard_sec.get("pad_factor", proxy.pad_factor)),
+            pad_factor=_value(
+                problems, "picard", picard_sec, "pad_factor", proxy.pad_factor, _as_int
+            ),
         )
 
     ensemble_sec = _section(
@@ -299,25 +361,26 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
             problems.add("ensemble", f"required for mode {mode}")
         else:
             for key in ("seed", "count", "decay_exponent"):
-                if key not in ensemble_sec:
+                if ensemble_sec.get(key) is None:
                     problems.add(f"ensemble.{key}", "missing")
             if params is not None and proxy is not None and grid is not None and not problems:
-                seed = args.seed if args.seed is not None else int(ensemble_sec["seed"])
-                kv = ensemble_sec.get("k_values")
+                def get(key, default, cast):
+                    return _value(problems, "ensemble", ensemble_sec, key, default, cast)
+
                 ensemble = _build(
                     problems,
                     "ensemble",
                     EnsembleSpec,
-                    seed=seed,
-                    count=int(ensemble_sec["count"]),
-                    K=int(ensemble_sec.get("K", grid.K)),
-                    decay_exponent=float(ensemble_sec["decay_exponent"]),
+                    seed=args.seed if args.seed is not None else get("seed", None, _as_seed),
+                    count=get("count", None, _as_int),
+                    K=get("K", grid.K, _as_int),
+                    decay_exponent=get("decay_exponent", None, _as_float),
                     params=params,
                     proxy=proxy,
-                    M=int(ensemble_sec.get("M", 16)),
-                    T=float(ensemble_sec.get("T", 0.5)),
-                    k_values=tuple(kv) if kv is not None else None,
-                    modulation_bumps=float(ensemble_sec.get("modulation_bumps", 0.0)),
+                    M=get("M", 16, _as_int),
+                    T=get("T", 0.5, _as_float),
+                    k_values=get("k_values", None, _as_int_tuple),
+                    modulation_bumps=get("modulation_bumps", 0.0, _as_float),
                 )
 
     initial_sec = _section(
@@ -369,6 +432,11 @@ def _write_json(path: str, obj: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def _write_trajectory(path: str, tr: Trajectory) -> None:
+    """The file json.dump would write for trajectory_to_obj(tr), one frame at a time."""
+    write_frames_json(path, tr.grid, (tr.coeffs.real, tr.coeffs.imag))
 
 
 def _cell(v: Any) -> str:
@@ -428,7 +496,7 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
 
     if mode == "simulate":
         u = solve_reference(f, grid.T, etd, grid.M)
-        _write_json(path("trajectory.json"), trajectory_to_obj(u))
+        _write_trajectory(path("trajectory.json"), u)
         series = conserved_series(u)
         _write_csv(path("conserved.csv"), CONSERVED_COLUMNS, series.tolist())
         drifts = np.max(np.abs(series[:, 1:] - series[0, 1:]), axis=0)
@@ -446,9 +514,9 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
             path("picard_report.json"),
             {"version": VERSION, **report.to_obj()},
         )
-        _write_json(path("z_trajectory.json"), trajectory_to_obj(z))
-        _write_json(path("u_trajectory.json"), trajectory_to_obj(u))
-        _write_json(path("phase.json"), phase_to_obj(table))
+        _write_trajectory(path("z_trajectory.json"), z)
+        _write_trajectory(path("u_trajectory.json"), u)
+        write_frames_json(path("phase.json"), table.grid, (table.values,))
         return report.to_obj(), artifacts
 
     if mode == "compare":
@@ -518,7 +586,7 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
     table, rep = solve_phase(
         f, z1, tol=picard.phase_tol, max_sweeps=picard.phase_max_sweeps, s0=params.s0
     )
-    _write_json(path("phase.json"), phase_to_obj(table))
+    write_frames_json(path("phase.json"), table.grid, (table.values,))
     return {
         "sweeps": rep.sweeps,
         "residual": rep.residual,

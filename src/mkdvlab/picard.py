@@ -111,7 +111,9 @@ class PicardReport:
                 {"norm_x": it.norm_x, "diff_norm": it.diff_norm, "ratio": it.ratio}
                 for it in self.iters
             ],
+            # "K" is the older name of first_iterate_norm, kept for existing readers
             "K": self.first_iterate_norm,
+            "first_iterate_norm": self.first_iterate_norm,
             "converged": self.converged,
             "certified_T0": self.certified_T0,
             "contraction_T0": self.contraction_T0,

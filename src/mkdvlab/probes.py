@@ -45,6 +45,7 @@ from .spectral import (
     SobolevIndex,
     Trajectory,
     field_to_obj,
+    random_real_field,
     resize_field,
     sobolev_norm,
 )
@@ -198,15 +199,7 @@ class ProbeReport:
 
 def _draw_field(spec: EnsembleSpec, sample: int, slot: int) -> FourierField:
     """Mean-zero real random field at the headline cutoff, one RNG per (sample, slot)."""
-    rng = np.random.default_rng([spec.seed, sample, slot])
-    K = spec.K
-    k = np.arange(1, K + 1, dtype=float)
-    moduli = rng.random(K) * (1.0 + k * k) ** (-0.5 * spec.decay_exponent)
-    phases = rng.random(K) * (2.0 * np.pi)
-    coeffs = np.zeros(2 * K + 1, dtype=complex)
-    coeffs[K + 1 :] = moduli * np.exp(1j * phases)
-    coeffs[:K] = np.conj(coeffs[K + 1 :])[::-1]
-    return FourierField(coeffs, real_symmetric=True)
+    return random_real_field(spec.K, [spec.seed, sample, slot], spec.decay_exponent)
 
 
 def _draw_bumps(spec: EnsembleSpec, sample: int, slot: int) -> np.ndarray:

@@ -12,6 +12,7 @@ immutable; operations return new objects.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -33,12 +34,14 @@ __all__ = [
     "check_real_symmetry",
     "cosine_field",
     "field_from_modes",
+    "random_real_field",
     "resize_field",
     "cumulative_trapezoid",
     "field_to_obj",
     "field_from_obj",
     "trajectory_to_obj",
     "trajectory_from_obj",
+    "write_frames_json",
 ]
 
 # Verified reality tolerance for operations that require real-valued input.
@@ -322,6 +325,22 @@ def field_from_modes(
     return field
 
 
+def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:
+    """Mean-zero real random field: |u_hat(k)| = U(0,1) <k>^-decay, uniform phase.
+
+    seed is anything np.random.default_rng accepts (an int or a sequence of
+    ints); equal seeds give bit-identical fields.
+    """
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, K + 1, dtype=float)
+    moduli = rng.random(K) * (1.0 + k * k) ** (-0.5 * decay)
+    phases = rng.random(K) * (2.0 * np.pi)
+    c = np.zeros(2 * K + 1, dtype=complex)
+    c[K + 1 :] = moduli * np.exp(1j * phases)
+    c[:K] = np.conj(c[K + 1 :])[::-1]
+    return FourierField(c, real_symmetric=True)
+
+
 def resize_field(u: FourierField, K: int) -> FourierField:
     """Truncate or zero-pad the mode vector to the cutoff K."""
     if K == u.K:
@@ -382,3 +401,33 @@ def trajectory_from_obj(obj: dict) -> Trajectory:
         raise FieldError("frame list inconsistent with grid header")
     coeffs = np.stack([f.coeffs for f in frames])
     return Trajectory(grid, coeffs, all(f.real_symmetric for f in frames))
+
+
+def write_frames_json(path: str, grid: GridSpec, columns: tuple[np.ndarray, ...]) -> None:
+    """Write a frame table as json.dump(obj, fh, indent=2) plus a newline would.
+
+    obj is {"grid": {K, M, T}, "frames": [...]}, where row j of frame n is
+    [k_j, columns[0][n, j], columns[1][n, j], ...] for the real (M, 2K+1)
+    arrays in columns; trajectory_to_obj and phase_to_obj build this shape.
+    Frames are formatted from a template prebuilt once and written one at a
+    time. "%r" of a finite float is exactly what json emits, but json writes
+    NaN and Infinity where "%r" gives nan and inf, so a table with any
+    non-finite value is built as an object and dumped by json instead.
+    """
+    ks = grid.wavenumbers.tolist()
+    header = {"K": grid.K, "M": grid.M, "T": grid.T}
+    table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=-1)
+    with open(path, "w", encoding="utf-8") as fh:
+        if not np.isfinite(table).all():
+            frames = [[[k, *vals] for k, vals in zip(ks, frame)] for frame in table.tolist()]
+            json.dump({"grid": header, "frames": frames}, fh, indent=2)
+            fh.write("\n")
+            return
+        cells = ",\n".join(["        %r"] * table.shape[-1])
+        rows = ",\n".join(f"      [\n        {k},\n{cells}\n      ]" for k in ks)
+        frame = f"    [\n{rows}\n    ]"
+        # json.dumps ends the header object with "\n}"; the frame list goes there.
+        fh.write(json.dumps({"grid": header}, indent=2)[:-2] + ',\n  "frames": [\n')
+        for n in range(table.shape[0]):
+            fh.write((",\n" if n else "") + frame % tuple(table[n].ravel().tolist()))
+        fh.write("\n  ]\n}\n")

@@ -3,24 +3,12 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from mkdvlab import FourierField
+from mkdvlab import FourierField, random_real_field  # noqa: F401  (re-exported to the tests)
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("ci")
-
-
-def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:
-    """Mean-zero real random field: |u_hat(k)| ~ U(0,1) <k>^-decay, uniform phase."""
-    rng = np.random.default_rng(seed)
-    k = np.arange(1, K + 1, dtype=float)
-    moduli = rng.random(K) * (1.0 + k * k) ** (-0.5 * decay)
-    phases = rng.random(K) * (2.0 * np.pi)
-    c = np.zeros(2 * K + 1, dtype=complex)
-    c[K + 1 :] = moduli * np.exp(1j * phases)
-    c[:K] = np.conj(c[K + 1 :])[::-1]
-    return FourierField(c, real_symmetric=True)
 
 
 def random_complex_field(K: int, seed) -> FourierField:

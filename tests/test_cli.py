@@ -1,5 +1,6 @@
 """End-to-end runs of the experiment CLI in subprocesses."""
 
+import argparse
 import csv
 import json
 import os
@@ -7,12 +8,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mkdvlab
-from mkdvlab import ConfigError, cosine_field, solve_reference, trajectory_from_obj
-from mkdvlab.cli import emit_report
+from mkdvlab import (
+    ConfigError,
+    cosine_field,
+    phase_from_obj,
+    phase_to_obj,
+    solve_reference,
+    trajectory_from_obj,
+    trajectory_to_obj,
+)
+from mkdvlab.cli import MODES, _resolve, emit_report
 from mkdvlab.reference import ETDConfig
 
 
@@ -94,6 +107,23 @@ class TestHappyPaths:
         assert picard["version"] == mkdvlab.__version__
         u = trajectory_from_obj(load(out / "u_trajectory.json"))
         assert np.max(np.abs(u.frame(0).coeffs - cosine_field(8).coeffs)) == 0.0
+
+    def test_gauge_solve_frame_tables_reserialize(self, tmp_path):
+        # the streamed tables are the bytes json.dump(..., indent=2) writes
+        out = tmp_path / "out"
+        doc = {
+            "mode": "gauge_solve",
+            "grid": {"K": 8, "M": 16, "T": 0.01},
+            "initial_data": {"kind": "seeded-random", "seed": 3},
+        }
+        assert run_cli(tmp_path, doc, "--output-dir", str(out)).returncode == 0
+        for name, parse, dump in (
+            ("z_trajectory.json", trajectory_from_obj, trajectory_to_obj),
+            ("u_trajectory.json", trajectory_from_obj, trajectory_to_obj),
+            ("phase.json", phase_from_obj, phase_to_obj),
+        ):
+            text = (out / name).read_text(encoding="utf-8")
+            assert json.dumps(dump(parse(json.loads(text))), indent=2) + "\n" == text
 
     def test_compare_mode(self, tmp_path):
         out = tmp_path / "out"
@@ -337,6 +367,24 @@ class TestFailurePaths:
         err = json.loads(r.stderr)
         assert any(row["field"] == "initial_data.seed" for row in err["problems"])
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"grid": {"K": "x"}}, "grid.K"),
+            ({"grid": {"K": None}}, "grid.K"),
+            ({"grid": {"K": 8.7}}, "grid.K"),
+            ({"initial_data": {"kind": "seeded-random", "seed": -1}}, "initial_data.seed"),
+            ({"etd": {"nonlinearity_enabled": "false"}}, "etd.nonlinearity_enabled"),
+        ],
+        ids=["K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string"],
+    )
+    def test_bad_value_is_a_field_problem(self, tmp_path, doc, field):
+        r = run_cli(tmp_path, {"mode": "decompose_check", **doc})
+        assert r.returncode == 2, r.stderr
+        err = json.loads(r.stderr)
+        assert err["error"] == "invalid-config"
+        assert [row["field"] for row in err["problems"]] == [field]
+
     def test_missing_config_file(self, tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "mkdvlab.cli", "--config", str(tmp_path / "missing.json")],
@@ -372,6 +420,48 @@ class TestFailurePaths:
         err = json.loads(r.stderr)
         assert err["error"] == "ConvergenceError"
         assert err["residual"] > 0.0
+
+
+# Every key _resolve reads, per section, with a few values of each JSON type.
+CONFIG_KEYS = {
+    "grid": ("K", "M", "T"),
+    "params": ("s0", "s1", "b", "delta"),
+    "proxy": ("s", "b", "window", "pad_factor", "phase"),
+    "etd": ("dt", "scheme", "linear_phase", "contour_points", "nonlinearity_enabled"),
+    "picard": ("T", "M", "tol", "max_iters", "phase_tol", "nr_method", "pad_factor"),
+    "ensemble": ("seed", "count", "K", "decay_exponent", "M", "T", "k_values"),
+    "initial_data": ("kind", "amplitude", "harmonic", "modes", "seed", "decay_exponent"),
+}
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=40),
+    st.floats(min_value=-1.0, max_value=40.0),
+    st.sampled_from((float("nan"), float("inf"), 1e300, 2**70)),
+    st.sampled_from(("", "x", "8", "hann", "airy", "cosine", "seeded-random", "modes-list")),
+    st.lists(st.integers(min_value=-2, max_value=9), max_size=3),
+    st.lists(st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=1)), max_size=4), max_size=3),
+)
+
+
+@st.composite
+def config_docs(draw):
+    doc = {"mode": draw(st.sampled_from(MODES + ("bogus",)))}
+    for name in draw(st.sets(st.sampled_from(sorted(CONFIG_KEYS)))):
+        keys = draw(st.sets(st.sampled_from(CONFIG_KEYS[name])))
+        doc[name] = {key: draw(json_values) for key in keys}
+    return doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300)
+    @given(config_docs())
+    def test_resolve_reports_problems_instead_of_raising(self, doc):
+        args = argparse.Namespace(mode=None, seed=None, output_dir="unused")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            resolved, problems = _resolve(doc, args)
+        assert (resolved is None) == bool(problems)
 
 
 class TestEmitReport:

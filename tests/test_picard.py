@@ -256,6 +256,7 @@ class TestPicardSolve:
         assert set(obj) == {
             "iters",
             "K",
+            "first_iterate_norm",
             "converged",
             "certified_T0",
             "contraction_T0",
@@ -264,6 +265,13 @@ class TestPicardSolve:
         }
         assert obj["K"] == report.first_iterate_norm
         assert {"norm_x", "diff_norm", "ratio"} == set(obj["iters"][0])
+
+    def test_report_names_first_iterate_norm(self):
+        _, _, report = picard_solve(cosine_field(4), PicardConfig(T=0.01, M=16))
+        obj = json.loads(json.dumps(report.to_obj()))
+        assert report.first_iterate_norm > 0.0
+        assert obj["first_iterate_norm"] == report.first_iterate_norm
+        assert obj["K"] == obj["first_iterate_norm"]
 
 
 class TestGoldenRegression:

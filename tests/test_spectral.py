@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mkdvlab import (
     FourierField,
     GridMismatchError,
     GridSpec,
+    PhaseTable,
     SobolevIndex,
     Trajectory,
     check_real_symmetry,
@@ -24,6 +27,8 @@ from mkdvlab import (
     field_from_obj,
     field_from_samples,
     field_to_obj,
+    phase_to_obj,
+    random_real_field as library_random_real_field,
     resize_field,
     sobolev_norm,
     spatial_derivative,
@@ -31,6 +36,7 @@ from mkdvlab import (
     to_samples,
     trajectory_from_obj,
     trajectory_to_obj,
+    write_frames_json,
 )
 
 
@@ -303,3 +309,105 @@ class TestSerialization:
         grid = GridSpec(K=3, M=4, T=0.5)
         with pytest.raises(FieldError):
             Trajectory(grid, np.zeros((4, 6), dtype=complex))
+
+
+class TestRandomRealField:
+    def test_pinned_draws(self):
+        # values drawn before the generator moved into the library
+        u = library_random_real_field(3, [7, 1, 2], 1.5)
+        assert u.real_symmetric
+        assert u.coeffs[3:].tolist() == [
+            0j,
+            -0.4821822249275462 - 0.2621274913928213j,
+            -0.201249130340648 + 0.07688873243860914j,
+            0.03918660873809747 + 0.026615689593217137j,
+        ]
+        v = library_random_real_field(2, 11)
+        assert v.coeffs[2:].tolist() == [
+            0j,
+            -0.07304371588636013 - 0.054127295236038306j,
+            0.21966607061563903 + 0.04003116541944742j,
+        ]
+        assert np.array_equal(v.coeffs[:2], np.conj(v.coeffs[3:])[::-1])
+
+
+# Values whose shortest repr is easy to get wrong: a signed zero, the
+# smallest subnormal, the switch to exponent form at 1e16, an integer past
+# 2**53 and a small negative exponent.
+AWKWARD = (-0.0, 5e-324, 1e16, 1e22, 1e-7)
+finite_floats = st.one_of(
+    st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def frame_tables(draw, columns, values=finite_floats):
+    """(grid, array of shape (M, 2K+1, columns)) over small K and M."""
+    K = draw(st.integers(min_value=1, max_value=3))
+    M = draw(st.integers(min_value=2, max_value=4))
+    T = draw(st.sampled_from((0.01, 1.0, 2.5e-3, 3)))
+    shape = (M, 2 * K + 1, columns)
+    n = int(np.prod(shape))
+    vals = draw(st.lists(values, min_size=n, max_size=n))
+    return GridSpec(K, M, T), np.array(vals, dtype=float).reshape(shape)
+
+
+def make_trajectory(grid, table):
+    c = np.empty(table.shape[:2], dtype=complex)
+    c.real = table[..., 0]
+    c.imag = table[..., 1]
+    return Trajectory(grid, c)
+
+
+def written(grid, columns) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "frames.json")
+        write_frames_json(path, grid, columns)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+class TestFrameWriter:
+    """write_frames_json writes the bytes json.dump(obj, indent=2) + newline would."""
+
+    @given(frame_tables(2))
+    def test_trajectory_bytes(self, drawn):
+        tr = make_trajectory(*drawn)
+        expected = json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
+        assert written(tr.grid, (tr.coeffs.real, tr.coeffs.imag)) == expected
+
+    @given(frame_tables(1))
+    def test_phase_bytes(self, drawn):
+        grid, table = drawn
+        values = table[..., 0].copy()
+        values[0] = 0.0
+        ph = PhaseTable(grid, values)
+        expected = json.dumps(phase_to_obj(ph), indent=2) + "\n"
+        assert written(grid, (ph.values,)) == expected
+
+    def test_awkward_values_in_every_column(self):
+        grid = GridSpec(K=2, M=2, T=0.5)
+        table = np.resize(np.array(AWKWARD + (-1e22, 0.1)), (2, 5, 2))
+        tr = make_trajectory(grid, table)
+        text = written(grid, (tr.coeffs.real, tr.coeffs.imag))
+        assert text == json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
+        for v in AWKWARD:
+            assert f" {v!r}" in text
+
+    @given(frame_tables(2, values=st.one_of(finite_floats, st.floats())))
+    def test_non_finite_values_fall_back_to_json(self, drawn):
+        tr = make_trajectory(*drawn)
+        expected = json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
+        assert written(tr.grid, (tr.coeffs.real, tr.coeffs.imag)) == expected
+
+    def test_non_finite_tokens(self):
+        grid = GridSpec(K=1, M=2, T=0.5)
+        c = np.zeros((2, 3), dtype=complex)
+        c[1] = [complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(0.5, -0.0)]
+        tr = Trajectory(grid, c)
+        text = written(grid, (tr.coeffs.real, tr.coeffs.imag))
+        assert text == json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
+        assert "NaN" in text and "-Infinity" in text and "nan" not in text
+        with np.errstate(invalid="ignore"):
+            back = trajectory_from_obj(json.loads(text))
+        assert np.array_equal(back.coeffs, tr.coeffs, equal_nan=True)
