@@ -96,6 +96,7 @@ from .spectral import (
     GridSpec,
     SobolevIndex,
     Trajectory,
+    bracket_sq,
     check_real_symmetry,
     cosine_field,
     cumulative_trapezoid,
@@ -103,6 +104,9 @@ from .spectral import (
     field_from_obj,
     field_from_samples,
     field_to_obj,
+    half_spectrum,
+    hs_norms,
+    mirrored,
     random_real_field,
     resize_field,
     sobolev_norm,

@@ -61,7 +61,7 @@ from .spectral import (
 )
 from .version import VERSION
 
-__all__ = ["main", "run", "emit_report", "MODES"]
+__all__ = ["main", "run", "MODES"]
 
 MODES = (
     "simulate",
@@ -76,6 +76,14 @@ MODES = (
 )
 
 _PROBE_MODES = ("probe16", "probe12", "probe700")
+
+# Size ceilings, checked before anything is allocated. A frame table of
+# M * (2K + 1) complex128 values above 2^26 takes more than 1 GiB. An O(K^3)
+# triple table (probe700, nr_method "naive") peaks at about 110 bytes an
+# entry while it is built (234 MB at K = 64), so near 2 GB at 2^24 entries,
+# which K > 127 exceeds.
+MAX_FRAME_VALUES = 2**26
+MAX_TRIPLES = 2**24
 
 
 class _Problems:
@@ -167,6 +175,18 @@ def _build(problems: _Problems, field: str, ctor, **kwargs):
         return None
 
 
+def _too_large(problems: _Problems, field: str, K: int, M: int, triples: bool) -> bool:
+    """Record a problem when M frames at cutoff K, or their triple table, pass a ceiling."""
+    n = 2 * K + 1
+    if M * n > MAX_FRAME_VALUES:
+        problems.add(field, f"M * (2K + 1) = {M * n} exceeds the ceiling {MAX_FRAME_VALUES}")
+        return True
+    if triples and n**3 > MAX_TRIPLES:
+        problems.add(field, f"(2K + 1)^3 = {n**3} exceeds the ceiling {MAX_TRIPLES}")
+        return True
+    return False
+
+
 def _build_initial(section: dict, K: int, problems: _Problems) -> FourierField | None:
     kind = section.get("kind", "cosine")
     if kind == "cosine":
@@ -249,6 +269,8 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         M=_value(problems, "grid", grid_sec, "M", 64, _as_int),
         T=_value(problems, "grid", grid_sec, "T", 0.01, _as_float),
     )
+    if grid is not None and _too_large(problems, "grid", grid.K, grid.M, False):
+        grid = None
 
     params_sec = _section(doc, "params", ("s0", "s1", "b", "delta"), problems)
     params = _build(
@@ -339,6 +361,10 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
                 problems, "picard", picard_sec, "pad_factor", proxy.pad_factor, _as_int
             ),
         )
+    if picard is not None and _too_large(
+        problems, "picard", grid.K, picard.M, picard.nr_method == "naive"
+    ):
+        picard = None
 
     ensemble_sec = _section(
         doc,
@@ -382,6 +408,10 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
                     k_values=get("k_values", None, _as_int_tuple),
                     modulation_bumps=get("modulation_bumps", 0.0, _as_float),
                 )
+                if ensemble is not None and _too_large(
+                    problems, "ensemble", ensemble.K, ensemble.M, mode == "probe700"
+                ):
+                    ensemble = None
 
     initial_sec = _section(
         doc,
@@ -451,33 +481,6 @@ def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-
-
-def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
-    if isinstance(obj, dict):
-        out = []
-        for key in obj:
-            out.extend(_flatten(obj[key], f"{prefix}.{key}" if prefix else str(key)))
-        return out
-    if isinstance(obj, (list, tuple)):
-        out = []
-        for i, item in enumerate(obj):
-            out.extend(_flatten(item, f"{prefix}[{i}]"))
-        return out
-    return [(prefix, obj)]
-
-
-def emit_report(results: dict, fmt: str, path: str) -> None:
-    """Write a report dict as JSON, or as a flattened key,value CSV."""
-    if fmt == "json":
-        _write_json(path, results)
-    elif fmt == "csv":
-        rows = [
-            (key, "" if val is None else _cell(val)) for key, val in _flatten(results)
-        ]
-        _write_csv(path, ("key", "value"), rows)
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
 
 
 def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:

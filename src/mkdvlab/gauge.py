@@ -31,11 +31,14 @@ from .errors import (
     InstabilityError,
     PhaseWindowWarning,
 )
+from .norms import phase_rates
 from .spectral import (
     FourierField,
     GridSpec,
     Trajectory,
+    bracket_sq,
     cumulative_trapezoid,
+    hs_norms,
     sobolev_norm,
 )
 
@@ -100,20 +103,12 @@ class PhaseSolveReport:
     contraction_T0: float = 0.0
 
 
-def _phase_seed(f: FourierField, grid: GridSpec) -> np.ndarray:
-    ks = np.arange(-grid.K, grid.K + 1)
-    rates = ks.astype(float) ** 3 + ks * np.abs(f.coeffs) ** 2
-    return grid.times[:, None] * rates[None, :]
-
-
 def _phase_rhs(
     f: FourierField, z: Trajectory, seed: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     ks = np.arange(-f.K, f.K + 1)
-    cross = 2.0 * np.real(
-        f.coeffs[None, :] * np.exp(1j * values) * np.conj(z.coeffs)
-    )
-    g = cross + np.abs(z.coeffs) ** 2
+    profile = modulated_profile(f, PhaseTable(z.grid, values)).coeffs
+    g = 2.0 * np.real(profile * np.conj(z.coeffs)) + np.abs(z.coeffs) ** 2
     return seed + ks * cumulative_trapezoid(g, z.grid.dt)
 
 
@@ -136,9 +131,7 @@ def solve_phase(
     """
     if f.K != z.K:
         raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {z.K}")
-    ks = np.arange(-f.K, f.K + 1)
-    bracket = np.sqrt(1.0 + ks.astype(float) ** 2)
-    c0 = float(np.max(bracket ** (1.0 - s0) * np.abs(z.coeffs))) if z.coeffs.size else 0.0
+    c0 = float(np.max(np.sqrt(bracket_sq(f.K)) ** (1.0 - s0) * np.abs(z.coeffs)))
     norm_f = sobolev_norm(f, s0)
     T = z.grid.T
     scale = c0 * norm_f
@@ -151,7 +144,11 @@ def solve_phase(
             PhaseWindowWarning,
         )
 
-    seed = _phase_seed(f, z.grid)
+    seed = z.grid.times[:, None] * phase_rates(f.K, "modified", f)[None, :]
+    if not np.all(np.isfinite(seed)):
+        # PhaseTable rejects the non-finite t = 0 row this leaves, so report
+        # it as the first sweep would
+        raise InstabilityError("phase sweep 1 produced non-finite values", step=1)
     values = seed.copy()
     updates: list[float] = []
     converged = False
@@ -191,31 +188,29 @@ def solve_phase(
     return PhaseTable(z.grid, values), report
 
 
-def _check_table(grid: GridSpec, table: PhaseTable, f: FourierField) -> None:
+def _profile_on(grid: GridSpec, table: PhaseTable, f: FourierField) -> np.ndarray:
+    """f_hat e^{iQ} on the grid of a trajectory the table must share."""
     if table.grid != grid:
         raise GridMismatchError("phase table and trajectory live on different grids")
-    if f.K != grid.K:
-        raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {grid.K}")
+    return modulated_profile(f, table).coeffs
 
 
 def gauge_compose(z: Trajectory, table: PhaseTable, f: FourierField) -> Trajectory:
     """u_hat(t,k) = z_hat(t,k) + f_hat(k) exp(i Q(t,k))."""
-    _check_table(z.grid, table, f)
-    coeffs = z.coeffs + f.coeffs[None, :] * np.exp(1j * table.values)
+    coeffs = z.coeffs + _profile_on(z.grid, table, f)
     return Trajectory(z.grid, coeffs, z.real_symmetric and f.real_symmetric)
 
 
 def gauge_decompose(u: Trajectory, table: PhaseTable, f: FourierField) -> Trajectory:
     """z_hat(t,k) = u_hat(t,k) - f_hat(k) exp(i Q(t,k))."""
-    _check_table(u.grid, table, f)
-    coeffs = u.coeffs - f.coeffs[None, :] * np.exp(1j * table.values)
+    coeffs = u.coeffs - _profile_on(u.grid, table, f)
     return Trajectory(u.grid, coeffs, u.real_symmetric and f.real_symmetric)
 
 
 def phase_from_trajectory(u: Trajectory) -> PhaseTable:
     """P(t,k) = t k^3 + k int_0^t |u_hat(s,k)|^2 ds, trapezoid in s."""
     ks = np.arange(-u.K, u.K + 1)
-    seed = u.grid.times[:, None] * (ks.astype(float) ** 3)[None, :]
+    seed = u.grid.times[:, None] * phase_rates(u.K, "airy", None)[None, :]
     values = seed + ks * cumulative_trapezoid(np.abs(u.coeffs) ** 2, u.grid.dt)
     return PhaseTable(u.grid, values)
 
@@ -244,10 +239,10 @@ def modulation_rate_report(
     value = float(
         np.max(np.abs(ks)[None, :] * absz * (np.abs(f.coeffs)[None, :] + absz))
     )
-    bracket = np.sqrt(1.0 + ks.astype(float) ** 2)
+    bracket = np.sqrt(bracket_sq(f.K))
     c0 = float(np.max(bracket ** (1.0 - params.s0) * absz))
     c1 = float(np.max(bracket ** (1.0 - params.s1) * absz))
-    sup_hs1 = max(sobolev_norm(z.frame(n), params.s1) for n in range(z.grid.M))
+    sup_hs1 = float(np.max(hs_norms(z.coeffs, params.s1)))
     bound = c0 * sobolev_norm(f, params.s0) + c1 * sup_hs1
     return value, bound
 

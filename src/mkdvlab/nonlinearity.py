@@ -21,7 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DenominatorError, FieldError, GridMismatchError
-from .spectral import REAL_SYMMETRY_TOL, FourierField, Trajectory, check_real_symmetry
+from .spectral import (
+    REAL_SYMMETRY_TOL,
+    FourierField,
+    Trajectory,
+    check_real_symmetry,
+    half_spectrum,
+    mirrored,
+)
 
 __all__ = [
     "galilean_speed",
@@ -233,20 +240,14 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
         raise FieldError("direct nonlinearity is defined for real fields")
     K = u.K
     N = 4 * K + 4
-    half = np.zeros(N // 2 + 1, dtype=complex)
-    half[0] = u.coeffs[K].real
-    half[1 : K + 1] = u.coeffs[K + 1 :]
+    half = half_spectrum(u.coeffs, N)
     samples = np.fft.irfft(half, N) * N
     deriv_half = half * 1j * np.arange(N // 2 + 1)
     slope = np.fft.irfft(deriv_half, N) * N
     c = galilean_speed(u)
     w = (samples**2 - c) * slope
     w_half = np.fft.rfft(w) / N
-    out = np.zeros(2 * K + 1, dtype=complex)
-    out[K] = 0.0
-    out[K + 1 :] = -w_half[1 : K + 1]
-    out[:K] = np.conj(out[K + 1 :][::-1])
-    return FourierField(out, real_symmetric=True)
+    return FourierField(mirrored(0.0, -w_half[1 : K + 1]), real_symmetric=True)
 
 
 def denominator_correction(
@@ -313,6 +314,14 @@ def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarr
     raise FieldError(f"unknown case {case!r}; expected 'comparable' or 'separated'")
 
 
+def _corrected_denominators(f: FourierField) -> np.ndarray:
+    """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per quotient triple."""
+    i1, i2, i3, out_idx, tk, base, _, _ = _quotient_triples(f.K)
+    p = np.abs(f.coeffs) ** 2
+    kp = f.wavenumbers.astype(float) * p
+    return base + (kp[i1] + kp[i2] + kp[i3] - tk * p[out_idx])
+
+
 def trilinear_quotient_form(
     v1: FourierField,
     v2: FourierField,
@@ -334,19 +343,14 @@ def trilinear_quotient_form(
     """
     K = _require_same_K(v1, v2, v3, f)
     n = 2 * K + 1
-    i1, i2, i3, out_idx, tk, base, kmax, kmin = _quotient_triples(K)
+    i1, i2, i3, out_idx, tk, _, kmax, kmin = _quotient_triples(K)
     keep = (kmax > cutoff) & _case_mask(kmax, kmin, case)
-
-    p = np.abs(f.coeffs) ** 2
-    ks = np.arange(-K, K + 1).astype(float)
-    kp = ks * p
-    corr = kp[i1] + kp[i2] + kp[i3] - tk * p[out_idx]
-    denom = base + corr
+    denom = _corrected_denominators(f)
 
     bad = keep & (np.abs(denom) < DENOMINATOR_FLOOR)
     if np.any(bad):
         j = int(np.nonzero(bad)[0][0])
-        triple = (int(ks[i1[j]]), int(ks[i2[j]]), int(ks[i3[j]]))
+        triple = (int(i1[j]) - K, int(i2[j]) - K, int(i3[j]) - K)
         raise DenominatorError(
             f"corrected denominator {denom[j]:.3e} below floor at triple {triple}",
             triple=triple,
@@ -374,13 +378,8 @@ def select_frequency_cutoff(f: FourierField) -> int:
     flagged triples (0 when the bound holds everywhere), so that dropping
     max |kj| <= cutoff removes every flagged interaction.
     """
-    K = f.K
-    i1, i2, i3, out_idx, tk, base, kmax, _ = _quotient_triples(K)
-    p = np.abs(f.coeffs) ** 2
-    ks = np.arange(-K, K + 1).astype(float)
-    kp = ks * p
-    denom = base + kp[i1] + kp[i2] + kp[i3] - tk * p[out_idx]
-    bad = np.abs(denom) < 0.5 * kmax
+    kmax = _quotient_triples(f.K)[6]
+    bad = np.abs(_corrected_denominators(f)) < 0.5 * kmax
     if not np.any(bad):
         return 0
     return int(kmax[bad].max())
@@ -398,9 +397,7 @@ def conserved_functionals(u: FourierField) -> tuple[float, float, float]:
     mass = float(u.coeffs[K].real)
     l2 = galilean_speed(u)
     N = 8 * (K + 1)
-    half = np.zeros(N // 2 + 1, dtype=complex)
-    half[0] = u.coeffs[K].real
-    half[1 : K + 1] = u.coeffs[K + 1 :]
+    half = half_spectrum(u.coeffs, N)
     slope = np.fft.irfft(half * 1j * np.arange(N // 2 + 1), N) * N
     samples = np.fft.irfft(half, N) * N
     energy = float(np.mean(0.5 * slope**2 - samples**4 / 12.0))

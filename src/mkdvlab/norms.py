@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .spectral import FourierField, SobolevIndex, Trajectory
+from .spectral import FourierField, SobolevIndex, Trajectory, bracket_sq, hs_norms
 
 __all__ = [
     "NormProxyConfig",
@@ -108,18 +108,13 @@ def ysb_norm_proxy(
     taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=dt)
     tau_weight = (1.0 + taus**2) ** cfg.b
     mode_power = np.sum(tau_weight[:, None] * np.abs(spectrum) ** 2, axis=0)
-    ks = np.arange(-K, K + 1)
-    k_weight = (1.0 + ks.astype(float) ** 2) ** cfg.s
-    total = float(np.sum(k_weight * mode_power)) / (Mp * dt)
+    total = float(np.sum(bracket_sq(K) ** cfg.s * mode_power)) / (Mp * dt)
     return math.sqrt(total)
 
 
 def xinfty_hs_norm(z: Trajectory, s: float) -> float:
     """max over frames of the H^s sequence norm."""
-    ks = np.arange(-z.K, z.K + 1)
-    weight = (1.0 + ks.astype(float) ** 2) ** s
-    per_frame = np.sum(weight[None, :] * np.abs(z.coeffs) ** 2, axis=1)
-    return math.sqrt(float(np.max(per_frame)))
+    return float(np.max(hs_norms(z.coeffs, s)))
 
 
 def x_space_norm(

@@ -9,8 +9,8 @@ right side
 
 and integrates it against the shifted semigroup exp(i t (k^3 + k |f_hat|^2))
 by trapezoid quadrature with the exact unimodular integrating factor. The
-single NR call on the summed field equals the 8-term multilinear expansion;
-the expansion is kept behind a debug flag for difference diagnostics only.
+single NR call on the summed field equals the 8-term multilinear expansion,
+which the test suite checks as a property of the NR kernel.
 
 Contraction is observed, not assumed: the report carries per-iterate norms,
 successive differences, and their ratios, and the solver aborts once the
@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InstabilityError, TimeHorizonWarning
-from .gauge import PhaseTable, gauge_compose, solve_phase
+from .gauge import PhaseTable, gauge_compose, modulated_profile, solve_phase
 from .nonlinearity import nr_trilinear
-from .norms import x_space_norm
+from .norms import phase_rates, x_space_norm
 from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory
 
 __all__ = [
@@ -122,16 +122,6 @@ class PicardReport:
         }
 
 
-def _rates(K: int, f: FourierField | None) -> np.ndarray:
-    ks = np.arange(-K, K + 1)
-    rates = ks.astype(float) ** 3
-    if f is not None:
-        if f.K != K:
-            raise ConfigError(f"profile cutoff {f.K} does not match forcing cutoff {K}")
-        rates = rates + ks * np.abs(f.coeffs) ** 2
-    return rates
-
-
 def duhamel_integrate(
     forcing: Trajectory,
     f: FourierField | None = None,
@@ -144,7 +134,9 @@ def duhamel_integrate(
     the plain trapezoid one of the premultiplied integrand.
     """
     K = forcing.K
-    phi = _rates(K, f)
+    if f is not None and f.K != K:
+        raise ConfigError(f"profile cutoff {f.K} does not match forcing cutoff {K}")
+    phi = phase_rates(K, "airy" if f is None else "modified", f)
     t = forcing.grid.times
     damped = np.exp(-1j * phi[None, :] * t[:, None]) * forcing.coeffs
     integral = np.zeros_like(damped)
@@ -163,39 +155,22 @@ def picard_rhs(
     phase: PhaseTable,
     f: FourierField,
     method: str = "fast",
-    expanded: bool = False,
 ) -> Trajectory:
-    """Full right side of the gauged evolution, frame by frame.
-
-    With expanded=True the trilinear term is assembled from the 8 separate
-    NR calls of the multilinear expansion instead of one call on the summed
-    field; the two agree to rounding and the flag exists only to diagnose
-    differences between the bookkeepings.
-    """
+    """Full right side of the gauged evolution, one NR call per frame."""
     if z.grid != phase.grid:
         raise ConfigError("trajectory and phase table live on different grids")
     if f.K != z.K:
         raise ConfigError(f"mode cutoffs differ: {f.K} vs {z.K}")
     ks = np.arange(-z.K, z.K + 1)
-    profile = f.coeffs[None, :] * np.exp(1j * phase.values)
+    profile = modulated_profile(f, phase).coeffs
     absz_sq = np.abs(z.coeffs) ** 2
     diagonal = 1j * ks * (absz_sq + 2.0 * np.real(profile * np.conj(z.coeffs))) * z.coeffs
 
     out = np.array(diagonal, dtype=complex)
-    M = z.grid.M
-    if not expanded:
-        summed = profile + z.coeffs
-        for n in range(M):
-            w = FourierField(summed[n])
-            out[n] += nr_trilinear(w, w, w, method).coeffs
-    else:
-        for n in range(M):
-            pf = FourierField(profile[n])
-            zf = FourierField(z.coeffs[n].copy())
-            for a in (pf, zf):
-                for b in (pf, zf):
-                    for c in (pf, zf):
-                        out[n] += nr_trilinear(a, b, c, method).coeffs
+    summed = profile + z.coeffs
+    for n in range(z.grid.M):
+        w = FourierField(summed[n])
+        out[n] += nr_trilinear(w, w, w, method).coeffs
     return Trajectory(z.grid, out)
 
 

@@ -45,6 +45,7 @@ from .spectral import (
     SobolevIndex,
     Trajectory,
     field_to_obj,
+    hs_norms,
     random_real_field,
     resize_field,
     sobolev_norm,
@@ -231,6 +232,20 @@ def free_modulated_trajectory(
     return Trajectory(grid, coeffs)
 
 
+def _input_proxy_product(
+    inputs: tuple[Trajectory, ...],
+    f: FourierField,
+    params: SobolevIndex,
+    proxy: NormProxyConfig,
+) -> float:
+    """Product of the inputs' Y-proxies at (s0, b), with proxy's window, padding and phase."""
+    cfg = replace(proxy, s=params.s0, b=params.b)
+    denom = 1.0
+    for u in inputs:
+        denom *= ysb_norm_proxy(u, cfg, f)
+    return denom
+
+
 def duhamel_smoothing_ratio(
     u1: Trajectory,
     u2: Trajectory,
@@ -245,10 +260,7 @@ def duhamel_smoothing_ratio(
     Exponents come from params; proxy contributes window, padding, and
     phase so the denominator matches the solver's working norm.
     """
-    cfg = replace(proxy, s=params.s0, b=params.b)
-    denom = 1.0
-    for u in (u1, u2, u3):
-        denom *= ysb_norm_proxy(u, cfg, f)
+    denom = _input_proxy_product((u1, u2, u3), f, params, proxy)
     U = duhamel_integrate(nr_framewise(u1, u2, u3, method), f)
     return xinfty_hs_norm(U, params.s1) / (u1.grid.T**params.delta * denom)
 
@@ -263,10 +275,7 @@ def trilinear_bourgain_ratio(
     method: str = "fast",
 ) -> float:
     """Y-proxy of NR(u1,u2,u3) at exponent b-1+delta over the product at b."""
-    cfg = replace(proxy, s=params.s0, b=params.b)
-    denom = 1.0
-    for u in (u1, u2, u3):
-        denom *= ysb_norm_proxy(u, cfg, f)
+    denom = _input_proxy_product((u1, u2, u3), f, params, proxy)
     out_cfg = replace(proxy, s=params.s0, b=params.b - 1.0 + params.delta)
     return ysb_norm_proxy(nr_framewise(u1, u2, u3, method), out_cfg, f) / denom
 
@@ -355,47 +364,41 @@ def _run_probe(
     )
 
 
-def _normalized_trajectories(
-    fields: list[FourierField],
-    bumps: list[np.ndarray],
-    c: int,
-    f: FourierField,
-    spec: EnsembleSpec,
-) -> tuple[list[Trajectory], FourierField, list[FourierField]] | None:
-    """Truncate to cutoff c, build free trajectories, scale to unit proxy norm."""
-    fc = resize_field(f, c)
-    grid = GridSpec(c, spec.M, spec.T)
+def _trajectory_evaluator(
+    f: FourierField, spec: EnsembleSpec, ratio: Callable[..., float], method: str
+) -> Callable[[list[FourierField], list[np.ndarray], int], tuple[float, dict] | None]:
+    """Sample evaluator of the trajectory probes.
+
+    Truncates the sample to cutoff c, builds the free trajectories, scales
+    each to unit proxy norm and returns ratio of the three with the scaled
+    fields as payload; None when a proxy norm is degenerate.
+    """
     cfg = replace(spec.proxy, s=spec.params.s0, b=spec.params.b)
-    trajs: list[Trajectory] = []
-    normalized: list[FourierField] = []
-    for g, nu in zip(fields, bumps):
-        gc = resize_field(g, c)
-        nuc = _truncate_bumps(nu, spec.K, c)
-        u = free_modulated_trajectory(gc, fc, grid, nuc)
-        d = ysb_norm_proxy(u, cfg, fc)
-        if not (d > DEGENERATE_FLOOR):
-            return None
-        gs = FourierField(gc.coeffs / d, real_symmetric=gc.real_symmetric)
-        trajs.append(Trajectory(grid, u.coeffs / d))
-        normalized.append(gs)
-    return trajs, fc, normalized
+
+    def evaluate(fields, bumps, c):
+        fc = resize_field(f, c)
+        grid = GridSpec(c, spec.M, spec.T)
+        trajs: list[Trajectory] = []
+        normalized: list[FourierField] = []
+        for g, nu in zip(fields, bumps):
+            gc = resize_field(g, c)
+            u = free_modulated_trajectory(gc, fc, grid, _truncate_bumps(nu, spec.K, c))
+            d = ysb_norm_proxy(u, cfg, fc)
+            if not (d > DEGENERATE_FLOOR):
+                return None
+            trajs.append(Trajectory(grid, u.coeffs / d))
+            normalized.append(FourierField(gc.coeffs / d, real_symmetric=gc.real_symmetric))
+        value = ratio(*trajs, fc, spec.params, spec.proxy, method)
+        return value, {"fields": [field_to_obj(g) for g in normalized]}
+
+    return evaluate
 
 
 def probe_duhamel_smoothing(
     f: FourierField, spec: EnsembleSpec, method: str = "fast"
 ) -> ProbeReport:
     """Ensemble search for the largest Duhamel-smoothing ratio."""
-
-    def evaluate(fields, bumps, c):
-        built = _normalized_trajectories(fields, bumps, c, f, spec)
-        if built is None:
-            return None
-        trajs, fc, normalized = built
-        ratio = duhamel_smoothing_ratio(
-            trajs[0], trajs[1], trajs[2], fc, spec.params, spec.proxy, method
-        )
-        return ratio, {"fields": [field_to_obj(g) for g in normalized]}
-
+    evaluate = _trajectory_evaluator(f, spec, duhamel_smoothing_ratio, method)
     return _run_probe("probe16", f, spec, evaluate)
 
 
@@ -403,17 +406,7 @@ def probe_trilinear_bourgain(
     f: FourierField, spec: EnsembleSpec, method: str = "fast"
 ) -> ProbeReport:
     """Ensemble search for the largest trilinear Y-proxy ratio."""
-
-    def evaluate(fields, bumps, c):
-        built = _normalized_trajectories(fields, bumps, c, f, spec)
-        if built is None:
-            return None
-        trajs, fc, normalized = built
-        ratio = trilinear_bourgain_ratio(
-            trajs[0], trajs[1], trajs[2], fc, spec.params, spec.proxy, method
-        )
-        return ratio, {"fields": [field_to_obj(g) for g in normalized]}
-
+    evaluate = _trajectory_evaluator(f, spec, trilinear_bourgain_ratio, method)
     return _run_probe("probe12", f, spec, evaluate)
 
 
@@ -515,9 +508,7 @@ def smoothing_report(
     table = phase_from_trajectory(u)
     z = u - modulated_profile(f, table)
     ks = np.arange(-u.K, u.K + 1).astype(float)
-    hs1 = np.sqrt(
-        np.sum((1.0 + ks * ks)[None, :] ** params.s1 * np.abs(z.coeffs) ** 2, axis=1)
-    )
+    hs1 = hs_norms(z.coeffs, params.s1)
     gap = np.abs(np.abs(u.coeffs) ** 2 - (np.abs(f.coeffs) ** 2)[None, :])
     absk = np.abs(ks)
     q = min(4.0 * params.s0, 1.0 + params.s0)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError, InstabilityError, StepSizeWarning
 from .nonlinearity import conserved_functionals, direct_nonlinearity
-from .spectral import FourierField, GridSpec, Trajectory
+from .norms import phase_rates
+from .spectral import FourierField, GridSpec, Trajectory, hs_norms
 
 __all__ = [
     "ETDConfig",
@@ -57,21 +58,9 @@ class ETDConfig:
             )
 
 
-def _linear_rates(K: int, linear_phase: str, f: FourierField | None) -> np.ndarray:
-    ks = np.arange(-K, K + 1)
-    rates = ks.astype(float) ** 3
-    if linear_phase == "modified":
-        if f is None:
-            raise ConfigError("modified linear phase needs the profile f")
-        if f.K != K:
-            raise GridMismatchError(f"profile cutoff {f.K} does not match {K}")
-        rates = rates + ks * np.abs(f.coeffs) ** 2
-    return rates
-
-
 def airy_exact(u0: FourierField, t: float, f: FourierField | None = None) -> FourierField:
     """Free evolution: multiply mode k by exp(i t (k^3 + k|f_hat(k)|^2 if f given))."""
-    phi = _linear_rates(u0.K, "modified" if f is not None else "airy", f)
+    phi = phase_rates(u0.K, "modified" if f is not None else "airy", f)
     factor = np.exp(1j * t * phi)
     odd = bool(np.array_equal(phi, -phi[::-1]))
     return FourierField(factor * u0.coeffs, real_symmetric=u0.real_symmetric and odd)
@@ -120,7 +109,7 @@ def solve_reference(
     grid = GridSpec(f.K, M, T)
     K = f.K
     ks = np.arange(-K, K + 1)
-    phi = _linear_rates(K, cfg.linear_phase, f)
+    phi = phase_rates(K, cfg.linear_phase, f)
     odd = bool(np.array_equal(phi, -phi[::-1]))
 
     scale = float(np.max(np.abs(f.coeffs))) if f.coeffs.size else 0.0
@@ -188,9 +177,7 @@ def compare_trajectories(
     """Max-over-frames H^s distance plus the per-frame profile."""
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
-    ks = np.arange(-a.K, a.K + 1)
-    weight = (1.0 + ks.astype(float) ** 2) ** s
-    per_frame = np.sqrt(np.sum(weight[None, :] * np.abs(a.coeffs - b.coeffs) ** 2, axis=1))
+    per_frame = hs_norms(a.coeffs - b.coeffs, s)
     return float(np.max(per_frame)), per_frame
 
 

@@ -13,7 +13,6 @@ immutable; operations return new objects.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,10 @@ __all__ = [
     "FourierField",
     "Trajectory",
     "SobolevIndex",
+    "bracket_sq",
+    "hs_norms",
+    "half_spectrum",
+    "mirrored",
     "field_from_samples",
     "to_samples",
     "to_real_samples",
@@ -46,11 +49,6 @@ __all__ = [
 
 # Verified reality tolerance for operations that require real-valued input.
 REAL_SYMMETRY_TOL = 1e-8
-
-
-def _bracket_sq(k: np.ndarray | float) -> np.ndarray | float:
-    """<k>^2 = 1 + k^2."""
-    return 1.0 + np.asarray(k, dtype=float) ** 2
 
 
 @dataclass(frozen=True)
@@ -247,12 +245,7 @@ def field_from_samples(samples: np.ndarray, K: int) -> FourierField:
     if n < 2 * K + 2:
         raise FieldError(f"need at least {2 * K + 2} samples for K = {K}, got {n}")
     half = np.fft.rfft(x) / n
-    coeffs = np.zeros(2 * K + 1, dtype=complex)
-    coeffs[K] = half[0].real
-    pos = half[1 : K + 1]
-    coeffs[K + 1 :] = pos
-    coeffs[:K] = np.conj(pos[::-1])
-    return FourierField(coeffs, real_symmetric=True)
+    return FourierField(mirrored(half[0].real, half[1 : K + 1]), real_symmetric=True)
 
 
 def to_samples(u: FourierField, n: int) -> np.ndarray:
@@ -273,10 +266,7 @@ def to_real_samples(u: FourierField, n: int) -> np.ndarray:
     K = u.K
     if n < 2 * K + 1:
         raise FieldError(f"need n >= {2 * K + 1} points to place all modes, got {n}")
-    half = np.zeros(n // 2 + 1, dtype=complex)
-    half[0] = u.coeffs[K].real
-    half[1 : K + 1] = u.coeffs[K + 1 :]
-    return np.fft.irfft(half, n) * n
+    return np.fft.irfft(half_spectrum(u.coeffs, n), n) * n
 
 
 def spatial_derivative(u: FourierField) -> FourierField:
@@ -284,16 +274,49 @@ def spatial_derivative(u: FourierField) -> FourierField:
     return FourierField(1j * u.wavenumbers * u.coeffs, u.real_symmetric)
 
 
+def bracket_sq(K: int) -> np.ndarray:
+    """<k>^2 = 1 + k^2 for k = -K..K, the weight base of every H^s norm."""
+    return 1.0 + np.arange(-K, K + 1).astype(float) ** 2
+
+
+def hs_norms(coeffs: np.ndarray, s: float) -> np.ndarray:
+    """Sequence-space H^s norms sqrt(sum_k <k>^{2s} |u_hat(k)|^2), one per row of (..., 2K+1)."""
+    K = (coeffs.shape[-1] - 1) // 2
+    return np.sqrt(np.sum(bracket_sq(K) ** s * np.abs(coeffs) ** 2, axis=-1))
+
+
+def half_spectrum(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Modes 0..K of a conjugate-symmetric mode vector, zero-padded for an n-point irfft."""
+    K = (coeffs.size - 1) // 2
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[0] = coeffs[K].real
+    half[1 : K + 1] = coeffs[K + 1 :]
+    return half
+
+
+def mirrored(zero: float, positive: np.ndarray) -> np.ndarray:
+    """Conjugate-symmetric mode vector with zero mode `zero` and modes 1..K `positive`."""
+    K = positive.size
+    c = np.empty(2 * K + 1, dtype=complex)
+    c[K] = zero
+    c[K + 1 :] = positive
+    c[:K] = np.conj(positive[::-1])
+    return c
+
+
 def sobolev_norm(u: FourierField, s: float) -> float:
     """Sequence-space H^s norm: sqrt(sum_k <k>^{2s} |u_hat(k)|^2)."""
-    w = _bracket_sq(u.wavenumbers) ** s
-    return float(math.sqrt(float(np.sum(w * np.abs(u.coeffs) ** 2))))
+    return float(hs_norms(u.coeffs, s))
 
 
 def check_real_symmetry(u: FourierField) -> float:
-    """max_k |u_hat(-k) - conj(u_hat(k))|, zero for exactly real fields."""
+    """max_k |u_hat(-k) - conj(u_hat(k))|, zero for exactly real fields.
+
+    A NaN or infinite mode makes the result NaN or infinite, without a warning.
+    """
     c = u.coeffs
-    return float(np.max(np.abs(c[::-1] - np.conj(c))))
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(c[::-1] - np.conj(c))))
 
 
 def cosine_field(K: int, amplitude: float = 1.0, harmonic: int = 1) -> FourierField:
@@ -332,13 +355,9 @@ def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:
     ints); equal seeds give bit-identical fields.
     """
     rng = np.random.default_rng(seed)
-    k = np.arange(1, K + 1, dtype=float)
-    moduli = rng.random(K) * (1.0 + k * k) ** (-0.5 * decay)
+    moduli = rng.random(K) * bracket_sq(K)[K + 1 :] ** (-0.5 * decay)
     phases = rng.random(K) * (2.0 * np.pi)
-    c = np.zeros(2 * K + 1, dtype=complex)
-    c[K + 1 :] = moduli * np.exp(1j * phases)
-    c[:K] = np.conj(c[K + 1 :])[::-1]
-    return FourierField(c, real_symmetric=True)
+    return FourierField(mirrored(0.0, moduli * np.exp(1j * phases)), real_symmetric=True)
 
 
 def resize_field(u: FourierField, K: int) -> FourierField:
@@ -381,9 +400,10 @@ def field_from_obj(obj: list[list[float]]) -> FourierField:
     c = np.zeros(2 * K + 1, dtype=complex)
     for k, re, im in obj:
         c[int(k) + K] = complex(re, im)
-    asym = float(np.max(np.abs(c[::-1] - np.conj(c))))
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    return FourierField(c, real_symmetric=(asym <= 1e-12 * max(1.0, scale)))
+    field = FourierField(c)
+    if check_real_symmetry(field) <= 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+        return FourierField(c, real_symmetric=True)
+    return field
 
 
 def trajectory_to_obj(tr: Trajectory) -> dict:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import mkdvlab
 from mkdvlab import (
-    ConfigError,
     cosine_field,
     phase_from_obj,
     phase_to_obj,
@@ -25,7 +24,7 @@ from mkdvlab import (
     trajectory_from_obj,
     trajectory_to_obj,
 )
-from mkdvlab.cli import MODES, _resolve, emit_report
+from mkdvlab.cli import MODES, _resolve
 from mkdvlab.reference import ETDConfig
 
 
@@ -385,6 +384,22 @@ class TestFailurePaths:
         assert err["error"] == "invalid-config"
         assert [row["field"] for row in err["problems"]] == [field]
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"grid": {"K": 1_000_000_000_000}}, "grid"),
+            ({"grid": {"K": 128}, "picard": {"nr_method": "naive"}}, "picard"),
+        ],
+        ids=["frame-table", "triple-table"],
+    )
+    def test_size_ceiling_is_a_field_problem(self, tmp_path, doc, field):
+        r = run_cli(tmp_path, {"mode": "decompose_check", **doc})
+        assert r.returncode == 2, r.stderr
+        err = json.loads(r.stderr)
+        assert err["error"] == "invalid-config"
+        assert [row["field"] for row in err["problems"]] == [field]
+        assert "exceeds the ceiling" in err["problems"][0]["message"]
+
     def test_missing_config_file(self, tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "mkdvlab.cli", "--config", str(tmp_path / "missing.json")],
@@ -462,27 +477,3 @@ class TestConfigFuzz:
             warnings.simplefilter("ignore")
             resolved, problems = _resolve(doc, args)
         assert (resolved is None) == bool(problems)
-
-
-class TestEmitReport:
-    def test_json_and_csv_agree(self, tmp_path):
-        results = {"a": {"b": 1.5, "c": [1, 2]}, "d": None, "e": "text"}
-        jpath = tmp_path / "r.json"
-        cpath = tmp_path / "r.csv"
-        emit_report(results, "json", str(jpath))
-        emit_report(results, "csv", str(cpath))
-        assert load(jpath) == results
-        with open(cpath, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows == [
-            ["key", "value"],
-            ["a.b", "1.5"],
-            ["a.c[0]", "1"],
-            ["a.c[1]", "2"],
-            ["d", ""],
-            ["e", "text"],
-        ]
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_report({}, "yaml", str(tmp_path / "r.yaml"))

@@ -151,6 +151,26 @@ class TestNonresonantTerm:
         out_b = nr_trilinear_fast(*[FourierField(shifted)] * 3)
         assert np.max(np.abs(out_a.coeffs - out_b.coeffs)) < 1e-13
 
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["fast", "naive"]),
+    )
+    def test_call_on_sum_equals_multilinear_expansion(self, K, seed, method):
+        a = random_complex_field(K, seed=[seed, 0])
+        b = random_complex_field(K, seed=[seed, 1])
+        w = FourierField(a.coeffs + b.coeffs)
+        one = nr_trilinear(w, w, w, method).coeffs
+        eight = sum(
+            nr_trilinear(x, y, z, method).coeffs
+            for x in (a, b)
+            for y in (a, b)
+            for z in (a, b)
+        )
+        # rounding is relative to the size of the summands, not of the sum
+        l1 = np.sum(np.abs(a.coeffs)) + np.sum(np.abs(b.coeffs))
+        assert np.max(np.abs(one - eight)) < 1e-14 * K * l1**3
+
     def test_framewise(self):
         grid = GridSpec(K=4, M=3, T=1.0)
         rng = np.random.default_rng(5)

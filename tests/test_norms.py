@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_real_field
 from mkdvlab import (
@@ -16,7 +18,9 @@ from mkdvlab import (
     Trajectory,
     cosine_field,
     field_from_modes,
+    hs_norms,
     phase_rates,
+    sobolev_norm,
     window_weights,
     x_space_norm,
     xinfty_hs_norm,
@@ -172,6 +176,24 @@ class TestSupNorm:
                 acc += (1.0 + k * k) ** s * abs(z.coeffs[m, k + 5]) ** 2
             per_frame.append(math.sqrt(acc))
         assert abs(xinfty_hs_norm(z, s) - max(per_frame)) < 1e-13
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=-1.0, max_value=2.0),
+    )
+    def test_rows_are_the_frame_norms(self, K, M, seed, s):
+        rng = np.random.default_rng(seed)
+        shape = (M, 2 * K + 1)
+        tr = Trajectory(
+            GridSpec(K, M, 0.1), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        rows = hs_norms(tr.coeffs, s)
+        assert rows.shape == (M,)
+        for n in range(M):
+            assert rows[n] == sobolev_norm(tr.frame(n), s)
+        assert xinfty_hs_norm(tr, s) == max(rows)
 
     def test_growing_mode(self):
         grid = GridSpec(K=2, M=8, T=1.0)

@@ -144,19 +144,6 @@ class TestPicardRhs:
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(out.coeffs[n] - ref)) < 1e-12 * scale
 
-    def test_expanded_matches_single_call(self):
-        f = cosine_field(8)
-        grid = GridSpec(K=8, M=8, T=0.01)
-        rng = np.random.default_rng(7)
-        z = Trajectory(
-            grid,
-            0.1 * (rng.standard_normal((8, 17)) + 1j * rng.standard_normal((8, 17))),
-        )
-        phase, _ = solve_phase(f, z)
-        one = picard_rhs(z, phase, f, expanded=False)
-        eight = picard_rhs(z, phase, f, expanded=True)
-        assert np.max(np.abs(one.coeffs - eight.coeffs)) < 1e-12
-
 
 class TestPicardStep:
     def test_first_iterate_closed_form(self):

@@ -27,6 +27,8 @@ from mkdvlab import (
     field_from_obj,
     field_from_samples,
     field_to_obj,
+    half_spectrum,
+    mirrored,
     phase_to_obj,
     random_real_field as library_random_real_field,
     resize_field,
@@ -133,6 +135,23 @@ class TestSampling:
         u = random_real_field(6, seed=11)
         v = field_from_samples(to_real_samples(u, 64), K=6)
         assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-13
+
+    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10_000))
+    def test_half_spectrum_and_mirrored_invert(self, K, seed):
+        rng = np.random.default_rng(seed)
+        zero = float(rng.standard_normal())
+        positive = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        c = mirrored(zero, positive)
+        for k in range(1, K + 1):
+            assert c[K + k] == positive[k - 1]
+            assert c[K - k] == np.conj(positive[k - 1])
+        assert c[K] == zero
+        n = 2 * K + 5
+        half = half_spectrum(c, n)
+        assert half.shape == (n // 2 + 1,)
+        assert np.array_equal(half[: K + 1], np.concatenate([[zero], positive]))
+        assert not half[K + 1 :].any()
+        assert np.max(np.abs(np.fft.irfft(half, n) * n - to_samples(FourierField(c), n))) < 1e-12
 
     def test_to_real_samples_requires_symmetry(self):
         c = np.zeros(5, dtype=complex)
@@ -408,6 +427,5 @@ class TestFrameWriter:
         text = written(grid, (tr.coeffs.real, tr.coeffs.imag))
         assert text == json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
         assert "NaN" in text and "-Infinity" in text and "nan" not in text
-        with np.errstate(invalid="ignore"):
-            back = trajectory_from_obj(json.loads(text))
+        back = trajectory_from_obj(json.loads(text))
         assert np.array_equal(back.coeffs, tr.coeffs, equal_nan=True)
