@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -76,12 +77,14 @@ MODES = (
 )
 
 _PROBE_MODES = ("probe16", "probe12", "probe700")
+_PICARD_MODES = ("gauge_solve", "compare", "decompose_check", "q_solve")
 
 # Size ceilings, checked before anything is allocated. A frame table of
-# M * (2K + 1) complex128 values above 2^26 takes more than 1 GiB. An O(K^3)
-# triple table (probe700, nr_method "naive") peaks at about 110 bytes an
-# entry while it is built (234 MB at K = 64), so near 2 GB at 2^24 entries,
-# which K > 127 exceeds.
+# M * (2K + 1) complex128 values above 2^26 takes more than 1 GiB; padded
+# norm proxies and ETD contour weights are held to the same count. The O(K^3)
+# triple table (probe700, nr_method "naive") peaks at about 42 bytes per
+# (2K + 1)^3 entry while it is built (90 MB at K = 64, 700 MB at K = 127),
+# so near 700 MB at 2^24 entries, which K > 127 exceeds.
 MAX_FRAME_VALUES = 2**26
 MAX_TRIPLES = 2**24
 
@@ -175,11 +178,15 @@ def _build(problems: _Problems, field: str, ctor, **kwargs):
         return None
 
 
-def _too_large(problems: _Problems, field: str, K: int, M: int, triples: bool) -> bool:
-    """Record a problem when M frames at cutoff K, or their triple table, pass a ceiling."""
+def _too_large(
+    problems: _Problems, field: str, K: int, factors: dict[str, int], triples: bool = False
+) -> bool:
+    """Record a problem when (2K + 1) * prod(factors) or the triple table passes a ceiling."""
     n = 2 * K + 1
-    if M * n > MAX_FRAME_VALUES:
-        problems.add(field, f"M * (2K + 1) = {M * n} exceeds the ceiling {MAX_FRAME_VALUES}")
+    values = math.prod(factors.values()) * n
+    if values > MAX_FRAME_VALUES:
+        what = " * ".join([*factors, "(2K + 1)"])
+        problems.add(field, f"{what} = {values} exceeds the ceiling {MAX_FRAME_VALUES}")
         return True
     if triples and n**3 > MAX_TRIPLES:
         problems.add(field, f"(2K + 1)^3 = {n**3} exceeds the ceiling {MAX_TRIPLES}")
@@ -204,11 +211,21 @@ def _build_initial(section: dict, K: int, problems: _Problems) -> FourierField |
             problems.add("initial_data.modes", "must be a non-empty list of [k, re, im]")
             return None
         try:
-            modes = {int(k): complex(re, im) for k, re, im in rows}
+            ks, values = zip(*[(int(k), complex(re, im)) for k, re, im in rows])
         except (TypeError, ValueError):
             problems.add("initial_data.modes", "rows must be [k, re, im] triples")
             return None
-        return _build(problems, "initial_data", field_from_modes, K=K, modes=modes)
+        modes = dict(zip(ks, values))
+        f = _build(
+            problems, "initial_data", field_from_modes, K=K, modes=modes, symmetrize=True
+        )
+        # the real field built from the rows must reproduce every one of them
+        if f is not None and not np.array_equal(
+            f.coeffs[K + np.array(ks)], values, equal_nan=True
+        ):
+            problems.add("initial_data.modes", "rows must be conjugate at k and -k, real at 0")
+            return None
+        return f
     if kind == "seeded-random":
         if section.get("seed") is None:
             problems.add("initial_data.seed", "required for kind seeded-random")
@@ -269,7 +286,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         M=_value(problems, "grid", grid_sec, "M", 64, _as_int),
         T=_value(problems, "grid", grid_sec, "T", 0.01, _as_float),
     )
-    if grid is not None and _too_large(problems, "grid", grid.K, grid.M, False):
+    if grid is not None and _too_large(problems, "grid", grid.K, {"M": grid.M}):
         grid = None
 
     params_sec = _section(doc, "params", ("s0", "s1", "b", "delta"), problems)
@@ -323,6 +340,10 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
             problems, "etd", etd_sec, "nonlinearity_enabled", True, _as_bool
         ),
     )
+    if etd is not None and grid is not None and _too_large(
+        problems, "etd", grid.K, {"contour_points": etd.contour_points}
+    ):
+        etd = None
 
     picard_sec = _section(
         doc,
@@ -341,7 +362,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         problems,
     )
     picard = None
-    if params is not None and proxy is not None and grid is not None:
+    if mode in _PICARD_MODES and params is not None and proxy is not None and grid is not None:
         picard = _build(
             problems,
             "picard",
@@ -361,10 +382,10 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
                 problems, "picard", picard_sec, "pad_factor", proxy.pad_factor, _as_int
             ),
         )
-    if picard is not None and _too_large(
-        problems, "picard", grid.K, picard.M, picard.nr_method == "naive"
-    ):
-        picard = None
+    if picard is not None:
+        sizes = {"pad_factor": picard.pad_factor, "M": picard.M}
+        if _too_large(problems, "picard", grid.K, sizes, picard.nr_method == "naive"):
+            picard = None
 
     ensemble_sec = _section(
         doc,
@@ -409,7 +430,11 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
                     modulation_bumps=get("modulation_bumps", 0.0, _as_float),
                 )
                 if ensemble is not None and _too_large(
-                    problems, "ensemble", ensemble.K, ensemble.M, mode == "probe700"
+                    problems,
+                    "ensemble",
+                    ensemble.K,
+                    {"pad_factor": proxy.pad_factor, "M": ensemble.M},
+                    mode == "probe700",
                 ):
                     ensemble = None
 
@@ -442,7 +467,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         "params": {"s0": params.s0, "s1": params.s1, "b": params.b, "delta": params.delta},
         "proxy": dataclasses.asdict(proxy),
         "etd": dataclasses.asdict(etd),
-        "picard": {
+        "picard": None if picard is None else {
             k: v for k, v in dataclasses.asdict(picard).items() if k != "params"
         },
         "ensemble": ensemble.to_obj() if ensemble is not None else None,

@@ -18,6 +18,8 @@ state is retained between calls.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DenominatorError, FieldError, GridMismatchError
@@ -67,39 +69,60 @@ def _require_same_K(*fields: FourierField) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Index-table route. For each cutoff K we enumerate the admissible triples
-# once and keep flat gather indices; evaluation is then two gathers and a
-# bincount. Cached tables are immutable.
+# One triple table serves the naive NR sum and the quotient form: every
+# (k1, k2, k3) with |kj| <= K, k = k1 + k2 + k3 != 0, |k| <= K and a nonzero
+# kernel product (k1+k2)(k2+k3)(k3+k1), zero input modes included, in
+# ascending order. The NR sum zeroes the k = 0 entry of its inputs, so the
+# triples with a zero input add exact zeros to it. Built one k1 slice at a
+# time, so no (2K+1)^3 array exists, and cached per K; never modified.
 
-_TRIPLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+class _Triples(NamedTuple):
+    i1: np.ndarray  # indices of k1, k2, k3 and k in -K..K
+    i2: np.ndarray
+    i3: np.ndarray
+    out: np.ndarray
+    k: np.ndarray
+    base: np.ndarray  # -3 (k1+k2)(k2+k3)(k3+k1), as float
+    kmax: np.ndarray  # max |kj|
+    kmin: np.ndarray  # min |kj|
 
 
-def _nr_triples(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cached = _TRIPLE_CACHE.get(K)
-    if cached is not None:
-        return cached
-    n = 2 * K + 1
+_TRIPLES: dict[int, _Triples] = {}
+
+
+def _triples(K: int) -> _Triples:
+    if K in _TRIPLES:
+        return _TRIPLES[K]
     ks = np.arange(-K, K + 1)
-    k1 = ks[:, None, None]
-    k2 = ks[None, :, None]
-    k = ks[None, None, :]
-    k3 = k - k1 - k2
-    valid = (
-        (np.abs(k3) <= K)
-        & (k != 0)
-        & (k1 != 0)
-        & (k2 != 0)
-        & (k3 != 0)
-        & (k1 != k)
-        & (k2 != k)
-        & (k3 != k)
-    )
-    i1, i2, ik = np.nonzero(valid)
-    idx3 = (ks[ik] - ks[i1] - ks[i2] + K).astype(np.intp)
-    pair_idx = (i1 * n + i2).astype(np.intp)
-    table = (pair_idx, idx3, ik.astype(np.intp))
-    _TRIPLE_CACHE[K] = table
+    k2, k3 = ks[:, None], ks[None, :]
+
+    def admissible(k1):
+        k = k1 + k2 + k3
+        prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
+        return k, prod, (np.abs(k) <= K) & (k != 0) & (prod != 0)
+
+    # a counting pass first, so each column is allocated once at full size
+    ends = np.cumsum([np.count_nonzero(admissible(k1)[2]) for k1 in ks])
+    dtypes = [float if c == "base" else np.intp for c in _Triples._fields]
+    table = _Triples(*(np.empty(ends[-1], d) for d in dtypes))
+    for i1, k1 in enumerate(ks):
+        k, prod, valid = admissible(k1)
+        j2, j3 = np.nonzero(valid)
+        absk = np.abs(np.stack([np.full(j2.size, k1), ks[j2], ks[j3]]))
+        piece = (i1, j2, j3, k[valid] + K, k[valid], -3.0 * prod[valid])
+        rows = slice(ends[i1] - j2.size, ends[i1])
+        for col, values in zip(table, (*piece, absk.max(axis=0), absk.min(axis=0))):
+            col[rows] = values
+    _TRIPLES[K] = table
     return table
+
+
+def _without_zero_mode(c: np.ndarray) -> np.ndarray:
+    """Copy of a mode vector with its k = 0 entry set to zero."""
+    a = c.copy()
+    a[c.size // 2] = 0.0
+    return a
 
 
 def nr_trilinear_naive(
@@ -108,11 +131,12 @@ def nr_trilinear_naive(
     """Nonresonant trilinear term by direct summation over the triple table."""
     K = _require_same_K(v1, v2, v3)
     n = 2 * K + 1
-    pair_idx, idx3, out_idx = _nr_triples(K)
-    pair = (v1.coeffs[:, None] * v2.coeffs[None, :]).ravel()
-    prods = pair[pair_idx] * v3.coeffs[idx3]
-    sums = np.bincount(out_idx, weights=prods.real, minlength=n) + 1j * np.bincount(
-        out_idx, weights=prods.imag, minlength=n
+    t = _triples(K)
+    a1, a2, a3 = (_without_zero_mode(v.coeffs) for v in (v1, v2, v3))
+    pair = (a1[:, None] * a2[None, :]).ravel()
+    prods = pair[t.i1 * n + t.i2] * a3[t.i3]
+    sums = np.bincount(t.out, weights=prods.real, minlength=n) + 1j * np.bincount(
+        t.out, weights=prods.imag, minlength=n
     )
     ks = np.arange(-K, K + 1)
     return FourierField((-1j / 3.0) * ks * sums)
@@ -133,10 +157,7 @@ def nr_trilinear_fast(
     ks = np.arange(-K, K + 1)
     N = 4 * K + 4
 
-    a1 = v1.coeffs.copy()
-    a2 = v2.coeffs.copy()
-    a3 = v3.coeffs.copy()
-    a1[K] = a2[K] = a3[K] = 0.0
+    a1, a2, a3 = (_without_zero_mode(v.coeffs) for v in (v1, v2, v3))
 
     def grid_values(c: np.ndarray) -> np.ndarray:
         buf = np.zeros(N, dtype=complex)
@@ -210,14 +231,10 @@ def nr_split_by_frequency(
     if cutoff < 0:
         raise FieldError(f"cutoff must be nonnegative, got {cutoff}")
     full = nr_trilinear_naive(v1, v2, v3)
-
-    def truncated(v: FourierField) -> FourierField:
-        c = v.coeffs.copy()
-        ks = np.arange(-K, K + 1)
-        c[np.abs(ks) > cutoff] = 0.0
-        return FourierField(c)
-
-    low = nr_trilinear_naive(truncated(v1), truncated(v2), truncated(v3))
+    inside = np.abs(np.arange(-K, K + 1)) <= cutoff
+    low = nr_trilinear_naive(
+        *(FourierField(np.where(inside, v.coeffs, 0)) for v in (v1, v2, v3))
+    )
     return low, full - low
 
 
@@ -263,47 +280,6 @@ def denominator_correction(
     return k1 * at(k1) + k2 * at(k2) + k3 * at(k3) - k * at(k)
 
 
-# ---------------------------------------------------------------------------
-# Weighted quotient form. Enumeration differs from the NR table: zero input
-# modes are allowed, only k != 0 and a nonzero kernel product are required.
-
-_QUOTIENT_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
-
-
-def _quotient_triples(K: int) -> tuple[np.ndarray, ...]:
-    cached = _QUOTIENT_CACHE.get(K)
-    if cached is not None:
-        return cached
-    ks = np.arange(-K, K + 1)
-    k1 = ks[:, None, None]
-    k2 = ks[None, :, None]
-    k3 = ks[None, None, :]
-    k = k1 + k2 + k3
-    prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
-    valid = (np.abs(k) <= K) & (k != 0) & (prod != 0)
-    i1, i2, i3 = np.nonzero(valid)
-    t1 = ks[i1].astype(np.int64)
-    t2 = ks[i2].astype(np.int64)
-    t3 = ks[i3].astype(np.int64)
-    tk = t1 + t2 + t3
-    base = -3.0 * ((t1 + t2) * (t2 + t3) * (t3 + t1)).astype(float)
-    absk = np.abs(np.stack([t1, t2, t3]))
-    kmax = absk.max(axis=0)
-    kmin = absk.min(axis=0)
-    table = (
-        i1.astype(np.intp),
-        i2.astype(np.intp),
-        i3.astype(np.intp),
-        (tk + K).astype(np.intp),
-        tk,
-        base,
-        kmax,
-        kmin,
-    )
-    _QUOTIENT_CACHE[K] = table
-    return table
-
-
 def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarray:
     if case is None:
         return np.ones(kmax.shape, dtype=bool)
@@ -315,11 +291,15 @@ def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarr
 
 
 def _corrected_denominators(f: FourierField) -> np.ndarray:
-    """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per quotient triple."""
-    i1, i2, i3, out_idx, tk, base, _, _ = _quotient_triples(f.K)
+    """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per triple."""
+    t = _triples(f.K)
     p = np.abs(f.coeffs) ** 2
     kp = f.wavenumbers.astype(float) * p
-    return base + (kp[i1] + kp[i2] + kp[i3] - tk * p[out_idx])
+    d = kp[t.i1]
+    d += kp[t.i2]
+    d += kp[t.i3]
+    d -= t.k * p[t.out]
+    return t.base + d
 
 
 def trilinear_quotient_form(
@@ -343,7 +323,7 @@ def trilinear_quotient_form(
     """
     K = _require_same_K(v1, v2, v3, f)
     n = 2 * K + 1
-    i1, i2, i3, out_idx, tk, _, kmax, kmin = _quotient_triples(K)
+    i1, i2, i3, out_idx, tk, _, kmax, kmin = _triples(K)
     keep = (kmax > cutoff) & _case_mask(kmax, kmin, case)
     denom = _corrected_denominators(f)
 
@@ -356,14 +336,14 @@ def trilinear_quotient_form(
             triple=triple,
         )
 
-    terms = np.zeros(denom.shape, dtype=complex)
-    terms[keep] = (
+    terms = (
         tk[keep]
         * v1.coeffs[i1[keep]]
         * v2.coeffs[i2[keep]]
         * v3.coeffs[i3[keep]]
         / denom[keep]
     )
+    out_idx = out_idx[keep]
     out = np.bincount(out_idx, weights=terms.real, minlength=n) + 1j * np.bincount(
         out_idx, weights=terms.imag, minlength=n
     )
@@ -378,7 +358,7 @@ def select_frequency_cutoff(f: FourierField) -> int:
     flagged triples (0 when the bound holds everywhere), so that dropping
     max |kj| <= cutoff removes every flagged interaction.
     """
-    kmax = _quotient_triples(f.K)[6]
+    kmax = _triples(f.K).kmax
     bad = np.abs(_corrected_denominators(f)) < 0.5 * kmax
     if not np.any(bad):
         return 0

@@ -25,7 +25,7 @@ evaluation only conditions the arithmetic; it does not bias the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -148,13 +148,7 @@ class EnsembleSpec:
                 "b": self.params.b,
                 "delta": self.params.delta,
             },
-            "proxy": {
-                "s": self.proxy.s,
-                "b": self.proxy.b,
-                "window": self.proxy.window,
-                "pad_factor": self.proxy.pad_factor,
-                "phase": self.proxy.phase,
-            },
+            "proxy": asdict(self.proxy),
         }
 
 

@@ -330,6 +330,33 @@ class TestResolvedConfig:
         resolved = load(out / "resolved_config.json")
         assert resolved["initial_data"]["seed"] == 5
 
+    def test_modes_list_is_conjugate_symmetrized(self, tmp_path):
+        out = tmp_path / "out"
+        doc = {
+            "mode": "simulate",
+            "grid": {"K": 8, "M": 8, "T": 0.01},
+            "initial_data": {"kind": "modes-list", "modes": [[1, 0.5, 0.25]]},
+        }
+        r = run_cli(tmp_path, doc, "--output-dir", str(out))
+        assert r.returncode == 0, r.stderr
+        u0 = trajectory_from_obj(load(out / "trajectory.json")).frame(0)
+        assert u0.mode(1) == 0.5 + 0.25j
+        assert u0.mode(-1) == 0.5 - 0.25j
+
+    @pytest.mark.parametrize("mode", ["simulate", "smoothing"])
+    def test_picard_checked_only_where_it_runs(self, tmp_path, mode):
+        out = tmp_path / "out"
+        doc = {"mode": mode, "grid": {"K": 8, "M": 4, "T": 0.01}}
+        r = run_cli(tmp_path, doc, "--output-dir", str(out))
+        assert r.returncode == 0, r.stderr
+        assert load(out / "resolved_config.json")["picard"] is None
+        assert load(out / "report.json")["resolved_config"]["picard"] is None
+        # the section's keys are still checked
+        r = run_cli(tmp_path, {**doc, "picard": {"bogus": 1}})
+        assert r.returncode == 2
+        err = json.loads(r.stderr)
+        assert [row["field"] for row in err["problems"]] == ["picard.bogus"]
+
 
 class TestFailurePaths:
     def test_empty_config_rejected(self, tmp_path):
@@ -389,8 +416,18 @@ class TestFailurePaths:
         [
             ({"grid": {"K": 1_000_000_000_000}}, "grid"),
             ({"grid": {"K": 128}, "picard": {"nr_method": "naive"}}, "picard"),
+            ({"mode": "gauge_solve", "proxy": {"pad_factor": 10**12}}, "picard"),
+            (
+                {
+                    "mode": "probe16",
+                    "proxy": {"pad_factor": 10**12},
+                    "ensemble": {"seed": 1, "count": 2, "decay_exponent": 1.0},
+                },
+                "ensemble",
+            ),
+            ({"mode": "simulate", "etd": {"contour_points": 10**12}}, "etd"),
         ],
-        ids=["frame-table", "triple-table"],
+        ids=["frame-table", "triple-table", "padded-proxy", "padded-ensemble", "etd-contour"],
     )
     def test_size_ceiling_is_a_field_problem(self, tmp_path, doc, field):
         r = run_cli(tmp_path, {"mode": "decompose_check", **doc})
@@ -399,6 +436,18 @@ class TestFailurePaths:
         assert err["error"] == "invalid-config"
         assert [row["field"] for row in err["problems"]] == [field]
         assert "exceeds the ceiling" in err["problems"][0]["message"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 0.5, 0.0], [-1, 0.3, 0.0]], [[0, 0.5, 0.1]]],
+        ids=["not-conjugate", "imaginary-mean"],
+    )
+    def test_modes_list_must_describe_a_real_field(self, tmp_path, rows):
+        doc = {"mode": "simulate", "initial_data": {"kind": "modes-list", "modes": rows}}
+        r = run_cli(tmp_path, doc)
+        assert r.returncode == 2, r.stderr
+        err = json.loads(r.stderr)
+        assert [row["field"] for row in err["problems"]] == ["initial_data.modes"]
 
     def test_missing_config_file(self, tmp_path):
         r = subprocess.run(

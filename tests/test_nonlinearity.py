@@ -1,6 +1,7 @@
 """Trilinear terms, quotient form, conserved functionals, kernel arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from mkdvlab import (
     to_real_samples,
     trilinear_quotient_form,
 )
+from mkdvlab.nonlinearity import _TRIPLES, _triples
 
 
 def nr_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> np.ndarray:
@@ -147,9 +149,10 @@ class TestNonresonantTerm:
         u = random_real_field(6, seed=14)
         shifted = u.coeffs.copy()
         shifted[6] = 0.7  # k = 0 entry never enters the triple sum
-        out_a = nr_trilinear_fast(u, u, u)
-        out_b = nr_trilinear_fast(*[FourierField(shifted)] * 3)
-        assert np.max(np.abs(out_a.coeffs - out_b.coeffs)) < 1e-13
+        for method in ("fast", "naive"):
+            out_a = nr_trilinear(u, u, u, method)
+            out_b = nr_trilinear(*[FourierField(shifted)] * 3, method=method)
+            assert np.array_equal(out_a.coeffs, out_b.coeffs), method
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -180,6 +183,37 @@ class TestNonresonantTerm:
         for m in range(3):
             ref = nr_trilinear_fast(tr.frame(m), tr.frame(m), tr.frame(m))
             assert np.max(np.abs(out.coeffs[m] - ref.coeffs)) == 0.0
+
+
+class TestTripleTable:
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_matches_loop_enumeration(self, K):
+        rows = []
+        for k1 in range(-K, K + 1):
+            for k2 in range(-K, K + 1):
+                for k3 in range(-K, K + 1):
+                    k = k1 + k2 + k3
+                    prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
+                    if abs(k) > K or k == 0 or prod == 0:
+                        continue
+                    a = (abs(k1), abs(k2), abs(k3))
+                    rows.append(
+                        (k1 + K, k2 + K, k3 + K, k + K, k, -3.0 * prod, max(a), min(a))
+                    )
+        table = _triples(K)
+        for j, name in enumerate(table._fields):
+            assert getattr(table, name).tolist() == [row[j] for row in rows], name
+
+    def test_build_memory_ceiling(self):
+        # a dense (2K+1)^3 enumeration peaks near 234 MB at K = 64
+        _TRIPLES.pop(64, None)
+        tracemalloc.start()
+        try:
+            _triples(64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200e6
 
 
 class TestSplitByFrequency:
@@ -313,7 +347,7 @@ class TestQuotientForm:
                 assert np.max(np.abs(out.coeffs - ref)) < 1e-12
 
     def test_zero_input_modes_contribute(self):
-        # (0, 1, 1) is admissible here, unlike in the nonresonant table
+        # (0, 1, 1) is admissible here, unlike in the nonresonant sum
         v = field_from_modes(3, {0: 1.0, 1: 1.0})
         f = FourierField.zeros(3)
         out = trilinear_quotient_form(v, v, v, f)
