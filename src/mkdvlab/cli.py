@@ -78,13 +78,14 @@ MODES = (
 
 _PROBE_MODES = ("probe16", "probe12", "probe700")
 _PICARD_MODES = ("gauge_solve", "compare", "decompose_check", "q_solve")
+_ETD_MODES = ("simulate", "compare", "smoothing")
 
 # Size ceilings, checked before anything is allocated. A frame table of
 # M * (2K + 1) complex128 values above 2^26 takes more than 1 GiB; padded
 # norm proxies and ETD contour weights are held to the same count. The O(K^3)
-# triple table (probe700, nr_method "naive") peaks at about 42 bytes per
-# (2K + 1)^3 entry while it is built (90 MB at K = 64, 700 MB at K = 127),
-# so near 700 MB at 2^24 entries, which K > 127 exceeds.
+# triple table (probe700, nr_method "naive") takes about 15 bytes per
+# (2K + 1)^3 entry (32 MB at K = 64, 246 MB at K = 127, build peaks), and a
+# naive NR call adds about 21 more, so under 600 MB at 2^24 entries (K = 127).
 MAX_FRAME_VALUES = 2**26
 MAX_TRIPLES = 2**24
 
@@ -211,7 +212,7 @@ def _build_initial(section: dict, K: int, problems: _Problems) -> FourierField |
             problems.add("initial_data.modes", "must be a non-empty list of [k, re, im]")
             return None
         try:
-            ks, values = zip(*[(int(k), complex(re, im)) for k, re, im in rows])
+            ks, values = zip(*[(_as_int(k), complex(re, im)) for k, re, im in rows])
         except (TypeError, ValueError):
             problems.add("initial_data.modes", "rows must be [k, re, im] triples")
             return None
@@ -328,18 +329,20 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         ("dt", "scheme", "linear_phase", "contour_points", "nonlinearity_enabled"),
         problems,
     )
-    etd = _build(
-        problems,
-        "etd",
-        ETDConfig,
-        dt=_value(problems, "etd", etd_sec, "dt", 1e-3, _as_float),
-        scheme=etd_sec.get("scheme", "etdrk4"),
-        linear_phase=etd_sec.get("linear_phase", "airy"),
-        contour_points=_value(problems, "etd", etd_sec, "contour_points", 32, _as_int),
-        nonlinearity_enabled=_value(
-            problems, "etd", etd_sec, "nonlinearity_enabled", True, _as_bool
-        ),
-    )
+    etd = None
+    if mode in _ETD_MODES:
+        etd = _build(
+            problems,
+            "etd",
+            ETDConfig,
+            dt=_value(problems, "etd", etd_sec, "dt", 1e-3, _as_float),
+            scheme=etd_sec.get("scheme", "etdrk4"),
+            linear_phase=etd_sec.get("linear_phase", "airy"),
+            contour_points=_value(problems, "etd", etd_sec, "contour_points", 32, _as_int),
+            nonlinearity_enabled=_value(
+                problems, "etd", etd_sec, "nonlinearity_enabled", True, _as_bool
+            ),
+        )
     if etd is not None and grid is not None and _too_large(
         problems, "etd", grid.K, {"contour_points": etd.contour_points}
     ):
@@ -466,7 +469,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         "grid": {"K": grid.K, "M": grid.M, "T": grid.T},
         "params": {"s0": params.s0, "s1": params.s1, "b": params.b, "delta": params.delta},
         "proxy": dataclasses.asdict(proxy),
-        "etd": dataclasses.asdict(etd),
+        "etd": None if etd is None else dataclasses.asdict(etd),
         "picard": None if picard is None else {
             k: v for k, v in dataclasses.asdict(picard).items() if k != "params"
         },

@@ -74,7 +74,8 @@ def _require_same_K(*fields: FourierField) -> int:
 # kernel product (k1+k2)(k2+k3)(k3+k1), zero input modes included, in
 # ascending order. The NR sum zeroes the k = 0 entry of its inputs, so the
 # triples with a zero input add exact zeros to it. Built one k1 slice at a
-# time, so no (2K+1)^3 array exists, and cached per K; never modified.
+# time, so no (2K+1)^3 array exists, and cached per K; never modified. The
+# integer columns are int16, enough for K <= 127, where (2K+1)^3 <= 2^24.
 
 
 class _Triples(NamedTuple):
@@ -94,6 +95,8 @@ _TRIPLES: dict[int, _Triples] = {}
 def _triples(K: int) -> _Triples:
     if K in _TRIPLES:
         return _TRIPLES[K]
+    if K > 127:
+        raise FieldError(f"the triple table needs K <= 127, got {K}")
     ks = np.arange(-K, K + 1)
     k2, k3 = ks[:, None], ks[None, :]
 
@@ -104,7 +107,7 @@ def _triples(K: int) -> _Triples:
 
     # a counting pass first, so each column is allocated once at full size
     ends = np.cumsum([np.count_nonzero(admissible(k1)[2]) for k1 in ks])
-    dtypes = [float if c == "base" else np.intp for c in _Triples._fields]
+    dtypes = [float if c == "base" else np.int16 for c in _Triples._fields]
     table = _Triples(*(np.empty(ends[-1], d) for d in dtypes))
     for i1, k1 in enumerate(ks):
         k, prod, valid = admissible(k1)
@@ -134,7 +137,7 @@ def nr_trilinear_naive(
     t = _triples(K)
     a1, a2, a3 = (_without_zero_mode(v.coeffs) for v in (v1, v2, v3))
     pair = (a1[:, None] * a2[None, :]).ravel()
-    prods = pair[t.i1 * n + t.i2] * a3[t.i3]
+    prods = pair[t.i1.astype(np.intp) * n + t.i2] * a3[t.i3]
     sums = np.bincount(t.out, weights=prods.real, minlength=n) + 1j * np.bincount(
         t.out, weights=prods.imag, minlength=n
     )
@@ -290,16 +293,52 @@ def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarr
     raise FieldError(f"unknown case {case!r}; expected 'comparable' or 'separated'")
 
 
+# The latest profile's denominators per K, and per (K, case) the quotient
+# form's kept rows for the latest (profile, cutoff). A new profile or cutoff
+# replaces the entry, so neither dict grows beyond one entry per K or (K, case).
+_DENOMINATORS: dict[int, tuple[bytes, np.ndarray]] = {}
+_PLANS: dict[tuple[int, str | None], tuple[tuple[bytes, int], tuple]] = {}
+
+
 def _corrected_denominators(f: FourierField) -> np.ndarray:
     """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per triple."""
-    t = _triples(f.K)
-    p = np.abs(f.coeffs) ** 2
-    kp = f.wavenumbers.astype(float) * p
-    d = kp[t.i1]
-    d += kp[t.i2]
-    d += kp[t.i3]
-    d -= t.k * p[t.out]
-    return t.base + d
+    key = f.coeffs.tobytes()
+    hit = _DENOMINATORS.pop(f.K, None)
+    if hit is None or hit[0] != key:
+        t = _triples(f.K)
+        p = np.abs(f.coeffs) ** 2
+        kp = f.wavenumbers.astype(float) * p
+        d = kp[t.i1]
+        d += kp[t.i2]
+        d += kp[t.i3]
+        d -= t.k * p[t.out]
+        hit = (key, t.base + d)
+        hit[1].flags.writeable = False
+    _DENOMINATORS[f.K] = hit
+    return hit[1]
+
+
+def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
+    """(i1, i2, i3, out, k, denom) of the kept triples; cached only once checked."""
+    K = f.K
+    key = (f.coeffs.tobytes(), cutoff)
+    hit = _PLANS.pop((K, case), None)
+    if hit is None or hit[0] != key:
+        t = _triples(K)
+        rows = np.flatnonzero((t.kmax > cutoff) & _case_mask(t.kmax, t.kmin, case))
+        denom = _corrected_denominators(f)[rows]
+        bad = np.flatnonzero(np.abs(denom) < DENOMINATOR_FLOOR)
+        if bad.size:
+            j = rows[bad[0]]
+            triple = (int(t.i1[j]) - K, int(t.i2[j]) - K, int(t.i3[j]) - K)
+            raise DenominatorError(
+                f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}",
+                triple=triple,
+            )
+        index = (col[rows].astype(np.intp) for col in (t.i1, t.i2, t.i3, t.out))
+        hit = (key, (*index, t.k[rows], denom))
+    _PLANS[K, case] = hit
+    return hit[1]
 
 
 def trilinear_quotient_form(
@@ -319,31 +358,13 @@ def trilinear_quotient_form(
     with E the denominator correction of the profile f. Triples whose
     largest input frequency is <= cutoff are dropped, as are those outside
     the requested case bin. A corrected denominator smaller than
-    DENOMINATOR_FLOOR raises DenominatorError naming the triple.
+    DENOMINATOR_FLOOR raises DenominatorError naming the triple. The kept
+    triples and their denominators are prepared once per (f, cutoff, case).
     """
     K = _require_same_K(v1, v2, v3, f)
     n = 2 * K + 1
-    i1, i2, i3, out_idx, tk, _, kmax, kmin = _triples(K)
-    keep = (kmax > cutoff) & _case_mask(kmax, kmin, case)
-    denom = _corrected_denominators(f)
-
-    bad = keep & (np.abs(denom) < DENOMINATOR_FLOOR)
-    if np.any(bad):
-        j = int(np.nonzero(bad)[0][0])
-        triple = (int(i1[j]) - K, int(i2[j]) - K, int(i3[j]) - K)
-        raise DenominatorError(
-            f"corrected denominator {denom[j]:.3e} below floor at triple {triple}",
-            triple=triple,
-        )
-
-    terms = (
-        tk[keep]
-        * v1.coeffs[i1[keep]]
-        * v2.coeffs[i2[keep]]
-        * v3.coeffs[i3[keep]]
-        / denom[keep]
-    )
-    out_idx = out_idx[keep]
+    i1, i2, i3, out_idx, tk, denom = _quotient_plan(f, cutoff, case)
+    terms = tk * v1.coeffs[i1] * v2.coeffs[i2] * v3.coeffs[i3] / denom
     out = np.bincount(out_idx, weights=terms.real, minlength=n) + 1j * np.bincount(
         out_idx, weights=terms.imag, minlength=n
     )

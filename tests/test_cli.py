@@ -300,8 +300,7 @@ class TestResolvedConfig:
         assert resolved["params"]["s1"] == pytest.approx(0.8)
         assert resolved["proxy"]["window"] == "hann"
         assert resolved["proxy"]["pad_factor"] == 4
-        assert resolved["etd"]["dt"] == 1e-3
-        assert resolved["etd"]["scheme"] == "etdrk4"
+        assert resolved["etd"] is None
         assert resolved["picard"]["tol"] == 1e-10
         assert resolved["picard"]["max_iters"] == 25
         assert resolved["initial_data"] == {
@@ -311,6 +310,13 @@ class TestResolvedConfig:
         }
         assert resolved["ensemble"] is None
         assert not any(key.startswith("_") for key in resolved)
+        # the etd defaults are echoed by a mode that runs the ETD solver
+        out = tmp_path / "simulate"
+        r = run_cli(tmp_path, {"mode": "simulate"}, "--output-dir", str(out))
+        assert r.returncode == 0, r.stderr
+        resolved = load(out / "resolved_config.json")
+        assert resolved["etd"]["dt"] == 1e-3
+        assert resolved["etd"]["scheme"] == "etdrk4"
 
     def test_initial_data_kinds(self, tmp_path):
         doc = {
@@ -342,6 +348,31 @@ class TestResolvedConfig:
         u0 = trajectory_from_obj(load(out / "trajectory.json")).frame(0)
         assert u0.mode(1) == 0.5 + 0.25j
         assert u0.mode(-1) == 0.5 - 0.25j
+
+    def test_modes_list_accepts_integral_float_wavenumber(self, tmp_path):
+        out = tmp_path / "out"
+        doc = {
+            "mode": "simulate",
+            "grid": {"K": 8, "M": 8, "T": 0.01},
+            "initial_data": {"kind": "modes-list", "modes": [[2.0, 0.5, 0.0]]},
+        }
+        r = run_cli(tmp_path, doc, "--output-dir", str(out))
+        assert r.returncode == 0, r.stderr
+        assert trajectory_from_obj(load(out / "trajectory.json")).frame(0).mode(2) == 0.5
+
+    @pytest.mark.parametrize("mode", ["gauge_solve", "decompose_check"])
+    def test_etd_checked_only_where_it_runs(self, tmp_path, mode):
+        out = tmp_path / "out"
+        doc = {"mode": mode, "grid": {"K": 8, "M": 16}, "etd": {"contour_points": 8}}
+        r = run_cli(tmp_path, doc, "--output-dir", str(out))
+        assert r.returncode == 0, r.stderr
+        assert load(out / "resolved_config.json")["etd"] is None
+        assert load(out / "report.json")["resolved_config"]["etd"] is None
+        # the section's keys are still checked
+        r = run_cli(tmp_path, {**doc, "etd": {"bogus": 1}})
+        assert r.returncode == 2
+        err = json.loads(r.stderr)
+        assert [row["field"] for row in err["problems"]] == ["etd.bogus"]
 
     @pytest.mark.parametrize("mode", ["simulate", "smoothing"])
     def test_picard_checked_only_where_it_runs(self, tmp_path, mode):
@@ -400,7 +431,10 @@ class TestFailurePaths:
             ({"grid": {"K": None}}, "grid.K"),
             ({"grid": {"K": 8.7}}, "grid.K"),
             ({"initial_data": {"kind": "seeded-random", "seed": -1}}, "initial_data.seed"),
-            ({"etd": {"nonlinearity_enabled": "false"}}, "etd.nonlinearity_enabled"),
+            (
+                {"mode": "simulate", "etd": {"nonlinearity_enabled": "false"}},
+                "etd.nonlinearity_enabled",
+            ),
         ],
         ids=["K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string"],
     )
@@ -439,8 +473,8 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize(
         "rows",
-        [[[1, 0.5, 0.0], [-1, 0.3, 0.0]], [[0, 0.5, 0.1]]],
-        ids=["not-conjugate", "imaginary-mean"],
+        [[[1, 0.5, 0.0], [-1, 0.3, 0.0]], [[0, 0.5, 0.1]], [[1.7, 0.5, 0.0]]],
+        ids=["not-conjugate", "imaginary-mean", "fractional-k"],
     )
     def test_modes_list_must_describe_a_real_field(self, tmp_path, rows):
         doc = {"mode": "simulate", "initial_data": {"kind": "modes-list", "modes": rows}}

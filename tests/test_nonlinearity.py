@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_complex_field, random_real_field
 from mkdvlab import (
     DenominatorError,
+    EnsembleSpec,
     FieldError,
     FourierField,
     GridSpec,
@@ -28,13 +29,15 @@ from mkdvlab import (
     nr_trilinear,
     nr_trilinear_fast,
     nr_trilinear_naive,
+    probe_quotient_form,
+    resize_field,
     resonance_identity_residual,
     resonant_term,
     select_frequency_cutoff,
     to_real_samples,
     trilinear_quotient_form,
 )
-from mkdvlab.nonlinearity import _TRIPLES, _triples
+from mkdvlab.nonlinearity import _DENOMINATORS, _PLANS, _TRIPLES, _triples
 
 
 def nr_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> np.ndarray:
@@ -215,6 +218,30 @@ class TestTripleTable:
             tracemalloc.stop()
         assert peak <= 200e6
 
+    def test_compact_columns(self):
+        table = _triples(64)
+        rows = table.k.size
+        assert sum(col.nbytes for col in table) <= 24 * rows
+
+    def test_naive_index_does_not_overflow(self):
+        # i1 * (2K + 1) passes the int16 range from K = 91 on
+        K = 91
+        try:
+            v1, v2, v3 = (random_complex_field(K, seed=910 + j) for j in range(3))
+            a = nr_trilinear_fast(v1, v2, v3)
+            b = nr_trilinear_naive(v1, v2, v3)
+        finally:
+            _TRIPLES.pop(K, None)
+        scale = max(1.0, np.max(np.abs(b.coeffs)))
+        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * scale
+
+    def test_size_guard(self):
+        with pytest.raises(FieldError):
+            _triples(128)
+        u = cosine_field(128)
+        with pytest.raises(FieldError):
+            nr_trilinear_naive(u, u, u)
+
 
 class TestSplitByFrequency:
     @pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
@@ -377,6 +404,69 @@ class TestQuotientForm:
         k1, k2, k3 = info.value.triple
         base = -3.0 * (k1 + k2) * (k2 + k3) * (k3 + k1)
         assert abs(base + denominator_correction(f, k1, k2, k3)) < 1e-9
+        # a failed check is not cached: the bad profile raises every time,
+        # also after a good profile at the same K
+        for good in (None, cosine_field(4)):
+            if good is not None:
+                trilinear_quotient_form(v, v, v, good)
+            with pytest.raises(DenominatorError) as again:
+                trilinear_quotient_form(v, v, v, f)
+            assert str(again.value) == str(info.value)
+            assert again.value.triple == info.value.triple
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
+    def test_matches_masked_formula(self, K, seed):
+        # the straight formula over the table's columns, recomputed per call
+        t = _triples(K)
+        masks = {
+            None: np.ones(t.k.size, dtype=bool),
+            "comparable": t.kmax <= 2 * t.kmin,
+            "separated": t.kmax > 2 * t.kmin,
+        }
+
+        def reference(vs, f, cutoff, case):
+            p = np.abs(f.coeffs) ** 2
+            kp = np.arange(-K, K + 1) * p
+            d = kp[t.i1]
+            d += kp[t.i2]
+            d += kp[t.i3]
+            d -= t.k * p[t.out]
+            denom = t.base + d
+            keep = (t.kmax > cutoff) & masks[case]
+            terms = t.k[keep] * vs[0][t.i1[keep]] * vs[1][t.i2[keep]] * vs[2][t.i3[keep]]
+            terms = terms / denom[keep]
+            n = 2 * K + 1
+            out = t.out[keep]
+            return np.bincount(out, terms.real, n) + 1j * np.bincount(out, terms.imag, n)
+
+        rng = np.random.default_rng(seed)
+        vs = [random_complex_field(K, seed=[seed, j]) for j in range(3)]
+        # small profiles keep every corrected denominator away from zero
+        profiles = [FourierField(0.05 * random_complex_field(K, [seed, j]).coeffs) for j in (3, 4)]
+        cutoffs = rng.integers(0, K + 1, size=2)
+        # alternate profiles and cutoffs, so a stale plan gives wrong values
+        for _ in range(2):
+            for cutoff in cutoffs:
+                for f in profiles:
+                    for case in masks:
+                        out = trilinear_quotient_form(*vs, f, int(cutoff), case)
+                        ref = reference([v.coeffs for v in vs], f, cutoff, case)
+                        assert np.array_equal(out.coeffs, ref)
+
+    def test_plan_cache_is_bounded(self):
+        spec = EnsembleSpec(seed=2, count=2, K=16, decay_exponent=1.0, k_values=(2, 4, 8))
+        assert len(spec.cutoffs()) == 4
+        last = random_real_field(16, seed=5)
+        _PLANS.clear()
+        for f in (cosine_field(16), last):
+            probe_quotient_form(f, spec)
+        cases = ("comparable", "separated")
+        assert set(_PLANS) == {(K, case) for K in spec.cutoffs() for case in cases}
+        # every plan left belongs to the second profile
+        for K, case in _PLANS:
+            assert _PLANS[K, case][0][0] == resize_field(last, K).coeffs.tobytes()
+            assert _DENOMINATORS[K][0] == resize_field(last, K).coeffs.tobytes()
 
     def test_select_frequency_cutoff(self):
         assert select_frequency_cutoff(FourierField.zeros(8)) == 0
