@@ -82,10 +82,12 @@ _ETD_MODES = ("simulate", "compare", "smoothing")
 
 # Size ceilings, checked before anything is allocated. A frame table of
 # M * (2K + 1) complex128 values above 2^26 takes more than 1 GiB; padded
-# norm proxies and ETD contour weights are held to the same count. The O(K^3)
-# triple table (probe700, nr_method "naive") takes about 15 bytes per
-# (2K + 1)^3 entry (32 MB at K = 64, 246 MB at K = 127, build peaks), and a
-# naive NR call adds about 21 more, so under 600 MB at 2^24 entries (K = 127).
+# norm proxies and ETD contour weights are held to the same count, and so is
+# the work that the ETD stepper repeats T / dt times and the probes count
+# times, which bounds their run time. The O(K^3) triple table (probe700,
+# nr_method "naive") takes about 15 bytes per (2K + 1)^3 entry (32 MB at
+# K = 64, 246 MB at K = 127, build peaks), and a naive NR call adds about 21
+# more, so under 600 MB at 2^24 entries (K = 127).
 MAX_FRAME_VALUES = 2**26
 MAX_TRIPLES = 2**24
 
@@ -135,8 +137,8 @@ def _as_seed(v: Any) -> int:
 
 
 def _as_float(v: Any) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -180,7 +182,7 @@ def _build(problems: _Problems, field: str, ctor, **kwargs):
 
 
 def _too_large(
-    problems: _Problems, field: str, K: int, factors: dict[str, int], triples: bool = False
+    problems: _Problems, field: str, K: int, factors: dict[str, float], triples: bool = False
 ) -> bool:
     """Record a problem when (2K + 1) * prod(factors) or the triple table passes a ceiling."""
     n = 2 * K + 1
@@ -389,6 +391,11 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         sizes = {"pad_factor": picard.pad_factor, "M": picard.M}
         if _too_large(problems, "picard", grid.K, sizes, picard.nr_method == "naive"):
             picard = None
+    if etd is not None and grid is not None:
+        # compare steps the reference over picard's horizon, the other modes over the grid's
+        horizon = picard.T if mode == "compare" and picard is not None else grid.T
+        if _too_large(problems, "etd", grid.K, {"T / dt": horizon / etd.dt}):
+            etd = None
 
     ensemble_sec = _section(
         doc,
@@ -436,7 +443,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
                     problems,
                     "ensemble",
                     ensemble.K,
-                    {"pad_factor": proxy.pad_factor, "M": ensemble.M},
+                    {"count": ensemble.count, "pad_factor": proxy.pad_factor, "M": ensemble.M},
                     mode == "probe700",
                 ):
                     ensemble = None

@@ -27,9 +27,9 @@ from .spectral import (
     REAL_SYMMETRY_TOL,
     FourierField,
     Trajectory,
+    _mirrored_field,
     check_real_symmetry,
     half_spectrum,
-    mirrored,
 )
 
 __all__ = [
@@ -121,59 +121,53 @@ def _triples(K: int) -> _Triples:
     return table
 
 
-def _without_zero_mode(c: np.ndarray) -> np.ndarray:
-    """Copy of a mode vector with its k = 0 entry set to zero."""
-    a = c.copy()
-    a[c.size // 2] = 0.0
-    return a
+def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np.ndarray:
+    """NR of the rows of three (..., 2K+1) mode arrays of one shape.
 
-
-def nr_trilinear_naive(
-    v1: FourierField, v2: FourierField, v3: FourierField
-) -> FourierField:
-    """Nonresonant trilinear term by direct summation over the triple table."""
-    K = _require_same_K(v1, v2, v3)
-    n = 2 * K + 1
-    t = _triples(K)
-    a1, a2, a3 = (_without_zero_mode(v.coeffs) for v in (v1, v2, v3))
-    pair = (a1[:, None] * a2[None, :]).ravel()
-    prods = pair[t.i1.astype(np.intp) * n + t.i2] * a3[t.i3]
-    sums = np.bincount(t.out, weights=prods.real, minlength=n) + 1j * np.bincount(
-        t.out, weights=prods.imag, minlength=n
-    )
-    ks = np.arange(-K, K + 1)
-    return FourierField((-1j / 3.0) * ks * sums)
-
-
-def nr_trilinear_fast(
-    v1: FourierField, v2: FourierField, v3: FourierField
-) -> FourierField:
-    """Nonresonant trilinear term via a padded cyclic convolution.
-
-    The full convolution of the zero-mode-stripped inputs is computed on a
-    grid of 4K + 4 points, which is alias-free for outputs |k| <= K. The
-    kj = k boundary terms are then removed in closed form: each carries a
-    paired sum over opposite modes, and the three pairwise overlaps are
-    added back once.
+    method "fast" evaluates every row at once: the full convolution of the
+    zero-mode-stripped inputs on a grid of 4K + 4 points, alias-free for
+    outputs |k| <= K, minus the kj = k boundary terms in closed form (each
+    carries a paired sum over opposite modes; the three pairwise overlaps
+    are added back once). method "naive" sums each row over the triple
+    table, the independent cross-check.
     """
-    K = _require_same_K(v1, v2, v3)
+    if not c1.shape == c2.shape == c3.shape:
+        raise GridMismatchError(f"mode arrays differ in shape: {c1.shape}, {c2.shape}, {c3.shape}")
+    n = c1.shape[-1]
+    K = n // 2
     ks = np.arange(-K, K + 1)
+    a1, a2, a3 = (np.array(c, dtype=complex) for c in (c1, c2, c3))
+    for a in (a1, a2, a3):
+        a[..., K] = 0.0
+    if method == "naive":
+        t = _triples(K)
+        pair_index = t.i1.astype(np.intp) * n + t.i2
+        sums = np.empty(a1.shape, dtype=complex)
+        for row in np.ndindex(a1.shape[:-1]):
+            pair = (a1[row][:, None] * a2[row][None, :]).ravel()
+            prods = pair[pair_index] * a3[row][t.i3]
+            sums[row] = np.bincount(t.out, weights=prods.real, minlength=n) + 1j * np.bincount(
+                t.out, weights=prods.imag, minlength=n
+            )
+        return (-1j / 3.0) * ks * sums
+    if method != "fast":
+        raise FieldError(f"unknown nr method {method!r}")
     N = 4 * K + 4
 
-    a1, a2, a3 = (_without_zero_mode(v.coeffs) for v in (v1, v2, v3))
-
+    # mode k sits at grid index k mod N: 0..K at the front, -K..-1 at the back
     def grid_values(c: np.ndarray) -> np.ndarray:
-        buf = np.zeros(N, dtype=complex)
-        buf[ks % N] = c
+        buf = np.zeros((*c.shape[:-1], N), dtype=complex)
+        buf[..., : K + 1] = c[..., K:]
+        buf[..., N - K :] = c[..., :K]
         return np.fft.ifft(buf) * N
 
     full_hat = np.fft.fft(grid_values(a1) * grid_values(a2) * grid_values(a3)) / N
-    conv = full_hat[ks % N]
+    conv = np.concatenate((full_hat[..., N - K :], full_hat[..., : K + 1]), axis=-1)
 
-    r1, r2, r3 = a1[::-1], a2[::-1], a3[::-1]
-    p23 = np.sum(a2 * r3)
-    p13 = np.sum(a1 * r3)
-    p12 = np.sum(a1 * r2)
+    r1, r2, r3 = a1[..., ::-1], a2[..., ::-1], a3[..., ::-1]
+    p23 = np.sum(a2 * r3, axis=-1, keepdims=True)
+    p13 = np.sum(a1 * r3, axis=-1, keepdims=True)
+    p12 = np.sum(a1 * r2, axis=-1, keepdims=True)
     boundary = (
         p23 * a1
         + p13 * a2
@@ -182,8 +176,22 @@ def nr_trilinear_fast(
     )
 
     out = (-1j / 3.0) * ks * (conv - boundary)
-    out[K] = 0.0
-    return FourierField(out)
+    out[..., K] = 0.0
+    return out
+
+
+def nr_trilinear_naive(
+    v1: FourierField, v2: FourierField, v3: FourierField
+) -> FourierField:
+    """Nonresonant trilinear term by direct summation over the triple table."""
+    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs, "naive"))
+
+
+def nr_trilinear_fast(
+    v1: FourierField, v2: FourierField, v3: FourierField
+) -> FourierField:
+    """Nonresonant trilinear term via a padded cyclic convolution with boundary corrections."""
+    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs, "fast"))
 
 
 def nr_trilinear(
@@ -192,12 +200,8 @@ def nr_trilinear(
     v3: FourierField,
     method: str = "fast",
 ) -> FourierField:
-    """Dispatch between the two evaluation routes."""
-    if method == "fast":
-        return nr_trilinear_fast(v1, v2, v3)
-    if method == "naive":
-        return nr_trilinear_naive(v1, v2, v3)
-    raise FieldError(f"unknown nr method {method!r}")
+    """Nonresonant trilinear term by the "fast" or the "naive" route."""
+    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs, method))
 
 
 def nr_framewise(
@@ -206,15 +210,12 @@ def nr_framewise(
     t3: Trajectory | None = None,
     method: str = "fast",
 ) -> Trajectory:
-    """Apply the nonresonant term frame by frame along trajectories."""
+    """Apply the nonresonant term frame by frame along trajectories, in one array call."""
     t2 = t1 if t2 is None else t2
     t3 = t1 if t3 is None else t3
     if t1.grid != t2.grid or t1.grid != t3.grid:
         raise GridMismatchError("trajectories live on different grids")
-    out = np.empty_like(t1.coeffs)
-    for m in range(t1.grid.M):
-        out[m] = nr_trilinear(t1.frame(m), t2.frame(m), t3.frame(m), method).coeffs
-    return Trajectory(t1.grid, out)
+    return Trajectory(t1.grid, _nr_array(t1.coeffs, t2.coeffs, t3.coeffs, method))
 
 
 def nr_split_by_frequency(
@@ -267,7 +268,7 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
     c = galilean_speed(u)
     w = (samples**2 - c) * slope
     w_half = np.fft.rfft(w) / N
-    return FourierField(mirrored(0.0, -w_half[1 : K + 1]), real_symmetric=True)
+    return _mirrored_field(0.0, -w_half[1 : K + 1])
 
 
 def denominator_correction(

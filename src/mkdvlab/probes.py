@@ -310,7 +310,11 @@ def _run_probe(
     spec: EnsembleSpec,
     evaluate: Callable[[list[FourierField], list[np.ndarray], int], tuple[float, dict] | None],
 ) -> ProbeReport:
-    """Shared sample loop: draw, truncate per cutoff, evaluate, reduce."""
+    """Shared sample loop: draw, truncate per cutoff, evaluate, reduce.
+
+    An evaluation returns (ratio, payload) with the normalized fields under
+    payload["fields"]; they are serialized only for a new best sample.
+    """
     if f.K != spec.K:
         raise GridMismatchError(f"profile cutoff {f.K} does not match ensemble K {spec.K}")
     cutoffs = spec.cutoffs()
@@ -342,6 +346,7 @@ def _run_probe(
                     best = ratio
                     argmax_index = j
                     argmax_sample = {"sample": j, "K": c, "ratio": ratio, **payload}
+                    argmax_sample["fields"] = [field_to_obj(g) for g in payload["fields"]]
     extras = {
         "per_case_max": {k: (max(v) if v else None) for k, v in extras_acc.items()}
     } if extras_acc else {}
@@ -383,7 +388,7 @@ def _trajectory_evaluator(
             trajs.append(Trajectory(grid, u.coeffs / d))
             normalized.append(FourierField(gc.coeffs / d, real_symmetric=gc.real_symmetric))
         value = ratio(*trajs, fc, spec.params, spec.proxy, method)
-        return value, {"fields": [field_to_obj(g) for g in normalized]}
+        return value, {"fields": normalized}
 
     return evaluate
 
@@ -433,7 +438,7 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
         }
         ratio = max(case_ratios.values())
         return ratio, {
-            "fields": [field_to_obj(g) for g in normalized],
+            "fields": normalized,
             "frequency_cutoff": k0,
             "_case_ratios": case_ratios,
         }

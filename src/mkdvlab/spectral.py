@@ -245,7 +245,7 @@ def field_from_samples(samples: np.ndarray, K: int) -> FourierField:
     if n < 2 * K + 2:
         raise FieldError(f"need at least {2 * K + 2} samples for K = {K}, got {n}")
     half = np.fft.rfft(x) / n
-    return FourierField(mirrored(half[0].real, half[1 : K + 1]), real_symmetric=True)
+    return _mirrored_field(half[0].real, half[1 : K + 1])
 
 
 def to_samples(u: FourierField, n: int) -> np.ndarray:
@@ -304,6 +304,13 @@ def mirrored(zero: float, positive: np.ndarray) -> np.ndarray:
     return c
 
 
+def _mirrored_field(zero: float, positive: np.ndarray) -> FourierField:
+    """mirrored(zero, positive) as a real_symmetric field, unchecked: exact by construction."""
+    u = FourierField(mirrored(zero, positive))
+    object.__setattr__(u, "real_symmetric", True)
+    return u
+
+
 def sobolev_norm(u: FourierField, s: float) -> float:
     """Sequence-space H^s norm: sqrt(sum_k <k>^{2s} |u_hat(k)|^2)."""
     return float(hs_norms(u.coeffs, s))
@@ -357,7 +364,7 @@ def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:
     rng = np.random.default_rng(seed)
     moduli = rng.random(K) * bracket_sq(K)[K + 1 :] ** (-0.5 * decay)
     phases = rng.random(K) * (2.0 * np.pi)
-    return FourierField(mirrored(0.0, moduli * np.exp(1j * phases)), real_symmetric=True)
+    return _mirrored_field(0.0, moduli * np.exp(1j * phases))
 
 
 def resize_field(u: FourierField, K: int) -> FourierField:

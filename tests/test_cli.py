@@ -1,11 +1,14 @@
 """End-to-end runs of the experiment CLI in subprocesses."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import warnings
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mkdvlab
+import mkdvlab.cli
 from mkdvlab import (
     cosine_field,
     phase_from_obj,
@@ -435,8 +439,13 @@ class TestFailurePaths:
                 {"mode": "simulate", "etd": {"nonlinearity_enabled": "false"}},
                 "etd.nonlinearity_enabled",
             ),
+            ({"mode": "simulate", "grid": {"T": float("inf")}}, "grid.T"),
+            ({"initial_data": {"amplitude": float("nan")}}, "initial_data.amplitude"),
         ],
-        ids=["K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string"],
+        ids=[
+            "K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string",
+            "T-infinite", "amplitude-nan",
+        ],
     )
     def test_bad_value_is_a_field_problem(self, tmp_path, doc, field):
         r = run_cli(tmp_path, {"mode": "decompose_check", **doc})
@@ -460,8 +469,17 @@ class TestFailurePaths:
                 "ensemble",
             ),
             ({"mode": "simulate", "etd": {"contour_points": 10**12}}, "etd"),
+            ({"mode": "smoothing", "grid": {"T": 1e300}}, "etd"),
+            ({"mode": "compare", "picard": {"T": 0.9}, "etd": {"dt": 1e-7}}, "etd"),
+            (
+                {"mode": "probe12", "ensemble": {"seed": 1, "count": 10**12, "decay_exponent": 1.0}},
+                "ensemble",
+            ),
         ],
-        ids=["frame-table", "triple-table", "padded-proxy", "padded-ensemble", "etd-contour"],
+        ids=[
+            "frame-table", "triple-table", "padded-proxy", "padded-ensemble", "etd-contour",
+            "etd-substeps", "etd-substeps-compare", "ensemble-count",
+        ],
     )
     def test_size_ceiling_is_a_field_problem(self, tmp_path, doc, field):
         r = run_cli(tmp_path, {"mode": "decompose_check", **doc})
@@ -560,3 +578,117 @@ class TestConfigFuzz:
             warnings.simplefilter("ignore")
             resolved, problems = _resolve(doc, args)
         assert (resolved is None) == bool(problems)
+
+
+# Whole-CLI fuzz: valid values on small grids, each replaced now and then by
+# one that must be rejected.
+BAD_VALUES = (None, True, "x", -1, 0, 1e300, float("nan"), float("inf"), [1], {})
+
+
+def maybe_bad(good):
+    return st.one_of(good, good, good, st.sampled_from(BAD_VALUES))
+
+
+def small_floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+FUZZ_KEYS = {
+    "grid": {
+        "K": st.integers(1, 8),
+        "M": st.integers(2, 16),
+        "T": small_floats(0.002, 0.05),
+    },
+    "initial_data": {
+        "kind": st.sampled_from(("cosine", "seeded-random", "modes-list")),
+        "amplitude": small_floats(-2.0, 2.0),
+        "harmonic": st.integers(1, 8),
+        "seed": st.integers(0, 1000),
+        "decay_exponent": small_floats(0.5, 3.0),
+        "modes": st.lists(
+            st.tuples(st.integers(-8, 8), small_floats(-1.0, 1.0), small_floats(-1.0, 1.0)).map(
+                list
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    },
+    "params": {"s0": small_floats(0.26, 0.49)},
+    "proxy": {
+        "window": st.sampled_from(("hann", "rect")),
+        "pad_factor": st.integers(1, 4),
+        "phase": st.sampled_from(("airy", "modified")),
+    },
+    "etd": {
+        "dt": small_floats(1e-3, 1e-2),
+        "scheme": st.sampled_from(("etdrk4", "ifrk4")),
+        "linear_phase": st.sampled_from(("airy", "modified")),
+        "contour_points": st.integers(16, 48),
+        "nonlinearity_enabled": st.booleans(),
+    },
+    "picard": {
+        "M": st.integers(8, 16),
+        "tol": small_floats(1e-12, 1e-6),
+        "max_iters": st.integers(1, 8),
+        "nr_method": st.sampled_from(("fast", "naive")),
+    },
+    "ensemble": {
+        "seed": st.integers(0, 100),
+        "count": st.integers(1, 3),
+        "K": st.integers(1, 8),
+        "decay_exponent": small_floats(0.5, 2.0),
+        "M": st.integers(8, 16),
+        "T": small_floats(0.1, 0.5),
+        "k_values": st.lists(st.integers(1, 8), min_size=1, max_size=2),
+        "modulation_bumps": small_floats(0.0, 1.0),
+    },
+}
+
+
+@st.composite
+def cli_docs(draw):
+    doc = {"mode": draw(st.sampled_from(MODES))}
+    for name in draw(st.sets(st.sampled_from(sorted(FUZZ_KEYS)))):
+        keys = draw(st.sets(st.sampled_from(sorted(FUZZ_KEYS[name]))))
+        doc[name] = {key: draw(maybe_bad(FUZZ_KEYS[name][key])) for key in keys}
+    if doc["mode"].startswith("probe"):
+        # the required ensemble keys, so that most probe draws get to run
+        ensemble = doc.setdefault("ensemble", {})
+        for key in ("seed", "count", "decay_exponent"):
+            if key not in ensemble:
+                ensemble[key] = draw(FUZZ_KEYS["ensemble"][key])
+    return doc
+
+
+def main_in_process(config, out):
+    """(exit code, stderr) of mkdvlab.cli.main, with warnings shown as a fresh process would."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        try:
+            code = mkdvlab.cli.main(["--config", str(config), "--output-dir", str(out), "--quiet"])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def artifacts(out):
+    """Artifact bytes by name, with the output directory masked."""
+    if not out.is_dir():
+        return {}
+    return {p.name: p.read_bytes().replace(str(out).encode(), b"<out>") for p in out.iterdir()}
+
+
+class TestWholeCliFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(cli_docs())
+    def test_exit_codes_and_reruns(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(doc))
+            first = main_in_process(config, Path(tmp) / "a")
+            second = main_in_process(config, Path(tmp) / "b")
+            assert first[0] in (0, 2, 3), first[1]
+            assert "Traceback" not in first[1]
+            assert second[0] == first[0]
+            assert artifacts(Path(tmp) / "b") == artifacts(Path(tmp) / "a")

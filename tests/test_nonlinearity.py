@@ -14,6 +14,7 @@ from mkdvlab import (
     EnsembleSpec,
     FieldError,
     FourierField,
+    GridMismatchError,
     GridSpec,
     Trajectory,
     check_real_symmetry,
@@ -37,7 +38,7 @@ from mkdvlab import (
     to_real_samples,
     trilinear_quotient_form,
 )
-from mkdvlab.nonlinearity import _DENOMINATORS, _PLANS, _TRIPLES, _triples
+from mkdvlab.nonlinearity import _DENOMINATORS, _PLANS, _TRIPLES, _nr_array, _triples
 
 
 def nr_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> np.ndarray:
@@ -186,6 +187,82 @@ class TestNonresonantTerm:
         for m in range(3):
             ref = nr_trilinear_fast(tr.frame(m), tr.frame(m), tr.frame(m))
             assert np.max(np.abs(out.coeffs[m] - ref.coeffs)) == 0.0
+
+
+def stacked_modes(K: int, M: int, seed: int, scale: float) -> np.ndarray:
+    """(M, 2K+1) complex modes with a nonzero zero mode in every row."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((M, 2 * K + 1)) + 1j * rng.standard_normal((M, 2 * K + 1))
+    c[:, K] = 1.0 + 2.0 * rng.random(M) + 1j
+    return scale * c
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal sign bits, so -0.0 and 0.0 count as different."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+class TestNRKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=10_000),
+        st.tuples(*[st.floats(min_value=-8.0, max_value=8.0)] * 3),
+    )
+    def test_stacked_equals_per_frame(self, K, M, seed, exponents):
+        cs = [stacked_modes(K, M, [seed, j], 10.0**e) for j, e in enumerate(exponents)]
+        copies = [c.copy() for c in cs]
+        out = _nr_array(*cs, "fast")
+        for m in range(M):
+            ref = nr_trilinear_fast(*(FourierField(c[m]) for c in cs)).coeffs
+            assert same_bits(out[m], ref), m
+        # the zero modes are stripped from copies, never from the inputs
+        assert all(np.array_equal(c, d) for c, d in zip(cs, copies))
+
+    @pytest.mark.parametrize("K, M", [(4, 3), (8, 5), (16, 2)])
+    def test_framewise_naive_matches_fast(self, K, M):
+        grid = GridSpec(K=K, M=M, T=1.0)
+        t1, t2, t3 = (Trajectory(grid, stacked_modes(K, M, 40 + j, 1.0)) for j in range(3))
+        a = nr_framewise(t1, t2, t3, method="fast").coeffs
+        b = nr_framewise(t1, t2, t3, method="naive").coeffs
+        scale = max(1.0, np.max(np.abs(b)))
+        assert np.max(np.abs(a - b)) < 1e-12 * scale
+        for m in range(M):
+            frames = (t1.frame(m), t2.frame(m), t3.frame(m))
+            assert same_bits(b[m], nr_trilinear_naive(*frames).coeffs)
+
+    def test_mismatch_raises(self):
+        a, b = stacked_modes(4, 3, 1, 1.0), stacked_modes(5, 3, 2, 1.0)
+        with pytest.raises(GridMismatchError):
+            _nr_array(a, a, b, "fast")
+        with pytest.raises(GridMismatchError):
+            _nr_array(a, a[:2], a, "naive")
+        u, v = FourierField(a[0]), FourierField(b[0])
+        for method in ("fast", "naive"):
+            with pytest.raises(GridMismatchError):
+                nr_trilinear(u, v, u, method)
+        with pytest.raises(GridMismatchError):
+            nr_trilinear_fast(u, u, v)
+        with pytest.raises(GridMismatchError):
+            nr_trilinear_naive(v, u, u)
+        tr = Trajectory(GridSpec(4, 3, 1.0), a)
+        for other in (
+            Trajectory(GridSpec(5, 3, 1.0), b),
+            Trajectory(GridSpec(4, 2, 1.0), a[:2]),
+            Trajectory(GridSpec(4, 3, 2.0), a),
+        ):
+            with pytest.raises(GridMismatchError):
+                nr_framewise(tr, other)
+
+    def test_framewise_unknown_method(self):
+        tr = Trajectory(GridSpec(4, 3, 1.0), stacked_modes(4, 3, 3, 1.0))
+        with pytest.raises(FieldError):
+            nr_framewise(tr, method="spectral")
 
 
 class TestTripleTable:

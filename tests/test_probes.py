@@ -1,5 +1,6 @@
 """Randomized estimate probes and smoothing diagnostics."""
 
+import hashlib
 import json
 import math
 
@@ -31,6 +32,7 @@ from mkdvlab import (
     probe_quotient_form,
     probe_trilinear_bourgain,
     quotient_form_ratio,
+    random_real_field,
     reconstruct_solution,
     smoothing_report,
     sobolev_norm,
@@ -242,6 +244,33 @@ class TestProbeRuns:
         )
         assert report.argmax_sample["frequency_cutoff"] == 0
         assert "fields" in report.argmax_sample
+
+    @pytest.mark.parametrize(
+        "probe, method, ratios, argmax_digest",
+        [
+            (probe_trilinear_bourgain, "fast",
+             ("0x1.d93e73a8a0f41p-7", "0x1.da47939eb3ab4p-7", "0x1.e788e159d8ae3p-7"),
+             "c3c67f6b296672be"),
+            (probe_trilinear_bourgain, "naive",
+             ("0x1.d93e73a8a0f44p-7", "0x1.da47939eb3ab7p-7", "0x1.e788e159d8ae9p-7"),
+             "7fa91593cd9bd964"),
+            (probe_duhamel_smoothing, "fast",
+             ("0x1.52e71df690654p-6", "0x1.af4f130f7ed7ep-6", "0x1.1bf75a5dab3d5p-6"),
+             "6e675b2dca77261a"),
+            (probe_duhamel_smoothing, "naive",
+             ("0x1.52e71df690658p-6", "0x1.af4f130f7ed81p-6", "0x1.1bf75a5dab3dbp-6"),
+             "8f5662583dff9ef1"),
+        ],
+    )
+    def test_pinned_ratios(self, probe, method, ratios, argmax_digest):
+        # exact values: a change of rounding in the FFT route or of the
+        # summation order shows up here, and so does a change of the bytes
+        # of the argmax payload
+        spec = EnsembleSpec(seed=3, count=3, K=8, decay_exponent=1.0, k_values=(4, 8))
+        report = probe(random_real_field(8, 11), spec, method)
+        assert tuple(r.hex() for r in report.ratios) == ratios
+        blob = json.dumps(report.argmax_sample).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == argmax_digest
 
     def test_profile_cutoff_must_match(self):
         with pytest.raises(GridMismatchError):

@@ -23,6 +23,7 @@ from mkdvlab import (
     check_real_symmetry,
     cosine_field,
     cumulative_trapezoid,
+    direct_nonlinearity,
     field_from_modes,
     field_from_obj,
     field_from_samples,
@@ -348,6 +349,22 @@ class TestRandomRealField:
             0.21966607061563903 + 0.04003116541944742j,
         ]
         assert np.array_equal(v.coeffs[:2], np.conj(v.coeffs[3:])[::-1])
+
+
+class TestMirroredOutputs:
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=-8.0, max_value=8.0),
+    )
+    def test_exactly_symmetric(self, K, seed, exponent):
+        # these outputs skip the construction-time check, so they must be
+        # exactly symmetric, not merely within REAL_SYMMETRY_TOL
+        u = library_random_real_field(K, seed, 1.0)
+        samples = 10.0**exponent * np.random.default_rng(seed).standard_normal(2 * K + 2 + seed % 5)
+        for out in (u, field_from_samples(samples, K), direct_nonlinearity(10.0**exponent * u)):
+            assert out.real_symmetric
+            assert check_real_symmetry(out) == 0.0
 
 
 # Values whose shortest repr is easy to get wrong: a signed zero, the
