@@ -255,9 +255,10 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
     product alias-free for |k| <= K; the transform pair is the half-spectrum
     one so the output is conjugate-symmetric to the last bit. The zero mode
     vanishes identically (the integrand is a total derivative) and is pinned
-    to exactly zero.
+    to exactly zero. A field marked real_symmetric passed the same check
+    when it was built, so only unmarked fields are checked here.
     """
-    if check_real_symmetry(u) > REAL_SYMMETRY_TOL:
+    if not u.real_symmetric and check_real_symmetry(u) > REAL_SYMMETRY_TOL:
         raise FieldError("direct nonlinearity is defined for real fields")
     K = u.K
     N = 4 * K + 4

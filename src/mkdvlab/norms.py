@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .spectral import FourierField, SobolevIndex, Trajectory, bracket_sq, hs_norms
+from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory, bracket_sq, hs_norms
 
 __all__ = [
     "NormProxyConfig",
@@ -39,6 +39,24 @@ __all__ = [
 
 _WINDOWS = ("hann", "rect")
 _PHASES = ("airy", "modified")
+
+# Per (grid, sign) the free phase factor of the latest (phase, profile, bumps),
+# and per (grid, window, pad_factor, s, b) the weights of ysb_norm_proxy. Both
+# keep their most recently used entries, at most _CACHE_ENTRIES each.
+_CACHE_ENTRIES = 32
+_FACTORS: dict[tuple[GridSpec, int], tuple[tuple, np.ndarray]] = {}
+_PROXY_WEIGHTS: dict[tuple, tuple] = {}
+
+
+def _remember(cache: dict, key, value) -> None:
+    cache[key] = value
+    if len(cache) > _CACHE_ENTRIES:
+        del cache[next(iter(cache))]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,49 @@ def phase_rates(K: int, phase: str, f: FourierField | None) -> np.ndarray:
     return rates
 
 
+def _free_phase_factor(
+    grid: GridSpec, sign: int, phase: str, f: FourierField | None, bumps: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(sign i t (phi_k + bumps_k)) on the (t, k) table of grid, read-only.
+
+    phase_rates runs, with its checks, whenever the entry is built; a new
+    phase symbol, profile or bumps replaces the entry of (grid, sign).
+    """
+    nu = None if bumps is None else np.asarray(bumps)
+    stamp = (
+        phase,
+        None if f is None else f.coeffs.tobytes(),
+        None if nu is None else (nu.dtype.str, nu.shape, nu.tobytes()),
+    )
+    hit = _FACTORS.pop((grid, sign), None)
+    if hit is None or hit[0] != stamp:
+        phi = phase_rates(grid.K, phase, f)
+        if nu is not None:
+            phi = phi + nu
+        hit = (stamp, _read_only(np.exp(sign * 1j * phi[None, :] * grid.times[:, None])))
+    _remember(_FACTORS, (grid, sign), hit)
+    return hit[1]
+
+
+def _proxy_weights(grid: GridSpec, cfg: NormProxyConfig) -> tuple:
+    """(window column, Mp, tau-weight column, <k>^{2s}) of ysb_norm_proxy, read-only."""
+    key = (grid, cfg.window, cfg.pad_factor, cfg.s, cfg.b)
+    hit = _PROXY_WEIGHTS.pop(key, None)
+    if hit is None:
+        w = window_weights(grid.M, grid.dt, cfg.window)
+        Mp = int(cfg.pad_factor) * grid.M
+        taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=grid.dt)
+        tau_weight = (1.0 + taus**2) ** cfg.b
+        hit = (
+            _read_only(w[:, None]),
+            Mp,
+            _read_only(tau_weight[:, None]),
+            _read_only(bracket_sq(grid.K) ** cfg.s),
+        )
+    _remember(_PROXY_WEIGHTS, key, hit)
+    return hit
+
+
 def ysb_norm_proxy(
     z: Trajectory, cfg: NormProxyConfig, f: FourierField | None = None
 ) -> float:
@@ -93,22 +154,18 @@ def ysb_norm_proxy(
 
     norm^2 = sum_k <k>^{2s} * (1 / (Mp dt)) * sum_m <tau_m>^{2b} |G(m, k)|^2
     with G the time-DFT (times dt) of w(t) z_hat(t,k) exp(-i phi_k t) padded
-    to Mp = pad_factor * M samples.
+    to Mp = pad_factor * M samples. The phase factor and the weights are
+    built once per grid and profile and reused while they stay the same.
     """
     M = z.grid.M
     if M < 8:
         raise ConfigError(f"time-DFT proxy needs M >= 8 frames, got {M}")
     dt = z.grid.dt
-    K = z.K
-    w = window_weights(M, dt, cfg.window)
-    phi = phase_rates(K, cfg.phase, f)
-    demod = z.coeffs * np.exp(-1j * phi[None, :] * z.grid.times[:, None])
-    Mp = int(cfg.pad_factor) * M
-    spectrum = np.fft.fft(w[:, None] * demod, n=Mp, axis=0) * dt
-    taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=dt)
-    tau_weight = (1.0 + taus**2) ** cfg.b
-    mode_power = np.sum(tau_weight[:, None] * np.abs(spectrum) ** 2, axis=0)
-    total = float(np.sum(bracket_sq(K) ** cfg.s * mode_power)) / (Mp * dt)
+    w, Mp, tau_weight, bracket_weight = _proxy_weights(z.grid, cfg)
+    demod = z.coeffs * _free_phase_factor(z.grid, -1, cfg.phase, f)
+    spectrum = np.fft.fft(w * demod, n=Mp, axis=0) * dt
+    mode_power = np.sum(tau_weight * np.abs(spectrum) ** 2, axis=0)
+    total = float(np.sum(bracket_weight * mode_power)) / (Mp * dt)
     return math.sqrt(total)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, InstabilityError, TimeHorizonWarning
 from .gauge import PhaseTable, gauge_compose, modulated_profile, solve_phase
 from .nonlinearity import nr_trilinear
-from .norms import phase_rates, x_space_norm
+from .norms import _free_phase_factor, phase_rates, x_space_norm
 from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory
 
 __all__ = [
@@ -136,9 +136,8 @@ def duhamel_integrate(
     K = forcing.K
     if f is not None and f.K != K:
         raise ConfigError(f"profile cutoff {f.K} does not match forcing cutoff {K}")
-    phi = phase_rates(K, "airy" if f is None else "modified", f)
-    t = forcing.grid.times
-    damped = np.exp(-1j * phi[None, :] * t[:, None]) * forcing.coeffs
+    phase = "airy" if f is None else "modified"
+    damped = _free_phase_factor(forcing.grid, -1, phase, f) * forcing.coeffs
     integral = np.zeros_like(damped)
     np.cumsum((damped[1:] + damped[:-1]) * (0.5 * forcing.grid.dt), axis=0, out=integral[1:])
     z0 = np.zeros(forcing.grid.n_modes, dtype=complex)
@@ -146,6 +145,9 @@ def duhamel_integrate(
         if initial.K != K:
             raise ConfigError(f"initial data cutoff {initial.K} does not match {K}")
         z0 = initial.coeffs
+    # inline, not cached: a second (M, 2K+1) table would stay resident beside the damping one
+    phi = phase_rates(K, phase, f)
+    t = forcing.grid.times
     coeffs = np.exp(1j * phi[None, :] * t[:, None]) * (z0[None, :] + integral)
     return Trajectory(forcing.grid, coeffs)
 

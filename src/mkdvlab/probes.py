@@ -37,7 +37,7 @@ from .nonlinearity import (
     select_frequency_cutoff,
     trilinear_quotient_form,
 )
-from .norms import NormProxyConfig, phase_rates, xinfty_hs_norm, ysb_norm_proxy
+from .norms import NormProxyConfig, _free_phase_factor, xinfty_hs_norm, ysb_norm_proxy
 from .picard import duhamel_integrate, picard_rhs
 from .spectral import (
     FourierField,
@@ -219,10 +219,7 @@ def free_modulated_trajectory(
     """u_hat(t,k) = g_hat(k) exp(i t (k^3 + k|f_hat(k)|^2 + bump_k))."""
     if g.K != grid.K or f.K != grid.K:
         raise GridMismatchError("field cutoffs do not match the grid")
-    phi = phase_rates(grid.K, "modified", f)
-    if bumps is not None:
-        phi = phi + bumps
-    coeffs = g.coeffs[None, :] * np.exp(1j * phi[None, :] * grid.times[:, None])
+    coeffs = g.coeffs[None, :] * _free_phase_factor(grid, 1, "modified", f, bumps)
     return Trajectory(grid, coeffs)
 
 

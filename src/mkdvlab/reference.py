@@ -20,7 +20,14 @@ import numpy as np
 from .errors import ConfigError, GridMismatchError, InstabilityError, StepSizeWarning
 from .nonlinearity import conserved_functionals, direct_nonlinearity
 from .norms import phase_rates
-from .spectral import FourierField, GridSpec, Trajectory, hs_norms
+from .spectral import (
+    FourierField,
+    GridSpec,
+    Trajectory,
+    _symmetric_field,
+    check_real_symmetry,
+    hs_norms,
+)
 
 __all__ = [
     "ETDConfig",
@@ -122,11 +129,14 @@ def solve_reference(
 
     shift = ks * np.abs(f.coeffs) ** 2 if cfg.linear_phase == "modified" else None
     zero = np.zeros(grid.n_modes, dtype=complex)
+    # under an odd phi, exactly symmetric data keeps every stage exactly
+    # symmetric (each operation acts alike on k and -k), so no stage is re-checked
+    wrap = _symmetric_field if odd and check_real_symmetry(f) == 0.0 else FourierField
 
     def nonlinear(v: np.ndarray) -> np.ndarray:
         if not cfg.nonlinearity_enabled:
             return zero
-        out = direct_nonlinearity(FourierField(v)).coeffs
+        out = direct_nonlinearity(wrap(v)).coeffs
         if shift is not None:
             out = out - 1j * shift * v
         return out

@@ -304,11 +304,16 @@ def mirrored(zero: float, positive: np.ndarray) -> np.ndarray:
     return c
 
 
-def _mirrored_field(zero: float, positive: np.ndarray) -> FourierField:
-    """mirrored(zero, positive) as a real_symmetric field, unchecked: exact by construction."""
-    u = FourierField(mirrored(zero, positive))
+def _symmetric_field(coeffs: np.ndarray) -> FourierField:
+    """coeffs as a real_symmetric field, unchecked: for arrays symmetric by construction."""
+    u = FourierField(coeffs)
     object.__setattr__(u, "real_symmetric", True)
     return u
+
+
+def _mirrored_field(zero: float, positive: np.ndarray) -> FourierField:
+    """mirrored(zero, positive) as a real_symmetric field, unchecked: exact by construction."""
+    return _symmetric_field(mirrored(zero, positive))
 
 
 def sobolev_norm(u: FourierField, s: float) -> float:

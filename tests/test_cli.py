@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import mkdvlab
 import mkdvlab.cli
+from mkdvlab import nonlinearity, norms
 from mkdvlab import (
     cosine_field,
     phase_from_obj,
@@ -692,3 +693,48 @@ class TestWholeCliFuzz:
             assert "Traceback" not in first[1]
             assert second[0] == first[0]
             assert artifacts(Path(tmp) / "b") == artifacts(Path(tmp) / "a")
+
+
+def clear_module_caches():
+    for cache in (
+        norms._FACTORS,
+        norms._PROXY_WEIGHTS,
+        nonlinearity._TRIPLES,
+        nonlinearity._DENOMINATORS,
+        nonlinearity._PLANS,
+    ):
+        cache.clear()
+
+
+class TestCacheIsolation:
+    def test_results_do_not_depend_on_earlier_runs(self, tmp_path):
+        # the probe runs share their grids but not their profiles, so the warm
+        # runs meet entries another profile left behind
+        ensemble = {"seed": 5, "count": 3, "K": 16, "decay_exponent": 1.0}
+        docs = {
+            "probe12": {
+                "mode": "probe12",
+                "initial_data": {"kind": "seeded-random", "seed": 3},
+                "ensemble": ensemble,
+            },
+            "probe16": {
+                "mode": "probe16",
+                "initial_data": {"kind": "seeded-random", "seed": 4},
+                "ensemble": ensemble,
+            },
+            "gauge_solve": {"mode": "gauge_solve", "grid": {"K": 8, "M": 16, "T": 0.01}},
+        }
+        configs = {}
+        for name, doc in docs.items():
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(doc))
+            clear_module_caches()
+            cold = main_in_process(config, tmp_path / f"{name}-cold")
+            assert cold[0] == 0, cold[1]
+            configs[name] = config
+        for name in reversed(list(docs)):
+            warm = main_in_process(configs[name], tmp_path / f"{name}-warm")
+            assert warm[0] == 0, warm[1]
+        for name in docs:
+            cold = artifacts(tmp_path / f"{name}-cold")
+            assert cold and artifacts(tmp_path / f"{name}-warm") == cold

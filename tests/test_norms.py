@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_real_field
@@ -26,6 +26,15 @@ from mkdvlab import (
     xinfty_hs_norm,
     ysb_norm_proxy,
 )
+from mkdvlab import norms
+from mkdvlab.norms import (
+    _CACHE_ENTRIES,
+    _FACTORS,
+    _PROXY_WEIGHTS,
+    _free_phase_factor,
+    _proxy_weights,
+)
+from mkdvlab.spectral import bracket_sq
 
 
 def ysb_oracle(z: Trajectory, cfg: NormProxyConfig, f=None) -> float:
@@ -222,3 +231,136 @@ class TestCompositeNorm:
             x_space_norm(
                 Trajectory.zeros(grid), SobolevIndex(s0=0.6), cosine_field(2)
             )
+
+
+def inline_factor(grid, sign, phase, f, bumps=None):
+    """The free phase factor as each call site wrote it before it was cached."""
+    phi = phase_rates(grid.K, phase, f)
+    if bumps is not None:
+        phi = phi + bumps
+    if sign < 0:
+        return np.exp(-1j * phi[None, :] * grid.times[:, None])
+    return np.exp(1j * phi[None, :] * grid.times[:, None])
+
+
+def inline_ysb(z, cfg, f=None):
+    """ysb_norm_proxy as written before its tables were cached."""
+    M, dt, K = z.grid.M, z.grid.dt, z.K
+    w = window_weights(M, dt, cfg.window)
+    phi = phase_rates(K, cfg.phase, f)
+    demod = z.coeffs * np.exp(-1j * phi[None, :] * z.grid.times[:, None])
+    Mp = int(cfg.pad_factor) * M
+    spectrum = np.fft.fft(w[:, None] * demod, n=Mp, axis=0) * dt
+    taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=dt)
+    tau_weight = (1.0 + taus**2) ** cfg.b
+    mode_power = np.sum(tau_weight[:, None] * np.abs(spectrum) ** 2, axis=0)
+    total = float(np.sum(bracket_sq(K) ** cfg.s * mode_power)) / (Mp * dt)
+    return math.sqrt(total)
+
+
+def same_bits(a, b):
+    """Equal values and equal sign bits, so -0.0 and 0.0 count as different."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def random_bumps(K, seed, scale):
+    half = scale * (2.0 * np.random.default_rng(seed).random(K) - 1.0)
+    return np.concatenate([-half[::-1], [0.0], half])
+
+
+@st.composite
+def cache_cases(draw):
+    K = draw(st.integers(1, 16))
+    grid = GridSpec(K, draw(st.integers(8, 32)), draw(st.sampled_from([0.01, 0.5, 2.0])))
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=2, max_size=4))
+    bump_scale = draw(st.sampled_from([0.0, 0.3, 40.0]))
+    return grid, seeds, bump_scale
+
+
+class TestFreePhaseCache:
+    """The cached factor and proxy tables against the formulas they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cache_cases(), st.sampled_from([-1, 1]), st.sampled_from(["airy", "modified"]))
+    def test_factor_tracks_profile_and_bumps(self, case, sign, phase):
+        grid, seeds, bump_scale = case
+        for seed in seeds:
+            f = random_real_field(grid.K, seed=seed)
+            for bumps in (None, random_bumps(grid.K, seed, bump_scale)):
+                got = _free_phase_factor(grid, sign, phase, f, bumps)
+                assert same_bits(got, inline_factor(grid, sign, phase, f, bumps))
+
+    @settings(max_examples=30, deadline=None)
+    @given(cache_cases(), st.sampled_from(["airy", "modified"]))
+    def test_proxy_tracks_profile_and_config(self, case, phase):
+        grid, seeds, _ = case
+        rng = np.random.default_rng(seeds[0])
+        shape = (grid.M, grid.n_modes)
+        z = Trajectory(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for seed in seeds:
+            f = random_real_field(grid.K, seed=seed)
+            for window in ("hann", "rect"):
+                for s, b in ((0.3, 0.51), (0.3, -0.39), (0.0, 0.51)):
+                    for pad_factor in (1, 2):
+                        cfg = NormProxyConfig(s, b, window, pad_factor, phase)
+                        assert ysb_norm_proxy(z, cfg, f) == inline_ysb(z, cfg, f)
+
+    def test_cached_tables_are_read_only(self):
+        grid = GridSpec(4, 16, 0.5)
+        f = random_real_field(4, seed=3)
+        factor = _free_phase_factor(grid, -1, "modified", f)
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
+        for table in _proxy_weights(grid, NormProxyConfig(s=0.3, b=0.51)):
+            if isinstance(table, np.ndarray):
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
+
+    def test_checks_run_on_every_call(self):
+        grid = GridSpec(4, 16, 0.5)
+        z = Trajectory.zeros(grid)
+        cfg = NormProxyConfig(s=0.3, b=0.51, phase="modified")
+        for _ in range(3):
+            with pytest.raises(ConfigError):
+                ysb_norm_proxy(z, cfg, None)
+            with pytest.raises(ConfigError):
+                _free_phase_factor(grid, 1, "modified", None)
+        ysb_norm_proxy(z, cfg, random_real_field(4, seed=1))
+        for _ in range(3):
+            with pytest.raises(GridMismatchError):
+                ysb_norm_proxy(z, cfg, random_real_field(5, seed=1))
+
+    def test_one_factor_per_grid_and_sign(self):
+        grid = GridSpec(6, 16, 0.5)
+        z = Trajectory.zeros(grid)
+        cfg = NormProxyConfig(s=0.3, b=0.51, phase="modified")
+        for seed in range(50):
+            f = random_real_field(6, seed=seed)
+            ysb_norm_proxy(z, cfg, f)
+            _free_phase_factor(grid, 1, "modified", f)
+        assert [key for key in _FACTORS if key[0] == grid] == [(grid, -1), (grid, 1)]
+        assert len(_FACTORS) <= _CACHE_ENTRIES
+        assert len(_PROXY_WEIGHTS) <= _CACHE_ENTRIES
+
+    def test_phase_table_built_once(self, monkeypatch):
+        # pins the gain: repeated proxies of one (trajectory, profile, config)
+        # build the phase table once, not once per call
+        calls = []
+
+        def counting(*args):
+            calls.append(args[:2])
+            return phase_rates(*args)
+
+        monkeypatch.setattr(norms, "phase_rates", counting)
+        grid = GridSpec(5, 16, 0.5)
+        rng = np.random.default_rng(8)
+        z = Trajectory(grid, rng.standard_normal((16, 11)) + 0j)
+        f = random_real_field(5, seed=12345)
+        cfg = NormProxyConfig(s=0.3, b=0.51, phase="modified")
+        values = {ysb_norm_proxy(z, cfg, f) for _ in range(10)}
+        assert len(values) == 1
+        assert calls == [(5, "modified")]

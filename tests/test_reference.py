@@ -6,26 +6,33 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_real_field
 from mkdvlab import (
     CONSERVED_COLUMNS,
     ConfigError,
     ETDConfig,
+    FieldError,
+    FourierField,
     GridMismatchError,
     GridSpec,
     InstabilityError,
     StepSizeWarning,
     Trajectory,
     airy_exact,
+    check_real_symmetry,
     compare_trajectories,
     conserved_functionals,
     conserved_series,
     cosine_field,
+    direct_nonlinearity,
     reflect_field,
     sobolev_norm,
     solve_reference,
 )
+from mkdvlab import nonlinearity, reference
 
 
 class TestETDConfig:
@@ -203,3 +210,81 @@ class TestCompareTrajectories:
         b = Trajectory.zeros(GridSpec(K=4, M=4, T=0.1))
         with pytest.raises(GridMismatchError):
             compare_trajectories(a, b, 0.0)
+
+
+def spy_on_stages(monkeypatch, seen):
+    """Record each field the stepper hands to direct_nonlinearity."""
+
+    def spy(u):
+        seen.append(u)
+        return direct_nonlinearity(u)
+
+    monkeypatch.setattr(reference, "direct_nonlinearity", spy)
+
+
+class TestStageSymmetry:
+    """The stepper trusts its stages only where they are symmetric by construction."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.integers(0, 2**16),
+        st.sampled_from([1e-4, 1e-3, 7e-3]),
+        st.sampled_from(["etdrk4", "ifrk4"]),
+        st.sampled_from(["airy", "modified"]),
+    )
+    def test_stages_stay_exactly_symmetric(self, K, seed, dt, scheme, linear_phase):
+        f = random_real_field(K, seed=seed)
+        seen = []
+        cfg = ETDConfig(dt=dt, scheme=scheme, linear_phase=linear_phase)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepSizeWarning)
+            spy_on_stages(mp, seen)
+            solve_reference(f, 0.02, cfg, M=3)
+        assert len(seen) % 4 == 0 and seen
+        assert all(u.real_symmetric and check_real_symmetry(u) == 0.0 for u in seen)
+
+    def test_symmetric_data_is_checked_once(self, monkeypatch):
+        calls = {"reference": 0, "nonlinearity": 0}
+        for module in (reference, nonlinearity):
+
+            def counting(u, name=module.__name__.split(".")[-1]):
+                calls[name] += 1
+                return check_real_symmetry(u)
+
+            monkeypatch.setattr(module, "check_real_symmetry", counting)
+        tr = solve_reference(random_real_field(8, seed=5), 0.01, ETDConfig(dt=1e-3), M=3)
+        assert calls == {"reference": 1, "nonlinearity": 0}
+        assert tr.real_symmetric
+
+    def test_inexact_data_is_checked_per_stage(self, monkeypatch):
+        # asymmetric by less than the tolerance: every stage is wrapped
+        # unmarked and checked, four per substep, and the values are those
+        # of the trusted route on the exact data up to that perturbation
+        f = random_real_field(8, seed=5)
+        c = f.coeffs.copy()
+        c[8 + 3] += 1e-12
+        seen = []
+        spy_on_stages(monkeypatch, seen)
+        tr = solve_reference(FourierField(c), 0.01, ETDConfig(dt=1e-3), M=3)
+        assert len(seen) == 4 * 10
+        assert not any(u.real_symmetric for u in seen)
+        exact = solve_reference(f, 0.01, ETDConfig(dt=1e-3), M=3)
+        assert np.max(np.abs(tr.coeffs - exact.coeffs)) < 1e-10
+
+    def test_asymmetric_data_is_rejected(self):
+        c = random_real_field(8, seed=5).coeffs.copy()
+        c[8 + 3] += 1e-3
+        with pytest.raises(FieldError):
+            solve_reference(FourierField(c), 0.01, ETDConfig(dt=1e-3), M=3)
+
+    def test_direct_nonlinearity_trusts_marked_fields(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            nonlinearity, "check_real_symmetry", lambda u: calls.append(u) or 0.0
+        )
+        u = random_real_field(6, seed=2)
+        marked = direct_nonlinearity(u)
+        unmarked = direct_nonlinearity(FourierField(u.coeffs))
+        assert len(calls) == 1 and not calls[0].real_symmetric
+        assert np.array_equal(marked.coeffs, unmarked.coeffs)
