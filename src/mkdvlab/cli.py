@@ -83,11 +83,12 @@ _ETD_MODES = ("simulate", "compare", "smoothing")
 # Size ceilings, checked before anything is allocated. A frame table of
 # M * (2K + 1) complex128 values above 2^26 takes more than 1 GiB; padded
 # norm proxies and ETD contour weights are held to the same count, and so is
-# the work that the ETD stepper repeats T / dt times and the probes count
-# times, which bounds their run time. The O(K^3) triple table (probe700,
-# nr_method "naive") takes about 15 bytes per (2K + 1)^3 entry (32 MB at
-# K = 64, 246 MB at K = 127, build peaks), and a naive NR call adds about 21
-# more, so under 600 MB at 2^24 entries (K = 127).
+# the work that the ETD stepper repeats T / dt times, a phase solve up to
+# phase_max_sweeps times and the probes count times, which bounds their run
+# time (a phase_tol that no sweep meets would otherwise never end). The
+# O(K^3) triple table (probe700, nr_method "naive") takes about 15 bytes per
+# (2K + 1)^3 entry (32 MB at K = 64, 246 MB at K = 127, build peaks), and a
+# naive NR call adds about 21 more, so under 600 MB at 2^24 entries (K = 127).
 MAX_FRAME_VALUES = 2**26
 MAX_TRIPLES = 2**24
 
@@ -154,6 +155,24 @@ def _as_int_tuple(v: Any) -> tuple[int, ...]:
     return tuple(_as_int(x) for x in v)
 
 
+# The checks of a config value, by the annotation of the dataclass field it
+# fills; a str field is passed through for the dataclass to check. Fields of
+# any other type (the nested params and proxy) are not config keys.
+_CASTS = {
+    "int": _as_int,
+    "float": _as_float,
+    "float | None": _as_float,
+    "bool": _as_bool,
+    "tuple[int, ...] | None": _as_int_tuple,
+    "str": lambda v: v,
+}
+
+
+def _keys(cls) -> tuple[str, ...]:
+    """The config keys of a dataclass section, in declaration order."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.type in _CASTS)
+
+
 def _value(problems: _Problems, name: str, section: dict, key: str, default, cast):
     """section[key], or default when absent, checked and converted by cast.
 
@@ -179,6 +198,22 @@ def _build(problems: _Problems, field: str, ctor, **kwargs):
     except (ConfigError, FieldError, TypeError, ValueError) as exc:
         problems.add(field, str(exc))
         return None
+
+
+def _load(problems: _Problems, name: str, section: dict, cls, defaults: dict, **given):
+    """Build cls from a config section, or record its problems and return None.
+
+    given fields are passed as they are. Each config key is read from
+    section and checked by its field's annotation (seed by _as_seed); a
+    missing key takes defaults[key], else the dataclass default.
+    """
+    kwargs = dict(given)
+    for f in dataclasses.fields(cls):
+        if f.type in _CASTS and f.name not in given:
+            cast = _as_seed if f.name == "seed" else _CASTS[f.type]
+            default = defaults.get(f.name, f.default)
+            kwargs[f.name] = _value(problems, name, section, f.name, default, cast)
+    return _build(problems, name, cls, **kwargs)
 
 
 def _too_large(
@@ -280,28 +315,13 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     elif mode not in MODES:
         problems.add("mode", f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
 
-    grid_sec = _section(doc, "grid", ("K", "M", "T"), problems)
-    grid = _build(
-        problems,
-        "grid",
-        GridSpec,
-        K=_value(problems, "grid", grid_sec, "K", 16, _as_int),
-        M=_value(problems, "grid", grid_sec, "M", 64, _as_int),
-        T=_value(problems, "grid", grid_sec, "T", 0.01, _as_float),
-    )
+    grid_sec = _section(doc, "grid", _keys(GridSpec), problems)
+    grid = _load(problems, "grid", grid_sec, GridSpec, {"K": 16, "M": 64, "T": 0.01})
     if grid is not None and _too_large(problems, "grid", grid.K, {"M": grid.M}):
         grid = None
 
-    params_sec = _section(doc, "params", ("s0", "s1", "b", "delta"), problems)
-    params = _build(
-        problems,
-        "params",
-        SobolevIndex,
-        s0=_value(problems, "params", params_sec, "s0", 0.3, _as_float),
-        s1=_value(problems, "params", params_sec, "s1", None, _as_float),
-        b=_value(problems, "params", params_sec, "b", None, _as_float),
-        delta=_value(problems, "params", params_sec, "delta", None, _as_float),
-    )
+    params_sec = _section(doc, "params", _keys(SobolevIndex), problems)
+    params = _load(problems, "params", params_sec, SobolevIndex, {})
     if params is not None:
         try:
             params.validate()
@@ -309,87 +329,44 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
             problems.add("params", str(exc))
             params = None
 
-    proxy_sec = _section(
-        doc, "proxy", ("s", "b", "window", "pad_factor", "phase"), problems
-    )
+    proxy_sec = _section(doc, "proxy", _keys(NormProxyConfig), problems)
     proxy = None
     if params is not None:
-        proxy = _build(
+        proxy = _load(
             problems,
             "proxy",
+            proxy_sec,
             NormProxyConfig,
-            s=_value(problems, "proxy", proxy_sec, "s", params.s0, _as_float),
-            b=_value(problems, "proxy", proxy_sec, "b", params.b, _as_float),
-            window=proxy_sec.get("window", "hann"),
-            pad_factor=_value(problems, "proxy", proxy_sec, "pad_factor", 4, _as_int),
-            phase=proxy_sec.get("phase", "modified"),
+            {"s": params.s0, "b": params.b, "phase": "modified"},
         )
 
-    etd_sec = _section(
-        doc,
-        "etd",
-        ("dt", "scheme", "linear_phase", "contour_points", "nonlinearity_enabled"),
-        problems,
-    )
+    etd_sec = _section(doc, "etd", _keys(ETDConfig), problems)
     etd = None
     if mode in _ETD_MODES:
-        etd = _build(
-            problems,
-            "etd",
-            ETDConfig,
-            dt=_value(problems, "etd", etd_sec, "dt", 1e-3, _as_float),
-            scheme=etd_sec.get("scheme", "etdrk4"),
-            linear_phase=etd_sec.get("linear_phase", "airy"),
-            contour_points=_value(problems, "etd", etd_sec, "contour_points", 32, _as_int),
-            nonlinearity_enabled=_value(
-                problems, "etd", etd_sec, "nonlinearity_enabled", True, _as_bool
-            ),
-        )
+        etd = _load(problems, "etd", etd_sec, ETDConfig, {"dt": 1e-3})
     if etd is not None and grid is not None and _too_large(
         problems, "etd", grid.K, {"contour_points": etd.contour_points}
     ):
         etd = None
 
-    picard_sec = _section(
-        doc,
-        "picard",
-        (
-            "T",
-            "M",
-            "tol",
-            "max_iters",
-            "phase_tol",
-            "phase_max_sweeps",
-            "nr_method",
-            "window",
-            "pad_factor",
-        ),
-        problems,
-    )
+    picard_sec = _section(doc, "picard", _keys(PicardConfig), problems)
     picard = None
     if mode in _PICARD_MODES and params is not None and proxy is not None and grid is not None:
-        picard = _build(
+        picard = _load(
             problems,
             "picard",
+            picard_sec,
             PicardConfig,
+            {"T": grid.T, "M": grid.M, "window": proxy.window, "pad_factor": proxy.pad_factor},
             params=params,
-            T=_value(problems, "picard", picard_sec, "T", grid.T, _as_float),
-            M=_value(problems, "picard", picard_sec, "M", grid.M, _as_int),
-            tol=_value(problems, "picard", picard_sec, "tol", 1e-10, _as_float),
-            max_iters=_value(problems, "picard", picard_sec, "max_iters", 25, _as_int),
-            phase_tol=_value(problems, "picard", picard_sec, "phase_tol", 1e-12, _as_float),
-            phase_max_sweeps=_value(
-                problems, "picard", picard_sec, "phase_max_sweeps", 50, _as_int
-            ),
-            nr_method=picard_sec.get("nr_method", "fast"),
-            window=picard_sec.get("window", proxy.window),
-            pad_factor=_value(
-                problems, "picard", picard_sec, "pad_factor", proxy.pad_factor, _as_int
-            ),
         )
     if picard is not None:
         sizes = {"pad_factor": picard.pad_factor, "M": picard.M}
-        if _too_large(problems, "picard", grid.K, sizes, picard.nr_method == "naive"):
+        sweeps = {"phase_max_sweeps": picard.phase_max_sweeps, "M": picard.M}
+        naive = picard.nr_method == "naive"
+        if _too_large(problems, "picard", grid.K, sizes, naive) or _too_large(
+            problems, "picard", grid.K, sweeps
+        ):
             picard = None
     if etd is not None and grid is not None:
         # compare steps the reference over picard's horizon, the other modes over the grid's
@@ -397,21 +374,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         if _too_large(problems, "etd", grid.K, {"T / dt": horizon / etd.dt}):
             etd = None
 
-    ensemble_sec = _section(
-        doc,
-        "ensemble",
-        (
-            "seed",
-            "count",
-            "K",
-            "decay_exponent",
-            "M",
-            "T",
-            "k_values",
-            "modulation_bumps",
-        ),
-        problems,
-    )
+    ensemble_sec = _section(doc, "ensemble", _keys(EnsembleSpec), problems)
     ensemble = None
     if mode in _PROBE_MODES:
         if not ensemble_sec and "ensemble" not in doc:
@@ -421,23 +384,12 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
                 if ensemble_sec.get(key) is None:
                     problems.add(f"ensemble.{key}", "missing")
             if params is not None and proxy is not None and grid is not None and not problems:
-                def get(key, default, cast):
-                    return _value(problems, "ensemble", ensemble_sec, key, default, cast)
-
-                ensemble = _build(
-                    problems,
-                    "ensemble",
-                    EnsembleSpec,
-                    seed=args.seed if args.seed is not None else get("seed", None, _as_seed),
-                    count=get("count", None, _as_int),
-                    K=get("K", grid.K, _as_int),
-                    decay_exponent=get("decay_exponent", None, _as_float),
-                    params=params,
-                    proxy=proxy,
-                    M=get("M", 16, _as_int),
-                    T=get("T", 0.5, _as_float),
-                    k_values=get("k_values", None, _as_int_tuple),
-                    modulation_bumps=get("modulation_bumps", 0.0, _as_float),
+                # --seed replaces ensemble.seed, which is then neither read nor checked
+                given = {"params": params, "proxy": proxy}
+                if args.seed is not None:
+                    given["seed"] = args.seed
+                ensemble = _load(
+                    problems, "ensemble", ensemble_sec, EnsembleSpec, {"K": grid.K}, **given
                 )
                 if ensemble is not None and _too_large(
                     problems,
@@ -473,8 +425,8 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         "version": VERSION,
         "mode": mode,
         "initial_data": _echo_initial(initial_sec),
-        "grid": {"K": grid.K, "M": grid.M, "T": grid.T},
-        "params": {"s0": params.s0, "s1": params.s1, "b": params.b, "delta": params.delta},
+        "grid": dataclasses.asdict(grid),
+        "params": dataclasses.asdict(params),
         "proxy": dataclasses.asdict(proxy),
         "etd": None if etd is None else dataclasses.asdict(etd),
         "picard": None if picard is None else {
@@ -596,26 +548,9 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
     if mode == "smoothing":
         u = solve_reference(f, grid.T, etd, grid.M)
         rep = smoothing_report(u, f, params)
-        _write_csv(
-            path("smoothing.csv"),
-            (
-                "t",
-                "remainder_hs1",
-                "gap_sum_weight1",
-                "gap_sum_upgraded",
-                "gap_sup_weight1",
-            ),
-            [
-                (
-                    float(rep.times[n]),
-                    float(rep.remainder_hs1[n]),
-                    float(rep.gap_sum_weight1[n]),
-                    float(rep.gap_sum_upgraded[n]),
-                    float(rep.gap_sup_weight1[n]),
-                )
-                for n in range(rep.times.size)
-            ],
-        )
+        header = ("t", "remainder_hs1", "gap_sum_weight1", "gap_sum_upgraded", "gap_sup_weight1")
+        rows = np.column_stack([rep.times, *(getattr(rep, c) for c in header[1:])]).tolist()
+        _write_csv(path("smoothing.csv"), header, rows)
         return {"upgraded_exponent": rep.upgraded_exponent, "sups": rep.sups}, artifacts
 
     # q_solve: one iteration from rest, then the phase fixed point for it
@@ -625,15 +560,7 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
         f, z1, tol=picard.phase_tol, max_sweeps=picard.phase_max_sweeps, s0=params.s0
     )
     write_frames_json(path("phase.json"), table.grid, (table.values,))
-    return {
-        "sweeps": rep.sweeps,
-        "residual": rep.residual,
-        "update_norms": list(rep.update_norms),
-        "ratios": list(rep.ratios),
-        "c0": rep.c0,
-        "certified_T0": rep.certified_T0,
-        "contraction_T0": rep.contraction_T0,
-    }, artifacts
+    return dataclasses.asdict(rep), artifacts
 
 
 def run(resolved: dict) -> dict:

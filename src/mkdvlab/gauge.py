@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConvergenceError,
     FieldError,
     GridMismatchError,
@@ -127,10 +128,12 @@ def solve_phase(
     fixed-point equation itself, not just stagnation. Warns when the run
     horizon exceeds the certified existence window; fails with the last
     update size when the sweeps do not settle, which usually means T is too
-    large for this data.
+    large for this data. Raises ConfigError when max_sweeps < 1.
     """
     if f.K != z.K:
         raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {z.K}")
+    if max_sweeps < 1:
+        raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
     c0 = float(np.max(np.sqrt(bracket_sq(f.K)) ** (1.0 - s0) * np.abs(z.coeffs)))
     norm_f = sobolev_norm(f, s0)
     T = z.grid.T

@@ -20,7 +20,7 @@ ratios sit at or above one for three consecutive iterates.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import ConfigError, ConvergenceError, InstabilityError, TimeHorizon
 from .gauge import PhaseTable, gauge_compose, modulated_profile, solve_phase
 from .nonlinearity import nr_trilinear
 from .norms import _free_phase_factor, phase_rates, x_space_norm
-from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory
+from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory, cumulative_trapezoid
 
 __all__ = [
     "PicardConfig",
@@ -71,6 +71,10 @@ class PicardConfig:
             raise ConfigError(f"M must be an integer >= 8, got {self.M!r}")
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if int(self.phase_max_sweeps) != self.phase_max_sweeps or self.phase_max_sweeps < 1:
+            raise ConfigError(
+                f"phase_max_sweeps must be an integer >= 1, got {self.phase_max_sweeps!r}"
+            )
         if not (self.tol > 0):
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
         self.params.validate()
@@ -106,20 +110,9 @@ class PicardReport:
     richardson_delta: float = 0.0
 
     def to_obj(self) -> dict:
-        return {
-            "iters": [
-                {"norm_x": it.norm_x, "diff_norm": it.diff_norm, "ratio": it.ratio}
-                for it in self.iters
-            ],
-            # "K" is the older name of first_iterate_norm, kept for existing readers
-            "K": self.first_iterate_norm,
-            "first_iterate_norm": self.first_iterate_norm,
-            "converged": self.converged,
-            "certified_T0": self.certified_T0,
-            "contraction_T0": self.contraction_T0,
-            "within_first_iterate_bound": self.within_first_iterate_bound,
-            "richardson_delta": self.richardson_delta,
-        }
+        obj = asdict(self)
+        # "K" is the older name of first_iterate_norm, kept for existing readers
+        return {"iters": obj.pop("iters"), "K": self.first_iterate_norm, **obj}
 
 
 def duhamel_integrate(
@@ -138,8 +131,7 @@ def duhamel_integrate(
         raise ConfigError(f"profile cutoff {f.K} does not match forcing cutoff {K}")
     phase = "airy" if f is None else "modified"
     damped = _free_phase_factor(forcing.grid, -1, phase, f) * forcing.coeffs
-    integral = np.zeros_like(damped)
-    np.cumsum((damped[1:] + damped[:-1]) * (0.5 * forcing.grid.dt), axis=0, out=integral[1:])
+    integral = cumulative_trapezoid(damped, forcing.grid.dt)
     z0 = np.zeros(forcing.grid.n_modes, dtype=complex)
     if initial is not None:
         if initial.K != K:

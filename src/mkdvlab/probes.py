@@ -142,12 +142,7 @@ class EnsembleSpec:
             "T": self.T,
             "k_values": list(self.cutoffs()),
             "modulation_bumps": self.modulation_bumps,
-            "params": {
-                "s0": self.params.s0,
-                "s1": self.params.s1,
-                "b": self.params.b,
-                "delta": self.params.delta,
-            },
+            "params": asdict(self.params),
             "proxy": asdict(self.proxy),
         }
 

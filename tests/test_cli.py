@@ -32,6 +32,8 @@ from mkdvlab import (
 from mkdvlab.cli import MODES, _resolve
 from mkdvlab.reference import ETDConfig
 
+from golden.generate_resolved_configs import OUT as RESOLVED_CONFIGS, minimal, outcome
+
 
 # Directory holding the imported package; children run with cwd=tmp_path,
 # where a relative PYTHONPATH entry such as "src" no longer resolves.
@@ -323,6 +325,17 @@ class TestResolvedConfig:
         assert resolved["etd"]["dt"] == 1e-3
         assert resolved["etd"]["scheme"] == "etdrk4"
 
+    def test_config_surface_matches_golden(self):
+        # every echoed default, and the problem rows of a bad value at each key;
+        # regenerate with tests/golden/generate_resolved_configs.py on purpose only
+        golden = load(RESOLVED_CONFIGS)
+        for mode in MODES:
+            echo = json.loads(json.dumps(outcome(minimal(mode), None)["echo"]))
+            assert echo == golden["echo"][mode], mode
+        for case in golden["cases"]:
+            got = json.loads(json.dumps(outcome(case["doc"], case["seed"])))
+            assert got == case, case["doc"]
+
     def test_initial_data_kinds(self, tmp_path):
         doc = {
             "mode": "decompose_check",
@@ -442,10 +455,12 @@ class TestFailurePaths:
             ),
             ({"mode": "simulate", "grid": {"T": float("inf")}}, "grid.T"),
             ({"initial_data": {"amplitude": float("nan")}}, "initial_data.amplitude"),
+            ({"mode": "gauge_solve", "picard": {"phase_max_sweeps": 0}}, "picard"),
+            ({"mode": "q_solve", "picard": {"phase_max_sweeps": -1}}, "picard"),
         ],
         ids=[
             "K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string",
-            "T-infinite", "amplitude-nan",
+            "T-infinite", "amplitude-nan", "no-phase-sweeps", "negative-phase-sweeps",
         ],
     )
     def test_bad_value_is_a_field_problem(self, tmp_path, doc, field):
@@ -476,10 +491,11 @@ class TestFailurePaths:
                 {"mode": "probe12", "ensemble": {"seed": 1, "count": 10**12, "decay_exponent": 1.0}},
                 "ensemble",
             ),
+            ({"mode": "gauge_solve", "picard": {"phase_max_sweeps": 1e300}}, "picard"),
         ],
         ids=[
             "frame-table", "triple-table", "padded-proxy", "padded-ensemble", "etd-contour",
-            "etd-substeps", "etd-substeps-compare", "ensemble-count",
+            "etd-substeps", "etd-substeps-compare", "ensemble-count", "phase-sweeps",
         ],
     )
     def test_size_ceiling_is_a_field_problem(self, tmp_path, doc, field):
@@ -545,7 +561,10 @@ CONFIG_KEYS = {
     "params": ("s0", "s1", "b", "delta"),
     "proxy": ("s", "b", "window", "pad_factor", "phase"),
     "etd": ("dt", "scheme", "linear_phase", "contour_points", "nonlinearity_enabled"),
-    "picard": ("T", "M", "tol", "max_iters", "phase_tol", "nr_method", "pad_factor"),
+    "picard": (
+        "T", "M", "tol", "max_iters", "phase_tol", "phase_max_sweeps", "nr_method", "window",
+        "pad_factor",
+    ),
     "ensemble": ("seed", "count", "K", "decay_exponent", "M", "T", "k_values"),
     "initial_data": ("kind", "amplitude", "harmonic", "modes", "seed", "decay_exponent"),
 }
@@ -631,6 +650,8 @@ FUZZ_KEYS = {
         "M": st.integers(8, 16),
         "tol": small_floats(1e-12, 1e-6),
         "max_iters": st.integers(1, 8),
+        "phase_tol": small_floats(1e-14, 1e-8),
+        "phase_max_sweeps": st.integers(1, 60),
         "nr_method": st.sampled_from(("fast", "naive")),
     },
     "ensemble": {

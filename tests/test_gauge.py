@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_real_field
 from mkdvlab import (
+    ConfigError,
     ConvergenceError,
     FieldError,
     FourierField,
@@ -138,6 +139,12 @@ class TestSolvePhase:
             solve_phase(f, constant_trajectory(z, grid), max_sweeps=1)
         assert info.value.residual is not None
         assert info.value.residual > 0.0
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_no_sweeps_is_a_config_error(self, max_sweeps):
+        grid = GridSpec(K=4, M=8, T=0.01)
+        with pytest.raises(ConfigError, match="max_sweeps"):
+            solve_phase(cosine_field(4), Trajectory.zeros(grid), max_sweeps=max_sweeps)
 
     def test_grid_mismatch(self):
         grid = GridSpec(K=8, M=4, T=0.01)

@@ -55,6 +55,7 @@ class TestPicardConfig:
             dict(M=4),
             dict(max_iters=0),
             dict(tol=0.0),
+            dict(phase_max_sweeps=0),
         ],
     )
     def test_rejects(self, kwargs):
