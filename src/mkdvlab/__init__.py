@@ -67,6 +67,7 @@ from .picard import (
 )
 from .probes import (
     DEGENERATE_FLOOR,
+    SMOOTHING_COLUMNS,
     EnsembleSpec,
     ProbeReport,
     SmoothingReport,

@@ -37,6 +37,7 @@ from .nonlinearity import direct_nonlinearity, nr_trilinear, resonant_term
 from .norms import NormProxyConfig
 from .picard import PicardConfig, picard_solve, picard_step, reconstruct_solution
 from .probes import (
+    SMOOTHING_COLUMNS,
     EnsembleSpec,
     probe_duhamel_smoothing,
     probe_quotient_form,
@@ -380,11 +381,11 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
         if not ensemble_sec and "ensemble" not in doc:
             problems.add("ensemble", f"required for mode {mode}")
         else:
+            # --seed replaces ensemble.seed, which is then neither required, read nor checked
             for key in ("seed", "count", "decay_exponent"):
-                if ensemble_sec.get(key) is None:
+                if ensemble_sec.get(key) is None and not (key == "seed" and args.seed is not None):
                     problems.add(f"ensemble.{key}", "missing")
             if params is not None and proxy is not None and grid is not None and not problems:
-                # --seed replaces ensemble.seed, which is then neither read nor checked
                 given = {"params": params, "proxy": proxy}
                 if args.seed is not None:
                     given["seed"] = args.seed
@@ -548,9 +549,8 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
     if mode == "smoothing":
         u = solve_reference(f, grid.T, etd, grid.M)
         rep = smoothing_report(u, f, params)
-        header = ("t", "remainder_hs1", "gap_sum_weight1", "gap_sum_upgraded", "gap_sup_weight1")
-        rows = np.column_stack([rep.times, *(getattr(rep, c) for c in header[1:])]).tolist()
-        _write_csv(path("smoothing.csv"), header, rows)
+        rows = np.column_stack([rep.times, *(getattr(rep, c) for c in SMOOTHING_COLUMNS)]).tolist()
+        _write_csv(path("smoothing.csv"), ("t", *SMOOTHING_COLUMNS), rows)
         return {"upgraded_exponent": rep.upgraded_exponent, "sups": rep.sups}, artifacts
 
     # q_solve: one iteration from rest, then the phase fixed point for it

@@ -27,6 +27,7 @@ from .spectral import (
     REAL_SYMMETRY_TOL,
     FourierField,
     Trajectory,
+    _cached,
     _mirrored_field,
     check_real_symmetry,
     half_spectrum,
@@ -89,14 +90,16 @@ class _Triples(NamedTuple):
     kmin: np.ndarray  # min |kj|
 
 
-_TRIPLES: dict[int, _Triples] = {}
+_TRIPLES: dict[int, tuple[None, _Triples]] = {}
 
 
 def _triples(K: int) -> _Triples:
-    if K in _TRIPLES:
-        return _TRIPLES[K]
     if K > 127:
         raise FieldError(f"the triple table needs K <= 127, got {K}")
+    return _cached(_TRIPLES, K, None, lambda: _triple_table(K))
+
+
+def _triple_table(K: int) -> _Triples:
     ks = np.arange(-K, K + 1)
     k2, k3 = ks[:, None], ks[None, :]
 
@@ -117,7 +120,6 @@ def _triples(K: int) -> _Triples:
         rows = slice(ends[i1] - j2.size, ends[i1])
         for col, values in zip(table, (*piece, absk.max(axis=0), absk.min(axis=0))):
             col[rows] = values
-    _TRIPLES[K] = table
     return table
 
 
@@ -248,6 +250,14 @@ def resonant_term(v: FourierField) -> FourierField:
     return FourierField(1j * ks * np.abs(v.coeffs) ** 2 * v.coeffs)
 
 
+def _samples_and_slope(coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """u and u_x on N points, from the half spectrum of a real field's mode vector."""
+    half = half_spectrum(coeffs, N)
+    samples = np.fft.irfft(half, N) * N
+    slope = np.fft.irfft(half * 1j * np.arange(N // 2 + 1), N) * N
+    return samples, slope
+
+
 def direct_nonlinearity(u: FourierField) -> FourierField:
     """Mode vector of -(u^2 - mean(u^2)) u_x for a real field.
 
@@ -262,10 +272,7 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
         raise FieldError("direct nonlinearity is defined for real fields")
     K = u.K
     N = 4 * K + 4
-    half = half_spectrum(u.coeffs, N)
-    samples = np.fft.irfft(half, N) * N
-    deriv_half = half * 1j * np.arange(N // 2 + 1)
-    slope = np.fft.irfft(deriv_half, N) * N
+    samples, slope = _samples_and_slope(u.coeffs, N)
     c = galilean_speed(u)
     w = (samples**2 - c) * slope
     w_half = np.fft.rfft(w) / N
@@ -296,17 +303,15 @@ def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarr
 
 
 # The latest profile's denominators per K, and per (K, case) the quotient
-# form's kept rows for the latest (profile, cutoff). A new profile or cutoff
-# replaces the entry, so neither dict grows beyond one entry per K or (K, case).
+# form's kept rows for the latest (profile, cutoff).
 _DENOMINATORS: dict[int, tuple[bytes, np.ndarray]] = {}
 _PLANS: dict[tuple[int, str | None], tuple[tuple[bytes, int], tuple]] = {}
 
 
 def _corrected_denominators(f: FourierField) -> np.ndarray:
     """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per triple."""
-    key = f.coeffs.tobytes()
-    hit = _DENOMINATORS.pop(f.K, None)
-    if hit is None or hit[0] != key:
+
+    def build() -> np.ndarray:
         t = _triples(f.K)
         p = np.abs(f.coeffs) ** 2
         kp = f.wavenumbers.astype(float) * p
@@ -314,18 +319,16 @@ def _corrected_denominators(f: FourierField) -> np.ndarray:
         d += kp[t.i2]
         d += kp[t.i3]
         d -= t.k * p[t.out]
-        hit = (key, t.base + d)
-        hit[1].flags.writeable = False
-    _DENOMINATORS[f.K] = hit
-    return hit[1]
+        return t.base + d
+
+    return _cached(_DENOMINATORS, f.K, f.coeffs.tobytes(), build)
 
 
 def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
     """(i1, i2, i3, out, k, denom) of the kept triples; cached only once checked."""
     K = f.K
-    key = (f.coeffs.tobytes(), cutoff)
-    hit = _PLANS.pop((K, case), None)
-    if hit is None or hit[0] != key:
+
+    def build() -> tuple:
         t = _triples(K)
         rows = np.flatnonzero((t.kmax > cutoff) & _case_mask(t.kmax, t.kmin, case))
         denom = _corrected_denominators(f)[rows]
@@ -338,9 +341,9 @@ def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
                 triple=triple,
             )
         index = (col[rows].astype(np.intp) for col in (t.i1, t.i2, t.i3, t.out))
-        hit = (key, (*index, t.k[rows], denom))
-    _PLANS[K, case] = hit
-    return hit[1]
+        return (*index, t.k[rows], denom)
+
+    return _cached(_PLANS, (K, case), (f.coeffs.tobytes(), cutoff), build)
 
 
 def trilinear_quotient_form(
@@ -400,9 +403,7 @@ def conserved_functionals(u: FourierField) -> tuple[float, float, float]:
     mass = float(u.coeffs[K].real)
     l2 = galilean_speed(u)
     N = 8 * (K + 1)
-    half = half_spectrum(u.coeffs, N)
-    slope = np.fft.irfft(half * 1j * np.arange(N // 2 + 1), N) * N
-    samples = np.fft.irfft(half, N) * N
+    samples, slope = _samples_and_slope(u.coeffs, N)
     energy = float(np.mean(0.5 * slope**2 - samples**4 / 12.0))
     return mass, l2, energy
 

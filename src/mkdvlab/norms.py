@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory, bracket_sq, hs_norms
+from .spectral import (
+    FourierField, GridSpec, SobolevIndex, Trajectory, _cached, bracket_sq, hs_norms
+)
 
 __all__ = [
     "NormProxyConfig",
@@ -41,22 +43,9 @@ _WINDOWS = ("hann", "rect")
 _PHASES = ("airy", "modified")
 
 # Per (grid, sign) the free phase factor of the latest (phase, profile, bumps),
-# and per (grid, window, pad_factor, s, b) the weights of ysb_norm_proxy. Both
-# keep their most recently used entries, at most _CACHE_ENTRIES each.
-_CACHE_ENTRIES = 32
+# and per (grid, window, pad_factor, s, b) the weights of ysb_norm_proxy.
 _FACTORS: dict[tuple[GridSpec, int], tuple[tuple, np.ndarray]] = {}
-_PROXY_WEIGHTS: dict[tuple, tuple] = {}
-
-
-def _remember(cache: dict, key, value) -> None:
-    cache[key] = value
-    if len(cache) > _CACHE_ENTRIES:
-        del cache[next(iter(cache))]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+_PROXY_WEIGHTS: dict[tuple, tuple[None, tuple]] = {}
 
 
 @dataclass(frozen=True)
@@ -118,33 +107,27 @@ def _free_phase_factor(
         None if f is None else f.coeffs.tobytes(),
         None if nu is None else (nu.dtype.str, nu.shape, nu.tobytes()),
     )
-    hit = _FACTORS.pop((grid, sign), None)
-    if hit is None or hit[0] != stamp:
+
+    def build() -> np.ndarray:
         phi = phase_rates(grid.K, phase, f)
         if nu is not None:
             phi = phi + nu
-        hit = (stamp, _read_only(np.exp(sign * 1j * phi[None, :] * grid.times[:, None])))
-    _remember(_FACTORS, (grid, sign), hit)
-    return hit[1]
+        return np.exp(sign * 1j * phi[None, :] * grid.times[:, None])
+
+    return _cached(_FACTORS, (grid, sign), stamp, build)
 
 
 def _proxy_weights(grid: GridSpec, cfg: NormProxyConfig) -> tuple:
     """(window column, Mp, tau-weight column, <k>^{2s}) of ysb_norm_proxy, read-only."""
-    key = (grid, cfg.window, cfg.pad_factor, cfg.s, cfg.b)
-    hit = _PROXY_WEIGHTS.pop(key, None)
-    if hit is None:
+
+    def build() -> tuple:
         w = window_weights(grid.M, grid.dt, cfg.window)
         Mp = int(cfg.pad_factor) * grid.M
         taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=grid.dt)
         tau_weight = (1.0 + taus**2) ** cfg.b
-        hit = (
-            _read_only(w[:, None]),
-            Mp,
-            _read_only(tau_weight[:, None]),
-            _read_only(bracket_sq(grid.K) ** cfg.s),
-        )
-    _remember(_PROXY_WEIGHTS, key, hit)
-    return hit
+        return w[:, None], Mp, tau_weight[:, None], bracket_sq(grid.K) ** cfg.s
+
+    return _cached(_PROXY_WEIGHTS, (grid, cfg.window, cfg.pad_factor, cfg.s, cfg.b), None, build)
 
 
 def ysb_norm_proxy(

@@ -77,6 +77,8 @@ class PicardConfig:
             )
         if not (self.tol > 0):
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
+        if not (self.phase_tol > 0):
+            raise ConfigError(f"phase_tol must be positive, got {self.phase_tol!r}")
         self.params.validate()
 
     def grid_for(self, K: int) -> GridSpec:
@@ -208,7 +210,6 @@ def picard_solve(
     prev_diff: float | None = None
     stalled = 0
     converged = False
-    forcing = None
     for m in range(1, cfg.max_iters + 1):
         phase, _ = solve_phase(
             f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
@@ -241,16 +242,14 @@ def picard_solve(
     phase, phase_report = solve_phase(
         f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
     )
-    first = rows[0].norm_x if rows else 0.0
-    final_norm = rows[-1].norm_x if rows else 0.0
     report = PicardReport(
         iters=rows,
-        first_iterate_norm=first,
+        first_iterate_norm=rows[0].norm_x,
         converged=converged,
         certified_T0=phase_report.certified_T0,
         contraction_T0=phase_report.contraction_T0,
-        within_first_iterate_bound=bool(converged and final_norm <= 2.0 * first),
-        richardson_delta=_richardson_delta(forcing, f, z) if forcing is not None else 0.0,
+        within_first_iterate_bound=bool(converged and rows[-1].norm_x <= 2.0 * rows[0].norm_x),
+        richardson_delta=_richardson_delta(forcing, f, z),
     )
     return z, phase, report
 

@@ -63,6 +63,7 @@ __all__ = [
     "probe_duhamel_smoothing",
     "probe_trilinear_bourgain",
     "probe_quotient_form",
+    "SMOOTHING_COLUMNS",
     "SmoothingReport",
     "smoothing_report",
     "gauged_remainder_residual",
@@ -438,6 +439,9 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     return _run_probe("probe700", f, spec, evaluate)
 
 
+SMOOTHING_COLUMNS = ("remainder_hs1", "gap_sum_weight1", "gap_sum_upgraded", "gap_sup_weight1")
+
+
 @dataclass(frozen=True)
 class SmoothingReport:
     """Per-frame smoothing diagnostics of a trajectory around its profile.
@@ -457,26 +461,15 @@ class SmoothingReport:
 
     @property
     def sups(self) -> dict[str, float]:
-        return {
-            "remainder_hs1": float(np.max(self.remainder_hs1)),
-            "gap_sum_weight1": float(np.max(self.gap_sum_weight1)),
-            "gap_sum_upgraded": float(np.max(self.gap_sum_upgraded)),
-            "gap_sup_weight1": float(np.max(self.gap_sup_weight1)),
-        }
+        return {c: float(np.max(getattr(self, c))) for c in SMOOTHING_COLUMNS}
 
     def to_obj(self) -> dict:
         return {
             "upgraded_exponent": self.upgraded_exponent,
             "sups": self.sups,
             "frames": [
-                {
-                    "t": float(self.times[n]),
-                    "remainder_hs1": float(self.remainder_hs1[n]),
-                    "gap_sum_weight1": float(self.gap_sum_weight1[n]),
-                    "gap_sum_upgraded": float(self.gap_sum_upgraded[n]),
-                    "gap_sup_weight1": float(self.gap_sup_weight1[n]),
-                }
-                for n in range(self.times.size)
+                {"t": float(t), **{c: float(getattr(self, c)[n]) for c in SMOOTHING_COLUMNS}}
+                for n, t in enumerate(self.times)
             ],
         }
 

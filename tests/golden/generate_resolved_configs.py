@@ -90,7 +90,7 @@ def cases() -> list[dict]:
         base = {"mode": "decompose_check", "initial_data": extra}
         for value in BAD_VALUES:
             out.append(outcome(with_value(base, "initial_data", key, value), None))
-    # --seed replaces ensemble.seed, which is then neither read nor checked
+    # --seed replaces ensemble.seed, which is then neither required, read nor checked
     for seed in (5, -3):
         for value in BAD_VALUES:
             out.append(outcome(with_value(minimal("probe12"), "ensemble", "seed", value), seed))

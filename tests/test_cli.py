@@ -250,6 +250,13 @@ class TestDeterminism:
         rep = load(out / "probe_report.json")
         assert rep["spec"]["seed"] == 12
 
+    def test_seed_flag_supplies_missing_seed(self, tmp_path):
+        doc = {"mode": "probe12", "ensemble": {"count": 2, "decay_exponent": 1.0, "K": 8}}
+        out = tmp_path / "out"
+        r = run_cli(tmp_path, doc, "--output-dir", str(out), "--seed", "5", "--quiet")
+        assert r.returncode == 0, r.stderr
+        assert load(out / "probe_report.json")["spec"]["seed"] == 5
+
 
 class TestFlags:
     def test_mode_flag_overrides_config(self, tmp_path):
@@ -457,10 +464,12 @@ class TestFailurePaths:
             ({"initial_data": {"amplitude": float("nan")}}, "initial_data.amplitude"),
             ({"mode": "gauge_solve", "picard": {"phase_max_sweeps": 0}}, "picard"),
             ({"mode": "q_solve", "picard": {"phase_max_sweeps": -1}}, "picard"),
+            ({"mode": "gauge_solve", "picard": {"phase_tol": -1}}, "picard"),
         ],
         ids=[
             "K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string",
             "T-infinite", "amplitude-nan", "no-phase-sweeps", "negative-phase-sweeps",
+            "negative-phase-tol",
         ],
     )
     def test_bad_value_is_a_field_problem(self, tmp_path, doc, field):
@@ -716,15 +725,26 @@ class TestWholeCliFuzz:
             assert artifacts(Path(tmp) / "b") == artifacts(Path(tmp) / "a")
 
 
+MODULE_CACHES = (
+    norms._FACTORS,
+    norms._PROXY_WEIGHTS,
+    nonlinearity._TRIPLES,
+    nonlinearity._DENOMINATORS,
+    nonlinearity._PLANS,
+)
+
+
 def clear_module_caches():
-    for cache in (
-        norms._FACTORS,
-        norms._PROXY_WEIGHTS,
-        nonlinearity._TRIPLES,
-        nonlinearity._DENOMINATORS,
-        nonlinearity._PLANS,
-    ):
+    for cache in MODULE_CACHES:
         cache.clear()
+
+
+def held_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from held_arrays(item)
 
 
 class TestCacheIsolation:
@@ -759,3 +779,16 @@ class TestCacheIsolation:
         for name in docs:
             cold = artifacts(tmp_path / f"{name}-cold")
             assert cold and artifacts(tmp_path / f"{name}-warm") == cold
+
+    def test_cached_arrays_are_read_only(self, tmp_path):
+        ensemble = {"seed": 5, "count": 2, "decay_exponent": 1.0}
+        clear_module_caches()
+        for mode in ("probe700", "probe12", "gauge_solve"):
+            config = tmp_path / f"{mode}.json"
+            doc = {"mode": mode, "grid": {"K": 8, "M": 16, "T": 0.01}, "ensemble": ensemble}
+            config.write_text(json.dumps(doc))
+            code, err = main_in_process(config, tmp_path / mode)
+            assert code == 0, err
+        for cache in MODULE_CACHES:
+            arrays = list(held_arrays(tuple(cache.values())))
+            assert arrays and not any(a.flags.writeable for a in arrays)

@@ -28,13 +28,12 @@ from mkdvlab import (
 )
 from mkdvlab import norms
 from mkdvlab.norms import (
-    _CACHE_ENTRIES,
     _FACTORS,
     _PROXY_WEIGHTS,
     _free_phase_factor,
     _proxy_weights,
 )
-from mkdvlab.spectral import bracket_sq
+from mkdvlab.spectral import _CACHE_ENTRIES, bracket_sq
 
 
 def ysb_oracle(z: Trajectory, cfg: NormProxyConfig, f=None) -> float:

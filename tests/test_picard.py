@@ -56,6 +56,8 @@ class TestPicardConfig:
             dict(max_iters=0),
             dict(tol=0.0),
             dict(phase_max_sweeps=0),
+            dict(phase_tol=0),
+            dict(phase_tol=-1),
         ],
     )
     def test_rejects(self, kwargs):

@@ -272,6 +272,19 @@ class TestProbeRuns:
         blob = json.dumps(report.argmax_sample).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == argmax_digest
 
+    def test_pinned_ratios_with_bumps(self):
+        # the same ensemble with modulation bumps: pins _draw_bumps and the
+        # bumps part of the free phase factor's cache stamp
+        spec = EnsembleSpec(
+            seed=3, count=3, K=8, decay_exponent=1.0, k_values=(4, 8), modulation_bumps=0.5
+        )
+        report = probe_duhamel_smoothing(random_real_field(8, 11), spec, "fast")
+        assert tuple(r.hex() for r in report.ratios) == (
+            "0x1.5a85d1f0d6869p-6", "0x1.a55d06158e981p-6", "0x1.18510bfb2e71dp-6"
+        )
+        blob = json.dumps(report.argmax_sample).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "35790b5a5bf83fc0"
+
     def test_profile_cutoff_must_match(self):
         with pytest.raises(GridMismatchError):
             probe_duhamel_smoothing(
