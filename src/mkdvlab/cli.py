@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     InstabilityError,
 )
 from .gauge import solve_phase
-from .nonlinearity import direct_nonlinearity, nr_trilinear, resonant_term
+from .nonlinearity import MAX_TRIPLES, direct_nonlinearity, nr_trilinear, resonant_term
 from .norms import NormProxyConfig
 from .picard import PicardConfig, picard_solve, picard_step, reconstruct_solution
 from .probes import (
@@ -56,6 +57,7 @@ from .spectral import (
     GridSpec,
     SobolevIndex,
     Trajectory,
+    _check_seed,
     cosine_field,
     field_from_modes,
     random_real_field,
@@ -87,11 +89,8 @@ _ETD_MODES = ("simulate", "compare", "smoothing")
 # the work that the ETD stepper repeats T / dt times, a phase solve up to
 # phase_max_sweeps times and the probes count times, which bounds their run
 # time (a phase_tol that no sweep meets would otherwise never end). The
-# O(K^3) triple table (probe700, nr_method "naive") takes about 15 bytes per
-# (2K + 1)^3 entry (32 MB at K = 64, 246 MB at K = 127, build peaks), and a
-# naive NR call adds about 21 more, so under 600 MB at 2^24 entries (K = 127).
+# O(K^3) triple table (probe700, nr_method "naive") is held to MAX_TRIPLES.
 MAX_FRAME_VALUES = 2**26
-MAX_TRIPLES = 2**24
 
 
 class _Problems:
@@ -118,8 +117,8 @@ def _section(doc: dict, name: str, known: tuple[str, ...], problems: _Problems) 
     return raw
 
 
-# Stands for a config value that failed its type check; _build then skips
-# the constructor, so one bad value gives one problem, not a cascade.
+# Stands for a config value that is missing or failed its type check; _build
+# then skips the constructor, so one bad value gives one problem, not a cascade.
 _INVALID = object()
 
 
@@ -156,6 +155,21 @@ def _as_int_tuple(v: Any) -> tuple[int, ...]:
     return tuple(_as_int(x) for x in v)
 
 
+def _as_mode_rows(v: Any) -> tuple[tuple[int, float, float], ...]:
+    """[k, re, im] rows that some real field reproduces: one value per k, conjugate at -k."""
+    if not isinstance(v, list) or not v:
+        raise ValueError("must be a non-empty list of [k, re, im]")
+    if not all(isinstance(row, list) and len(row) == 3 for row in v):
+        raise ValueError("rows must be [k, re, im] triples")
+    rows = tuple((_as_int(k), _as_float(re), _as_float(im)) for k, re, im in v)
+    values: dict[int, complex] = {}
+    for k, re, im in rows:
+        for key, val in ((k, complex(re, im)), (-k, complex(re, -im))):
+            if values.setdefault(key, val) != val:
+                raise ValueError("rows must be conjugate at k and -k, real at 0")
+    return rows
+
+
 # The checks of a config value, by the annotation of the dataclass field it
 # fills; a str field is passed through for the dataclass to check. Fields of
 # any other type (the nested params and proxy) are not config keys.
@@ -165,6 +179,7 @@ _CASTS = {
     "float | None": _as_float,
     "bool": _as_bool,
     "tuple[int, ...] | None": _as_int_tuple,
+    "tuple[tuple[int, float, float], ...]": _as_mode_rows,
     "str": lambda v: v,
 }
 
@@ -174,21 +189,40 @@ def _keys(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls) if f.type in _CASTS)
 
 
-def _value(problems: _Problems, name: str, section: dict, key: str, default, cast):
-    """section[key], or default when absent, checked and converted by cast.
+# The kinds of initial_data, each read like a section with its fields as the
+# keys next to "kind"; field(K) builds the profile at the cutoff of the run.
+@dataclass(frozen=True)
+class _Cosine:
+    amplitude: float = 1.0
+    harmonic: int = 1
 
-    A null stands for the default only where the default itself is null.
-    A value that fails the check is recorded as a problem of field
-    name.key and comes back as _INVALID.
-    """
-    val = section.get(key, default)
-    if val is None and default is None:
-        return None
-    try:
-        return cast(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        problems.add(f"{name}.{key}", str(exc))
-        return _INVALID
+    def field(self, K: int) -> FourierField:
+        return cosine_field(K, self.amplitude, self.harmonic)
+
+
+@dataclass(frozen=True)
+class _ModesList:
+    modes: tuple[tuple[int, float, float], ...]
+
+    def field(self, K: int) -> FourierField:
+        # each row's conjugate goes to -k, which _as_mode_rows made consistent
+        values = {k: complex(re, im) for k, re, im in self.modes}
+        return field_from_modes(K, values, symmetrize=True)
+
+
+@dataclass(frozen=True)
+class _SeededRandom:
+    seed: int
+    decay_exponent: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_seed(self.seed)
+
+    def field(self, K: int) -> FourierField:
+        return random_real_field(K, self.seed, self.decay_exponent)
+
+
+_INITIAL_KINDS = {"cosine": _Cosine, "modes-list": _ModesList, "seeded-random": _SeededRandom}
 
 
 def _build(problems: _Problems, field: str, ctor, **kwargs):
@@ -204,16 +238,29 @@ def _build(problems: _Problems, field: str, ctor, **kwargs):
 def _load(problems: _Problems, name: str, section: dict, cls, defaults: dict, **given):
     """Build cls from a config section, or record its problems and return None.
 
-    given fields are passed as they are. Each config key is read from
-    section and checked by its field's annotation (seed by _as_seed); a
-    missing key takes defaults[key], else the dataclass default.
+    given fields are passed as they are. Every other config key is read from
+    section and checked by its field's annotation (seed by _as_seed). A
+    missing key takes defaults[key], else the dataclass default; a key with
+    neither is required, and a missing or null one is a problem. A null
+    stands for the default only where the default itself is null. Each
+    problem is recorded as field name.key, and cls is then not called.
     """
     kwargs = dict(given)
     for f in dataclasses.fields(cls):
-        if f.type in _CASTS and f.name not in given:
-            cast = _as_seed if f.name == "seed" else _CASTS[f.type]
-            default = defaults.get(f.name, f.default)
-            kwargs[f.name] = _value(problems, name, section, f.name, default, cast)
+        if f.type not in _CASTS or f.name in given:
+            continue
+        default = defaults.get(f.name, f.default)
+        val = section.get(f.name, default)
+        kwargs[f.name] = _INVALID
+        if default is dataclasses.MISSING and section.get(f.name) is None:
+            problems.add(f"{name}.{f.name}", "missing")
+        elif val is None and default is None:
+            kwargs[f.name] = None
+        else:
+            try:
+                kwargs[f.name] = (_as_seed if f.name == "seed" else _CASTS[f.type])(val)
+            except (TypeError, ValueError, OverflowError) as exc:
+                problems.add(f"{name}.{f.name}", str(exc))
     return _build(problems, name, cls, **kwargs)
 
 
@@ -231,71 +278,6 @@ def _too_large(
         problems.add(field, f"(2K + 1)^3 = {n**3} exceeds the ceiling {MAX_TRIPLES}")
         return True
     return False
-
-
-def _build_initial(section: dict, K: int, problems: _Problems) -> FourierField | None:
-    kind = section.get("kind", "cosine")
-    if kind == "cosine":
-        return _build(
-            problems,
-            "initial_data",
-            cosine_field,
-            K=K,
-            amplitude=_value(problems, "initial_data", section, "amplitude", 1.0, _as_float),
-            harmonic=_value(problems, "initial_data", section, "harmonic", 1, _as_int),
-        )
-    if kind == "modes-list":
-        rows = section.get("modes")
-        if not isinstance(rows, list) or not rows:
-            problems.add("initial_data.modes", "must be a non-empty list of [k, re, im]")
-            return None
-        try:
-            ks, values = zip(*[(_as_int(k), complex(re, im)) for k, re, im in rows])
-        except (TypeError, ValueError):
-            problems.add("initial_data.modes", "rows must be [k, re, im] triples")
-            return None
-        modes = dict(zip(ks, values))
-        f = _build(
-            problems, "initial_data", field_from_modes, K=K, modes=modes, symmetrize=True
-        )
-        # the real field built from the rows must reproduce every one of them
-        if f is not None and not np.array_equal(
-            f.coeffs[K + np.array(ks)], values, equal_nan=True
-        ):
-            problems.add("initial_data.modes", "rows must be conjugate at k and -k, real at 0")
-            return None
-        return f
-    if kind == "seeded-random":
-        if section.get("seed") is None:
-            problems.add("initial_data.seed", "required for kind seeded-random")
-            return None
-        return _build(
-            problems,
-            "initial_data",
-            random_real_field,
-            K=K,
-            seed=_value(problems, "initial_data", section, "seed", None, _as_seed),
-            decay=_value(problems, "initial_data", section, "decay_exponent", 1.0, _as_float),
-        )
-    problems.add("initial_data.kind", f"unknown kind {kind!r}")
-    return None
-
-
-def _echo_initial(section: dict) -> dict:
-    kind = section.get("kind", "cosine")
-    if kind == "cosine":
-        return {
-            "kind": "cosine",
-            "amplitude": float(section.get("amplitude", 1.0)),
-            "harmonic": int(section.get("harmonic", 1)),
-        }
-    if kind == "modes-list":
-        return {"kind": "modes-list", "modes": section.get("modes")}
-    return {
-        "kind": kind,
-        "seed": section.get("seed"),
-        "decay_exponent": float(section.get("decay_exponent", 1.0)),
-    }
 
 
 def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problems]:
@@ -323,12 +305,6 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
 
     params_sec = _section(doc, "params", _keys(SobolevIndex), problems)
     params = _load(problems, "params", params_sec, SobolevIndex, {})
-    if params is not None:
-        try:
-            params.validate()
-        except ConfigError as exc:
-            problems.add("params", str(exc))
-            params = None
 
     proxy_sec = _section(doc, "proxy", _keys(NormProxyConfig), problems)
     proxy = None
@@ -380,37 +356,36 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     if mode in _PROBE_MODES:
         if not ensemble_sec and "ensemble" not in doc:
             problems.add("ensemble", f"required for mode {mode}")
-        else:
+        elif params is not None and proxy is not None and grid is not None:
             # --seed replaces ensemble.seed, which is then neither required, read nor checked
-            for key in ("seed", "count", "decay_exponent"):
-                if ensemble_sec.get(key) is None and not (key == "seed" and args.seed is not None):
-                    problems.add(f"ensemble.{key}", "missing")
-            if params is not None and proxy is not None and grid is not None and not problems:
-                given = {"params": params, "proxy": proxy}
-                if args.seed is not None:
-                    given["seed"] = args.seed
-                ensemble = _load(
-                    problems, "ensemble", ensemble_sec, EnsembleSpec, {"K": grid.K}, **given
-                )
-                if ensemble is not None and _too_large(
-                    problems,
-                    "ensemble",
-                    ensemble.K,
-                    {"count": ensemble.count, "pad_factor": proxy.pad_factor, "M": ensemble.M},
-                    mode == "probe700",
-                ):
-                    ensemble = None
+            given = {"params": params, "proxy": proxy}
+            if args.seed is not None:
+                given["seed"] = args.seed
+            ensemble = _load(
+                problems, "ensemble", ensemble_sec, EnsembleSpec, {"K": grid.K}, **given
+            )
+            if ensemble is not None and _too_large(
+                problems,
+                "ensemble",
+                ensemble.K,
+                {"count": ensemble.count, "pad_factor": proxy.pad_factor, "M": ensemble.M},
+                mode == "probe700",
+            ):
+                ensemble = None
 
-    initial_sec = _section(
-        doc,
-        "initial_data",
-        ("kind", "amplitude", "harmonic", "modes", "seed", "decay_exponent"),
-        problems,
-    )
+    raw = doc.get("initial_data")
+    kind = raw.get("kind", "cosine") if isinstance(raw, dict) else "cosine"
+    kind_cls = _INITIAL_KINDS.get(kind) if isinstance(kind, str) else None
+    known = ("kind", *(_keys(kind_cls) if kind_cls else ()))
+    initial_sec = _section(doc, "initial_data", known, problems)
+    data = initial = None
+    if kind_cls is None:
+        problems.add("initial_data.kind", f"unknown kind {kind!r}")
+    else:
+        data = _load(problems, "initial_data", initial_sec, kind_cls, {})
     field_K = ensemble.K if ensemble is not None else (grid.K if grid is not None else None)
-    initial = (
-        _build_initial(initial_sec, field_K, problems) if field_K is not None else None
-    )
+    if data is not None and field_K is not None:
+        initial = _build(problems, "initial_data", data.field, K=field_K)
 
     output_dir = (
         args.output_dir
@@ -425,7 +400,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     resolved = {
         "version": VERSION,
         "mode": mode,
-        "initial_data": _echo_initial(initial_sec),
+        "initial_data": {"kind": kind, **dataclasses.asdict(data)},
         "grid": dataclasses.asdict(grid),
         "params": dataclasses.asdict(params),
         "proxy": dataclasses.asdict(proxy),
@@ -457,18 +432,12 @@ def _write_trajectory(path: str, tr: Trajectory) -> None:
     write_frames_json(path, tr.grid, (tr.coeffs.real, tr.coeffs.imag))
 
 
-def _cell(v: Any) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow(row)
 
 
 def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
@@ -597,11 +566,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        _fail(2, "config-unreadable", str(exc))
-        return 2
+        return _fail(2, "config-unreadable", str(exc))
     except json.JSONDecodeError as exc:
-        _fail(2, "config-parse-error", str(exc))
-        return 2
+        return _fail(2, "config-parse-error", str(exc))
 
     resolved, problems = _resolve(doc, args)
     if problems or resolved is None:
@@ -623,11 +590,9 @@ def main(argv: list[str] | None = None) -> int:
             detail["step"] = exc.step
         if isinstance(exc, DenominatorError) and exc.triple is not None:
             detail["triple"] = list(exc.triple)
-        _fail(3, type(exc).__name__, str(exc), **detail)
-        return 3
+        return _fail(3, type(exc).__name__, str(exc), **detail)
     except (ConfigError, FieldError, GridMismatchError) as exc:
-        _fail(2, type(exc).__name__, str(exc))
-        return 2
+        return _fail(2, type(exc).__name__, str(exc))
 
     if not args.quiet:
         print(f"mode {report['mode']}: wrote {len(report['artifacts'])} artifacts "
@@ -638,11 +603,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _fail(code: int, kind: str, message: str, **detail) -> None:
+def _fail(code: int, kind: str, message: str, **detail) -> int:
+    """Print the error JSON on stderr; returns code, the exit code of the failure."""
     print(
         json.dumps({"error": kind, "message": message, **detail}, indent=2),
         file=sys.stderr,
     )
+    return code
 
 
 if __name__ == "__main__":

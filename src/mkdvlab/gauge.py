@@ -276,8 +276,8 @@ def phase_from_obj(obj: dict) -> PhaseTable:
     if len(frames) != grid.M:
         raise FieldError("frame list inconsistent with grid header")
     for n, row in enumerate(frames):
+        if sorted(int(k) for k, _ in row) != list(range(-grid.K, grid.K + 1)):
+            raise FieldError("mode list must cover -K..K exactly once, ascending")
         for k, val in row:
-            if abs(int(k)) > grid.K:
-                raise FieldError(f"mode {k} outside |k| <= {grid.K}")
             values[n, int(k) + grid.K] = float(val)
     return PhaseTable(grid, values)

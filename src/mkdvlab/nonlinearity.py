@@ -55,6 +55,9 @@ __all__ = [
 # zero rather than a small divisor.
 DENOMINATOR_FLOOR = 1e-9
 
+# The routes of the NR sum; the method of every NR call is one of these.
+NR_METHODS = ("fast", "naive")
+
 
 def galilean_speed(f: FourierField) -> float:
     """Mean of the squared field, sum_k |f_hat(k)|^2."""
@@ -92,9 +95,14 @@ class _Triples(NamedTuple):
 
 _TRIPLES: dict[int, tuple[None, _Triples]] = {}
 
+# Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 15 bytes per
+# (2K + 1)^3 entry (32 MB at K = 64, 246 MB at K = 127, build peaks), and a
+# naive NR call adds about 21 more, so under 600 MB at the ceiling.
+MAX_TRIPLES = 2**24
+
 
 def _triples(K: int) -> _Triples:
-    if K > 127:
+    if (2 * K + 1) ** 3 > MAX_TRIPLES:
         raise FieldError(f"the triple table needs K <= 127, got {K}")
     return _cached(_TRIPLES, K, None, lambda: _triple_table(K))
 
@@ -138,6 +146,8 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np
     n = c1.shape[-1]
     K = n // 2
     ks = np.arange(-K, K + 1)
+    if method not in NR_METHODS:
+        raise FieldError(f"unknown nr method {method!r}")
     a1, a2, a3 = (np.array(c, dtype=complex) for c in (c1, c2, c3))
     for a in (a1, a2, a3):
         a[..., K] = 0.0
@@ -152,8 +162,6 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np
                 t.out, weights=prods.imag, minlength=n
             )
         return (-1j / 3.0) * ks * sums
-    if method != "fast":
-        raise FieldError(f"unknown nr method {method!r}")
     N = 4 * K + 4
 
     # mode k sits at grid index k mod N: 0..K at the front, -K..-1 at the back

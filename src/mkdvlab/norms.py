@@ -165,7 +165,6 @@ def x_space_norm(
     pad_factor: int = 4,
 ) -> float:
     """Solution-space norm: modified-phase proxy at (s0, b) plus sup-in-time H^{s1}."""
-    params.validate()
     cfg = NormProxyConfig(
         s=params.s0, b=params.b, window=window, pad_factor=pad_factor, phase="modified"
     )

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InstabilityError, TimeHorizonWarning
 from .gauge import PhaseTable, gauge_compose, modulated_profile, solve_phase
-from .nonlinearity import nr_trilinear
-from .norms import _free_phase_factor, phase_rates, x_space_norm
+from .nonlinearity import NR_METHODS, nr_trilinear
+from .norms import NormProxyConfig, _free_phase_factor, phase_rates, x_space_norm
 from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory, cumulative_trapezoid
 
 __all__ = [
@@ -79,7 +79,10 @@ class PicardConfig:
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
         if not (self.phase_tol > 0):
             raise ConfigError(f"phase_tol must be positive, got {self.phase_tol!r}")
-        self.params.validate()
+        if self.nr_method not in NR_METHODS:
+            raise ConfigError(f"nr_method must be one of {NR_METHODS}, got {self.nr_method!r}")
+        # window and pad_factor are checked by the proxy that x_space_norm builds from them
+        NormProxyConfig(self.params.s0, self.params.b, self.window, self.pad_factor, "modified")
 
     def grid_for(self, K: int) -> GridSpec:
         return GridSpec(K, self.M, self.T)

@@ -44,6 +44,7 @@ from .spectral import (
     GridSpec,
     SobolevIndex,
     Trajectory,
+    _check_seed,
     field_to_obj,
     hs_norms,
     random_real_field,
@@ -103,8 +104,7 @@ class EnsembleSpec:
     modulation_bumps: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.seed) != self.seed or not (0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if int(self.count) != self.count or self.count < 1:
             raise ConfigError(f"count must be a positive integer, got {self.count!r}")
         if int(self.K) != self.K or self.K < 1:
@@ -122,7 +122,6 @@ class EnsembleSpec:
             if vals[-1] > self.K:
                 raise ConfigError(f"k_values exceed the ensemble cutoff {self.K}")
             object.__setattr__(self, "k_values", vals)
-        self.params.validate()
 
     def cutoffs(self) -> tuple[int, ...]:
         """Evaluation cutoffs, always ending at the headline K."""

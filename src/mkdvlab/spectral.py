@@ -218,7 +218,8 @@ class SobolevIndex:
 
     Defaults derive the companion exponents from s0: s1 sits at the middle
     of its admissible window, delta is a tenth of the available slack above
-    1/4, and b = 1/2 + 2 delta.
+    1/4, and b = 1/2 + 2 delta. Exponents outside the admissible regime
+    raise ConfigError.
     """
 
     s0: float = 0.3
@@ -235,6 +236,7 @@ class SobolevIndex:
             lo = max(0.5, 1.0 - self.s0)
             hi = min(1.0, 3.0 * self.s0)
             object.__setattr__(self, "s1", 0.5 * (lo + hi))
+        self.validate()
 
     def validate(self) -> None:
         """Raise ConfigError unless the exponents sit in the admissible regime."""
@@ -379,6 +381,12 @@ def field_from_modes(
     if check_real_symmetry(field) == 0.0:
         return FourierField(c, real_symmetric=True)
     return field
+
+
+def _check_seed(seed) -> None:
+    """Raise ConfigError unless seed is an integer in [0, 2^64), as a config seed must be."""
+    if int(seed) != seed or not (0 <= seed < 2**64):
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:

@@ -465,11 +465,30 @@ class TestFailurePaths:
             ({"mode": "gauge_solve", "picard": {"phase_max_sweeps": 0}}, "picard"),
             ({"mode": "q_solve", "picard": {"phase_max_sweeps": -1}}, "picard"),
             ({"mode": "gauge_solve", "picard": {"phase_tol": -1}}, "picard"),
+            ({"mode": "q_solve", "picard": {"window": "x"}}, "picard"),
+            ({"mode": "gauge_solve", "picard": {"nr_method": None}}, "picard"),
+            ({"mode": "gauge_solve", "picard": {"pad_factor": -1}}, "picard"),
+            (
+                {"initial_data": {"kind": "modes-list", "modes": [[1, float("nan"), 0]]}},
+                "initial_data.modes",
+            ),
+            (
+                {"initial_data": {"kind": "modes-list", "modes": [[1, float("inf"), 0]]}},
+                "initial_data.modes",
+            ),
+            (
+                {"initial_data": {"kind": "modes-list", "modes": [[1, True, 0]]}},
+                "initial_data.modes",
+            ),
+            ({"initial_data": {"kind": "cosine", "seed": 3}}, "initial_data.seed"),
+            ({"initial_data": {"kind": "seeded-random", "seed": 1e300}}, "initial_data"),
         ],
         ids=[
             "K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string",
             "T-infinite", "amplitude-nan", "no-phase-sweeps", "negative-phase-sweeps",
-            "negative-phase-tol",
+            "negative-phase-tol", "picard-window-string", "picard-nr-method-null",
+            "picard-negative-pad", "mode-row-nan", "mode-row-infinite", "mode-row-bool",
+            "cosine-seed", "seed-past-64-bits",
         ],
     )
     def test_bad_value_is_a_field_problem(self, tmp_path, doc, field):

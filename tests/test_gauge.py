@@ -258,6 +258,20 @@ class TestPhaseSerialization:
         assert back.grid == table.grid
         assert np.max(np.abs(back.values - table.values)) == 0.0
 
+    @pytest.mark.parametrize(
+        "drop, extra",
+        [(0, []), (None, [[2, 99.0]])],
+        ids=["missing-row", "duplicate-row"],
+    )
+    def test_rows_cover_each_mode_once(self, drop, extra):
+        # the rule trajectory_from_obj applies: one row per k in -K..K
+        grid = GridSpec(K=2, M=2, T=0.01)
+        obj = phase_to_obj(PhaseTable(grid, np.zeros((2, 5))))
+        row = obj["frames"][1]
+        obj["frames"][1] = [r for j, r in enumerate(row) if j != drop] + extra
+        with pytest.raises(FieldError, match="exactly once"):
+            phase_from_obj(obj)
+
     def test_mode_range_check(self):
         obj = {
             "grid": {"K": 1, "M": 2, "T": 1.0},

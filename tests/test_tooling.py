@@ -1,8 +1,11 @@
-"""Checks on the benchmark tooling that changes to the package can break."""
+"""Checks on the package surface and on the benchmark tooling that changes to it can break."""
 
 import importlib
 import importlib.util
+import types
 from pathlib import Path
+
+import mkdvlab
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -20,3 +23,16 @@ def test_tracer_wraps_only_existing_functions():
         if not callable(getattr(importlib.import_module(f"mkdvlab.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_public_names_are_the_module_lists():
+    # the package re-exports each layer module's __all__ and adds only these
+    layers = ("errors", "gauge", "nonlinearity", "norms", "picard", "probes", "reference", "spectral")
+    listed = set().union(*(importlib.import_module(f"mkdvlab.{m}").__all__ for m in layers))
+    public = {
+        name
+        for name, value in vars(mkdvlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == listed | {"VERSION", "solve_z", "reconstruct_u", "solve_Q"}
+    assert mkdvlab.__version__ == mkdvlab.VERSION
