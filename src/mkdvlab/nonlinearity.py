@@ -140,6 +140,13 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np
     carries a paired sum over opposite modes; the three pairwise overlaps
     are added back once). method "naive" sums each row over the triple
     table, the independent cross-check.
+
+    When one array is passed three times, as the cube NR(w, w, w) of the
+    Picard right side is, "fast" copies it, transforms it and forms its
+    paired sum once, and reuses each for all three inputs. Every product is
+    still taken in the order of the three-input expression, so the result
+    is bit-identical to passing three equal copies. "naive" never takes
+    this shortcut.
     """
     if not c1.shape == c2.shape == c3.shape:
         raise GridMismatchError(f"mode arrays differ in shape: {c1.shape}, {c2.shape}, {c3.shape}")
@@ -148,9 +155,14 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np
     ks = np.arange(-K, K + 1)
     if method not in NR_METHODS:
         raise FieldError(f"unknown nr method {method!r}")
-    a1, a2, a3 = (np.array(c, dtype=complex) for c in (c1, c2, c3))
-    for a in (a1, a2, a3):
+
+    def stripped(c: np.ndarray) -> np.ndarray:
+        a = np.array(c, dtype=complex)
         a[..., K] = 0.0
+        return a
+
+    cube = method == "fast" and c1 is c2 is c3
+    a1, a2, a3 = [stripped(c1)] * 3 if cube else (stripped(c) for c in (c1, c2, c3))
     if method == "naive":
         t = _triples(K)
         pair_index = t.i1.astype(np.intp) * n + t.i2
@@ -171,13 +183,17 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np
         buf[..., N - K :] = c[..., :K]
         return np.fft.ifft(buf) * N
 
-    full_hat = np.fft.fft(grid_values(a1) * grid_values(a2) * grid_values(a3)) / N
+    g1, g2, g3 = [grid_values(a1)] * 3 if cube else (grid_values(a) for a in (a1, a2, a3))
+    full_hat = np.fft.fft(g1 * g2 * g3) / N
     conv = np.concatenate((full_hat[..., N - K :], full_hat[..., : K + 1]), axis=-1)
 
     r1, r2, r3 = a1[..., ::-1], a2[..., ::-1], a3[..., ::-1]
     p23 = np.sum(a2 * r3, axis=-1, keepdims=True)
-    p13 = np.sum(a1 * r3, axis=-1, keepdims=True)
-    p12 = np.sum(a1 * r2, axis=-1, keepdims=True)
+    if cube:
+        p13 = p12 = p23
+    else:
+        p13 = np.sum(a1 * r3, axis=-1, keepdims=True)
+        p12 = np.sum(a1 * r2, axis=-1, keepdims=True)
     boundary = (
         p23 * a1
         + p13 * a2

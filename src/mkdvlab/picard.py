@@ -155,7 +155,12 @@ def picard_rhs(
     f: FourierField,
     method: str = "fast",
 ) -> Trajectory:
-    """Full right side of the gauged evolution, one NR call per frame."""
+    """Full right side of the gauged evolution, one NR call per frame.
+
+    Each call is the cube NR(w, w, w), which the fast route evaluates with
+    one transform. The frames stay separate calls because the benchmark's
+    traced runs check nr_calls == iterates x M.
+    """
     if z.grid != phase.grid:
         raise ConfigError("trajectory and phase table live on different grids")
     if f.K != z.K:

@@ -224,6 +224,48 @@ class TestNRKernel:
         # the zero modes are stripped from copies, never from the inputs
         assert all(np.array_equal(c, d) for c, d in zip(cs, copies))
 
+    @staticmethod
+    def check_cube(c: np.ndarray) -> None:
+        """One array passed three times gives the bits of three equal copies."""
+        kept = c.copy()
+        cube = _nr_array(c, c, c, "fast")
+        assert same_bits(cube, _nr_array(c, c.copy(), c.copy(), "fast"))
+        if c.ndim == 1:
+            w = FourierField(c)
+            copies = (FourierField(c.copy()), FourierField(c.copy()))
+            wrapped, distinct = nr_trilinear(w, w, w), nr_trilinear(w, *copies)
+        else:
+            t = Trajectory(GridSpec(c.shape[-1] // 2, c.shape[0], 1.0), c)
+            copies = (Trajectory(t.grid, c.copy()), Trajectory(t.grid, c.copy()))
+            wrapped, distinct = nr_framewise(t), nr_framewise(t, *copies)
+        assert same_bits(wrapped.coeffs, cube)
+        assert same_bits(distinct.coeffs, cube)
+        # the zero mode is stripped from the one copy, never from the input
+        assert same_bits(c, kept)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([None, 2, 3, 8]),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=-8.0, max_value=8.0),
+    )
+    def test_cube_equals_distinct_copies(self, K, M, seed, exponent):
+        c = stacked_modes(K, M or 1, seed, 10.0**exponent)
+        self.check_cube(c[0] if M is None else c)
+
+    @pytest.mark.parametrize("K", [64, 128])
+    @pytest.mark.parametrize("M, scale", [(None, 1e-8), (None, 1.0), (4, 1e8)])
+    def test_cube_equals_distinct_copies_large_K(self, K, M, scale):
+        c = stacked_modes(K, M or 1, K, scale)
+        self.check_cube(c[0] if M is None else c)
+
+    @pytest.mark.parametrize("K", [4, 8, 16])
+    def test_cube_matches_naive(self, K):
+        c = stacked_modes(K, 3, K, 1.0)
+        fast, naive = _nr_array(c, c, c, "fast"), _nr_array(c, c, c, "naive")
+        assert np.max(np.abs(fast - naive)) < 1e-12 * max(1.0, np.max(np.abs(naive)))
+
     @pytest.mark.parametrize("K, M", [(4, 3), (8, 5), (16, 2)])
     def test_framewise_naive_matches_fast(self, K, M):
         grid = GridSpec(K=K, M=M, T=1.0)

@@ -1,6 +1,7 @@
 """Duhamel integration and the gauged fixed-point iteration."""
 
 import cmath
+import hashlib
 import json
 import pathlib
 
@@ -284,3 +285,16 @@ class TestGoldenRegression:
             assert got.imag == pytest.approx(im_part, rel=1e-8, abs=1e-13)
         res = strong_form_residual(z, f, phase)
         assert res <= golden["strong_residual_bound"]
+
+    def test_cosine_K16_bytes(self):
+        # the exact bits of the golden run: a change that moves any last bit fails
+        # here even where the tolerances above still hold (recorded with numpy 2.4
+        # on x86-64; another FFT build may round differently)
+        golden = json.loads(GOLDEN.read_text())
+        z, phase, _ = picard_solve(cosine_field(16), PicardConfig(T=golden["T"], M=golden["M"]))
+        assert hashlib.sha256(z.coeffs.tobytes()).hexdigest() == (
+            "26ee59042414b1e400587d2e0c8237c1c3a06a014cece64305342863db626b00"
+        )
+        assert hashlib.sha256(phase.values.tobytes()).hexdigest() == (
+            "c15c7f9f2f18f9586c53ff14769a897676b63aa66fce25655d9bbb95d7339c20"
+        )

@@ -5,7 +5,10 @@ import importlib.util
 import types
 from pathlib import Path
 
+import pytest
+
 import mkdvlab
+from mkdvlab import ETDConfig, PicardConfig, picard, random_real_field, reference
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -36,3 +39,39 @@ def test_public_names_are_the_module_lists():
     }
     assert public == listed | {"VERSION", "solve_z", "reconstruct_u", "solve_Q"}
     assert mkdvlab.__version__ == mkdvlab.VERSION
+
+
+def counting(monkeypatch, module, name):
+    """Rebind module.name to a wrapper that counts its calls, as the tracer does."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# bench/run.py --trace 1 fails a run unless these counts hold, so a kernel
+# change that breaks one of them fails here first
+
+
+def test_picard_makes_one_nr_call_per_frame(monkeypatch):
+    f = random_real_field(8, 3, 1.0)
+    cfg = PicardConfig(T=0.01, M=9)
+    nr = counting(monkeypatch, picard, "nr_trilinear")
+    z, phase, report = picard.picard_solve(f, cfg)
+    assert len(nr) == len(report.iters) * cfg.M
+    nr.clear()
+    picard.picard_rhs(z, phase, f)
+    assert len(nr) == cfg.M
+
+
+@pytest.mark.parametrize("dt, substeps", [(1e-3, 4 * 3), (2.5e-3, 4), (0.02, 4)])
+def test_etdrk4_makes_four_direct_calls_per_substep(monkeypatch, dt, substeps):
+    # T = 0.01 over M = 5 frames: gaps of 2.5e-3, each covered by ceil(gap / dt) substeps
+    direct = counting(monkeypatch, reference, "direct_nonlinearity")
+    reference.solve_reference(random_real_field(8, 3, 1.0), 0.01, ETDConfig(dt=dt), M=5)
+    assert len(direct) == 4 * substeps
