@@ -500,6 +500,8 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
         lhs = direct_nonlinearity(f)
         rhs = nr_trilinear(f, f, f, picard.nr_method) + resonant_term(f)
         err = float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
+        if not np.isfinite(err):
+            raise InstabilityError("the decomposition error is not finite")
         return {"decomposition_max_err": err}, artifacts
 
     if mode in _PROBE_MODES:

@@ -12,11 +12,22 @@ get relative to the product of input norms over a seeded random ensemble:
   * probe_quotient_form: static kernel-weighted quotient form, binned by
     whether the input frequencies are comparable or separated.
 
-Ensembles are deterministic in the ensemble seed. Fields are drawn once at
-the headline cutoff and truncated to each smaller cutoff, so the per-K ensembles
-are nested and the emitted table reports the running maximum: row K is the
-best ratio seen at any cutoff <= K, which makes the growth signal monotone
-by construction rather than sampling luck.
+Ensembles are deterministic in the ensemble seed. Each sample's three
+fields and three frequency bumps are drawn once at the headline cutoff as
+(3, 2K+1) mode arrays; cutoff c evaluates the centre 2c+1 columns, so the
+per-K ensembles are nested and the emitted table reports the running
+maximum: row K is the best ratio seen at any cutoff <= K, which makes the
+growth signal monotone by construction rather than sampling luck.
+
+An evaluator maps (fields, bumps, fc, c), with fc the profile truncated to
+c, to (ratio, scales, (cases, extra)): scales holds one normalizing norm
+per slot, cases the per-case ratios of a probe with case bins (else empty)
+and extra the entries the argmax sample carries after its fields. It
+returns None, and the sample is skipped at c, when a scale is degenerate:
+a scale counts only if it is finite and above DEGENERATE_FLOOR. The loop
+builds FourierField and Trajectory wrappers only for the public functions
+that take them (free trajectories, proxies, ratio functions) and for the
+argmax fields it serializes.
 
 Ratios are scale-invariant (numerator and denominator are both cubic in
 the inputs), so the unit-denominator normalization applied before
@@ -71,8 +82,8 @@ __all__ = [
     "modulus_gap_metric",
 ]
 
-# below this, a proxy denominator is treated as identically zero and the
-# sample is skipped instead of divided
+# a sample's scale counts only if it is finite and above this; a sample with
+# any other scale is skipped instead of divided
 DEGENERATE_FLOOR = 1e-250
 
 _DYADIC = (8, 16, 32, 64)
@@ -204,10 +215,6 @@ def _draw_bumps(spec: EnsembleSpec, sample: int, slot: int) -> np.ndarray:
     return nu
 
 
-def _truncate_bumps(nu: np.ndarray, K_from: int, K_to: int) -> np.ndarray:
-    return nu[K_from - K_to : K_from + K_to + 1]
-
-
 def free_modulated_trajectory(
     g: FourierField, f: FourierField, grid: GridSpec, bumps: np.ndarray | None = None
 ) -> Trajectory:
@@ -296,52 +303,54 @@ def _cumulative_per_k(
     return tuple(rows)
 
 
-def _run_probe(
-    kind: str,
-    f: FourierField,
-    spec: EnsembleSpec,
-    evaluate: Callable[[list[FourierField], list[np.ndarray], int], tuple[float, dict] | None],
-) -> ProbeReport:
-    """Shared sample loop: draw, truncate per cutoff, evaluate, reduce.
+def _degenerate(scales) -> bool:
+    """True unless every scale is finite and above DEGENERATE_FLOOR."""
+    return not np.all(np.isfinite(scales) & (scales > DEGENERATE_FLOOR))
 
-    An evaluation returns (ratio, payload) with the normalized fields under
-    payload["fields"]; they are serialized only for a new best sample.
+
+def _run_probe(
+    kind: str, f: FourierField, spec: EnsembleSpec, evaluate: Callable[..., tuple | None]
+) -> ProbeReport:
+    """Shared sample loop: draw, take each cutoff's centre modes, evaluate, reduce.
+
+    The evaluator contract is in the module docstring. The normalized fields,
+    fields / scales, are formed and serialized only for a new best sample.
     """
     if f.K != spec.K:
         raise GridMismatchError(f"profile cutoff {f.K} does not match ensemble K {spec.K}")
+    K = spec.K
     cutoffs = spec.cutoffs()
+    profiles = {c: resize_field(f, c) for c in cutoffs}
     raw_max: dict[int, float | None] = {c: None for c in cutoffs}
     ratios: list[float] = []
+    per_case: dict[str, float] = {}
     skipped = 0
     best = -np.inf
     argmax_index: int | None = None
     argmax_sample: dict | None = None
-    extras_acc: dict = {}
     for j in range(spec.count):
-        fields = [_draw_field(spec, j, i) for i in range(3)]
-        bumps = [_draw_bumps(spec, j, i) for i in range(3)]
+        fields = np.stack([_draw_field(spec, j, i).coeffs for i in range(3)])
+        bumps = np.stack([_draw_bumps(spec, j, i) for i in range(3)])
         for c in cutoffs:
-            result = evaluate(fields, bumps, c)
+            centre = slice(K - c, K + c + 1)
+            result = evaluate(fields[:, centre], bumps[:, centre], profiles[c], c)
             if result is None:
-                if c == spec.K:
+                if c == K:
                     skipped += 1
                 continue
-            ratio, payload = result
+            ratio, scales, (cases, extra) = result
             if raw_max[c] is None or ratio > raw_max[c]:
                 raw_max[c] = ratio
-            if c == spec.K:
-                ratios.append(ratio)
-                for key, val in payload.pop("_case_ratios", {}).items():
-                    acc = extras_acc.setdefault(key, [])
-                    acc.append(val)
-                if ratio > best:
-                    best = ratio
-                    argmax_index = j
-                    argmax_sample = {"sample": j, "K": c, "ratio": ratio, **payload}
-                    argmax_sample["fields"] = [field_to_obj(g) for g in payload["fields"]]
-    extras = {
-        "per_case_max": {k: (max(v) if v else None) for k, v in extras_acc.items()}
-    } if extras_acc else {}
+            if c != K:
+                continue
+            ratios.append(ratio)
+            for case, r in cases.items():
+                per_case[case] = max(per_case.get(case, r), r)
+            if ratio > best:
+                best = ratio
+                argmax_index = j
+                rows = [field_to_obj(FourierField(g)) for g in fields / scales[:, None]]
+                argmax_sample = {"sample": j, "K": c, "ratio": ratio, "fields": rows, **extra}
     return ProbeReport(
         kind=kind,
         spec=spec,
@@ -351,36 +360,33 @@ def _run_probe(
         per_K=_cumulative_per_k(cutoffs, raw_max),
         argmax_index=argmax_index,
         argmax_sample=argmax_sample,
-        extras=extras,
+        extras={"per_case_max": per_case} if per_case else {},
     )
 
 
 def _trajectory_evaluator(
-    f: FourierField, spec: EnsembleSpec, ratio: Callable[..., float], method: str
-) -> Callable[[list[FourierField], list[np.ndarray], int], tuple[float, dict] | None]:
+    spec: EnsembleSpec, ratio: Callable[..., float], method: str
+) -> Callable[..., tuple | None]:
     """Sample evaluator of the trajectory probes.
 
-    Truncates the sample to cutoff c, builds the free trajectories, scales
-    each to unit proxy norm and returns ratio of the three with the scaled
-    fields as payload; None when a proxy norm is degenerate.
+    Builds each slot's free trajectory, takes its proxy norm as the slot's
+    scale and returns ratio of the three trajectories scaled to unit proxy.
     """
     cfg = replace(spec.proxy, s=spec.params.s0, b=spec.params.b)
 
-    def evaluate(fields, bumps, c):
-        fc = resize_field(f, c)
+    def evaluate(fields, bumps, fc, c):
         grid = GridSpec(c, spec.M, spec.T)
         trajs: list[Trajectory] = []
-        normalized: list[FourierField] = []
+        scales: list[float] = []
         for g, nu in zip(fields, bumps):
-            gc = resize_field(g, c)
-            u = free_modulated_trajectory(gc, fc, grid, _truncate_bumps(nu, spec.K, c))
+            u = free_modulated_trajectory(FourierField(g), fc, grid, nu)
             d = ysb_norm_proxy(u, cfg, fc)
-            if not (d > DEGENERATE_FLOOR):
+            if _degenerate(d):
                 return None
             trajs.append(Trajectory(grid, u.coeffs / d))
-            normalized.append(FourierField(gc.coeffs / d, real_symmetric=gc.real_symmetric))
+            scales.append(d)
         value = ratio(*trajs, fc, spec.params, spec.proxy, method)
-        return value, {"fields": normalized}
+        return value, np.array(scales), ({}, {})
 
     return evaluate
 
@@ -389,7 +395,7 @@ def probe_duhamel_smoothing(
     f: FourierField, spec: EnsembleSpec, method: str = "fast"
 ) -> ProbeReport:
     """Ensemble search for the largest Duhamel-smoothing ratio."""
-    evaluate = _trajectory_evaluator(f, spec, duhamel_smoothing_ratio, method)
+    evaluate = _trajectory_evaluator(spec, duhamel_smoothing_ratio, method)
     return _run_probe("probe16", f, spec, evaluate)
 
 
@@ -397,7 +403,7 @@ def probe_trilinear_bourgain(
     f: FourierField, spec: EnsembleSpec, method: str = "fast"
 ) -> ProbeReport:
     """Ensemble search for the largest trilinear Y-proxy ratio."""
-    evaluate = _trajectory_evaluator(f, spec, trilinear_bourgain_ratio, method)
+    evaluate = _trajectory_evaluator(spec, trilinear_bourgain_ratio, method)
     return _run_probe("probe12", f, spec, evaluate)
 
 
@@ -410,30 +416,19 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     """
     cutoff_for: dict[int, int] = {}
 
-    def evaluate(fields, bumps, c):
-        fc = resize_field(f, c)
+    def evaluate(fields, bumps, fc, c):
         if c not in cutoff_for:
             cutoff_for[c] = select_frequency_cutoff(fc)
         k0 = cutoff_for[c]
-        normalized = []
-        for g in fields:
-            gc = resize_field(g, c)
-            d = sobolev_norm(gc, spec.params.s0)
-            if not (d > DEGENERATE_FLOOR):
-                return None
-            normalized.append(FourierField(gc.coeffs / d, real_symmetric=gc.real_symmetric))
-        case_ratios = {
-            case: quotient_form_ratio(
-                normalized[0], normalized[1], normalized[2], fc, spec.params, k0, case
-            )
+        scales = hs_norms(fields, spec.params.s0)
+        if _degenerate(scales):
+            return None
+        v1, v2, v3 = (FourierField(g) for g in fields / scales[:, None])
+        cases = {
+            case: quotient_form_ratio(v1, v2, v3, fc, spec.params, k0, case)
             for case in ("comparable", "separated")
         }
-        ratio = max(case_ratios.values())
-        return ratio, {
-            "fields": normalized,
-            "frequency_cutoff": k0,
-            "_case_ratios": case_ratios,
-        }
+        return max(cases.values()), scales, (cases, {"frequency_cutoff": k0})
 
     return _run_probe("probe700", f, spec, evaluate)
 

@@ -582,6 +582,20 @@ class TestFailurePaths:
         assert err["error"] == "ConvergenceError"
         assert err["residual"] > 0.0
 
+    def test_non_finite_decomposition_exits_3(self, tmp_path):
+        # the cube of an amplitude-1e200 cosine overflows, so NR + R is NaN
+        doc = {
+            "mode": "decompose_check",
+            "grid": {"K": 4, "M": 8},
+            "initial_data": {"kind": "cosine", "amplitude": 1e200},
+        }
+        out = tmp_path / "out"
+        r = run_cli(tmp_path, doc, "--output-dir", str(out))
+        assert r.returncode == 3
+        # numpy's overflow warnings come before the error JSON on stderr
+        assert '"error": "InstabilityError"' in r.stderr
+        assert not (out / "report.json").exists()
+
 
 # Every key _resolve reads, per section, with a few values of each JSON type.
 CONFIG_KEYS = {

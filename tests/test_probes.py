@@ -260,6 +260,11 @@ class TestProbeRuns:
             (probe_duhamel_smoothing, "naive",
              ("0x1.52e71df690658p-6", "0x1.af4f130f7ed81p-6", "0x1.1bf75a5dab3dbp-6"),
              "8f5662583dff9ef1"),
+            # the ratios, then per_case_max of comparable and separated
+            (probe_quotient_form, None,
+             ("0x1.4a54babdc18eep-5", "0x1.842643a06eefdp-5", "0x1.36834ad7661a2p-4",
+              "0x1.842643a06eefdp-5", "0x1.36834ad7661a2p-4"),
+             "646d29bb966e06d2"),
         ],
     )
     def test_pinned_ratios(self, probe, method, ratios, argmax_digest):
@@ -267,8 +272,10 @@ class TestProbeRuns:
         # summation order shows up here, and so does a change of the bytes
         # of the argmax payload
         spec = EnsembleSpec(seed=3, count=3, K=8, decay_exponent=1.0, k_values=(4, 8))
-        report = probe(random_real_field(8, 11), spec, method)
-        assert tuple(r.hex() for r in report.ratios) == ratios
+        f = random_real_field(8, 11)
+        report = probe(f, spec) if method is None else probe(f, spec, method)
+        pinned = (*report.ratios, *report.extras.get("per_case_max", {}).values())
+        assert tuple(r.hex() for r in pinned) == ratios
         blob = json.dumps(report.argmax_sample).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == argmax_digest
 
@@ -284,6 +291,22 @@ class TestProbeRuns:
         )
         blob = json.dumps(report.argmax_sample).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == "35790b5a5bf83fc0"
+
+    @pytest.mark.parametrize(
+        "probe", [probe_trilinear_bourgain, probe_quotient_form], ids=["probe12", "probe700"]
+    )
+    def test_overflowed_draws_are_skipped(self, probe):
+        # at decay -400 the draws overflow to inf and NaN modes: every scale
+        # is non-finite, so both kinds skip every sample instead of reporting
+        # NaN ratios
+        spec = EnsembleSpec(seed=1, count=2, K=8, decay_exponent=-400)
+        with np.errstate(all="ignore"):
+            report = probe(cosine_field(8), spec)
+        assert (report.valid_samples, report.skipped) == (0, 2)
+        assert report.ratios_summary == {"max": None, "mean": None, "p99": None}
+        assert all(r is None for _, r in report.per_K)
+        assert report.argmax_sample is None and report.extras == {}
+        json.dumps(report.to_obj(), allow_nan=False)
 
     def test_profile_cutoff_must_match(self):
         with pytest.raises(GridMismatchError):

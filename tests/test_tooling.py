@@ -2,15 +2,29 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import mkdvlab
-from mkdvlab import ETDConfig, PicardConfig, picard, random_real_field, reference
+from mkdvlab import (
+    EnsembleSpec,
+    ETDConfig,
+    PicardConfig,
+    picard,
+    probes,
+    random_real_field,
+    reference,
+    spectral,
+)
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+TESTS = Path(__file__).resolve().parent
+TRACER = TESTS.parent / "bench" / "tracer.py"
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 
 def test_tracer_wraps_only_existing_functions():
@@ -75,3 +89,70 @@ def test_etdrk4_makes_four_direct_calls_per_substep(monkeypatch, dt, substeps):
     direct = counting(monkeypatch, reference, "direct_nonlinearity")
     reference.solve_reference(random_real_field(8, 3, 1.0), 0.01, ETDConfig(dt=dt), M=5)
     assert len(direct) == 4 * substeps
+
+
+@pytest.mark.parametrize(
+    "probe, ratio, cases",
+    [
+        ("probe_trilinear_bourgain", "trilinear_bourgain_ratio", 1),
+        ("probe_quotient_form", "quotient_form_ratio", 2),
+    ],
+)
+def test_probes_make_one_ratio_call_per_sample_cutoff_and_case(monkeypatch, probe, ratio, cases):
+    spec = EnsembleSpec(seed=1, count=3, K=16, decay_exponent=1.0)
+    calls = counting(monkeypatch, probes, ratio)
+    report = getattr(probes, probe)(random_real_field(16, 2, 1.0), spec)
+    assert report.valid_samples == spec.count
+    assert len(calls) == spec.count * len(spec.cutoffs()) * cases
+
+
+def test_probe_symmetry_checks_do_not_grow_with_count(monkeypatch):
+    # the sample loop works on mode arrays; only the profile's truncations
+    # are checked fields
+    checks = counting(monkeypatch, spectral, "check_real_symmetry")
+    f = random_real_field(16, 2, 1.0)
+    made = []
+    for count in (2, 6):
+        checks.clear()
+        for probe in (probes.probe_trilinear_bourgain, probes.probe_quotient_form):
+            probe(f, EnsembleSpec(seed=1, count=count, K=16, decay_exponent=1.0))
+        made.append(len(checks))
+    assert made[0] == made[1]
+
+
+FAILING_PAIR = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    # a failing example makes hypothesis import libcst, whose DeprecationWarning
+    # pyproject.toml turns into an error; conftest.py must keep that from
+    # ending the session before the next test runs
+    (tmp_path / "test_pair.py").write_text(FAILING_PAIR)
+    package_root = Path(mkdvlab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(TESTS), str(package_root), env.get("PYTHONPATH")])
+    )
+    r = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "conftest",
+            "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_pair.py",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in r.stdout + r.stderr
+    assert "1 failed, 1 passed" in r.stdout, r.stdout[-2000:]
