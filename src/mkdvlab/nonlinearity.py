@@ -331,6 +331,10 @@ def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarr
 _DENOMINATORS: dict[int, tuple[bytes, np.ndarray]] = {}
 _PLANS: dict[tuple[int, str | None], tuple[tuple[bytes, int], tuple]] = {}
 
+# The quotient form walks its kept rows in blocks of this many, so that its
+# temporaries, a few arrays of one block each, stay in cache.
+_QUOTIENT_BLOCK = 2**14
+
 
 def _corrected_denominators(f: FourierField) -> np.ndarray:
     """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per triple."""
@@ -349,7 +353,12 @@ def _corrected_denominators(f: FourierField) -> np.ndarray:
 
 
 def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
-    """(i1, i2, i3, out, k, denom) of the kept triples; cached only once checked."""
+    """(pair, i2, i3, out, scale) of the kept triples; cached only once checked.
+
+    pair = out * (2K+1) + i1 indexes the (k, k1) table of k * v1_hat(k1)
+    that trilinear_quotient_form builds per call, and scale = 1 / denom is
+    the reciprocal of the corrected denominator, taken after the floor check.
+    """
     K = f.K
 
     def build() -> tuple:
@@ -364,8 +373,10 @@ def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
                 f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}",
                 triple=triple,
             )
-        index = (col[rows].astype(np.intp) for col in (t.i1, t.i2, t.i3, t.out))
-        return (*index, t.k[rows], denom)
+        i2, i3, out = (col[rows].astype(np.intp) for col in (t.i2, t.i3, t.out))
+        pair = out * (2 * K + 1)
+        pair += t.i1[rows]
+        return pair, i2, i3, out, np.divide(1.0, denom, out=denom)
 
     return _cached(_PLANS, (K, case), (f.coeffs.tobytes(), cutoff), build)
 
@@ -388,16 +399,32 @@ def trilinear_quotient_form(
     largest input frequency is <= cutoff are dropped, as are those outside
     the requested case bin. A corrected denominator smaller than
     DENOMINATOR_FLOOR raises DenominatorError naming the triple. The kept
-    triples and their denominators are prepared once per (f, cutoff, case).
+    triples and the reciprocals of their denominators are prepared once per
+    (f, cutoff, case).
+
+    Each call builds the (2K+1)^2 table of k * v1_hat(k1) over (k, k1) and
+    walks the kept triples in blocks of _QUOTIENT_BLOCK rows: one gather of
+    that table and of each other input, their product, and its real and
+    imaginary parts times the reciprocal denominator, added into the output
+    modes by np.add.at. np.add.at adds in row order from +0.0, as bincount
+    does, so the blocks leave every sum as one pass over all rows would.
+    For finite inputs the result is bit-identical to dividing each product
+    by its denominator: numpy divides by (d, 0) as
+    ((re + im (0/d)) (1/d), (im - re (0/d)) (1/d)), which differs from
+    re (1/d), im (1/d) only in the sign of an exact-zero term, and a sum
+    that starts at +0.0 absorbs that sign.
     """
     K = _require_same_K(v1, v2, v3, f)
     n = 2 * K + 1
-    i1, i2, i3, out_idx, tk, denom = _quotient_plan(f, cutoff, case)
-    terms = tk * v1.coeffs[i1] * v2.coeffs[i2] * v3.coeffs[i3] / denom
-    out = np.bincount(out_idx, weights=terms.real, minlength=n) + 1j * np.bincount(
-        out_idx, weights=terms.imag, minlength=n
-    )
-    return FourierField(out)
+    pair, i2, i3, out_idx, scale = _quotient_plan(f, cutoff, case)
+    kv1 = (np.arange(-K, K + 1)[:, None] * v1.coeffs[None, :]).ravel()
+    re, im = np.zeros(n), np.zeros(n)
+    for start in range(0, pair.size, _QUOTIENT_BLOCK):
+        rows = slice(start, start + _QUOTIENT_BLOCK)
+        terms = kv1[pair[rows]] * v2.coeffs[i2[rows]] * v3.coeffs[i3[rows]]
+        np.add.at(re, out_idx[rows], terms.real * scale[rows])
+        np.add.at(im, out_idx[rows], terms.imag * scale[rows])
+    return FourierField(re + 1j * im)
 
 
 def select_frequency_cutoff(f: FourierField) -> int:

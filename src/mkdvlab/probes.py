@@ -36,6 +36,7 @@ evaluation only conditions the arithmetic; it does not bias the ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -126,6 +127,12 @@ class EnsembleSpec:
             raise ConfigError(f"T must be positive, got {self.T!r}")
         if self.modulation_bumps < 0:
             raise ConfigError(f"modulation_bumps must be >= 0, got {self.modulation_bumps!r}")
+        # below this the top mode's weight (1 + K^2)^(-decay/2) overflows
+        lowest = -2.0 * math.log(np.finfo(float).max) / math.log(1 + self.K**2)
+        if not self.decay_exponent >= lowest:
+            raise ConfigError(
+                f"decay_exponent must be >= {lowest!r} at K = {self.K}, got {self.decay_exponent!r}"
+            )
         if self.k_values is not None:
             vals = tuple(int(v) for v in self.k_values)
             if not vals or vals != tuple(sorted(set(vals))) or any(v < 1 for v in vals):

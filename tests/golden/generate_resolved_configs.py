@@ -94,6 +94,9 @@ def cases() -> list[dict]:
     for seed in (5, -3):
         for value in BAD_VALUES:
             out.append(outcome(with_value(minimal("probe12"), "ensemble", "seed", value), seed))
+    # at the default K = 16 the top mode's weight overflows below decay -255.8
+    for value in (-250, -400):
+        out.append(outcome(with_value(minimal("probe12"), "ensemble", "decay_exponent", value), None))
     for key in ENSEMBLE:
         doc = minimal("probe12")
         del doc["ensemble"][key]

@@ -470,6 +470,36 @@ class TestDenominatorCorrection:
         assert abs(plus + minus) < 1e-13
 
 
+QUOTIENT_CASES = (None, "comparable", "separated")
+
+
+def masked_quotient_formula(
+    vs: list[FourierField], f: FourierField, cutoff: int, case: str | None
+) -> np.ndarray:
+    """The quotient form as the straight formula over the table's columns, recomputed per call."""
+    K = f.K
+    t = _triples(K)
+    masks = {
+        None: np.ones(t.k.size, dtype=bool),
+        "comparable": t.kmax <= 2 * t.kmin,
+        "separated": t.kmax > 2 * t.kmin,
+    }
+    p = np.abs(f.coeffs) ** 2
+    kp = np.arange(-K, K + 1) * p
+    d = kp[t.i1]
+    d += kp[t.i2]
+    d += kp[t.i3]
+    d -= t.k * p[t.out]
+    denom = t.base + d
+    keep = (t.kmax > cutoff) & masks[case]
+    c1, c2, c3 = (v.coeffs for v in vs)
+    terms = t.k[keep] * c1[t.i1[keep]] * c2[t.i2[keep]] * c3[t.i3[keep]]
+    terms = terms / denom[keep]
+    n = 2 * K + 1
+    out = t.out[keep]
+    return np.bincount(out, terms.real, n) + 1j * np.bincount(out, terms.imag, n)
+
+
 class TestQuotientForm:
     def test_single_mode_frozen_weight(self):
         v = field_from_modes(4, {1: 1.0})
@@ -536,29 +566,6 @@ class TestQuotientForm:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
     def test_matches_masked_formula(self, K, seed):
-        # the straight formula over the table's columns, recomputed per call
-        t = _triples(K)
-        masks = {
-            None: np.ones(t.k.size, dtype=bool),
-            "comparable": t.kmax <= 2 * t.kmin,
-            "separated": t.kmax > 2 * t.kmin,
-        }
-
-        def reference(vs, f, cutoff, case):
-            p = np.abs(f.coeffs) ** 2
-            kp = np.arange(-K, K + 1) * p
-            d = kp[t.i1]
-            d += kp[t.i2]
-            d += kp[t.i3]
-            d -= t.k * p[t.out]
-            denom = t.base + d
-            keep = (t.kmax > cutoff) & masks[case]
-            terms = t.k[keep] * vs[0][t.i1[keep]] * vs[1][t.i2[keep]] * vs[2][t.i3[keep]]
-            terms = terms / denom[keep]
-            n = 2 * K + 1
-            out = t.out[keep]
-            return np.bincount(out, terms.real, n) + 1j * np.bincount(out, terms.imag, n)
-
         rng = np.random.default_rng(seed)
         vs = [random_complex_field(K, seed=[seed, j]) for j in range(3)]
         # small profiles keep every corrected denominator away from zero
@@ -568,10 +575,21 @@ class TestQuotientForm:
         for _ in range(2):
             for cutoff in cutoffs:
                 for f in profiles:
-                    for case in masks:
+                    for case in QUOTIENT_CASES:
                         out = trilinear_quotient_form(*vs, f, int(cutoff), case)
-                        ref = reference([v.coeffs for v in vs], f, cutoff, case)
+                        ref = masked_quotient_formula(vs, f, int(cutoff), case)
                         assert np.array_equal(out.coeffs, ref)
+
+    def test_matches_masked_formula_at_k64(self):
+        # real draws at the probe700_k64 cutoff, where the separated plan
+        # keeps about 1.0M triples
+        K = 64
+        vs = [random_real_field(K, [5, j]) for j in range(3)]
+        f = random_real_field(K, 11)
+        cutoff = select_frequency_cutoff(f)
+        for case in QUOTIENT_CASES:
+            out = trilinear_quotient_form(*vs, f, cutoff, case)
+            assert np.array_equal(out.coeffs, masked_quotient_formula(vs, f, cutoff, case))
 
     def test_plan_cache_is_bounded(self):
         spec = EnsembleSpec(seed=2, count=2, K=16, decay_exponent=1.0, k_values=(2, 4, 8))

@@ -78,6 +78,13 @@ class TestEnsembleSpec:
         with pytest.raises(ConfigError):
             EnsembleSpec(**base)
 
+    def test_rejects_overflowing_decay(self):
+        # the top mode's weight (1 + K^2)^(-decay/2) overflows below
+        # decay = -1419.6 / ln(1 + K^2), about -340 at K = 8
+        EnsembleSpec(seed=1, count=2, K=8, decay_exponent=-250)
+        with pytest.raises(ConfigError, match="decay_exponent"):
+            EnsembleSpec(seed=1, count=2, K=8, decay_exponent=-400)
+
     def test_to_obj_echoes_everything(self):
         spec = EnsembleSpec(7, 3, 16, 2.0, M=32, T=0.25)
         obj = spec.to_obj()
@@ -279,6 +286,19 @@ class TestProbeRuns:
         blob = json.dumps(report.argmax_sample).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == argmax_digest
 
+    def test_pinned_quotient_ratios_at_k32(self):
+        # the test_pinned_ratios row of probe700 where the plans are large:
+        # the ratios, then per_case_max of comparable and separated
+        spec = EnsembleSpec(seed=3, count=3, K=32, decay_exponent=1.0, k_values=(8, 16, 32))
+        report = probe_quotient_form(random_real_field(32, 11), spec)
+        pinned = (*report.ratios, *report.extras["per_case_max"].values())
+        assert tuple(r.hex() for r in pinned) == (
+            "0x1.9dd89ead4dcc8p-5", "0x1.443c4af1f4416p-5", "0x1.53dc519234655p-5",
+            "0x1.53dc519234655p-5", "0x1.9dd89ead4dcc8p-5",
+        )
+        blob = json.dumps(report.argmax_sample).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "2c2034ff023bfdf9"
+
     def test_pinned_ratios_with_bumps(self):
         # the same ensemble with modulation bumps: pins _draw_bumps and the
         # bumps part of the free phase factor's cache stamp
@@ -296,10 +316,10 @@ class TestProbeRuns:
         "probe", [probe_trilinear_bourgain, probe_quotient_form], ids=["probe12", "probe700"]
     )
     def test_overflowed_draws_are_skipped(self, probe):
-        # at decay -400 the draws overflow to inf and NaN modes: every scale
-        # is non-finite, so both kinds skip every sample instead of reporting
-        # NaN ratios
-        spec = EnsembleSpec(seed=1, count=2, K=8, decay_exponent=-400)
+        # at decay -250 the draws are finite but their norms overflow: every
+        # scale is non-finite, so both kinds skip every sample instead of
+        # reporting NaN ratios
+        spec = EnsembleSpec(seed=1, count=2, K=8, decay_exponent=-250)
         with np.errstate(all="ignore"):
             report = probe(cosine_field(8), spec)
         assert (report.valid_samples, report.skipped) == (0, 2)

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,8 @@ from mkdvlab import (
 
 TESTS = Path(__file__).resolve().parent
 TRACER = TESTS.parent / "bench" / "tracer.py"
+WORKLOADS = TESTS.parent / "bench" / "workloads.json"
+BENCHMARK = TESTS.parent / "BENCHMARK.json"
 PYPROJECT = TESTS.parent / "pyproject.toml"
 
 
@@ -40,6 +43,16 @@ def test_tracer_wraps_only_existing_functions():
         if not callable(getattr(importlib.import_module(f"mkdvlab.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_benchmark_declares_the_defined_workloads():
+    # BENCHMARK.json repeats each workload of bench/workloads.json with its
+    # one-line reason; the two must name the same workloads in the same words
+    declared = json.loads(BENCHMARK.read_text())["workloads"]
+    defined = json.loads(WORKLOADS.read_text())["workloads"]
+    assert [(w["name"], w["why"]) for w in declared] == [
+        (name, w["why"]) for name, w in defined.items()
+    ]
 
 
 def test_public_names_are_the_module_lists():
