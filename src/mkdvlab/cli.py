@@ -57,6 +57,7 @@ from .spectral import (
     GridSpec,
     SobolevIndex,
     Trajectory,
+    _check_decay,
     _check_seed,
     cosine_field,
     field_from_modes,
@@ -219,6 +220,7 @@ class _SeededRandom:
         _check_seed(self.seed)
 
     def field(self, K: int) -> FourierField:
+        _check_decay(K, self.decay_exponent)
         return random_real_field(K, self.seed, self.decay_exponent)
 
 

@@ -52,7 +52,7 @@ class DenominatorError(ValueError):
 
 
 class PhaseWindowWarning(UserWarning):
-    """The requested horizon exceeds the certified phase-solve window."""
+    """The requested horizon exceeds the heuristic phase window certified_T0."""
 
 
 class TimeHorizonWarning(UserWarning):

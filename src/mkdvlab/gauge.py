@@ -39,7 +39,6 @@ from .spectral import (
     Trajectory,
     bracket_sq,
     cumulative_trapezoid,
-    hs_norms,
     sobolev_norm,
 )
 
@@ -48,11 +47,8 @@ __all__ = [
     "PhaseSolveReport",
     "solve_phase",
     "gauge_compose",
-    "gauge_decompose",
     "phase_from_trajectory",
     "modulated_profile",
-    "modulation_rate_report",
-    "check_phase_oddness",
     "phase_to_obj",
     "phase_from_obj",
 ]
@@ -89,10 +85,12 @@ class PhaseTable:
 class PhaseSolveReport:
     """Convergence record of one fixed-point phase solve.
 
-    certified_T0 is min(T, 1/(100 c0 ||f||_{H^{s0}})) and contraction_T0 the
-    analogous window with constant 20; the sweep map is provably contractive
-    below the latter, while the former is the existence window the solver
-    certifies. Both are reported because the two constants differ.
+    certified_T0 is min(T, 1/(100 c0 ||f||_{H^{s0}})) and contraction_T0 is
+    min(T, 1/(20 c0 ||f||_{H^{s0}})), with c0 = sup <k>^{1-s0} |z_hat|.
+    Both are heuristic windows: nothing in the code derives the constants
+    100 and 20, so neither certifies existence or contraction. What the
+    solve does establish is in sweeps, residual and ratios. The key names
+    are kept so that report shapes stay stable.
     """
 
     sweeps: int
@@ -126,7 +124,8 @@ def solve_phase(
     right side until the sup update falls below tol. The returned residual
     is measured by one further application of the map, so it certifies the
     fixed-point equation itself, not just stagnation. Warns when the run
-    horizon exceeds the certified existence window; fails with the last
+    horizon exceeds the heuristic window certified_T0 (see
+    PhaseSolveReport); fails with the last
     update size when the sweeps do not settle, which usually means T is too
     large for this data. Raises ConfigError when max_sweeps < 1.
     """
@@ -142,7 +141,7 @@ def solve_phase(
     contraction_window = 1.0 / (20.0 * scale) if scale > 0 else math.inf
     if T > exist_window:
         warnings.warn(
-            f"horizon T = {T:g} exceeds the certified phase window {exist_window:g}; "
+            f"horizon T = {T:g} exceeds the heuristic phase window certified_T0 = {exist_window:g}; "
             "the fixed point may still converge",
             PhaseWindowWarning,
         )
@@ -191,23 +190,12 @@ def solve_phase(
     return PhaseTable(z.grid, values), report
 
 
-def _profile_on(grid: GridSpec, table: PhaseTable, f: FourierField) -> np.ndarray:
-    """f_hat e^{iQ} on the grid of a trajectory the table must share."""
-    if table.grid != grid:
-        raise GridMismatchError("phase table and trajectory live on different grids")
-    return modulated_profile(f, table).coeffs
-
-
 def gauge_compose(z: Trajectory, table: PhaseTable, f: FourierField) -> Trajectory:
     """u_hat(t,k) = z_hat(t,k) + f_hat(k) exp(i Q(t,k))."""
-    coeffs = z.coeffs + _profile_on(z.grid, table, f)
+    if table.grid != z.grid:
+        raise GridMismatchError("phase table and trajectory live on different grids")
+    coeffs = z.coeffs + modulated_profile(f, table).coeffs
     return Trajectory(z.grid, coeffs, z.real_symmetric and f.real_symmetric)
-
-
-def gauge_decompose(u: Trajectory, table: PhaseTable, f: FourierField) -> Trajectory:
-    """z_hat(t,k) = u_hat(t,k) - f_hat(k) exp(i Q(t,k))."""
-    coeffs = u.coeffs - _profile_on(u.grid, table, f)
-    return Trajectory(u.grid, coeffs, u.real_symmetric and f.real_symmetric)
 
 
 def phase_from_trajectory(u: Trajectory) -> PhaseTable:
@@ -224,36 +212,6 @@ def modulated_profile(f: FourierField, table: PhaseTable) -> Trajectory:
         raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {table.K}")
     coeffs = f.coeffs[None, :] * np.exp(1j * table.values)
     return Trajectory(table.grid, coeffs)
-
-
-def modulation_rate_report(
-    f: FourierField, z: Trajectory, params
-) -> tuple[float, float]:
-    """Measured sup of |k| |z_hat| (|f_hat| + |z_hat|) and its product bound.
-
-    The bound splits the two factors as
-    sup <k>^{1-s0} |z_hat| * ||f||_{H^{s0}} + sup <k>^{1-s1} |z_hat| * sup_t ||z(t)||_{H^{s1}},
-    which dominates the value term by term since |k| <= <k>.
-    """
-    if f.K != z.K:
-        raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {z.K}")
-    ks = np.arange(-f.K, f.K + 1)
-    absz = np.abs(z.coeffs)
-    value = float(
-        np.max(np.abs(ks)[None, :] * absz * (np.abs(f.coeffs)[None, :] + absz))
-    )
-    bracket = np.sqrt(bracket_sq(f.K))
-    c0 = float(np.max(bracket ** (1.0 - params.s0) * absz))
-    c1 = float(np.max(bracket ** (1.0 - params.s1) * absz))
-    sup_hs1 = float(np.max(hs_norms(z.coeffs, params.s1)))
-    bound = c0 * sobolev_norm(f, params.s0) + c1 * sup_hs1
-    return value, bound
-
-
-def check_phase_oddness(table: PhaseTable) -> float:
-    """max over (t, k) of |Q(t,k) + Q(t,-k)|; zero for exactly odd tables."""
-    v = table.values
-    return float(np.max(np.abs(v + v[:, ::-1])))
 
 
 def phase_to_obj(table: PhaseTable) -> dict:

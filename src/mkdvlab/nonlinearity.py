@@ -39,15 +39,11 @@ __all__ = [
     "nr_trilinear_naive",
     "nr_trilinear_fast",
     "nr_framewise",
-    "nr_split_by_frequency",
     "resonant_term",
     "direct_nonlinearity",
-    "denominator_correction",
     "trilinear_quotient_form",
     "select_frequency_cutoff",
     "conserved_functionals",
-    "resonance_identity_residual",
-    "kernel_product_minimum",
     "DENOMINATOR_FLOOR",
 ]
 
@@ -244,30 +240,6 @@ def nr_framewise(
     return Trajectory(t1.grid, _nr_array(t1.coeffs, t2.coeffs, t3.coeffs, method))
 
 
-def nr_split_by_frequency(
-    v1: FourierField,
-    v2: FourierField,
-    v3: FourierField,
-    cutoff: int,
-) -> tuple[FourierField, FourierField]:
-    """Split NR into triples with max |kj| <= cutoff and the remainder.
-
-    The low piece is the trilinear term of the inputs truncated to
-    |kj| <= cutoff, which restricts the sum to exactly those triples; the
-    high piece is the arithmetic complement, so low + high recovers the
-    full term to rounding.
-    """
-    K = _require_same_K(v1, v2, v3)
-    if cutoff < 0:
-        raise FieldError(f"cutoff must be nonnegative, got {cutoff}")
-    full = nr_trilinear_naive(v1, v2, v3)
-    inside = np.abs(np.arange(-K, K + 1)) <= cutoff
-    low = nr_trilinear_naive(
-        *(FourierField(np.where(inside, v.coeffs, 0)) for v in (v1, v2, v3))
-    )
-    return low, full - low
-
-
 def resonant_term(v: FourierField) -> FourierField:
     """Diagonal cubic term i k |v_hat(k)|^2 v_hat(k)."""
     ks = v.wavenumbers
@@ -301,19 +273,6 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
     w = (samples**2 - c) * slope
     w_half = np.fft.rfft(w) / N
     return _mirrored_field(0.0, -w_half[1 : K + 1])
-
-
-def denominator_correction(
-    f: FourierField, k1: int, k2: int, k3: int
-) -> float:
-    """Mode-weighted profile shift k1 |f(k1)|^2 + k2 |f(k2)|^2 + k3 |f(k3)|^2 - k |f(k)|^2."""
-    k = k1 + k2 + k3
-    p = np.abs(f.coeffs) ** 2
-
-    def at(j: int) -> float:
-        return float(p[j + f.K]) if abs(j) <= f.K else 0.0
-
-    return k1 * at(k1) + k2 * at(k2) + k3 * at(k3) - k * at(k)
 
 
 def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarray:
@@ -457,62 +416,3 @@ def conserved_functionals(u: FourierField) -> tuple[float, float, float]:
     samples, slope = _samples_and_slope(u.coeffs, N)
     energy = float(np.mean(0.5 * slope**2 - samples**4 / 12.0))
     return mass, l2, energy
-
-
-def resonance_identity_residual(
-    taus: tuple[float, float, float], ks: tuple[int, int, int]
-) -> float:
-    """Residual of the modulation identity; zero in exact arithmetic.
-
-    Checks (tau1 + tau2 + tau3) - (k1 + k2 + k3)^3 against
-    sum_j (tau_j - kj^3) - 3 (k1+k2)(k2+k3)(k3+k1). Integer inputs are kept
-    in exact integer arithmetic.
-    """
-    k1, k2, k3 = (int(k) for k in ks)
-    exact = all(float(t) == int(t) for t in taus)
-    if exact:
-        t1, t2, t3 = (int(t) for t in taus)
-    else:
-        t1, t2, t3 = (float(t) for t in taus)
-    lhs = (t1 + t2 + t3) - (k1 + k2 + k3) ** 3
-    rhs = (
-        (t1 - k1**3)
-        + (t2 - k2**3)
-        + (t3 - k3**3)
-        - 3 * (k1 + k2) * (k2 + k3) * (k3 + k1)
-    )
-    return abs(lhs - rhs)
-
-
-def kernel_product_minimum(
-    limit: int, k1_values: list[int] | None = None
-) -> tuple[float, tuple[int, int, int]]:
-    """Minimum of |(k1+k2)(k2+k3)(k3+k1)| / max |kj| over nonzero triples.
-
-    Enumerates k1, k2, k3 with 0 < |kj| <= limit and nonzero kernel product
-    (slice by slice in k1 to bound memory) and returns the minimum ratio
-    with a witness triple. Restricting k1_values narrows the scan to those
-    slices, which keeps spot checks at large limits affordable.
-    """
-    if limit < 1:
-        raise FieldError(f"limit must be >= 1, got {limit}")
-    ks = np.concatenate([np.arange(-limit, 0), np.arange(1, limit + 1)])
-    if k1_values is None:
-        k1_iter = [int(k) for k in ks]
-    else:
-        k1_iter = [int(k) for k in k1_values]
-        if any(k == 0 or abs(k) > limit for k in k1_iter):
-            raise FieldError("k1_values must be nonzero and within the limit")
-    k2 = ks[:, None]
-    k3 = ks[None, :]
-    best = np.inf
-    witness = (0, 0, 0)
-    for k1 in k1_iter:
-        prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
-        kmax = np.maximum(abs(k1), np.maximum(np.abs(k2), np.abs(k3)))
-        ratio = np.where(prod != 0, np.abs(prod) / kmax, np.inf)
-        j = np.unravel_index(np.argmin(ratio), ratio.shape)
-        if ratio[j] < best:
-            best = float(ratio[j])
-            witness = (k1, int(k2[j[0], 0]), int(k3[0, j[1]]))
-    return best, witness

@@ -39,7 +39,6 @@ __all__ = [
     "picard_step",
     "picard_solve",
     "reconstruct_solution",
-    "strong_form_residual",
 ]
 
 
@@ -103,7 +102,10 @@ class PicardReport:
 
     first_iterate_norm is the benchmark size ||z_1||; on convergence the
     final norm is checked against twice that value, which is the size the
-    contraction argument predicts for the limit.
+    contraction argument predicts for the limit. certified_T0 and
+    contraction_T0 are copied from the last phase solve: heuristic windows
+    with fixed constants that nothing in the code derives (see
+    PhaseSolveReport), not certificates.
     """
 
     iters: list[PicardIterate] = field(default_factory=list)
@@ -267,22 +269,3 @@ def reconstruct_solution(
 ) -> Trajectory:
     """u_hat = z_hat + f_hat e^{iQ}; equals f at t = 0 since both z and Q vanish there."""
     return gauge_compose(z, phase, f)
-
-
-def strong_form_residual(
-    z: Trajectory,
-    f: FourierField,
-    phase: PhaseTable | None = None,
-    method: str = "fast",
-    phase_tol: float = 1e-12,
-    s0: float = 0.3,
-) -> float:
-    """Sup-over-(t,k) defect of the discrete Duhamel identity for z.
-
-    The phase is re-solved for z unless one is supplied, so the residual
-    certifies the pair (z, Q) against the integral equation on this grid.
-    """
-    if phase is None:
-        phase, _ = solve_phase(f, z, tol=phase_tol, s0=s0)
-    replay = duhamel_integrate(picard_rhs(z, phase, f, method), f)
-    return float(np.max(np.abs(z.coeffs - replay.coeffs)))

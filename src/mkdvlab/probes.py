@@ -1,4 +1,4 @@
-"""Randomized ratio probes, smoothing diagnostics, and uniqueness metrics.
+"""Randomized ratio probes and smoothing diagnostics.
 
 The three probe families each measure how large a trilinear output norm can
 get relative to the product of input norms over a seeded random ensemble:
@@ -36,26 +36,26 @@ evaluation only conditions the arithmetic; it does not bias the ratio.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, FieldError, GridMismatchError
-from .gauge import gauge_decompose, modulated_profile, phase_from_trajectory
+from .gauge import modulated_profile, phase_from_trajectory
 from .nonlinearity import (
     nr_framewise,
     select_frequency_cutoff,
     trilinear_quotient_form,
 )
 from .norms import NormProxyConfig, _free_phase_factor, xinfty_hs_norm, ysb_norm_proxy
-from .picard import duhamel_integrate, picard_rhs
+from .picard import duhamel_integrate
 from .spectral import (
     FourierField,
     GridSpec,
     SobolevIndex,
     Trajectory,
+    _check_decay,
     _check_seed,
     field_to_obj,
     hs_norms,
@@ -79,8 +79,6 @@ __all__ = [
     "SMOOTHING_COLUMNS",
     "SmoothingReport",
     "smoothing_report",
-    "gauged_remainder_residual",
-    "modulus_gap_metric",
 ]
 
 # a sample's scale counts only if it is finite and above this; a sample with
@@ -127,12 +125,7 @@ class EnsembleSpec:
             raise ConfigError(f"T must be positive, got {self.T!r}")
         if self.modulation_bumps < 0:
             raise ConfigError(f"modulation_bumps must be >= 0, got {self.modulation_bumps!r}")
-        # below this the top mode's weight (1 + K^2)^(-decay/2) overflows
-        lowest = -2.0 * math.log(np.finfo(float).max) / math.log(1 + self.K**2)
-        if not self.decay_exponent >= lowest:
-            raise ConfigError(
-                f"decay_exponent must be >= {lowest!r} at K = {self.K}, got {self.decay_exponent!r}"
-            )
+        _check_decay(self.K, self.decay_exponent)
         if self.k_values is not None:
             vals = tuple(int(v) for v in self.k_values)
             if not vals or vals != tuple(sorted(set(vals))) or any(v < 1 for v in vals):
@@ -507,31 +500,3 @@ def smoothing_report(
         gap_sup_weight1=np.max(absk[None, :] * gap, axis=1),
         upgraded_exponent=q,
     )
-
-
-def gauged_remainder_residual(
-    u: Trajectory, f: FourierField, method: str = "fast"
-) -> float:
-    """Duhamel defect of the gauged remainder v = u - profile on u's own grid.
-
-    The phase is rebuilt from u alone, so this certifies u against the
-    gauged integral equation without reference to how u was produced.
-    Small iff u solves the evolution on this grid.
-    """
-    if f.K != u.K:
-        raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {u.K}")
-    table = phase_from_trajectory(u)
-    v = gauge_decompose(u, table, f)
-    forcing = picard_rhs(v, table, f, method)
-    replay = duhamel_integrate(forcing, f, initial=v.frame(0))
-    return float(np.max(np.abs(v.coeffs - replay.coeffs)))
-
-
-def modulus_gap_metric(u1: Trajectory, u2: Trajectory) -> tuple[np.ndarray, float]:
-    """Per-k table sup_t |k| * ||u1_hat|^2 - |u2_hat|^2| and its sup over k."""
-    if u1.grid != u2.grid:
-        raise GridMismatchError(f"grids differ: {u1.grid} vs {u2.grid}")
-    ks = np.abs(np.arange(-u1.K, u1.K + 1).astype(float))
-    gap = np.abs(np.abs(u1.coeffs) ** 2 - np.abs(u2.coeffs) ** 2)
-    per_k = np.max(ks[None, :] * gap, axis=0)
-    return per_k, float(np.max(per_k))

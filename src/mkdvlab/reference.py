@@ -31,12 +31,10 @@ from .spectral import (
 
 __all__ = [
     "ETDConfig",
-    "airy_exact",
     "solve_reference",
     "compare_trajectories",
     "conserved_series",
     "CONSERVED_COLUMNS",
-    "reflect_field",
 ]
 
 CONSERVED_COLUMNS = ("t", "mass", "l2", "energy")
@@ -63,14 +61,6 @@ class ETDConfig:
             raise ConfigError(
                 f"contour_points must be an integer >= 16, got {self.contour_points!r}"
             )
-
-
-def airy_exact(u0: FourierField, t: float, f: FourierField | None = None) -> FourierField:
-    """Free evolution: multiply mode k by exp(i t (k^3 + k|f_hat(k)|^2 if f given))."""
-    phi = phase_rates(u0.K, "modified" if f is not None else "airy", f)
-    factor = np.exp(1j * t * phi)
-    odd = bool(np.array_equal(phi, -phi[::-1]))
-    return FourierField(factor * u0.coeffs, real_symmetric=u0.real_symmetric and odd)
 
 
 def _symmetrize(w: np.ndarray) -> np.ndarray:
@@ -198,8 +188,3 @@ def conserved_series(tr: Trajectory) -> np.ndarray:
     for n in range(tr.grid.M):
         out[n, 1:] = conserved_functionals(tr.frame(n))
     return out
-
-
-def reflect_field(u: FourierField) -> FourierField:
-    """Spatial reflection x -> -x, i.e. u_hat(k) -> u_hat(-k)."""
-    return FourierField(u.coeffs[::-1].copy(), real_symmetric=u.real_symmetric)

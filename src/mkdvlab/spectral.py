@@ -13,6 +13,7 @@ immutable; operations return new objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,6 @@ __all__ = [
     "hs_norms",
     "half_spectrum",
     "mirrored",
-    "field_from_samples",
-    "to_samples",
-    "to_real_samples",
-    "spatial_derivative",
     "sobolev_norm",
     "check_real_symmetry",
     "cosine_field",
@@ -255,48 +252,6 @@ class SobolevIndex:
             raise ConfigError("; ".join(problems))
 
 
-def field_from_samples(samples: np.ndarray, K: int) -> FourierField:
-    """DFT of real point samples on a uniform grid of [0, 2*pi), truncated to |k| <= K.
-
-    Requires at least 2K + 2 samples. Reality symmetry of the output is exact
-    by construction (a half-spectrum transform is used and mirrored).
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise FieldError("samples must be a 1d array")
-    n = x.size
-    if n < 2 * K + 2:
-        raise FieldError(f"need at least {2 * K + 2} samples for K = {K}, got {n}")
-    half = np.fft.rfft(x) / n
-    return _mirrored_field(half[0].real, half[1 : K + 1])
-
-
-def to_samples(u: FourierField, n: int) -> np.ndarray:
-    """Complex point values of u on the uniform n-point grid of [0, 2*pi)."""
-    K = u.K
-    if n < 2 * K + 1:
-        raise FieldError(f"need n >= {2 * K + 1} points to place all modes, got {n}")
-    buf = np.zeros(n, dtype=complex)
-    buf[u.wavenumbers % n] = u.coeffs
-    return np.fft.ifft(buf) * n
-
-
-def to_real_samples(u: FourierField, n: int) -> np.ndarray:
-    """Real point values of a conjugate-symmetric field (half-spectrum transform)."""
-    asym = check_real_symmetry(u)
-    if asym > REAL_SYMMETRY_TOL:
-        raise FieldError(f"field is not real-symmetric: asymmetry {asym:.3e}")
-    K = u.K
-    if n < 2 * K + 1:
-        raise FieldError(f"need n >= {2 * K + 1} points to place all modes, got {n}")
-    return np.fft.irfft(half_spectrum(u.coeffs, n), n) * n
-
-
-def spatial_derivative(u: FourierField) -> FourierField:
-    """Mode-wise derivative i k u_hat(k)."""
-    return FourierField(1j * u.wavenumbers * u.coeffs, u.real_symmetric)
-
-
 def bracket_sq(K: int) -> np.ndarray:
     """<k>^2 = 1 + k^2 for k = -K..K, the weight base of every H^s norm."""
     return 1.0 + np.arange(-K, K + 1).astype(float) ** 2
@@ -389,11 +344,23 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
+def _check_decay(K: int, decay: float) -> None:
+    """Raise ConfigError unless random_real_field(K, seed, decay) has finite weights.
+
+    Below -2 ln(DBL_MAX) / ln(1 + K^2) the top mode's weight
+    (1 + K^2)^(-decay/2) overflows.
+    """
+    lowest = -2.0 * math.log(np.finfo(float).max) / math.log(1 + K**2)
+    if not decay >= lowest:
+        raise ConfigError(f"decay_exponent must be >= {lowest!r} at K = {K}, got {decay!r}")
+
+
 def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:
     """Mean-zero real random field: |u_hat(k)| = U(0,1) <k>^-decay, uniform phase.
 
     seed is anything np.random.default_rng accepts (an int or a sequence of
-    ints); equal seeds give bit-identical fields.
+    ints); equal seeds give bit-identical fields. The decay is not checked
+    here; config values pass _check_decay first.
     """
     rng = np.random.default_rng(seed)
     moduli = rng.random(K) * bracket_sq(K)[K + 1 :] ** (-0.5 * decay)

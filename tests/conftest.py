@@ -1,11 +1,23 @@
-"""Shared test helpers: seeded mean-zero fields and hypothesis profile."""
+"""Shared test helpers: seeded fields, the oracles that more than one test file
+checks the package against, and the hypothesis profile."""
 
 import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from mkdvlab import FourierField, random_real_field  # noqa: F401  (re-exported to the tests)
+from mkdvlab import random_real_field  # noqa: F401  (re-exported to the tests)
+from mkdvlab import (
+    FourierField,
+    PhaseTable,
+    Trajectory,
+    duhamel_integrate,
+    half_spectrum,
+    modulated_profile,
+    phase_from_trajectory,
+    phase_rates,
+    picard_rhs,
+)
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -31,3 +43,69 @@ def random_complex_field(K: int, seed) -> FourierField:
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
     return FourierField(c)
+
+
+def to_real_samples(u: FourierField, n: int) -> np.ndarray:
+    """Real point values of a conjugate-symmetric field on the uniform n-point grid of [0, 2*pi)."""
+    return np.fft.irfft(half_spectrum(u.coeffs, n), n) * n
+
+
+def resonance_identity_residual(
+    taus: tuple[float, float, float], ks: tuple[int, int, int]
+) -> float:
+    """Residual of the modulation identity; zero in exact arithmetic.
+
+    Checks (tau1 + tau2 + tau3) - (k1 + k2 + k3)^3 against
+    sum_j (tau_j - kj^3) - 3 (k1+k2)(k2+k3)(k3+k1). Python integers keep
+    the arithmetic exact.
+    """
+    (t1, t2, t3), (k1, k2, k3) = taus, ks
+    lhs = (t1 + t2 + t3) - (k1 + k2 + k3) ** 3
+    rhs = (
+        (t1 - k1**3)
+        + (t2 - k2**3)
+        + (t3 - k3**3)
+        - 3 * (k1 + k2) * (k2 + k3) * (k3 + k1)
+    )
+    return abs(lhs - rhs)
+
+
+def strong_form_residual(z: Trajectory, f: FourierField, phase: PhaseTable) -> float:
+    """Sup-over-(t,k) defect of the discrete Duhamel identity for (z, Q) on z's grid."""
+    replay = duhamel_integrate(picard_rhs(z, phase, f), f)
+    return float(np.max(np.abs(z.coeffs - replay.coeffs)))
+
+
+def airy_exact(u0: FourierField, t: float, f: FourierField | None = None) -> FourierField:
+    """Free evolution: multiply mode k by exp(i t (k^3 + k|f_hat(k)|^2 if f given))."""
+    phi = phase_rates(u0.K, "modified" if f is not None else "airy", f)
+    factor = np.exp(1j * t * phi)
+    odd = bool(np.array_equal(phi, -phi[::-1]))
+    return FourierField(factor * u0.coeffs, real_symmetric=u0.real_symmetric and odd)
+
+
+def gauge_decompose(u: Trajectory, table: PhaseTable, f: FourierField) -> Trajectory:
+    """z_hat(t,k) = u_hat(t,k) - f_hat(k) exp(i Q(t,k)), the inverse of gauge_compose."""
+    coeffs = u.coeffs - modulated_profile(f, table).coeffs
+    return Trajectory(u.grid, coeffs, u.real_symmetric and f.real_symmetric)
+
+
+def gauged_remainder_residual(u: Trajectory, f: FourierField) -> float:
+    """Duhamel defect of the gauged remainder v = u - profile on u's own grid.
+
+    The phase is rebuilt from u alone, so this checks u against the gauged
+    integral equation without reference to how u was produced. Small iff u
+    solves the evolution on this grid.
+    """
+    table = phase_from_trajectory(u)
+    v = gauge_decompose(u, table, f)
+    replay = duhamel_integrate(picard_rhs(v, table, f), f, initial=v.frame(0))
+    return float(np.max(np.abs(v.coeffs - replay.coeffs)))
+
+
+def modulus_gap_metric(u1: Trajectory, u2: Trajectory) -> tuple[np.ndarray, float]:
+    """Per-k table sup_t |k| * ||u1_hat|^2 - |u2_hat|^2| and its sup over k."""
+    ks = np.abs(np.arange(-u1.K, u1.K + 1).astype(float))
+    gap = np.abs(np.abs(u1.coeffs) ** 2 - np.abs(u2.coeffs) ** 2)
+    per_k = np.max(ks[None, :] * gap, axis=0)
+    return per_k, float(np.max(per_k))

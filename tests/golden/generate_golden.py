@@ -2,7 +2,10 @@
 
 Run from the repository root after an intentional numerical change:
 
-    python3 tests/golden/generate_golden.py
+    PYTHONPATH=src:tests python3 tests/golden/generate_golden.py
+
+The strong-form residual bound is computed by the test-side oracle in
+tests/conftest.py, hence tests on the path.
 
 The file pins the cosine profile run at K = 16 so that refactors of the
 iteration bookkeeping cannot silently change the computed remainder.
@@ -11,7 +14,8 @@ iteration bookkeeping cannot silently change the computed remainder.
 import json
 import pathlib
 
-from mkdvlab import PicardConfig, cosine_field, picard_solve, strong_form_residual
+from conftest import strong_form_residual
+from mkdvlab import PicardConfig, cosine_field, picard_solve
 
 OUT = pathlib.Path(__file__).parent / "picard_cosine_K16.json"
 

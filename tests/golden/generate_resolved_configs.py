@@ -97,6 +97,10 @@ def cases() -> list[dict]:
     # at the default K = 16 the top mode's weight overflows below decay -255.8
     for value in (-250, -400):
         out.append(outcome(with_value(minimal("probe12"), "ensemble", "decay_exponent", value), None))
+    # the same bound holds for seeded-random initial data at the cutoff of the run
+    seeded = {"mode": "decompose_check", "initial_data": INITIAL_DATA["decay_exponent"]}
+    for value in (-250, -400):
+        out.append(outcome(with_value(seeded, "initial_data", "decay_exponent", value), None))
     for key in ENSEMBLE:
         doc = minimal("probe12")
         del doc["ensemble"][key]

@@ -10,7 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_real_field
+from conftest import (
+    gauged_remainder_residual,
+    modulus_gap_metric,
+    random_real_field,
+    resonance_identity_residual,
+)
 from test_gauge import rk4_phase_oracle
 
 from mkdvlab import (
@@ -25,14 +30,11 @@ from mkdvlab import (
     cosine_field,
     direct_nonlinearity,
     field_from_modes,
-    gauged_remainder_residual,
-    modulus_gap_metric,
     nr_trilinear_fast,
     nr_trilinear_naive,
     picard_step,
     probe_duhamel_smoothing,
     reconstruct_u,
-    resonance_identity_residual,
     resonant_term,
     smoothing_report,
     solve_Q,

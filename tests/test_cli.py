@@ -482,13 +482,18 @@ class TestFailurePaths:
             ),
             ({"initial_data": {"kind": "cosine", "seed": 3}}, "initial_data.seed"),
             ({"initial_data": {"kind": "seeded-random", "seed": 1e300}}, "initial_data"),
+            # below decay -255.8 at K = 16 the top mode's weight overflows
+            (
+                {"initial_data": {"kind": "seeded-random", "seed": 3, "decay_exponent": -400}},
+                "initial_data",
+            ),
         ],
         ids=[
             "K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string",
             "T-infinite", "amplitude-nan", "no-phase-sweeps", "negative-phase-sweeps",
             "negative-phase-tol", "picard-window-string", "picard-nr-method-null",
             "picard-negative-pad", "mode-row-nan", "mode-row-infinite", "mode-row-bool",
-            "cosine-seed", "seed-past-64-bits",
+            "cosine-seed", "seed-past-64-bits", "seeded-random-overflow",
         ],
     )
     def test_bad_value_is_a_field_problem(self, tmp_path, doc, field):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_real_field
+from conftest import gauge_decompose, random_real_field
 from mkdvlab import (
     ConfigError,
     ConvergenceError,
@@ -17,18 +17,46 @@ from mkdvlab import (
     PhaseWindowWarning,
     SobolevIndex,
     Trajectory,
-    check_phase_oddness,
+    bracket_sq,
     cosine_field,
     field_from_modes,
     gauge_compose,
-    gauge_decompose,
+    hs_norms,
     modulated_profile,
-    modulation_rate_report,
     phase_from_obj,
     phase_from_trajectory,
     phase_to_obj,
+    sobolev_norm,
     solve_phase,
 )
+
+
+def check_phase_oddness(table: PhaseTable) -> float:
+    """max over (t, k) of |Q(t,k) + Q(t,-k)|; zero for exactly odd tables."""
+    v = table.values
+    return float(np.max(np.abs(v + v[:, ::-1])))
+
+
+def modulation_rate_report(
+    f: FourierField, z: Trajectory, params: SobolevIndex
+) -> tuple[float, float]:
+    """Measured sup of |k| |z_hat| (|f_hat| + |z_hat|) and its product bound.
+
+    The bound splits the two factors as
+    sup <k>^{1-s0} |z_hat| * ||f||_{H^{s0}} + sup <k>^{1-s1} |z_hat| * sup_t ||z(t)||_{H^{s1}},
+    which dominates the value term by term since |k| <= <k>.
+    """
+    ks = np.arange(-f.K, f.K + 1)
+    absz = np.abs(z.coeffs)
+    value = float(
+        np.max(np.abs(ks)[None, :] * absz * (np.abs(f.coeffs)[None, :] + absz))
+    )
+    bracket = np.sqrt(bracket_sq(f.K))
+    c0 = float(np.max(bracket ** (1.0 - params.s0) * absz))
+    c1 = float(np.max(bracket ** (1.0 - params.s1) * absz))
+    sup_hs1 = float(np.max(hs_norms(z.coeffs, params.s1)))
+    bound = c0 * sobolev_norm(f, params.s0) + c1 * sup_hs1
+    return value, bound
 
 
 def constant_trajectory(z: FourierField, grid: GridSpec) -> Trajectory:

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex_field, random_real_field
+from conftest import (
+    random_complex_field,
+    random_real_field,
+    resonance_identity_residual,
+    to_real_samples,
+)
 from mkdvlab import (
     DenominatorError,
     EnsembleSpec,
@@ -20,22 +25,17 @@ from mkdvlab import (
     check_real_symmetry,
     conserved_functionals,
     cosine_field,
-    denominator_correction,
     direct_nonlinearity,
     field_from_modes,
     galilean_speed,
-    kernel_product_minimum,
     nr_framewise,
-    nr_split_by_frequency,
     nr_trilinear,
     nr_trilinear_fast,
     nr_trilinear_naive,
     probe_quotient_form,
     resize_field,
-    resonance_identity_residual,
     resonant_term,
     select_frequency_cutoff,
-    to_real_samples,
     trilinear_quotient_form,
 )
 from mkdvlab.nonlinearity import _DENOMINATORS, _PLANS, _TRIPLES, _nr_array, _triples
@@ -59,6 +59,45 @@ def nr_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> np.ndarra
                 acc += v1.mode(k1) * v2.mode(k2) * v3.mode(k3)
         out[k + K] = (-1j * k / 3.0) * acc
     return out
+
+
+def denominator_correction(f: FourierField, k1: int, k2: int, k3: int) -> float:
+    """Mode-weighted profile shift k1 |f(k1)|^2 + k2 |f(k2)|^2 + k3 |f(k3)|^2 - k |f(k)|^2."""
+    k = k1 + k2 + k3
+    p = np.abs(f.coeffs) ** 2
+
+    def at(j: int) -> float:
+        return float(p[j + f.K]) if abs(j) <= f.K else 0.0
+
+    return k1 * at(k1) + k2 * at(k2) + k3 * at(k3) - k * at(k)
+
+
+def kernel_product_minimum(
+    limit: int, k1_values: list[int] | None = None
+) -> tuple[float, tuple[int, int, int]]:
+    """Minimum of |(k1+k2)(k2+k3)(k3+k1)| / max |kj| over nonzero triples.
+
+    Enumerates k1, k2, k3 with 0 < |kj| <= limit and nonzero kernel product
+    (slice by slice in k1 to bound memory) and returns the minimum ratio
+    with a witness triple. Restricting k1_values to nonzero values within
+    the limit narrows the scan to those slices, which keeps spot checks at
+    large limits affordable.
+    """
+    ks = np.concatenate([np.arange(-limit, 0), np.arange(1, limit + 1)])
+    k1_iter = [int(k) for k in (ks if k1_values is None else k1_values)]
+    k2 = ks[:, None]
+    k3 = ks[None, :]
+    best = np.inf
+    witness = (0, 0, 0)
+    for k1 in k1_iter:
+        prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
+        kmax = np.maximum(abs(k1), np.maximum(np.abs(k2), np.abs(k3)))
+        ratio = np.where(prod != 0, np.abs(prod) / kmax, np.inf)
+        j = np.unravel_index(np.argmin(ratio), ratio.shape)
+        if ratio[j] < best:
+            best = float(ratio[j])
+            witness = (k1, int(k2[j[0], 0]), int(k3[0, j[1]]))
+    return best, witness
 
 
 def quotient_oracle(
@@ -362,30 +401,6 @@ class TestTripleTable:
             nr_trilinear_naive(u, u, u)
 
 
-class TestSplitByFrequency:
-    @pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
-    def test_additive(self, cutoff):
-        v1 = random_complex_field(6, seed=41)
-        v2 = random_complex_field(6, seed=42)
-        v3 = random_complex_field(6, seed=43)
-        low, high = nr_split_by_frequency(v1, v2, v3, cutoff)
-        full = nr_trilinear_naive(v1, v2, v3)
-        assert np.max(np.abs(low.coeffs + high.coeffs - full.coeffs)) < 1e-14
-
-    def test_cosine_edges(self):
-        u = cosine_field(4)
-        low, high = nr_split_by_frequency(u, u, u, 0)
-        assert np.max(np.abs(low.coeffs)) == 0.0
-        low, high = nr_split_by_frequency(u, u, u, 1)
-        assert np.max(np.abs(high.coeffs)) == 0.0
-        assert abs(low.mode(3) - (-0.125j)) < 1e-15
-
-    def test_negative_cutoff_rejected(self):
-        u = cosine_field(2)
-        with pytest.raises(FieldError):
-            nr_split_by_frequency(u, u, u, -1)
-
-
 class TestResonantAndDirect:
     def test_resonant_frozen_values(self):
         out = resonant_term(cosine_field(4))
@@ -686,14 +701,6 @@ class TestKernelProductMinimum:
         best, witness = kernel_product_minimum(1000, k1_values=[1, -2, 537, -1000])
         assert best == 1.0
         assert witness == (1, -2, 1)
-
-    def test_validation(self):
-        with pytest.raises(FieldError):
-            kernel_product_minimum(0)
-        with pytest.raises(FieldError):
-            kernel_product_minimum(4, k1_values=[0])
-        with pytest.raises(FieldError):
-            kernel_product_minimum(4, k1_values=[5])
 
     @given(st.tuples(*[st.integers(min_value=-200, max_value=200)] * 3))
     def test_lower_bound_holds_pointwise(self, ks):

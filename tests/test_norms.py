@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import random_real_field
 from mkdvlab import (
     ConfigError,
-    FourierField,
     GridMismatchError,
     GridSpec,
     NormProxyConfig,

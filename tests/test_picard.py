@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import strong_form_residual
 from mkdvlab import (
     ConfigError,
     ConvergenceError,
@@ -28,7 +29,6 @@ from mkdvlab import (
     reconstruct_solution,
     resonant_term,
     solve_phase,
-    strong_form_residual,
     x_space_norm,
 )
 

