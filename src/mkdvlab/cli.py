@@ -542,7 +542,11 @@ def run(resolved: dict) -> dict:
     os.makedirs(out, exist_ok=True)
     echo = {k: v for k, v in resolved.items() if not k.startswith("_")}
     _write_json(os.path.join(out, "resolved_config.json"), echo)
-    results, artifacts = _run_mode(resolved, out)
+    # every mode checks its numbers for finite values and fails with exit 3,
+    # so numpy's overflow and invalid-value warnings would only precede the
+    # error JSON on stderr
+    with np.errstate(all="ignore"):
+        results, artifacts = _run_mode(resolved, out)
     report = {
         "version": VERSION,
         "mode": resolved["mode"],

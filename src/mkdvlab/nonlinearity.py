@@ -74,8 +74,10 @@ def _require_same_K(*fields: FourierField) -> int:
 # kernel product (k1+k2)(k2+k3)(k3+k1), zero input modes included, in
 # ascending order. The NR sum zeroes the k = 0 entry of its inputs, so the
 # triples with a zero input add exact zeros to it. Built one k1 slice at a
-# time, so no (2K+1)^3 array exists, and cached per K; never modified. The
-# integer columns are int16, enough for K <= 127, where (2K+1)^3 <= 2^24.
+# time, so no (2K+1)^3 array exists, and cached for the latest K only; never
+# modified. The index and size columns are int16, enough for K <= 127, where
+# (2K+1)^3 <= 2^24; base is int32, exact since |base| <= 3 (2K)^3 < 2^31
+# there. k is not stored: it is out - K. That is 16 bytes per row.
 
 
 class _Triples(NamedTuple):
@@ -83,24 +85,26 @@ class _Triples(NamedTuple):
     i2: np.ndarray
     i3: np.ndarray
     out: np.ndarray
-    k: np.ndarray
-    base: np.ndarray  # -3 (k1+k2)(k2+k3)(k3+k1), as float
+    base: np.ndarray  # -3 (k1+k2)(k2+k3)(k3+k1)
     kmax: np.ndarray  # max |kj|
     kmin: np.ndarray  # min |kj|
 
 
-_TRIPLES: dict[int, tuple[None, _Triples]] = {}
+# The derived tables of the quotient form hold one cutoff each: the slot of
+# _TRIPLES and _DENOMINATORS is None and their stamp names K, so a table of
+# a new K replaces the last one instead of joining it.
+_TRIPLES: dict[None, tuple[int, _Triples]] = {}
 
-# Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 15 bytes per
-# (2K + 1)^3 entry (32 MB at K = 64, 246 MB at K = 127, build peaks), and a
-# naive NR call adds about 21 more, so under 600 MB at the ceiling.
+# Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 10 bytes per
+# (2K + 1)^3 entry (22 MB at K = 64, 173 MB at K = 127), and a naive NR call
+# adds only one block of temporaries and the (2K + 1)^2 pair table.
 MAX_TRIPLES = 2**24
 
 
 def _triples(K: int) -> _Triples:
     if (2 * K + 1) ** 3 > MAX_TRIPLES:
         raise FieldError(f"the triple table needs K <= 127, got {K}")
-    return _cached(_TRIPLES, K, None, lambda: _triple_table(K))
+    return _cached(_TRIPLES, None, K, lambda: _triple_table(K))
 
 
 def _triple_table(K: int) -> _Triples:
@@ -114,17 +118,38 @@ def _triple_table(K: int) -> _Triples:
 
     # a counting pass first, so each column is allocated once at full size
     ends = np.cumsum([np.count_nonzero(admissible(k1)[2]) for k1 in ks])
-    dtypes = [float if c == "base" else np.int16 for c in _Triples._fields]
+    dtypes = [np.int32 if c == "base" else np.int16 for c in _Triples._fields]
     table = _Triples(*(np.empty(ends[-1], d) for d in dtypes))
     for i1, k1 in enumerate(ks):
         k, prod, valid = admissible(k1)
         j2, j3 = np.nonzero(valid)
         absk = np.abs(np.stack([np.full(j2.size, k1), ks[j2], ks[j3]]))
-        piece = (i1, j2, j3, k[valid] + K, k[valid], -3.0 * prod[valid])
+        piece = (i1, j2, j3, k[valid] + K, -3 * prod[valid])
         rows = slice(ends[i1] - j2.size, ends[i1])
         for col, values in zip(table, (*piece, absk.max(axis=0), absk.min(axis=0))):
             col[rows] = values
     return table
+
+
+# The table routes walk their rows in blocks of this many, so that their
+# temporaries, a few arrays of one block each, stay in cache.
+_TABLE_BLOCK = 2**14
+
+
+def _block_sums(n: int, size: int, block) -> np.ndarray:
+    """Sum of the terms of rows 0..size-1 into n output modes, one block at a time.
+
+    block(rows) returns (output index, real part, imaginary part) of the
+    terms of a slice of rows. np.add.at adds in row order from +0.0, as
+    bincount does, so the blocks leave every sum as one pass over all rows
+    would.
+    """
+    re, im = np.zeros(n), np.zeros(n)
+    for start in range(0, size, _TABLE_BLOCK):
+        out, terms_re, terms_im = block(slice(start, start + _TABLE_BLOCK))
+        np.add.at(re, out, terms_re)
+        np.add.at(im, out, terms_im)
+    return re + 1j * im
 
 
 def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np.ndarray:
@@ -161,14 +186,17 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np
     a1, a2, a3 = [stripped(c1)] * 3 if cube else (stripped(c) for c in (c1, c2, c3))
     if method == "naive":
         t = _triples(K)
-        pair_index = t.i1.astype(np.intp) * n + t.i2
         sums = np.empty(a1.shape, dtype=complex)
         for row in np.ndindex(a1.shape[:-1]):
             pair = (a1[row][:, None] * a2[row][None, :]).ravel()
-            prods = pair[pair_index] * a3[row][t.i3]
-            sums[row] = np.bincount(t.out, weights=prods.real, minlength=n) + 1j * np.bincount(
-                t.out, weights=prods.imag, minlength=n
-            )
+            b3 = a3[row]
+
+            def block(rows: slice) -> tuple:
+                pair_index = t.i1[rows].astype(np.intp) * n + t.i2[rows]
+                prods = pair[pair_index] * b3[t.i3[rows]]
+                return t.out[rows], prods.real, prods.imag
+
+            sums[row] = _block_sums(n, t.out.size, block)
         return (-1j / 3.0) * ks * sums
     N = 4 * K + 4
 
@@ -285,14 +313,10 @@ def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarr
     raise FieldError(f"unknown case {case!r}; expected 'comparable' or 'separated'")
 
 
-# The latest profile's denominators per K, and per (K, case) the quotient
-# form's kept rows for the latest (profile, cutoff).
-_DENOMINATORS: dict[int, tuple[bytes, np.ndarray]] = {}
-_PLANS: dict[tuple[int, str | None], tuple[tuple[bytes, int], tuple]] = {}
-
-# The quotient form walks its kept rows in blocks of this many, so that its
-# temporaries, a few arrays of one block each, stay in cache.
-_QUOTIENT_BLOCK = 2**14
+# The latest (K, profile)'s denominators, and per case the quotient form's
+# kept rows for the latest (K, profile, cutoff).
+_DENOMINATORS: dict[None, tuple[tuple[int, bytes], np.ndarray]] = {}
+_PLANS: dict[str | None, tuple[tuple[int, bytes, int], tuple]] = {}
 
 
 def _corrected_denominators(f: FourierField) -> np.ndarray:
@@ -305,10 +329,10 @@ def _corrected_denominators(f: FourierField) -> np.ndarray:
         d = kp[t.i1]
         d += kp[t.i2]
         d += kp[t.i3]
-        d -= t.k * p[t.out]
+        d -= kp[t.out]  # k p(k), with k = out - K
         return t.base + d
 
-    return _cached(_DENOMINATORS, f.K, f.coeffs.tobytes(), build)
+    return _cached(_DENOMINATORS, None, (f.K, f.coeffs.tobytes()), build)
 
 
 def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
@@ -322,22 +346,22 @@ def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
 
     def build() -> tuple:
         t = _triples(K)
-        rows = np.flatnonzero((t.kmax > cutoff) & _case_mask(t.kmax, t.kmin, case))
-        denom = _corrected_denominators(f)[rows]
+        kept = (t.kmax > cutoff) & _case_mask(t.kmax, t.kmin, case)
+        denom = _corrected_denominators(f)[kept]
         bad = np.flatnonzero(np.abs(denom) < DENOMINATOR_FLOOR)
         if bad.size:
-            j = rows[bad[0]]
+            j = np.flatnonzero(kept)[bad[0]]
             triple = (int(t.i1[j]) - K, int(t.i2[j]) - K, int(t.i3[j]) - K)
             raise DenominatorError(
                 f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}",
                 triple=triple,
             )
-        i2, i3, out = (col[rows].astype(np.intp) for col in (t.i2, t.i3, t.out))
+        i2, i3, out = (col[kept].astype(np.intp) for col in (t.i2, t.i3, t.out))
         pair = out * (2 * K + 1)
-        pair += t.i1[rows]
+        pair += t.i1[kept]
         return pair, i2, i3, out, np.divide(1.0, denom, out=denom)
 
-    return _cached(_PLANS, (K, case), (f.coeffs.tobytes(), cutoff), build)
+    return _cached(_PLANS, case, (K, f.coeffs.tobytes(), cutoff), build)
 
 
 def trilinear_quotient_form(
@@ -359,16 +383,15 @@ def trilinear_quotient_form(
     the requested case bin. A corrected denominator smaller than
     DENOMINATOR_FLOOR raises DenominatorError naming the triple. The kept
     triples and the reciprocals of their denominators are prepared once per
-    (f, cutoff, case).
+    (f, cutoff, case) and kept until another K, profile or cutoff asks for
+    that case.
 
     Each call builds the (2K+1)^2 table of k * v1_hat(k1) over (k, k1) and
-    walks the kept triples in blocks of _QUOTIENT_BLOCK rows: one gather of
-    that table and of each other input, their product, and its real and
-    imaginary parts times the reciprocal denominator, added into the output
-    modes by np.add.at. np.add.at adds in row order from +0.0, as bincount
-    does, so the blocks leave every sum as one pass over all rows would.
-    For finite inputs the result is bit-identical to dividing each product
-    by its denominator: numpy divides by (d, 0) as
+    walks the kept triples by _block_sums: per block, one gather of that
+    table and of each other input, their product, and its real and
+    imaginary parts times the reciprocal denominator. For finite inputs
+    the result is bit-identical to dividing each product by its
+    denominator: numpy divides by (d, 0) as
     ((re + im (0/d)) (1/d), (im - re (0/d)) (1/d)), which differs from
     re (1/d), im (1/d) only in the sign of an exact-zero term, and a sum
     that starts at +0.0 absorbs that sign.
@@ -377,13 +400,12 @@ def trilinear_quotient_form(
     n = 2 * K + 1
     pair, i2, i3, out_idx, scale = _quotient_plan(f, cutoff, case)
     kv1 = (np.arange(-K, K + 1)[:, None] * v1.coeffs[None, :]).ravel()
-    re, im = np.zeros(n), np.zeros(n)
-    for start in range(0, pair.size, _QUOTIENT_BLOCK):
-        rows = slice(start, start + _QUOTIENT_BLOCK)
+
+    def block(rows: slice) -> tuple:
         terms = kv1[pair[rows]] * v2.coeffs[i2[rows]] * v3.coeffs[i3[rows]]
-        np.add.at(re, out_idx[rows], terms.real * scale[rows])
-        np.add.at(im, out_idx[rows], terms.imag * scale[rows])
-    return FourierField(re + 1j * im)
+        return out_idx[rows], terms.real * scale[rows], terms.imag * scale[rows]
+
+    return FourierField(_block_sums(n, pair.size, block))
 
 
 def select_frequency_cutoff(f: FourierField) -> int:

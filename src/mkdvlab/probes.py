@@ -12,12 +12,15 @@ get relative to the product of input norms over a seeded random ensemble:
   * probe_quotient_form: static kernel-weighted quotient form, binned by
     whether the input frequencies are comparable or separated.
 
-Ensembles are deterministic in the ensemble seed. Each sample's three
-fields and three frequency bumps are drawn once at the headline cutoff as
-(3, 2K+1) mode arrays; cutoff c evaluates the centre 2c+1 columns, so the
-per-K ensembles are nested and the emitted table reports the running
-maximum: row K is the best ratio seen at any cutoff <= K, which makes the
-growth signal monotone by construction rather than sampling luck.
+Ensembles are deterministic in the ensemble seed. Every sample's three
+fields are drawn once at the headline cutoff, into one (count, 3, 2K+1)
+mode array, and so are the frequency bumps when there are any; cutoff c
+evaluates the centre 2c+1 columns, so the per-K ensembles are nested and
+the emitted table reports the running maximum: row K is the best ratio
+seen at any cutoff <= K, which makes the growth signal monotone by
+construction rather than sampling luck. The loop is cutoff-major, all
+samples at one cutoff before the next, so the tables a cutoff derives are
+needed only while it runs (the quotient form keeps one cutoff's).
 
 An evaluator maps (fields, bumps, fc, c), with fc the profile truncated to
 c, to (ratio, scales, (cases, extra)): scales holds one normalizing norm
@@ -204,15 +207,33 @@ def _draw_field(spec: EnsembleSpec, sample: int, slot: int) -> FourierField:
 
 
 def _draw_bumps(spec: EnsembleSpec, sample: int, slot: int) -> np.ndarray:
-    """Odd-in-k frequency perturbation, zero when modulation_bumps is 0."""
+    """Odd-in-k frequency perturbation of size modulation_bumps."""
     K = spec.K
     nu = np.zeros(2 * K + 1)
-    if spec.modulation_bumps > 0:
-        rng = np.random.default_rng([spec.seed, sample, slot, 7])
-        half = spec.modulation_bumps * (2.0 * rng.random(K) - 1.0)
-        nu[K + 1 :] = half
-        nu[:K] = -half[::-1]
+    rng = np.random.default_rng([spec.seed, sample, slot, 7])
+    half = spec.modulation_bumps * (2.0 * rng.random(K) - 1.0)
+    nu[K + 1 :] = half
+    nu[:K] = -half[::-1]
     return nu
+
+
+def _draw_ensemble(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(fields, bumps) of every sample, each indexed [sample, slot, mode].
+
+    Without modulation bumps one shared zero stack stands in for every
+    sample's, so only the fields take count * 3 * (2K+1) entries.
+    """
+    shape = (spec.count, 3, 2 * spec.K + 1)
+    fields = np.empty(shape, dtype=complex)
+    bumps = np.empty(shape) if spec.modulation_bumps > 0 else None
+    for j in range(spec.count):
+        for i in range(3):
+            fields[j, i] = _draw_field(spec, j, i).coeffs
+            if bumps is not None:
+                bumps[j, i] = _draw_bumps(spec, j, i)
+    if bumps is None:
+        bumps = np.broadcast_to(np.zeros(shape[1:]), shape)
+    return fields, bumps
 
 
 def free_modulated_trajectory(
@@ -311,16 +332,18 @@ def _degenerate(scales) -> bool:
 def _run_probe(
     kind: str, f: FourierField, spec: EnsembleSpec, evaluate: Callable[..., tuple | None]
 ) -> ProbeReport:
-    """Shared sample loop: draw, take each cutoff's centre modes, evaluate, reduce.
+    """Shared sample loop: draw, then per cutoff take each sample's centre modes, evaluate, reduce.
 
-    The evaluator contract is in the module docstring. The normalized fields,
-    fields / scales, are formed and serialized only for a new best sample.
+    The evaluator contract is in the module docstring. Only the headline
+    cutoff adds to ratios, skipped and the argmax, in sample order; the
+    normalized fields, fields / scales, are formed and serialized only for
+    a new best sample.
     """
     if f.K != spec.K:
         raise GridMismatchError(f"profile cutoff {f.K} does not match ensemble K {spec.K}")
     K = spec.K
     cutoffs = spec.cutoffs()
-    profiles = {c: resize_field(f, c) for c in cutoffs}
+    fields, bumps = _draw_ensemble(spec)
     raw_max: dict[int, float | None] = {c: None for c in cutoffs}
     ratios: list[float] = []
     per_case: dict[str, float] = {}
@@ -328,12 +351,11 @@ def _run_probe(
     best = -np.inf
     argmax_index: int | None = None
     argmax_sample: dict | None = None
-    for j in range(spec.count):
-        fields = np.stack([_draw_field(spec, j, i).coeffs for i in range(3)])
-        bumps = np.stack([_draw_bumps(spec, j, i) for i in range(3)])
-        for c in cutoffs:
-            centre = slice(K - c, K + c + 1)
-            result = evaluate(fields[:, centre], bumps[:, centre], profiles[c], c)
+    for c in cutoffs:
+        centre = slice(K - c, K + c + 1)
+        fc = resize_field(f, c)
+        for j in range(spec.count):
+            result = evaluate(fields[j, :, centre], bumps[j, :, centre], fc, c)
             if result is None:
                 if c == K:
                     skipped += 1
@@ -349,7 +371,7 @@ def _run_probe(
             if ratio > best:
                 best = ratio
                 argmax_index = j
-                rows = [field_to_obj(FourierField(g)) for g in fields / scales[:, None]]
+                rows = [field_to_obj(FourierField(g)) for g in fields[j] / scales[:, None]]
                 argmax_sample = {"sample": j, "K": c, "ratio": ratio, "fields": rows, **extra}
     return ProbeReport(
         kind=kind,

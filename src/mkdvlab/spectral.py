@@ -58,10 +58,12 @@ def _cached(store: dict, slot, stamp, build):
     slot -> (stamp, value) kept here: a built value's arrays are made
     read-only, the slot becomes the most recent, the oldest slot is evicted
     once store holds more than _CACHE_ENTRIES, and a build that raises
-    leaves the slot empty.
+    leaves the slot empty. A stale value is dropped before build() runs, so
+    it and its successor are never held together.
     """
     entry = store.pop(slot, None)
     if entry is None or entry[0] != stamp:
+        entry = None
         value = build()
         for a in value if isinstance(value, tuple) else (value,):
             if isinstance(a, np.ndarray):

@@ -597,9 +597,54 @@ class TestFailurePaths:
         out = tmp_path / "out"
         r = run_cli(tmp_path, doc, "--output-dir", str(out))
         assert r.returncode == 3
-        # numpy's overflow warnings come before the error JSON on stderr
-        assert '"error": "InstabilityError"' in r.stderr
+        assert json.loads(r.stderr)["error"] == "InstabilityError"
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"mode": "decompose_check"},
+            {"mode": "gauge_solve", "grid": {"K": 8}},
+        ],
+        ids=["decompose_check", "gauge_solve"],
+    )
+    def test_overflow_leaves_only_the_error_json(self, tmp_path, doc):
+        # a finite draw whose top weight is about 1e301 overflows the run's
+        # arithmetic; numpy's warnings used to precede the error JSON
+        doc = {**doc, "initial_data": {"kind": "seeded-random", "seed": 3, "decay_exponent": -250}}
+        r = run_cli(tmp_path, doc, "--output-dir", str(tmp_path / "out"))
+        assert r.returncode == 3
+        assert json.loads(r.stderr)["error"] == "InstabilityError"
+
+    @pytest.mark.parametrize(
+        "doc, warning, code",
+        [
+            ({"mode": "q_solve", "grid": {"K": 8, "M": 16, "T": 1.5}}, "TimeHorizonWarning", 0),
+            (
+                {
+                    "mode": "q_solve",
+                    "grid": {"K": 8, "M": 16, "T": 0.5},
+                    "initial_data": {"amplitude": 3.0},
+                },
+                "PhaseWindowWarning",
+                0,
+            ),
+            (
+                {
+                    "mode": "simulate",
+                    "grid": {"K": 8, "M": 16, "T": 0.01},
+                    "etd": {"dt": 0.005},
+                    "initial_data": {"amplitude": 100.0},
+                },
+                "StepSizeWarning",
+                3,
+            ),
+        ],
+    )
+    def test_package_warnings_still_print(self, tmp_path, doc, warning, code):
+        r = run_cli(tmp_path, doc, "--output-dir", str(tmp_path / "out"), "--quiet")
+        assert r.returncode == code
+        assert warning in r.stderr
 
 
 # Every key _resolve reads, per section, with a few values of each JSON type.

@@ -33,7 +33,6 @@ from mkdvlab import (
     nr_trilinear_fast,
     nr_trilinear_naive,
     probe_quotient_form,
-    resize_field,
     resonant_term,
     select_frequency_cutoff,
     trilinear_quotient_form,
@@ -358,16 +357,14 @@ class TestTripleTable:
                     if abs(k) > K or k == 0 or prod == 0:
                         continue
                     a = (abs(k1), abs(k2), abs(k3))
-                    rows.append(
-                        (k1 + K, k2 + K, k3 + K, k + K, k, -3.0 * prod, max(a), min(a))
-                    )
+                    rows.append((k1 + K, k2 + K, k3 + K, k + K, -3 * prod, max(a), min(a)))
         table = _triples(K)
         for j, name in enumerate(table._fields):
             assert getattr(table, name).tolist() == [row[j] for row in rows], name
 
     def test_build_memory_ceiling(self):
         # a dense (2K+1)^3 enumeration peaks near 234 MB at K = 64
-        _TRIPLES.pop(64, None)
+        _TRIPLES.clear()
         tracemalloc.start()
         try:
             _triples(64)
@@ -378,8 +375,8 @@ class TestTripleTable:
 
     def test_compact_columns(self):
         table = _triples(64)
-        rows = table.k.size
-        assert sum(col.nbytes for col in table) <= 24 * rows
+        rows = table.out.size
+        assert sum(col.nbytes for col in table) <= 16 * rows
 
     def test_naive_index_does_not_overflow(self):
         # i1 * (2K + 1) passes the int16 range from K = 91 on
@@ -389,9 +386,33 @@ class TestTripleTable:
             a = nr_trilinear_fast(v1, v2, v3)
             b = nr_trilinear_naive(v1, v2, v3)
         finally:
-            _TRIPLES.pop(K, None)
+            _TRIPLES.clear()
         scale = max(1.0, np.max(np.abs(b.coeffs)))
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * scale
+
+    def test_naive_walks_the_table_in_blocks(self):
+        # bit-identical to one bincount pass over the whole table, and one
+        # K = 64 call no longer allocates table-length temporaries (52.6 MiB
+        # when it did)
+        K = 16
+        v1, v2, v3 = (random_complex_field(K, seed=160 + j) for j in range(3))
+        t = _triples(K)
+        a1, a2, a3 = (np.where(np.arange(-K, K + 1) == 0, 0, v.coeffs) for v in (v1, v2, v3))
+        prods = a1[t.i1] * a2[t.i2] * a3[t.i3]
+        n = 2 * K + 1
+        sums = np.bincount(t.out, prods.real, n) + 1j * np.bincount(t.out, prods.imag, n)
+        expected = (-1j / 3.0) * np.arange(-K, K + 1) * sums
+        assert np.array_equal(nr_trilinear_naive(v1, v2, v3).coeffs, expected)
+
+        u = random_real_field(64, seed=640)
+        _triples(64)
+        tracemalloc.start()
+        try:
+            nr_trilinear_naive(u, u, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_size_guard(self):
         with pytest.raises(FieldError):
@@ -488,14 +509,20 @@ class TestDenominatorCorrection:
 QUOTIENT_CASES = (None, "comparable", "separated")
 
 
+def clear_quotient_stores():
+    for store in (_TRIPLES, _DENOMINATORS, _PLANS):
+        store.clear()
+
+
 def masked_quotient_formula(
     vs: list[FourierField], f: FourierField, cutoff: int, case: str | None
 ) -> np.ndarray:
     """The quotient form as the straight formula over the table's columns, recomputed per call."""
     K = f.K
     t = _triples(K)
+    k = t.out - K
     masks = {
-        None: np.ones(t.k.size, dtype=bool),
+        None: np.ones(k.size, dtype=bool),
         "comparable": t.kmax <= 2 * t.kmin,
         "separated": t.kmax > 2 * t.kmin,
     }
@@ -504,11 +531,11 @@ def masked_quotient_formula(
     d = kp[t.i1]
     d += kp[t.i2]
     d += kp[t.i3]
-    d -= t.k * p[t.out]
+    d -= k * p[t.out]
     denom = t.base + d
     keep = (t.kmax > cutoff) & masks[case]
     c1, c2, c3 = (v.coeffs for v in vs)
-    terms = t.k[keep] * c1[t.i1[keep]] * c2[t.i2[keep]] * c3[t.i3[keep]]
+    terms = k[keep] * c1[t.i1[keep]] * c2[t.i2[keep]] * c3[t.i3[keep]]
     terms = terms / denom[keep]
     n = 2 * K + 1
     out = t.out[keep]
@@ -610,15 +637,31 @@ class TestQuotientForm:
         spec = EnsembleSpec(seed=2, count=2, K=16, decay_exponent=1.0, k_values=(2, 4, 8))
         assert len(spec.cutoffs()) == 4
         last = random_real_field(16, seed=5)
-        _PLANS.clear()
+        clear_quotient_stores()
         for f in (cosine_field(16), last):
             probe_quotient_form(f, spec)
-        cases = ("comparable", "separated")
-        assert set(_PLANS) == {(K, case) for K in spec.cutoffs() for case in cases}
-        # every plan left belongs to the second profile
-        for K, case in _PLANS:
-            assert _PLANS[K, case][0][0] == resize_field(last, K).coeffs.tobytes()
-            assert _DENOMINATORS[K][0] == resize_field(last, K).coeffs.tobytes()
+        # only the headline cutoff's tables are left, stamped with the second profile
+        profile = last.coeffs.tobytes()
+        k0 = select_frequency_cutoff(last)
+        assert {slot: entry[0] for slot, entry in _TRIPLES.items()} == {None: 16}
+        assert {slot: entry[0] for slot, entry in _DENOMINATORS.items()} == {None: (16, profile)}
+        assert {case: entry[0] for case, entry in _PLANS.items()} == {
+            case: (16, profile, k0) for case in ("comparable", "separated")
+        }
+
+    def test_probe_memory_ceiling(self):
+        # one probe700 sample at K = 64 from cold stores; with every cutoff's
+        # tables resident, and a plan's old arrays held through its rebuild,
+        # the peak was 114.7 MiB
+        spec = EnsembleSpec(seed=1, count=1, K=64, decay_exponent=1.0)
+        clear_quotient_stores()
+        tracemalloc.start()
+        try:
+            probe_quotient_form(cosine_field(64), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
     def test_select_frequency_cutoff(self):
         assert select_frequency_cutoff(FourierField.zeros(8)) == 0
