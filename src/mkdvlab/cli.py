@@ -81,7 +81,7 @@ MODES = (
 )
 
 _PROBE_MODES = ("probe16", "probe12", "probe700")
-_PICARD_MODES = ("gauge_solve", "compare", "decompose_check", "q_solve")
+_PICARD_MODES = ("gauge_solve", "compare", "q_solve")
 _ETD_MODES = ("simulate", "compare", "smoothing")
 
 # Size ceilings, checked before anything is allocated. A frame table of
@@ -90,7 +90,7 @@ _ETD_MODES = ("simulate", "compare", "smoothing")
 # the work that the ETD stepper repeats T / dt times, a phase solve up to
 # phase_max_sweeps times and the probes count times, which bounds their run
 # time (a phase_tol that no sweep meets would otherwise never end). The
-# O(K^3) triple table (probe700, nr_method "naive") is held to MAX_TRIPLES.
+# O(K^3) triple table that probe700 builds is held to MAX_TRIPLES.
 MAX_FRAME_VALUES = 2**26
 
 
@@ -342,8 +342,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     if picard is not None:
         sizes = {"pad_factor": picard.pad_factor, "M": picard.M}
         sweeps = {"phase_max_sweeps": picard.phase_max_sweeps, "M": picard.M}
-        naive = picard.nr_method == "naive"
-        if _too_large(problems, "picard", grid.K, sizes, naive) or _too_large(
+        if _too_large(problems, "picard", grid.K, sizes) or _too_large(
             problems, "picard", grid.K, sweeps
         ):
             picard = None
@@ -500,7 +499,7 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
 
     if mode == "decompose_check":
         lhs = direct_nonlinearity(f)
-        rhs = nr_trilinear(f, f, f, picard.nr_method) + resonant_term(f)
+        rhs = nr_trilinear(f, f, f) + resonant_term(f)
         err = float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
         if not np.isfinite(err):
             raise InstabilityError("the decomposition error is not finite")

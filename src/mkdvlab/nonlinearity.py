@@ -8,9 +8,10 @@ i k |u_hat(k)|^2 u_hat(k) and a nonresonant triple sum
 taken over k1 + k2 + k3 = k with k != 0, every kj != 0, and
 (k1+k2)(k2+k3)(k3+k1) != 0. Under the convolution constraint the last
 condition is equivalent to kj != k for all j, which is how the code tests
-it. Two independent evaluation routes are kept: an index-table sum
-(`naive`) and a padded-FFT evaluation with boundary corrections (`fast`);
-they agree to rounding and are cross-checked in the test suite.
+it. Every run evaluates it by one route, a padded-FFT convolution with
+boundary corrections; `nr_trilinear_naive`, a direct sum over the triple
+table, is kept only as the independent oracle the test suite checks that
+route against, to rounding.
 
 Everything here treats fields as plain mode vectors; no physical-space
 state is retained between calls.
@@ -50,10 +51,6 @@ __all__ = [
 # Guard below which a corrected denominator counts as a genuine division by
 # zero rather than a small divisor.
 DENOMINATOR_FLOOR = 1e-9
-
-# The routes of the NR sum; the method of every NR call is one of these.
-NR_METHODS = ("fast", "naive")
-
 
 def galilean_speed(f: FourierField) -> float:
     """Mean of the squared field, sum_k |f_hat(k)|^2."""
@@ -152,52 +149,26 @@ def _block_sums(n: int, size: int, block) -> np.ndarray:
     return re + 1j * im
 
 
-def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np.ndarray:
+def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
     """NR of the rows of three (..., 2K+1) mode arrays of one shape.
 
-    method "fast" evaluates every row at once: the full convolution of the
-    zero-mode-stripped inputs on a grid of 4K + 4 points, alias-free for
-    outputs |k| <= K, minus the kj = k boundary terms in closed form (each
-    carries a paired sum over opposite modes; the three pairwise overlaps
-    are added back once). method "naive" sums each row over the triple
-    table, the independent cross-check.
+    Every row at once: the full convolution of the zero-mode-stripped
+    inputs on a grid of 4K + 4 points, alias-free for outputs |k| <= K,
+    minus the kj = k boundary terms in closed form (each carries a paired
+    sum over opposite modes; the three pairwise overlaps are added back
+    once).
 
     When one array is passed three times, as the cube NR(w, w, w) of the
-    Picard right side is, "fast" copies it, transforms it and forms its
-    paired sum once, and reuses each for all three inputs. Every product is
+    Picard right side is, it is copied, transformed and its paired sum
+    formed once, and each is reused for all three inputs. Every product is
     still taken in the order of the three-input expression, so the result
-    is bit-identical to passing three equal copies. "naive" never takes
-    this shortcut.
+    is bit-identical to passing three equal copies.
     """
     if not c1.shape == c2.shape == c3.shape:
         raise GridMismatchError(f"mode arrays differ in shape: {c1.shape}, {c2.shape}, {c3.shape}")
-    n = c1.shape[-1]
-    K = n // 2
-    ks = np.arange(-K, K + 1)
-    if method not in NR_METHODS:
-        raise FieldError(f"unknown nr method {method!r}")
-
-    def stripped(c: np.ndarray) -> np.ndarray:
-        a = np.array(c, dtype=complex)
-        a[..., K] = 0.0
-        return a
-
-    cube = method == "fast" and c1 is c2 is c3
-    a1, a2, a3 = [stripped(c1)] * 3 if cube else (stripped(c) for c in (c1, c2, c3))
-    if method == "naive":
-        t = _triples(K)
-        sums = np.empty(a1.shape, dtype=complex)
-        for row in np.ndindex(a1.shape[:-1]):
-            pair = (a1[row][:, None] * a2[row][None, :]).ravel()
-            b3 = a3[row]
-
-            def block(rows: slice) -> tuple:
-                pair_index = t.i1[rows].astype(np.intp) * n + t.i2[rows]
-                prods = pair[pair_index] * b3[t.i3[rows]]
-                return t.out[rows], prods.real, prods.imag
-
-            sums[row] = _block_sums(n, t.out.size, block)
-        return (-1j / 3.0) * ks * sums
+    K = c1.shape[-1] // 2
+    cube = c1 is c2 is c3
+    a1, a2, a3 = [_stripped(c1)] * 3 if cube else (_stripped(c) for c in (c1, c2, c3))
     N = 4 * K + 4
 
     # mode k sits at grid index k mod N: 0..K at the front, -K..-1 at the back
@@ -225,47 +196,67 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, method: str) -> np
         - (a1 * a2 * r3 + a1 * r2 * a3 + r1 * a2 * a3)
     )
 
-    out = (-1j / 3.0) * ks * (conv - boundary)
+    out = (-1j / 3.0) * np.arange(-K, K + 1) * (conv - boundary)
     out[..., K] = 0.0
     return out
+
+
+def _stripped(c: np.ndarray) -> np.ndarray:
+    """A complex copy of a mode array with its k = 0 entries zeroed."""
+    a = np.array(c, dtype=complex)
+    a[..., a.shape[-1] // 2] = 0.0
+    return a
 
 
 def nr_trilinear_naive(
     v1: FourierField, v2: FourierField, v3: FourierField
 ) -> FourierField:
-    """Nonresonant trilinear term by direct summation over the triple table."""
-    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs, "naive"))
+    """Nonresonant trilinear term by direct summation over the triple table.
+
+    The independent oracle of the fast route, used only by the tests.
+    """
+    K = _require_same_K(v1, v2, v3)
+    n = 2 * K + 1
+    t = _triples(K)
+    pair = (_stripped(v1.coeffs)[:, None] * _stripped(v2.coeffs)[None, :]).ravel()
+    b3 = _stripped(v3.coeffs)
+
+    def block(rows: slice) -> tuple:
+        pair_index = t.i1[rows].astype(np.intp) * n + t.i2[rows]
+        prods = pair[pair_index] * b3[t.i3[rows]]
+        return t.out[rows], prods.real, prods.imag
+
+    sums = _block_sums(n, t.out.size, block)
+    return FourierField((-1j / 3.0) * np.arange(-K, K + 1) * sums)
 
 
 def nr_trilinear_fast(
     v1: FourierField, v2: FourierField, v3: FourierField
 ) -> FourierField:
+    """Nonresonant trilinear term; the same as nr_trilinear.
+
+    Kept as a separate public name only because bench/tracer.py wraps it
+    by name, until the benchmark's instruments move into the package.
+    """
+    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs))
+
+
+def nr_trilinear(v1: FourierField, v2: FourierField, v3: FourierField) -> FourierField:
     """Nonresonant trilinear term via a padded cyclic convolution with boundary corrections."""
-    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs, "fast"))
-
-
-def nr_trilinear(
-    v1: FourierField,
-    v2: FourierField,
-    v3: FourierField,
-    method: str = "fast",
-) -> FourierField:
-    """Nonresonant trilinear term by the "fast" or the "naive" route."""
-    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs, method))
+    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs))
 
 
 def nr_framewise(
     t1: Trajectory,
     t2: Trajectory | None = None,
     t3: Trajectory | None = None,
-    method: str = "fast",
 ) -> Trajectory:
     """Apply the nonresonant term frame by frame along trajectories, in one array call."""
     t2 = t1 if t2 is None else t2
     t3 = t1 if t3 is None else t3
     if t1.grid != t2.grid or t1.grid != t3.grid:
         raise GridMismatchError("trajectories live on different grids")
-    return Trajectory(t1.grid, _nr_array(t1.coeffs, t2.coeffs, t3.coeffs, method))
+    return Trajectory(t1.grid, _nr_array(t1.coeffs, t2.coeffs, t3.coeffs))
 
 
 def resonant_term(v: FourierField) -> FourierField:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InstabilityError, TimeHorizonWarning
 from .gauge import PhaseTable, gauge_compose, modulated_profile, solve_phase
-from .nonlinearity import NR_METHODS, nr_trilinear
+from .nonlinearity import nr_trilinear
 from .norms import NormProxyConfig, _free_phase_factor, phase_rates, x_space_norm
 from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory, cumulative_trapezoid
 
@@ -53,7 +53,6 @@ class PicardConfig:
     max_iters: int = 25
     phase_tol: float = 1e-12
     phase_max_sweeps: int = 50
-    nr_method: str = "fast"
     window: str = "hann"
     pad_factor: int = 4
 
@@ -78,8 +77,6 @@ class PicardConfig:
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
         if not (self.phase_tol > 0):
             raise ConfigError(f"phase_tol must be positive, got {self.phase_tol!r}")
-        if self.nr_method not in NR_METHODS:
-            raise ConfigError(f"nr_method must be one of {NR_METHODS}, got {self.nr_method!r}")
         # window and pad_factor are checked by the proxy that x_space_norm builds from them
         NormProxyConfig(self.params.s0, self.params.b, self.window, self.pad_factor, "modified")
 
@@ -151,15 +148,10 @@ def duhamel_integrate(
     return Trajectory(forcing.grid, coeffs)
 
 
-def picard_rhs(
-    z: Trajectory,
-    phase: PhaseTable,
-    f: FourierField,
-    method: str = "fast",
-) -> Trajectory:
+def picard_rhs(z: Trajectory, phase: PhaseTable, f: FourierField) -> Trajectory:
     """Full right side of the gauged evolution, one NR call per frame.
 
-    Each call is the cube NR(w, w, w), which the fast route evaluates with
+    Each call is the cube NR(w, w, w), which the NR kernel evaluates with
     one transform. The frames stay separate calls because the benchmark's
     traced runs check nr_calls == iterates x M.
     """
@@ -176,7 +168,7 @@ def picard_rhs(
     summed = profile + z.coeffs
     for n in range(z.grid.M):
         w = FourierField(summed[n])
-        out[n] += nr_trilinear(w, w, w, method).coeffs
+        out[n] += nr_trilinear(w, w, w).coeffs
     return Trajectory(z.grid, out)
 
 
@@ -187,7 +179,7 @@ def picard_step(
     phase, _ = solve_phase(
         f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
     )
-    z_next = duhamel_integrate(picard_rhs(z, phase, f, cfg.nr_method), f)
+    z_next = duhamel_integrate(picard_rhs(z, phase, f), f)
     return z_next, phase
 
 
@@ -224,7 +216,7 @@ def picard_solve(
         phase, _ = solve_phase(
             f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
         )
-        forcing = picard_rhs(z, phase, f, cfg.nr_method)
+        forcing = picard_rhs(z, phase, f)
         z_next = duhamel_integrate(forcing, f)
         if not np.all(np.isfinite(z_next.coeffs)):
             raise InstabilityError(f"iterate {m} produced non-finite modes", step=m)

@@ -267,7 +267,6 @@ def duhamel_smoothing_ratio(
     f: FourierField,
     params: SobolevIndex,
     proxy: NormProxyConfig,
-    method: str = "fast",
 ) -> float:
     """sup_t H^{s1} of duhamel(NR(u1,u2,u3)) over T^delta times the Y-proxy product.
 
@@ -275,7 +274,7 @@ def duhamel_smoothing_ratio(
     phase so the denominator matches the solver's working norm.
     """
     denom = _input_proxy_product((u1, u2, u3), f, params, proxy)
-    U = duhamel_integrate(nr_framewise(u1, u2, u3, method), f)
+    U = duhamel_integrate(nr_framewise(u1, u2, u3), f)
     return xinfty_hs_norm(U, params.s1) / (u1.grid.T**params.delta * denom)
 
 
@@ -286,12 +285,11 @@ def trilinear_bourgain_ratio(
     f: FourierField,
     params: SobolevIndex,
     proxy: NormProxyConfig,
-    method: str = "fast",
 ) -> float:
     """Y-proxy of NR(u1,u2,u3) at exponent b-1+delta over the product at b."""
     denom = _input_proxy_product((u1, u2, u3), f, params, proxy)
     out_cfg = replace(proxy, s=params.s0, b=params.b - 1.0 + params.delta)
-    return ysb_norm_proxy(nr_framewise(u1, u2, u3, method), out_cfg, f) / denom
+    return ysb_norm_proxy(nr_framewise(u1, u2, u3), out_cfg, f) / denom
 
 
 def quotient_form_ratio(
@@ -387,7 +385,7 @@ def _run_probe(
 
 
 def _trajectory_evaluator(
-    spec: EnsembleSpec, ratio: Callable[..., float], method: str
+    spec: EnsembleSpec, ratio: Callable[..., float]
 ) -> Callable[..., tuple | None]:
     """Sample evaluator of the trajectory probes.
 
@@ -407,25 +405,21 @@ def _trajectory_evaluator(
                 return None
             trajs.append(Trajectory(grid, u.coeffs / d))
             scales.append(d)
-        value = ratio(*trajs, fc, spec.params, spec.proxy, method)
+        value = ratio(*trajs, fc, spec.params, spec.proxy)
         return value, np.array(scales), ({}, {})
 
     return evaluate
 
 
-def probe_duhamel_smoothing(
-    f: FourierField, spec: EnsembleSpec, method: str = "fast"
-) -> ProbeReport:
+def probe_duhamel_smoothing(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     """Ensemble search for the largest Duhamel-smoothing ratio."""
-    evaluate = _trajectory_evaluator(spec, duhamel_smoothing_ratio, method)
+    evaluate = _trajectory_evaluator(spec, duhamel_smoothing_ratio)
     return _run_probe("probe16", f, spec, evaluate)
 
 
-def probe_trilinear_bourgain(
-    f: FourierField, spec: EnsembleSpec, method: str = "fast"
-) -> ProbeReport:
+def probe_trilinear_bourgain(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     """Ensemble search for the largest trilinear Y-proxy ratio."""
-    evaluate = _trajectory_evaluator(spec, trilinear_bourgain_ratio, method)
+    evaluate = _trajectory_evaluator(spec, trilinear_bourgain_ratio)
     return _run_probe("probe12", f, spec, evaluate)
 
 
@@ -478,16 +472,6 @@ class SmoothingReport:
     @property
     def sups(self) -> dict[str, float]:
         return {c: float(np.max(getattr(self, c))) for c in SMOOTHING_COLUMNS}
-
-    def to_obj(self) -> dict:
-        return {
-            "upgraded_exponent": self.upgraded_exponent,
-            "sups": self.sups,
-            "frames": [
-                {"t": float(t), **{c: float(getattr(self, c)[n]) for c in SMOOTHING_COLUMNS}}
-                for n, t in enumerate(self.times)
-            ],
-        }
 
 
 def smoothing_report(

@@ -17,41 +17,31 @@ import json
 import pathlib
 import warnings
 
-from mkdvlab.cli import MODES, _resolve
+from mkdvlab import EnsembleSpec, GridSpec, NormProxyConfig, PicardConfig, SobolevIndex
+from mkdvlab.cli import _INITIAL_KINDS, MODES, _keys, _resolve
+from mkdvlab.reference import ETDConfig
 
 OUT = pathlib.Path(__file__).parent / "resolved_configs.json"
 
 ENSEMBLE = {"seed": 1, "count": 2, "decay_exponent": 1.0}
 BAD_VALUES = ("x", -1, 1e300, None, True)
 
-# Keys per section, each with the smallest document in which it is read.
+# Keys per section, each with the smallest document in which it is read. The
+# keys come from the dataclasses, so every key a config may set is covered.
 SECTIONS = {
-    "grid": ({"mode": "gauge_solve"}, ("K", "M", "T")),
-    "params": ({"mode": "gauge_solve"}, ("s0", "s1", "b", "delta")),
-    "proxy": ({"mode": "gauge_solve"}, ("s", "b", "window", "pad_factor", "phase")),
-    "etd": (
-        {"mode": "simulate"},
-        ("dt", "scheme", "linear_phase", "contour_points", "nonlinearity_enabled"),
-    ),
-    "picard": (
-        {"mode": "gauge_solve"},
-        (
-            "T", "M", "tol", "max_iters", "phase_tol", "phase_max_sweeps", "nr_method",
-            "window", "pad_factor",
-        ),
-    ),
-    "ensemble": (
-        {"mode": "probe12", "ensemble": ENSEMBLE},
-        ("seed", "count", "K", "decay_exponent", "M", "T", "k_values", "modulation_bumps"),
-    ),
+    "grid": ({"mode": "gauge_solve"}, _keys(GridSpec)),
+    "params": ({"mode": "gauge_solve"}, _keys(SobolevIndex)),
+    "proxy": ({"mode": "gauge_solve"}, _keys(NormProxyConfig)),
+    "etd": ({"mode": "simulate"}, _keys(ETDConfig)),
+    "picard": ({"mode": "gauge_solve"}, _keys(PicardConfig)),
+    "ensemble": ({"mode": "probe12", "ensemble": ENSEMBLE}, _keys(EnsembleSpec)),
 }
-INITIAL_DATA = {
-    "kind": {},
-    "amplitude": {"kind": "cosine"},
-    "harmonic": {"kind": "cosine"},
-    "modes": {"kind": "modes-list"},
-    "seed": {"kind": "seeded-random", "seed": 3},
-    "decay_exponent": {"kind": "seeded-random", "seed": 3},
+# The initial_data keys, each with the smallest document of its kind.
+KIND_BASES = {"cosine": {}, "modes-list": {}, "seeded-random": {"seed": 3}}
+INITIAL_DATA = {"kind": {}} | {
+    key: {"kind": kind, **KIND_BASES[kind]}
+    for kind, cls in _INITIAL_KINDS.items()
+    for key in _keys(cls)
 }
 
 

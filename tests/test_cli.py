@@ -32,7 +32,13 @@ from mkdvlab import (
 from mkdvlab.cli import MODES, _resolve
 from mkdvlab.reference import ETDConfig
 
-from golden.generate_resolved_configs import OUT as RESOLVED_CONFIGS, minimal, outcome
+from golden.generate_resolved_configs import (
+    INITIAL_DATA,
+    OUT as RESOLVED_CONFIGS,
+    SECTIONS,
+    minimal,
+    outcome,
+)
 
 
 # Directory holding the imported package; children run with cwd=tmp_path,
@@ -315,8 +321,7 @@ class TestResolvedConfig:
         assert resolved["proxy"]["window"] == "hann"
         assert resolved["proxy"]["pad_factor"] == 4
         assert resolved["etd"] is None
-        assert resolved["picard"]["tol"] == 1e-10
-        assert resolved["picard"]["max_iters"] == 25
+        assert resolved["picard"] is None
         assert resolved["initial_data"] == {
             "kind": "cosine",
             "amplitude": 1.0,
@@ -331,6 +336,13 @@ class TestResolvedConfig:
         resolved = load(out / "resolved_config.json")
         assert resolved["etd"]["dt"] == 1e-3
         assert resolved["etd"]["scheme"] == "etdrk4"
+        # and the picard defaults by a mode that runs a Picard step
+        out = tmp_path / "q_solve"
+        r = run_cli(tmp_path, {"mode": "q_solve"}, "--output-dir", str(out))
+        assert r.returncode == 0, r.stderr
+        resolved = load(out / "resolved_config.json")
+        assert resolved["picard"]["tol"] == 1e-10
+        assert resolved["picard"]["max_iters"] == 25
 
     def test_config_surface_matches_golden(self):
         # every echoed default, and the problem rows of a bad value at each key;
@@ -399,7 +411,7 @@ class TestResolvedConfig:
         err = json.loads(r.stderr)
         assert [row["field"] for row in err["problems"]] == ["etd.bogus"]
 
-    @pytest.mark.parametrize("mode", ["simulate", "smoothing"])
+    @pytest.mark.parametrize("mode", ["simulate", "smoothing", "decompose_check"])
     def test_picard_checked_only_where_it_runs(self, tmp_path, mode):
         out = tmp_path / "out"
         doc = {"mode": mode, "grid": {"K": 8, "M": 4, "T": 0.01}}
@@ -466,7 +478,6 @@ class TestFailurePaths:
             ({"mode": "q_solve", "picard": {"phase_max_sweeps": -1}}, "picard"),
             ({"mode": "gauge_solve", "picard": {"phase_tol": -1}}, "picard"),
             ({"mode": "q_solve", "picard": {"window": "x"}}, "picard"),
-            ({"mode": "gauge_solve", "picard": {"nr_method": None}}, "picard"),
             ({"mode": "gauge_solve", "picard": {"pad_factor": -1}}, "picard"),
             (
                 {"initial_data": {"kind": "modes-list", "modes": [[1, float("nan"), 0]]}},
@@ -491,8 +502,8 @@ class TestFailurePaths:
         ids=[
             "K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string",
             "T-infinite", "amplitude-nan", "no-phase-sweeps", "negative-phase-sweeps",
-            "negative-phase-tol", "picard-window-string", "picard-nr-method-null",
-            "picard-negative-pad", "mode-row-nan", "mode-row-infinite", "mode-row-bool",
+            "negative-phase-tol", "picard-window-string", "picard-negative-pad",
+            "mode-row-nan", "mode-row-infinite", "mode-row-bool",
             "cosine-seed", "seed-past-64-bits", "seeded-random-overflow",
         ],
     )
@@ -507,7 +518,6 @@ class TestFailurePaths:
         "doc, field",
         [
             ({"grid": {"K": 1_000_000_000_000}}, "grid"),
-            ({"grid": {"K": 128}, "picard": {"nr_method": "naive"}}, "picard"),
             ({"mode": "gauge_solve", "proxy": {"pad_factor": 10**12}}, "picard"),
             (
                 {
@@ -527,7 +537,7 @@ class TestFailurePaths:
             ({"mode": "gauge_solve", "picard": {"phase_max_sweeps": 1e300}}, "picard"),
         ],
         ids=[
-            "frame-table", "triple-table", "padded-proxy", "padded-ensemble", "etd-contour",
+            "frame-table", "padded-proxy", "padded-ensemble", "etd-contour",
             "etd-substeps", "etd-substeps-compare", "ensemble-count", "phase-sweeps",
         ],
     )
@@ -648,18 +658,8 @@ class TestFailurePaths:
 
 
 # Every key _resolve reads, per section, with a few values of each JSON type.
-CONFIG_KEYS = {
-    "grid": ("K", "M", "T"),
-    "params": ("s0", "s1", "b", "delta"),
-    "proxy": ("s", "b", "window", "pad_factor", "phase"),
-    "etd": ("dt", "scheme", "linear_phase", "contour_points", "nonlinearity_enabled"),
-    "picard": (
-        "T", "M", "tol", "max_iters", "phase_tol", "phase_max_sweeps", "nr_method", "window",
-        "pad_factor",
-    ),
-    "ensemble": ("seed", "count", "K", "decay_exponent", "M", "T", "k_values"),
-    "initial_data": ("kind", "amplitude", "harmonic", "modes", "seed", "decay_exponent"),
-}
+CONFIG_KEYS = {name: keys for name, (_, keys) in SECTIONS.items()}
+CONFIG_KEYS["initial_data"] = tuple(INITIAL_DATA)
 json_values = st.one_of(
     st.none(),
     st.booleans(),
@@ -744,7 +744,6 @@ FUZZ_KEYS = {
         "max_iters": st.integers(1, 8),
         "phase_tol": small_floats(1e-14, 1e-8),
         "phase_max_sweeps": st.integers(1, 60),
-        "nr_method": st.sampled_from(("fast", "naive")),
     },
     "ensemble": {
         "seed": st.integers(0, 100),

@@ -136,7 +136,22 @@ class TestSolvePhase:
         assert np.max(np.abs(table.values - oracle)) < 1e-8
         assert report.residual <= 1e-12
         assert all(r < 0.5 for r in report.ratios)
+        updates = report.update_norms
+        assert len(updates) == report.sweeps > 2
+        assert report.ratios == [updates[i + 1] / updates[i] for i in range(len(updates) - 1)]
         assert 0.0 < report.certified_T0 <= report.contraction_T0
+
+    @pytest.mark.parametrize(
+        "s0, c0",
+        # sup <k>^{1-s0} |z_hat|: k = 4 attains it at s0 = 0.3, k = 1 at s0 = 0.9
+        [(0.3, 17.0**0.35 * 0.05), (0.9, 2.0**0.05 * 0.1)],
+        ids=["s0=0.3", "s0=0.9"],
+    )
+    def test_report_c0(self, s0, c0):
+        grid = GridSpec(K=4, M=8, T=0.01)
+        z = field_from_modes(4, {1: 0.1, 4: 0.05j}, symmetrize=True)
+        _, report = solve_phase(cosine_field(4), constant_trajectory(z, grid), s0=s0)
+        assert report.c0 == pytest.approx(c0, rel=1e-14)
 
     def test_odd_in_k_for_real_data(self):
         f = cosine_field(8)

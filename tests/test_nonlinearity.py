@@ -171,11 +171,9 @@ class TestNonresonantTerm:
 
     def test_dispatch(self):
         u = cosine_field(4)
-        a = nr_trilinear(u, u, u, method="fast")
-        b = nr_trilinear(u, u, u, method="naive")
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
-        with pytest.raises(FieldError):
-            nr_trilinear(u, u, u, method="spectral")
+        a = nr_trilinear(u, u, u)
+        assert same_bits(a.coeffs, nr_trilinear_fast(u, u, u).coeffs)
+        assert np.max(np.abs(a.coeffs - nr_trilinear_naive(u, u, u).coeffs)) < 1e-14
 
     def test_output_real_symmetric_data(self):
         u = random_real_field(8, seed=4)
@@ -191,23 +189,23 @@ class TestNonresonantTerm:
         u = random_real_field(6, seed=14)
         shifted = u.coeffs.copy()
         shifted[6] = 0.7  # k = 0 entry never enters the triple sum
-        for method in ("fast", "naive"):
-            out_a = nr_trilinear(u, u, u, method)
-            out_b = nr_trilinear(*[FourierField(shifted)] * 3, method=method)
-            assert np.array_equal(out_a.coeffs, out_b.coeffs), method
+        for nr in (nr_trilinear, nr_trilinear_naive):
+            out_a = nr(u, u, u)
+            out_b = nr(*[FourierField(shifted)] * 3)
+            assert np.array_equal(out_a.coeffs, out_b.coeffs), nr.__name__
 
     @given(
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=0, max_value=10_000),
-        st.sampled_from(["fast", "naive"]),
+        st.sampled_from([nr_trilinear, nr_trilinear_naive]),
     )
-    def test_call_on_sum_equals_multilinear_expansion(self, K, seed, method):
+    def test_call_on_sum_equals_multilinear_expansion(self, K, seed, nr):
         a = random_complex_field(K, seed=[seed, 0])
         b = random_complex_field(K, seed=[seed, 1])
         w = FourierField(a.coeffs + b.coeffs)
-        one = nr_trilinear(w, w, w, method).coeffs
+        one = nr(w, w, w).coeffs
         eight = sum(
-            nr_trilinear(x, y, z, method).coeffs
+            nr(x, y, z).coeffs
             for x in (a, b)
             for y in (a, b)
             for z in (a, b)
@@ -255,7 +253,7 @@ class TestNRKernel:
     def test_stacked_equals_per_frame(self, K, M, seed, exponents):
         cs = [stacked_modes(K, M, [seed, j], 10.0**e) for j, e in enumerate(exponents)]
         copies = [c.copy() for c in cs]
-        out = _nr_array(*cs, "fast")
+        out = _nr_array(*cs)
         for m in range(M):
             ref = nr_trilinear_fast(*(FourierField(c[m]) for c in cs)).coeffs
             assert same_bits(out[m], ref), m
@@ -266,8 +264,8 @@ class TestNRKernel:
     def check_cube(c: np.ndarray) -> None:
         """One array passed three times gives the bits of three equal copies."""
         kept = c.copy()
-        cube = _nr_array(c, c, c, "fast")
-        assert same_bits(cube, _nr_array(c, c.copy(), c.copy(), "fast"))
+        cube = _nr_array(c, c, c)
+        assert same_bits(cube, _nr_array(c, c.copy(), c.copy()))
         if c.ndim == 1:
             w = FourierField(c)
             copies = (FourierField(c.copy()), FourierField(c.copy()))
@@ -301,31 +299,31 @@ class TestNRKernel:
     @pytest.mark.parametrize("K", [4, 8, 16])
     def test_cube_matches_naive(self, K):
         c = stacked_modes(K, 3, K, 1.0)
-        fast, naive = _nr_array(c, c, c, "fast"), _nr_array(c, c, c, "naive")
+        fast = _nr_array(c, c, c)
+        naive = np.stack([nr_trilinear_naive(*[FourierField(row)] * 3).coeffs for row in c])
         assert np.max(np.abs(fast - naive)) < 1e-12 * max(1.0, np.max(np.abs(naive)))
 
     @pytest.mark.parametrize("K, M", [(4, 3), (8, 5), (16, 2)])
     def test_framewise_naive_matches_fast(self, K, M):
         grid = GridSpec(K=K, M=M, T=1.0)
         t1, t2, t3 = (Trajectory(grid, stacked_modes(K, M, 40 + j, 1.0)) for j in range(3))
-        a = nr_framewise(t1, t2, t3, method="fast").coeffs
-        b = nr_framewise(t1, t2, t3, method="naive").coeffs
+        a = nr_framewise(t1, t2, t3).coeffs
+        frames = [(t1.frame(m), t2.frame(m), t3.frame(m)) for m in range(M)]
+        b = np.stack([nr_trilinear_naive(*frame).coeffs for frame in frames])
         scale = max(1.0, np.max(np.abs(b)))
         assert np.max(np.abs(a - b)) < 1e-12 * scale
         for m in range(M):
-            frames = (t1.frame(m), t2.frame(m), t3.frame(m))
-            assert same_bits(b[m], nr_trilinear_naive(*frames).coeffs)
+            assert same_bits(a[m], nr_trilinear(*frames[m]).coeffs)
 
     def test_mismatch_raises(self):
         a, b = stacked_modes(4, 3, 1, 1.0), stacked_modes(5, 3, 2, 1.0)
         with pytest.raises(GridMismatchError):
-            _nr_array(a, a, b, "fast")
+            _nr_array(a, a, b)
         with pytest.raises(GridMismatchError):
-            _nr_array(a, a[:2], a, "naive")
+            _nr_array(a, a[:2], a)
         u, v = FourierField(a[0]), FourierField(b[0])
-        for method in ("fast", "naive"):
-            with pytest.raises(GridMismatchError):
-                nr_trilinear(u, v, u, method)
+        with pytest.raises(GridMismatchError):
+            nr_trilinear(u, v, u)
         with pytest.raises(GridMismatchError):
             nr_trilinear_fast(u, u, v)
         with pytest.raises(GridMismatchError):
@@ -338,11 +336,6 @@ class TestNRKernel:
         ):
             with pytest.raises(GridMismatchError):
                 nr_framewise(tr, other)
-
-    def test_framewise_unknown_method(self):
-        tr = Trajectory(GridSpec(4, 3, 1.0), stacked_modes(4, 3, 3, 1.0))
-        with pytest.raises(FieldError):
-            nr_framewise(tr, method="spectral")
 
 
 class TestTripleTable:

@@ -254,34 +254,34 @@ class TestProbeRuns:
         assert "fields" in report.argmax_sample
 
     @pytest.mark.parametrize(
-        "probe, method, ratios, argmax_digest",
+        "probe, ratios, argmax_digest",
         [
-            (probe_trilinear_bourgain, "fast",
+            (probe_trilinear_bourgain,
              ("0x1.d93e73a8a0f41p-7", "0x1.da47939eb3ab4p-7", "0x1.e788e159d8ae3p-7"),
              "c3c67f6b296672be"),
-            (probe_trilinear_bourgain, "naive",
-             ("0x1.d93e73a8a0f44p-7", "0x1.da47939eb3ab7p-7", "0x1.e788e159d8ae9p-7"),
-             "7fa91593cd9bd964"),
-            (probe_duhamel_smoothing, "fast",
+            (probe_duhamel_smoothing,
              ("0x1.52e71df690654p-6", "0x1.af4f130f7ed7ep-6", "0x1.1bf75a5dab3d5p-6"),
              "6e675b2dca77261a"),
-            (probe_duhamel_smoothing, "naive",
-             ("0x1.52e71df690658p-6", "0x1.af4f130f7ed81p-6", "0x1.1bf75a5dab3dbp-6"),
-             "8f5662583dff9ef1"),
             # the ratios, then per_case_max of comparable and separated
-            (probe_quotient_form, None,
+            (probe_quotient_form,
              ("0x1.4a54babdc18eep-5", "0x1.842643a06eefdp-5", "0x1.36834ad7661a2p-4",
               "0x1.842643a06eefdp-5", "0x1.36834ad7661a2p-4"),
              "646d29bb966e06d2"),
         ],
+        # the ids name the NR route of each row as they did when it was a parameter
+        ids=[
+            "probe_trilinear_bourgain-fast-ratios0-c3c67f6b296672be",
+            "probe_duhamel_smoothing-fast-ratios2-6e675b2dca77261a",
+            "probe_quotient_form-None-ratios4-646d29bb966e06d2",
+        ],
     )
-    def test_pinned_ratios(self, probe, method, ratios, argmax_digest):
+    def test_pinned_ratios(self, probe, ratios, argmax_digest):
         # exact values: a change of rounding in the FFT route or of the
         # summation order shows up here, and so does a change of the bytes
         # of the argmax payload
         spec = EnsembleSpec(seed=3, count=3, K=8, decay_exponent=1.0, k_values=(4, 8))
         f = random_real_field(8, 11)
-        report = probe(f, spec) if method is None else probe(f, spec, method)
+        report = probe(f, spec)
         pinned = (*report.ratios, *report.extras.get("per_case_max", {}).values())
         assert tuple(r.hex() for r in pinned) == ratios
         blob = json.dumps(report.argmax_sample).encode()
@@ -306,7 +306,7 @@ class TestProbeRuns:
         spec = EnsembleSpec(
             seed=3, count=3, K=8, decay_exponent=1.0, k_values=(4, 8), modulation_bumps=0.5
         )
-        report = probe_duhamel_smoothing(random_real_field(8, 11), spec, "fast")
+        report = probe_duhamel_smoothing(random_real_field(8, 11), spec)
         assert tuple(r.hex() for r in report.ratios) == (
             "0x1.5a85d1f0d6869p-6", "0x1.a55d06158e981p-6", "0x1.18510bfb2e71dp-6"
         )
@@ -351,6 +351,12 @@ class TestSmoothingReport:
         grid = GridSpec(K=6, M=16, T=0.2)
         u = free_modulated_trajectory(f, f, grid)
         report = smoothing_report(u, f, SobolevIndex())
+        assert set(report.sups) == {
+            "remainder_hs1",
+            "gap_sum_weight1",
+            "gap_sum_upgraded",
+            "gap_sup_weight1",
+        }
         for value in report.sups.values():
             assert value < 1e-12
 
@@ -387,19 +393,6 @@ class TestSmoothingReport:
         grid = GridSpec(K=4, M=8, T=0.1)
         with pytest.raises(FieldError):
             smoothing_report(Trajectory.zeros(grid), f, SobolevIndex())
-
-    def test_serialization(self):
-        f = cosine_field(4)
-        grid = GridSpec(K=4, M=8, T=0.1)
-        u = free_modulated_trajectory(f, f, grid)
-        obj = smoothing_report(u, f, SobolevIndex()).to_obj()
-        assert len(obj["frames"]) == 8
-        assert set(obj["sups"]) == {
-            "remainder_hs1",
-            "gap_sum_weight1",
-            "gap_sum_upgraded",
-            "gap_sup_weight1",
-        }
 
 
 class TestGaugedResidual:

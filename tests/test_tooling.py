@@ -189,6 +189,7 @@ def test_etdrk4_makes_four_direct_calls_per_substep(monkeypatch, dt, substeps):
     "probe, ratio, cases",
     [
         ("probe_trilinear_bourgain", "trilinear_bourgain_ratio", 1),
+        ("probe_duhamel_smoothing", "duhamel_smoothing_ratio", 1),
         ("probe_quotient_form", "quotient_form_ratio", 2),
     ],
 )
