@@ -11,6 +11,11 @@ The gauge writes u_hat = z_hat + f_hat e^{iQ}; composing and decomposing are
 mode-wise algebra. A companion table P(t,k) = t k^3 + k int_0^t |u_hat|^2 ds
 is read off any trajectory directly.
 
+The right side of that equation, the phase map, has one array-level home,
+_phase_sweep on raw (M, 2K+1) arrays. solve_phase iterates it to a fixed
+point for a given z; picard_solve applies it once per iterate, reusing the
+e^{iQ} table of the iterate's right side, so z and Q settle together.
+
 All time integrals use the trapezoid rule on the trajectory's own grid, so
 the phase solver, the iteration solver, and the diagnostics all see the same
 discrete data. Refinement is the caller's job via M.
@@ -102,13 +107,33 @@ class PhaseSolveReport:
     contraction_T0: float = 0.0
 
 
-def _phase_rhs(
-    f: FourierField, z: Trajectory, seed: np.ndarray, values: np.ndarray
+def _phase_seed(f: FourierField, grid: GridSpec) -> np.ndarray:
+    """t (k^3 + k |f_hat|^2) on grid: the phase of z = 0, and every sweep's free term."""
+    seed = grid.times[:, None] * phase_rates(f.K, "modified", f)[None, :]
+    if not np.all(np.isfinite(seed)):
+        # PhaseTable rejects the non-finite t = 0 row this leaves, so report
+        # it as the first sweep would
+        raise InstabilityError("phase sweep 1 produced non-finite values", step=1)
+    return seed
+
+
+def _modulate(f: FourierField, values: np.ndarray) -> np.ndarray:
+    """f_hat(k) exp(i Q(t, k)) on a raw (M, 2K+1) phase array."""
+    return f.coeffs[None, :] * np.exp(1j * values)
+
+
+def _phase_sweep(
+    profile: np.ndarray, z: np.ndarray, seed: np.ndarray, dt: float
 ) -> np.ndarray:
-    ks = np.arange(-f.K, f.K + 1)
-    profile = modulated_profile(f, PhaseTable(z.grid, values)).coeffs
-    g = 2.0 * np.real(profile * np.conj(z.coeffs)) + np.abs(z.coeffs) ** 2
-    return seed + ks * cumulative_trapezoid(g, z.grid.dt)
+    """One application of the phase map on (M, 2K+1) arrays.
+
+    seed + k int_0^t (2 Re(profile conj(z)) + |z|^2) ds, with profile the
+    modulated profile f_hat e^{iQ} of the phase Q being swept.
+    """
+    K = seed.shape[-1] // 2
+    ks = np.arange(-K, K + 1)
+    g = 2.0 * np.real(profile * np.conj(z)) + np.abs(z) ** 2
+    return seed + ks * cumulative_trapezoid(g, dt)
 
 
 def solve_phase(
@@ -146,16 +171,13 @@ def solve_phase(
             PhaseWindowWarning,
         )
 
-    seed = z.grid.times[:, None] * phase_rates(f.K, "modified", f)[None, :]
-    if not np.all(np.isfinite(seed)):
-        # PhaseTable rejects the non-finite t = 0 row this leaves, so report
-        # it as the first sweep would
-        raise InstabilityError("phase sweep 1 produced non-finite values", step=1)
-    values = seed.copy()
+    seed = _phase_seed(f, z.grid)
+    dt = z.grid.dt
+    values = seed
     updates: list[float] = []
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        new = _phase_rhs(f, z, seed, values)
+        new = _phase_sweep(_modulate(f, values), z.coeffs, seed, dt)
         if not np.all(np.isfinite(new)):
             raise InstabilityError(
                 f"phase sweep {sweep} produced non-finite values", step=sweep
@@ -172,7 +194,8 @@ def solve_phase(
             f"(last update {updates[-1]:.3e}); reduce the time horizon T",
             residual=updates[-1],
         )
-    residual = float(np.max(np.abs(_phase_rhs(f, z, seed, values) - values)))
+    again = _phase_sweep(_modulate(f, values), z.coeffs, seed, dt)
+    residual = float(np.max(np.abs(again - values)))
     ratios = [
         updates[i + 1] / updates[i]
         for i in range(len(updates) - 1)
@@ -210,8 +233,7 @@ def modulated_profile(f: FourierField, table: PhaseTable) -> Trajectory:
     """Trajectory with frames f_hat(k) exp(i Q(t_n, k))."""
     if f.K != table.K:
         raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {table.K}")
-    coeffs = f.coeffs[None, :] * np.exp(1j * table.values)
-    return Trajectory(table.grid, coeffs)
+    return Trajectory(table.grid, _modulate(f, table.values))
 
 
 def phase_to_obj(table: PhaseTable) -> dict:

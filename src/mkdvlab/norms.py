@@ -146,8 +146,16 @@ def ysb_norm_proxy(
     dt = z.grid.dt
     w, Mp, tau_weight, bracket_weight = _proxy_weights(z.grid, cfg)
     demod = z.coeffs * _free_phase_factor(z.grid, -1, cfg.phase, f)
-    spectrum = np.fft.fft(w * demod, n=Mp, axis=0) * dt
-    mode_power = np.sum(tau_weight * np.abs(spectrum) ** 2, axis=0)
+    spectrum = np.fft.fft(w * demod, n=Mp, axis=0)
+    del demod
+    # in place on the (Mp, 2K+1) tables, bit-identical to the out-of-place
+    # products, so at most one padded complex table and one real one are live
+    spectrum *= dt
+    power = np.abs(spectrum)
+    del spectrum
+    power *= power
+    power *= tau_weight
+    mode_power = np.sum(power, axis=0)
     total = float(np.sum(bracket_weight * mode_power)) / (Mp * dt)
     return math.sqrt(total)
 
