@@ -491,9 +491,12 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
             ("frame", "t", "hs_distance"),
             [(n, float(times[n]), float(per_frame[n])) for n in range(len(per_frame))],
         )
+        max_dist_s0, _ = compare_trajectories(u_gauge, u_ref, params.s0)
         return {
             "s": 0.0,
             "max_hs_distance": max_dist,
+            "s0": params.s0,
+            "max_hs_distance_s0": max_dist_s0,
             "picard_converged": report.converged,
         }, artifacts
 

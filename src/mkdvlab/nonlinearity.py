@@ -274,24 +274,27 @@ def _samples_and_slope(coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarr
 
 
 def direct_nonlinearity(u: FourierField) -> FourierField:
-    """Mode vector of -(u^2 - mean(u^2)) u_x for a real field.
+    """Mode vector of -(u^2 - c) u_x, c = mean(u^2), for a real field.
 
-    Evaluated pseudospectrally on 4K + 4 points, enough to make the cubic
-    product alias-free for |k| <= K; the transform pair is the half-spectrum
-    one so the output is conjugate-symmetric to the last bit. The zero mode
-    vanishes identically (the integrand is a total derivative) and is pinned
-    to exactly zero. A field marked real_symmetric passed the same check
-    when it was built, so only unmarked fields are checked here.
+    Evaluated in conservative form, -(u^2 - c) u_x = -(u^3)_x / 3 + c u_x,
+    so that two transforms suffice: u on 4K + 4 points from its half
+    spectrum, then the half spectrum of u^3, alias-free there for
+    |k| <= K. Mode k is then i k (c u_hat(k) - (u^3)_hat(k) / 3), and by
+    Parseval c = sum_k |u_hat(k)|^2. Both transforms take norm="forward",
+    so no separate scaling pass is made. The output is mirrored from modes
+    1..K, so it is conjugate-symmetric to the last bit, and its zero mode
+    (the integrand is a total derivative) is exactly zero. A field marked
+    real_symmetric passed the same check when it was built, so only
+    unmarked fields are checked here.
     """
     if not u.real_symmetric and check_real_symmetry(u) > REAL_SYMMETRY_TOL:
         raise FieldError("direct nonlinearity is defined for real fields")
     K = u.K
     N = 4 * K + 4
-    samples, slope = _samples_and_slope(u.coeffs, N)
-    c = galilean_speed(u)
-    w = (samples**2 - c) * slope
-    w_half = np.fft.rfft(w) / N
-    return _mirrored_field(0.0, -w_half[1 : K + 1])
+    samples = np.fft.irfft(half_spectrum(u.coeffs, N), N, norm="forward")
+    cube_half = np.fft.rfft(samples * samples * samples, norm="forward")
+    positive = galilean_speed(u) * u.coeffs[K + 1 :] - cube_half[1 : K + 1] / 3.0
+    return _mirrored_field(0.0, 1j * np.arange(1, K + 1) * positive)
 
 
 def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarray:

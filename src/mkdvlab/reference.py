@@ -1,12 +1,16 @@
 """Exponential time-differencing reference integrator.
 
-Independent of the gauge pipeline: it advances u_hat directly with the
-diagonal semigroup exp(i t phi_k) handled exactly and the cubic term from
-direct_nonlinearity. The phi-function weights are contour averages on unit
-circles around each i*phi_k*h, the standard stable evaluation. Weights are
-conjugate-symmetrized once per step size so a real initial field yields a
-bitwise conjugate-symmetric trajectory, and the k = 0 column is driven only
-by the (pinned zero) nonlinearity, which keeps the mass exactly constant.
+Independent of the gauge pipeline: it advances u_hat directly, with the
+diagonal semigroup exp(i t phi_k) handled exactly (Cox-Matthews ETDRK4, or
+the integrating-factor IFRK4). The cubic term comes from
+direct_nonlinearity, one call per stage and so four per substep in either
+scheme; each call evaluates -(u^2 - c) u_x in conservative form with two
+transforms on 4K + 4 points. The phi-function weights are contour averages
+on unit circles around each i*phi_k*h, the standard stable evaluation
+(Kassam-Trefethen). Weights are conjugate-symmetrized once per step size
+so a real initial field yields a bitwise conjugate-symmetric trajectory,
+and the k = 0 column is driven only by the (pinned zero) nonlinearity,
+which keeps the mass exactly constant.
 """
 
 from __future__ import annotations

@@ -150,6 +150,9 @@ class TestHappyPaths:
         assert results["picard_converged"] is True
         assert results["max_hs_distance"] < 1e-6
         assert max(float(row[2]) for row in rows[1:]) == results["max_hs_distance"]
+        # the gap in the paper's norm H^{s0}, s0 > 0, bounds the H^0 gap mode by mode
+        assert results["s0"] == 0.3
+        assert results["max_hs_distance_s0"] >= results["max_hs_distance"] > 0.0
 
     def test_q_solve(self, tmp_path):
         out = tmp_path / "out"

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,6 +15,7 @@ from conftest import (
     to_real_samples,
 )
 from mkdvlab import (
+    REAL_SYMMETRY_TOL,
     DenominatorError,
     EnsembleSpec,
     FieldError,
@@ -28,6 +29,8 @@ from mkdvlab import (
     direct_nonlinearity,
     field_from_modes,
     galilean_speed,
+    half_spectrum,
+    mirrored,
     nr_framewise,
     nr_trilinear,
     nr_trilinear_fast,
@@ -58,6 +61,22 @@ def nr_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> np.ndarra
                 acc += v1.mode(k1) * v2.mode(k2) * v3.mode(k3)
         out[k + K] = (-1j * k / 3.0) * acc
     return out
+
+
+def direct_oracle(u: FourierField) -> np.ndarray:
+    """-(u^2 - c) u_x in non-conservative form, from u and u_x on 4K + 4 points.
+
+    Three half-spectrum transforms (u, u_x and the product) with explicit
+    scaling passes: an evaluation independent of the conservative form
+    -(u^3)_x / 3 + c u_x that direct_nonlinearity uses.
+    """
+    K = u.K
+    N = 4 * K + 4
+    half = half_spectrum(u.coeffs, N)
+    samples = np.fft.irfft(half, N) * N
+    slope = np.fft.irfft(half * 1j * np.arange(N // 2 + 1), N) * N
+    w = (samples**2 - galilean_speed(u)) * slope
+    return mirrored(0.0, -np.fft.rfft(w)[1 : K + 1] / N)
 
 
 def denominator_correction(f: FourierField, k1: int, k2: int, k3: int) -> float:
@@ -435,6 +454,17 @@ class TestResonantAndDirect:
         with pytest.raises(FieldError):
             direct_nonlinearity(FourierField(c))
 
+    def test_direct_accepts_asymmetry_up_to_the_tolerance(self):
+        # |u_hat(-2) - conj(u_hat(2))| is exactly REAL_SYMMETRY_TOL, which passes
+        c = np.zeros(5, dtype=complex)
+        c[0] = REAL_SYMMETRY_TOL
+        u = FourierField(c)
+        assert check_real_symmetry(u) == REAL_SYMMETRY_TOL
+        assert direct_nonlinearity(u).real_symmetric
+        c[0] = 2 * REAL_SYMMETRY_TOL
+        with pytest.raises(FieldError):
+            direct_nonlinearity(FourierField(c))
+
     def test_direct_against_pointwise_product(self):
         # -(u^2 - mean u^2) u_x evaluated on a dense grid, then transformed
         u = random_real_field(6, seed=77)
@@ -459,6 +489,23 @@ class TestResonantAndDirect:
             res = resonant_term(u)
             err = np.max(np.abs(direct.coeffs - nr.coeffs - res.coeffs))
             assert err < 1e-13
+
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=-8.0, max_value=8.0),
+    )
+    @example(128, 7, 0.0)
+    def test_direct_matches_nonconservative_oracle(self, K, seed, exponent):
+        u = 10.0**exponent * random_real_field(K, seed)
+        out = direct_nonlinearity(u)
+        ref = direct_oracle(u)
+        assert np.max(np.abs(out.coeffs - ref)) <= 1e-13 * np.max(np.abs(out.coeffs))
+        assert check_real_symmetry(out) == 0.0
+        assert out.coeffs[K] == 0.0
+        plain = FourierField(u.coeffs)
+        assert u.real_symmetric and not plain.real_symmetric
+        assert np.array_equal(out.coeffs, direct_nonlinearity(plain).coeffs)
 
     def test_decomposition_fails_with_mean(self):
         # the identity needs a mean-zero field; a nonzero k = 0 mode breaks it

@@ -53,6 +53,9 @@ class TestETDConfig:
         with pytest.raises(ConfigError):
             ETDConfig(**kwargs)
 
+    def test_accepts_sixteen_contour_points(self):
+        assert ETDConfig(dt=1e-3, contour_points=16).contour_points == 16
+
 
 class TestAiryExact:
     def test_identity_at_zero(self):
@@ -174,6 +177,16 @@ class TestFailureModes:
     def test_step_size_warning(self):
         with pytest.warns(StepSizeWarning):
             solve_reference(cosine_field(32), 0.04, ETDConfig(dt=0.02), M=2)
+
+    def test_step_size_warning_threshold(self):
+        # warns iff max|f_hat| K^2 dt > 2 pi: here 0.5 * 32^2 * dt against
+        # 2 pi, so dt = pi / 256 sits exactly on the threshold
+        f = cosine_field(32)
+        for dt, warns in ((0.012, False), (math.pi / 256, False), (0.0125, True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", StepSizeWarning)
+                solve_reference(f, 0.04, ETDConfig(dt=dt), M=2)
+            assert any(w.category is StepSizeWarning for w in caught) == warns, dt
 
     def test_no_warning_for_linear_runs(self):
         with warnings.catch_warnings():

@@ -177,11 +177,21 @@ def test_picard_makes_one_nr_call_per_frame(monkeypatch):
     assert len(nr) == cfg.M
 
 
-@pytest.mark.parametrize("dt, substeps", [(1e-3, 4 * 3), (2.5e-3, 4), (0.02, 4)])
-def test_etdrk4_makes_four_direct_calls_per_substep(monkeypatch, dt, substeps):
+# both schemes evaluate four stages per substep; the etdrk4 cases keep their
+# ids from before the ifrk4 cases were added
+@pytest.mark.parametrize(
+    "scheme, dt, substeps",
+    [
+        pytest.param(scheme, dt, n, id=f"{dt}-{n}" if scheme == "etdrk4" else f"{scheme}-{dt}-{n}")
+        for scheme in ("etdrk4", "ifrk4")
+        for dt, n in ((1e-3, 4 * 3), (2.5e-3, 4), (0.02, 4))
+    ],
+)
+def test_etdrk4_makes_four_direct_calls_per_substep(monkeypatch, scheme, dt, substeps):
     # T = 0.01 over M = 5 frames: gaps of 2.5e-3, each covered by ceil(gap / dt) substeps
     direct = counting(monkeypatch, reference, "direct_nonlinearity")
-    reference.solve_reference(random_real_field(8, 3, 1.0), 0.01, ETDConfig(dt=dt), M=5)
+    cfg = ETDConfig(dt=dt, scheme=scheme)
+    reference.solve_reference(random_real_field(8, 3, 1.0), 0.01, cfg, M=5)
     assert len(direct) == 4 * substeps
 
 
