@@ -185,9 +185,28 @@ _CASTS = {
 }
 
 
+# Fields that _resolve fills from another section, so that no key sets them.
+_GIVEN = {
+    NormProxyConfig: ("s", "b"),
+    PicardConfig: ("T", "M", "window", "pad_factor"),
+}
+
+
 def _keys(cls) -> tuple[str, ...]:
     """The config keys of a dataclass section, in declaration order."""
-    return tuple(f.name for f in dataclasses.fields(cls) if f.type in _CASTS)
+    return tuple(
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.init and f.type in _CASTS and f.name not in _GIVEN.get(cls, ())
+    )
+
+
+def _echo(obj) -> dict | None:
+    """A built section as its config keys, each with the value the run uses."""
+    if obj is None:
+        return None
+    values = obj.to_obj() if isinstance(obj, EnsembleSpec) else dataclasses.asdict(obj)
+    return {key: values[key] for key in _keys(type(obj))}
 
 
 # The kinds of initial_data, each read like a section with its fields as the
@@ -248,8 +267,9 @@ def _load(problems: _Problems, name: str, section: dict, cls, defaults: dict, **
     problem is recorded as field name.key, and cls is then not called.
     """
     kwargs = dict(given)
+    keys = _keys(cls)
     for f in dataclasses.fields(cls):
-        if f.type not in _CASTS or f.name in given:
+        if f.name not in keys or f.name in given:
             continue
         default = defaults.get(f.name, f.default)
         val = section.get(f.name, default)
@@ -311,34 +331,24 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     proxy_sec = _section(doc, "proxy", _keys(NormProxyConfig), problems)
     proxy = None
     if params is not None:
-        proxy = _load(
-            problems,
-            "proxy",
-            proxy_sec,
-            NormProxyConfig,
-            {"s": params.s0, "b": params.b, "phase": "modified"},
-        )
+        given = {"s": params.s0, "b": params.b}
+        proxy = _load(problems, "proxy", proxy_sec, NormProxyConfig, {"phase": "modified"}, **given)
 
     etd_sec = _section(doc, "etd", _keys(ETDConfig), problems)
     etd = None
     if mode in _ETD_MODES:
         etd = _load(problems, "etd", etd_sec, ETDConfig, {"dt": 1e-3})
-    if etd is not None and grid is not None and _too_large(
-        problems, "etd", grid.K, {"contour_points": etd.contour_points}
+    if etd is not None and grid is not None and (
+        _too_large(problems, "etd", grid.K, {"contour_points": etd.contour_points})
+        or _too_large(problems, "etd", grid.K, {"T / dt": grid.T / etd.dt})
     ):
         etd = None
 
     picard_sec = _section(doc, "picard", _keys(PicardConfig), problems)
     picard = None
     if mode in _PICARD_MODES and params is not None and proxy is not None and grid is not None:
-        picard = _load(
-            problems,
-            "picard",
-            picard_sec,
-            PicardConfig,
-            {"T": grid.T, "M": grid.M, "window": proxy.window, "pad_factor": proxy.pad_factor},
-            params=params,
-        )
+        given = {"T": grid.T, "M": grid.M, "window": proxy.window, "pad_factor": proxy.pad_factor}
+        picard = _load(problems, "picard", picard_sec, PicardConfig, {}, params=params, **given)
     if picard is not None:
         sizes = {"pad_factor": picard.pad_factor, "M": picard.M}
         sweeps = {"phase_max_sweeps": picard.phase_max_sweeps, "M": picard.M}
@@ -346,16 +356,11 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
             problems, "picard", grid.K, sweeps
         ):
             picard = None
-    if etd is not None and grid is not None:
-        # compare steps the reference over picard's horizon, the other modes over the grid's
-        horizon = picard.T if mode == "compare" and picard is not None else grid.T
-        if _too_large(problems, "etd", grid.K, {"T / dt": horizon / etd.dt}):
-            etd = None
 
     ensemble_sec = _section(doc, "ensemble", _keys(EnsembleSpec), problems)
     ensemble = None
     if mode in _PROBE_MODES:
-        if not ensemble_sec and "ensemble" not in doc:
+        if "ensemble" not in doc:
             problems.add("ensemble", f"required for mode {mode}")
         elif params is not None and proxy is not None and grid is not None:
             # --seed replaces ensemble.seed, which is then neither required, read nor checked
@@ -401,15 +406,13 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     resolved = {
         "version": VERSION,
         "mode": mode,
-        "initial_data": {"kind": kind, **dataclasses.asdict(data)},
-        "grid": dataclasses.asdict(grid),
-        "params": dataclasses.asdict(params),
-        "proxy": dataclasses.asdict(proxy),
-        "etd": None if etd is None else dataclasses.asdict(etd),
-        "picard": None if picard is None else {
-            k: v for k, v in dataclasses.asdict(picard).items() if k != "params"
-        },
-        "ensemble": ensemble.to_obj() if ensemble is not None else None,
+        "initial_data": {"kind": kind, **_echo(data)},
+        "grid": _echo(grid),
+        "params": _echo(params),
+        "proxy": _echo(proxy),
+        "etd": _echo(etd),
+        "picard": _echo(picard),
+        "ensemble": _echo(ensemble),
         "output_dir": str(output_dir),
         "_grid": grid,
         "_params": params,
@@ -483,7 +486,7 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
     if mode == "compare":
         z, table, report = picard_solve(f, picard)
         u_gauge = reconstruct_solution(z, table, f)
-        u_ref = solve_reference(f, picard.T, etd, picard.M)
+        u_ref = solve_reference(f, grid.T, etd, grid.M)
         max_dist, per_frame = compare_trajectories(u_gauge, u_ref, 0.0)
         times = u_ref.grid.times
         _write_csv(

@@ -430,5 +430,6 @@ def conserved_functionals(u: FourierField) -> tuple[float, float, float]:
     l2 = galilean_speed(u)
     N = 8 * (K + 1)
     samples, slope = _samples_and_slope(u.coeffs, N)
-    energy = float(np.mean(0.5 * slope**2 - samples**4 / 12.0))
+    quartic = (samples * samples) * (samples * samples)
+    energy = float(np.mean(0.5 * (slope * slope) - quartic / 12.0))
     return mass, l2, energy

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,21 +216,20 @@ class SobolevIndex:
     """Exponent set (s0, s1, b, delta) for the solution-space norms.
 
     Defaults derive the companion exponents from s0: s1 sits at the middle
-    of its admissible window, delta is a tenth of the available slack above
-    1/4, and b = 1/2 + 2 delta. Exponents outside the admissible regime
-    raise ConfigError.
+    of its admissible window and delta is a tenth of the available slack
+    above 1/4. b is always 1/2 + 2 delta, so it is derived, never given.
+    Exponents outside the admissible regime raise ConfigError.
     """
 
     s0: float = 0.3
     s1: float | None = None
-    b: float | None = None
+    b: float = field(init=False)
     delta: float | None = None
 
     def __post_init__(self) -> None:
         if self.delta is None:
             object.__setattr__(self, "delta", (self.s0 - 0.25) / 10.0)
-        if self.b is None:
-            object.__setattr__(self, "b", 0.5 + 2.0 * self.delta)
+        object.__setattr__(self, "b", 0.5 + 2.0 * self.delta)
         if self.s1 is None:
             lo = max(0.5, 1.0 - self.s0)
             hi = min(1.0, 3.0 * self.s0)
@@ -248,8 +247,6 @@ class SobolevIndex:
             )
         if not (0.0 < self.delta < self.s0 - 0.25):
             problems.append(f"delta = {self.delta} outside (0, s0 - 1/4)")
-        if abs(self.b - (0.5 + 2.0 * self.delta)) > 1e-12:
-            problems.append(f"b = {self.b} != 1/2 + 2 delta = {0.5 + 2 * self.delta}")
         if problems:
             raise ConfigError("; ".join(problems))
 

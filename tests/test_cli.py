@@ -456,6 +456,31 @@ class TestFailurePaths:
         assert r.returncode == 2
         err = json.loads(r.stderr)
         assert any(row["field"] == "ensemble" for row in err["problems"])
+        # a section that is present but empty names each required key instead
+        rows = outcome({"mode": "probe16", "ensemble": {}}, None)["problems"]
+        assert [row["field"] for row in rows] == [
+            "ensemble.seed", "ensemble.count", "ensemble.decay_exponent"
+        ]
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("params", "b"),
+            ("proxy", "s"),
+            ("proxy", "b"),
+            ("picard", "T"),
+            ("picard", "M"),
+            ("picard", "window"),
+            ("picard", "pad_factor"),
+        ],
+    )
+    def test_removed_key_is_unknown(self, tmp_path, section, key):
+        # b is always 1/2 + 2 delta; proxy takes s and b from params, and
+        # picard its horizon and frames from grid and its window from proxy
+        r = run_cli(tmp_path, {"mode": "gauge_solve", section: {key: 0.51}})
+        assert r.returncode == 2, r.stderr
+        err = json.loads(r.stderr)
+        assert err["problems"] == [{"field": f"{section}.{key}", "message": "unknown key"}]
 
     def test_seeded_random_needs_seed(self, tmp_path):
         doc = {"mode": "decompose_check", "initial_data": {"kind": "seeded-random"}}
@@ -480,8 +505,8 @@ class TestFailurePaths:
             ({"mode": "gauge_solve", "picard": {"phase_max_sweeps": 0}}, "picard"),
             ({"mode": "q_solve", "picard": {"phase_max_sweeps": -1}}, "picard"),
             ({"mode": "gauge_solve", "picard": {"phase_tol": -1}}, "picard"),
-            ({"mode": "q_solve", "picard": {"window": "x"}}, "picard"),
-            ({"mode": "gauge_solve", "picard": {"pad_factor": -1}}, "picard"),
+            ({"mode": "q_solve", "proxy": {"window": "x"}}, "proxy"),
+            ({"mode": "gauge_solve", "proxy": {"pad_factor": -1}}, "proxy"),
             (
                 {"initial_data": {"kind": "modes-list", "modes": [[1, float("nan"), 0]]}},
                 "initial_data.modes",
@@ -505,7 +530,7 @@ class TestFailurePaths:
         ids=[
             "K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string",
             "T-infinite", "amplitude-nan", "no-phase-sweeps", "negative-phase-sweeps",
-            "negative-phase-tol", "picard-window-string", "picard-negative-pad",
+            "negative-phase-tol", "proxy-window-string", "proxy-negative-pad",
             "mode-row-nan", "mode-row-infinite", "mode-row-bool",
             "cosine-seed", "seed-past-64-bits", "seeded-random-overflow",
         ],
@@ -532,16 +557,24 @@ class TestFailurePaths:
             ),
             ({"mode": "simulate", "etd": {"contour_points": 10**12}}, "etd"),
             ({"mode": "smoothing", "grid": {"T": 1e300}}, "etd"),
-            ({"mode": "compare", "picard": {"T": 0.9}, "etd": {"dt": 1e-7}}, "etd"),
+            ({"mode": "compare", "grid": {"T": 0.9}, "etd": {"dt": 1e-7}}, "etd"),
             (
                 {"mode": "probe12", "ensemble": {"seed": 1, "count": 10**12, "decay_exponent": 1.0}},
                 "ensemble",
             ),
             ({"mode": "gauge_solve", "picard": {"phase_max_sweeps": 1e300}}, "picard"),
+            (
+                {
+                    "mode": "probe700",
+                    "ensemble": {"seed": 1, "count": 1, "K": 128, "decay_exponent": 1.0},
+                },
+                "ensemble",
+            ),
         ],
         ids=[
             "frame-table", "padded-proxy", "padded-ensemble", "etd-contour",
             "etd-substeps", "etd-substeps-compare", "ensemble-count", "phase-sweeps",
+            "probe700-triples",
         ],
     )
     def test_size_ceiling_is_a_field_problem(self, tmp_path, doc, field):
@@ -551,6 +584,13 @@ class TestFailurePaths:
         assert err["error"] == "invalid-config"
         assert [row["field"] for row in err["problems"]] == [field]
         assert "exceeds the ceiling" in err["problems"][0]["message"]
+
+    def test_ceilings_admit_their_edge(self):
+        # (T / dt) * (2K + 1) = (1/48) * 2^30 * 3 is exactly 2^26, which is allowed
+        doc = {"mode": "simulate", "grid": {"K": 1, "T": 1 / 48}, "etd": {"dt": 2.0**-30}}
+        assert outcome(doc, None)["problems"] == []
+        doc["grid"]["T"] = 0.021
+        assert [row["field"] for row in outcome(doc, None)["problems"]] == ["etd"]
 
     @pytest.mark.parametrize(
         "rows",
@@ -591,8 +631,8 @@ class TestFailurePaths:
     def test_numerical_failure_exits_3(self, tmp_path):
         doc = {
             "mode": "gauge_solve",
-            "grid": {"K": 8, "M": 16, "T": 0.01},
-            "picard": {"T": 0.5, "M": 16, "phase_max_sweeps": 1},
+            "grid": {"K": 8, "M": 16, "T": 0.5},
+            "picard": {"phase_max_sweeps": 1},
         }
         r = run_cli(tmp_path, doc, "--output-dir", str(tmp_path / "out"))
         assert r.returncode == 3
@@ -742,7 +782,6 @@ FUZZ_KEYS = {
         "nonlinearity_enabled": st.booleans(),
     },
     "picard": {
-        "M": st.integers(8, 16),
         "tol": small_floats(1e-12, 1e-6),
         "max_iters": st.integers(1, 8),
         "phase_tol": small_floats(1e-14, 1e-8),
@@ -793,6 +832,35 @@ def artifacts(out):
     if not out.is_dir():
         return {}
     return {p.name: p.read_bytes().replace(str(out).encode(), b"<out>") for p in out.iterdir()}
+
+
+def test_fuzz_keys_are_config_keys():
+    # a key the config no longer has would only ever draw "unknown key"
+    for name, keys in FUZZ_KEYS.items():
+        assert set(keys) <= set(CONFIG_KEYS[name]), name
+
+
+def round_trip(doc):
+    """The echo of doc and the echo of that echo read back as a config, or None."""
+    echo = outcome(doc, None)["echo"]
+    if echo is None:
+        return None
+    echo = json.loads(json.dumps(echo))
+    return echo, outcome(echo, None)["echo"]
+
+
+class TestEchoRoundTrip:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_minimal_document(self, mode):
+        echo, again = round_trip(minimal(mode))
+        assert again == echo
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(config_docs(), cli_docs()))
+    def test_fuzz_document(self, doc):
+        pair = round_trip(doc)
+        if pair is not None:
+            assert pair[1] == pair[0]
 
 
 class TestWholeCliFuzz:

@@ -234,8 +234,9 @@ class TestSobolevIndex:
         p.validate()
 
     def test_explicit_values_kept(self):
-        p = SobolevIndex(s0=0.3, s1=0.75, b=0.52, delta=0.01)
+        p = SobolevIndex(s0=0.3, s1=0.75, delta=0.01)
         assert p.s1 == 0.75
+        assert p.b == 0.5 + 2.0 * 0.01
         p.validate()
 
     @pytest.mark.parametrize(
@@ -245,7 +246,6 @@ class TestSobolevIndex:
             dict(s0=0.6),
             dict(s0=0.3, s1=0.95),
             dict(s0=0.3, delta=0.2),
-            dict(s0=0.3, b=0.6),
         ],
     )
     def test_validate_rejects(self, kwargs):
