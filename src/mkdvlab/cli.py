@@ -173,7 +173,7 @@ def _as_mode_rows(v: Any) -> tuple[tuple[int, float, float], ...]:
 
 # The checks of a config value, by the annotation of the dataclass field it
 # fills; a str field is passed through for the dataclass to check. Fields of
-# any other type (the nested params and proxy) are not config keys.
+# any other type (the nested grid, params and proxy) are not config keys.
 _CASTS = {
     "int": _as_int,
     "float": _as_float,
@@ -185,20 +185,9 @@ _CASTS = {
 }
 
 
-# Fields that _resolve fills from another section, so that no key sets them.
-_GIVEN = {
-    NormProxyConfig: ("s", "b"),
-    PicardConfig: ("T", "M", "window", "pad_factor"),
-}
-
-
 def _keys(cls) -> tuple[str, ...]:
     """The config keys of a dataclass section, in declaration order."""
-    return tuple(
-        f.name
-        for f in dataclasses.fields(cls)
-        if f.init and f.type in _CASTS and f.name not in _GIVEN.get(cls, ())
-    )
+    return tuple(f.name for f in dataclasses.fields(cls) if f.init and f.type in _CASTS)
 
 
 def _echo(obj) -> dict | None:
@@ -329,10 +318,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     params = _load(problems, "params", params_sec, SobolevIndex, {})
 
     proxy_sec = _section(doc, "proxy", _keys(NormProxyConfig), problems)
-    proxy = None
-    if params is not None:
-        given = {"s": params.s0, "b": params.b}
-        proxy = _load(problems, "proxy", proxy_sec, NormProxyConfig, {"phase": "modified"}, **given)
+    proxy = _load(problems, "proxy", proxy_sec, NormProxyConfig, {})
 
     etd_sec = _section(doc, "etd", _keys(ETDConfig), problems)
     etd = None
@@ -347,11 +333,12 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     picard_sec = _section(doc, "picard", _keys(PicardConfig), problems)
     picard = None
     if mode in _PICARD_MODES and params is not None and proxy is not None and grid is not None:
-        given = {"T": grid.T, "M": grid.M, "window": proxy.window, "pad_factor": proxy.pad_factor}
-        picard = _load(problems, "picard", picard_sec, PicardConfig, {}, params=params, **given)
+        picard = _load(
+            problems, "picard", picard_sec, PicardConfig, {}, params=params, grid=grid, proxy=proxy
+        )
     if picard is not None:
-        sizes = {"pad_factor": picard.pad_factor, "M": picard.M}
-        sweeps = {"phase_max_sweeps": picard.phase_max_sweeps, "M": picard.M}
+        sizes = {"pad_factor": proxy.pad_factor, "M": grid.M}
+        sweeps = {"phase_max_sweeps": picard.phase_max_sweeps, "M": grid.M}
         if _too_large(problems, "picard", grid.K, sizes) or _too_large(
             problems, "picard", grid.K, sweeps
         ):
@@ -532,7 +519,7 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
         return {"upgraded_exponent": rep.upgraded_exponent, "sups": rep.sups}, artifacts
 
     # q_solve: one iteration from rest, then the phase fixed point for it
-    z0 = Trajectory.zeros(picard.grid_for(f.K))
+    z0 = Trajectory.zeros(picard.grid)
     z1, _ = picard_step(z0, f, picard)
     table, rep = solve_phase(
         f, z1, tol=picard.phase_tol, max_sweeps=picard.phase_max_sweeps, s0=params.s0

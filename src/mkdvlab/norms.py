@@ -13,6 +13,11 @@ the weight. The restriction-norm infimum over extensions is NOT computed;
 every result speaks about this windowed proxy, and reports must echo the
 window and padding so numbers are comparable.
 
+NormProxyConfig holds only that discretization, the window and the padding.
+The exponents (s, b) are arguments of each call, since one run measures
+inputs and outputs at different b, and the phase follows from the profile:
+phi_k is the profile-shifted rate when f is given and k^3 when it is not.
+
 Quadrature in tau is the rectangle rule on the padded DFT grid. With the
 window normalization sum w(t_n)^2 dt = 1 the proxy of a free mode
 exp(i phi_{k0} t) at b = 0 is exactly <k0>^s, which pins the constants.
@@ -42,27 +47,22 @@ __all__ = [
 _WINDOWS = ("hann", "rect")
 _PHASES = ("airy", "modified")
 
-# Per (grid, sign) the free phase factor of the latest (phase, profile, bumps),
-# and per (grid, window, pad_factor, s, b) the weights of ysb_norm_proxy.
+# Per (grid, sign) the free phase factor of the latest (profile, bumps), and
+# per (grid, window, pad_factor, s, b) the weights of ysb_norm_proxy.
 _FACTORS: dict[tuple[GridSpec, int], tuple[tuple, np.ndarray]] = {}
 _PROXY_WEIGHTS: dict[tuple, tuple[None, tuple]] = {}
 
 
 @dataclass(frozen=True)
 class NormProxyConfig:
-    """Exponents and discretization knobs of one norm proxy."""
+    """Discretization of the norm proxy: the time window and its zero padding."""
 
-    s: float
-    b: float
     window: str = "hann"
     pad_factor: int = 4
-    phase: str = "airy"
 
     def __post_init__(self) -> None:
         if self.window not in _WINDOWS:
             raise ConfigError(f"window must be one of {_WINDOWS}, got {self.window!r}")
-        if self.phase not in _PHASES:
-            raise ConfigError(f"phase must be one of {_PHASES}, got {self.phase!r}")
         if int(self.pad_factor) != self.pad_factor or self.pad_factor < 1:
             raise ConfigError(f"pad_factor must be an integer >= 1, got {self.pad_factor!r}")
 
@@ -94,22 +94,22 @@ def phase_rates(K: int, phase: str, f: FourierField | None) -> np.ndarray:
 
 
 def _free_phase_factor(
-    grid: GridSpec, sign: int, phase: str, f: FourierField | None, bumps: np.ndarray | None = None
+    grid: GridSpec, sign: int, f: FourierField | None, bumps: np.ndarray | None = None
 ) -> np.ndarray:
     """exp(sign i t (phi_k + bumps_k)) on the (t, k) table of grid, read-only.
 
+    phi_k is the modified rate with a profile f and the Airy rate without.
     phase_rates runs, with its checks, whenever the entry is built; a new
-    phase symbol, profile or bumps replaces the entry of (grid, sign).
+    profile or bumps replaces the entry of (grid, sign).
     """
     nu = None if bumps is None else np.asarray(bumps)
     stamp = (
-        phase,
         None if f is None else f.coeffs.tobytes(),
         None if nu is None else (nu.dtype.str, nu.shape, nu.tobytes()),
     )
 
     def build() -> np.ndarray:
-        phi = phase_rates(grid.K, phase, f)
+        phi = phase_rates(grid.K, "airy" if f is None else "modified", f)
         if nu is not None:
             phi = phi + nu
         return np.exp(sign * 1j * phi[None, :] * grid.times[:, None])
@@ -117,35 +117,40 @@ def _free_phase_factor(
     return _cached(_FACTORS, (grid, sign), stamp, build)
 
 
-def _proxy_weights(grid: GridSpec, cfg: NormProxyConfig) -> tuple:
+def _proxy_weights(grid: GridSpec, proxy: NormProxyConfig, s: float, b: float) -> tuple:
     """(window column, Mp, tau-weight column, <k>^{2s}) of ysb_norm_proxy, read-only."""
 
     def build() -> tuple:
-        w = window_weights(grid.M, grid.dt, cfg.window)
-        Mp = int(cfg.pad_factor) * grid.M
+        w = window_weights(grid.M, grid.dt, proxy.window)
+        Mp = int(proxy.pad_factor) * grid.M
         taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=grid.dt)
-        tau_weight = (1.0 + taus**2) ** cfg.b
-        return w[:, None], Mp, tau_weight[:, None], bracket_sq(grid.K) ** cfg.s
+        tau_weight = (1.0 + taus**2) ** b
+        return w[:, None], Mp, tau_weight[:, None], bracket_sq(grid.K) ** s
 
-    return _cached(_PROXY_WEIGHTS, (grid, cfg.window, cfg.pad_factor, cfg.s, cfg.b), None, build)
+    return _cached(_PROXY_WEIGHTS, (grid, proxy.window, proxy.pad_factor, s, b), None, build)
 
 
 def ysb_norm_proxy(
-    z: Trajectory, cfg: NormProxyConfig, f: FourierField | None = None
+    z: Trajectory,
+    s: float,
+    b: float,
+    f: FourierField | None = None,
+    proxy: NormProxyConfig = NormProxyConfig(),
 ) -> float:
     """Windowed, demodulated proxy of the <tau - phi_k>^b weighted norm.
 
     norm^2 = sum_k <k>^{2s} * (1 / (Mp dt)) * sum_m <tau_m>^{2b} |G(m, k)|^2
     with G the time-DFT (times dt) of w(t) z_hat(t,k) exp(-i phi_k t) padded
-    to Mp = pad_factor * M samples. The phase factor and the weights are
-    built once per grid and profile and reused while they stay the same.
+    to Mp = pad_factor * M samples; phi_k is the modified rate of f when f
+    is given and k^3 otherwise. The phase factor and the weights are built
+    once per grid and profile and reused while they stay the same.
     """
     M = z.grid.M
     if M < 8:
         raise ConfigError(f"time-DFT proxy needs M >= 8 frames, got {M}")
     dt = z.grid.dt
-    w, Mp, tau_weight, bracket_weight = _proxy_weights(z.grid, cfg)
-    demod = z.coeffs * _free_phase_factor(z.grid, -1, cfg.phase, f)
+    w, Mp, tau_weight, bracket_weight = _proxy_weights(z.grid, proxy, s, b)
+    demod = z.coeffs * _free_phase_factor(z.grid, -1, f)
     spectrum = np.fft.fft(w * demod, n=Mp, axis=0)
     del demod
     # in place on the (Mp, 2K+1) tables, bit-identical to the out-of-place
@@ -169,11 +174,7 @@ def x_space_norm(
     z: Trajectory,
     params: SobolevIndex,
     f: FourierField,
-    window: str = "hann",
-    pad_factor: int = 4,
+    proxy: NormProxyConfig = NormProxyConfig(),
 ) -> float:
     """Solution-space norm: modified-phase proxy at (s0, b) plus sup-in-time H^{s1}."""
-    cfg = NormProxyConfig(
-        s=params.s0, b=params.b, window=window, pad_factor=pad_factor, phase="modified"
-    )
-    return ysb_norm_proxy(z, cfg, f) + xinfty_hs_norm(z, params.s1)
+    return ysb_norm_proxy(z, params.s0, params.b, f, proxy) + xinfty_hs_norm(z, params.s1)

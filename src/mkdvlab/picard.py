@@ -19,6 +19,12 @@ before its update. The single NR call on the summed field equals the
 8-term multilinear expansion, which the test suite checks as a property of
 the NR kernel.
 
+PicardConfig holds the run's exponents, grid and norm proxy as whole
+objects, so each setting has one home: the profile must have the grid's
+cutoff K, and the iterates are measured by x_space_norm, the proxy at
+(s0, b) with the config's window and padding plus the sup-in-time H^{s1}
+norm.
+
 Contraction is observed, not assumed: the report carries per-iterate norms,
 successive differences, their ratios and the phase updates, and the solver
 aborts once the ratios sit at or above one for three consecutive iterates
@@ -32,7 +38,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, InstabilityError, TimeHorizonWarning
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    GridMismatchError,
+    InstabilityError,
+    TimeHorizonWarning,
+)
 from .gauge import (
     PhaseTable,
     _modulate,
@@ -59,29 +71,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Run parameters of one iteration solve."""
+    """Run parameters of one iteration solve: exponents, grid, norm proxy, stopping rules."""
 
     params: SobolevIndex = SobolevIndex()
-    T: float = 0.01
-    M: int = 64
+    grid: GridSpec = GridSpec(16, 64, 0.01)
+    proxy: NormProxyConfig = NormProxyConfig()
     tol: float = 1e-10
     max_iters: int = 25
     phase_tol: float = 1e-12
     phase_max_sweeps: int = 50
-    window: str = "hann"
-    pad_factor: int = 4
 
     def __post_init__(self) -> None:
-        if not (self.T > 0):
-            raise ConfigError(f"T must be positive, got {self.T!r}")
-        if self.T >= 1:
+        if self.grid.T >= 1:
             warnings.warn(
-                f"horizon T = {self.T:g} is outside the T < 1 regime the scheme "
+                f"horizon T = {self.grid.T:g} is outside the T < 1 regime the scheme "
                 "is designed for; expect the iteration to reject it",
                 TimeHorizonWarning,
             )
-        if int(self.M) != self.M or self.M < 8:
-            raise ConfigError(f"M must be an integer >= 8, got {self.M!r}")
+        if self.grid.M < 8:
+            raise ConfigError(f"M must be an integer >= 8, got {self.grid.M!r}")
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if int(self.phase_max_sweeps) != self.phase_max_sweeps or self.phase_max_sweeps < 1:
@@ -92,11 +100,6 @@ class PicardConfig:
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
         if not (self.phase_tol > 0):
             raise ConfigError(f"phase_tol must be positive, got {self.phase_tol!r}")
-        # window and pad_factor are checked by the proxy that x_space_norm builds from them
-        NormProxyConfig(self.params.s0, self.params.b, self.window, self.pad_factor, "modified")
-
-    def grid_for(self, K: int) -> GridSpec:
-        return GridSpec(K, self.M, self.T)
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,7 @@ class PicardReport:
     richardson_delta: float = 0.0
 
     def to_obj(self) -> dict:
-        obj = asdict(self)
-        # "K" is the older name of first_iterate_norm, kept for existing readers
-        return {"iters": obj.pop("iters"), "K": self.first_iterate_norm, **obj}
+        return asdict(self)
 
 
 def duhamel_integrate(
@@ -153,8 +154,7 @@ def duhamel_integrate(
     K = forcing.K
     if f is not None and f.K != K:
         raise ConfigError(f"profile cutoff {f.K} does not match forcing cutoff {K}")
-    phase = "airy" if f is None else "modified"
-    damping = _free_phase_factor(forcing.grid, -1, phase, f)
+    damping = _free_phase_factor(forcing.grid, -1, f)
     damped = damping * forcing.coeffs
     integral = cumulative_trapezoid(damped, forcing.grid.dt)
     z0 = np.zeros(forcing.grid.n_modes, dtype=complex)
@@ -229,11 +229,14 @@ def picard_solve(
     and the phase update at most cfg.phase_tol. Returns the remainder, the
     phase table solved for it from the cold seed (within
     cfg.phase_max_sweeps sweeps, which certifies it), and the iteration
-    report. Raises ConvergenceError when the differences fail to contract
-    for three consecutive iterates (the advisory is to shrink T), and
-    InstabilityError if an iterate or its phase sweep stops being finite.
+    report. Raises GridMismatchError unless f has the cutoff of cfg.grid,
+    ConvergenceError when the differences fail to contract for three
+    consecutive iterates (the advisory is to shrink T), and InstabilityError
+    if an iterate or its phase sweep stops being finite.
     """
-    grid = cfg.grid_for(f.K)
+    grid = cfg.grid
+    if f.K != grid.K:
+        raise GridMismatchError(f"profile cutoff {f.K} does not match grid K {grid.K}")
     seed = _phase_seed(f, grid)
     z = Trajectory.zeros(grid)
     values = seed  # the phase of z = 0
@@ -255,8 +258,8 @@ def picard_solve(
             )
         phase_update = float(np.max(np.abs(new - values)))
         values = new
-        diff = x_space_norm(z_next - z, cfg.params, f, cfg.window, cfg.pad_factor)
-        norm_x = x_space_norm(z_next, cfg.params, f, cfg.window, cfg.pad_factor)
+        diff = x_space_norm(z_next - z, cfg.params, f, cfg.proxy)
+        norm_x = x_space_norm(z_next, cfg.params, f, cfg.proxy)
         ratio = diff / prev_diff if prev_diff is not None and prev_diff > 0 else None
         rows.append(PicardIterate(norm_x, diff, ratio, phase_update))
         # differences already below tol may wobble while the phase settles

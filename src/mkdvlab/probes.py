@@ -39,7 +39,7 @@ evaluation only conditions the arithmetic; it does not bias the ratio.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -108,9 +108,7 @@ class EnsembleSpec:
     K: int
     decay_exponent: float
     params: SobolevIndex = SobolevIndex()
-    proxy: NormProxyConfig = field(
-        default_factory=lambda: NormProxyConfig(0.3, 0.51, phase="modified")
-    )
+    proxy: NormProxyConfig = NormProxyConfig()
     M: int = 16
     T: float = 0.5
     k_values: tuple[int, ...] | None = None
@@ -242,7 +240,7 @@ def free_modulated_trajectory(
     """u_hat(t,k) = g_hat(k) exp(i t (k^3 + k|f_hat(k)|^2 + bump_k))."""
     if g.K != grid.K or f.K != grid.K:
         raise GridMismatchError("field cutoffs do not match the grid")
-    coeffs = g.coeffs[None, :] * _free_phase_factor(grid, 1, "modified", f, bumps)
+    coeffs = g.coeffs[None, :] * _free_phase_factor(grid, 1, f, bumps)
     return Trajectory(grid, coeffs)
 
 
@@ -252,11 +250,10 @@ def _input_proxy_product(
     params: SobolevIndex,
     proxy: NormProxyConfig,
 ) -> float:
-    """Product of the inputs' Y-proxies at (s0, b), with proxy's window, padding and phase."""
-    cfg = replace(proxy, s=params.s0, b=params.b)
+    """Product of the inputs' Y-proxies at (s0, b), with proxy's window and padding."""
     denom = 1.0
     for u in inputs:
-        denom *= ysb_norm_proxy(u, cfg, f)
+        denom *= ysb_norm_proxy(u, params.s0, params.b, f, proxy)
     return denom
 
 
@@ -270,8 +267,8 @@ def duhamel_smoothing_ratio(
 ) -> float:
     """sup_t H^{s1} of duhamel(NR(u1,u2,u3)) over T^delta times the Y-proxy product.
 
-    Exponents come from params; proxy contributes window, padding, and
-    phase so the denominator matches the solver's working norm.
+    Exponents come from params and proxy contributes window and padding, so
+    the denominator matches the solver's working norm.
     """
     denom = _input_proxy_product((u1, u2, u3), f, params, proxy)
     U = duhamel_integrate(nr_framewise(u1, u2, u3), f)
@@ -288,8 +285,8 @@ def trilinear_bourgain_ratio(
 ) -> float:
     """Y-proxy of NR(u1,u2,u3) at exponent b-1+delta over the product at b."""
     denom = _input_proxy_product((u1, u2, u3), f, params, proxy)
-    out_cfg = replace(proxy, s=params.s0, b=params.b - 1.0 + params.delta)
-    return ysb_norm_proxy(nr_framewise(u1, u2, u3), out_cfg, f) / denom
+    out_b = params.b - 1.0 + params.delta
+    return ysb_norm_proxy(nr_framewise(u1, u2, u3), params.s0, out_b, f, proxy) / denom
 
 
 def quotient_form_ratio(
@@ -392,7 +389,6 @@ def _trajectory_evaluator(
     Builds each slot's free trajectory, takes its proxy norm as the slot's
     scale and returns ratio of the three trajectories scaled to unit proxy.
     """
-    cfg = replace(spec.proxy, s=spec.params.s0, b=spec.params.b)
 
     def evaluate(fields, bumps, fc, c):
         grid = GridSpec(c, spec.M, spec.T)
@@ -400,7 +396,7 @@ def _trajectory_evaluator(
         scales: list[float] = []
         for g, nu in zip(fields, bumps):
             u = free_modulated_trajectory(FourierField(g), fc, grid, nu)
-            d = ysb_norm_proxy(u, cfg, fc)
+            d = ysb_norm_proxy(u, spec.params.s0, spec.params.b, fc, spec.proxy)
             if _degenerate(d):
                 return None
             trajs.append(Trajectory(grid, u.coeffs / d))

@@ -15,7 +15,7 @@ import json
 import pathlib
 
 from conftest import strong_form_residual
-from mkdvlab import PicardConfig, cosine_field, picard_solve
+from mkdvlab import GridSpec, PicardConfig, cosine_field, picard_solve
 
 OUT = pathlib.Path(__file__).parent / "picard_cosine_K16.json"
 
@@ -23,7 +23,7 @@ OUT = pathlib.Path(__file__).parent / "picard_cosine_K16.json"
 def main() -> None:
     T, M = 0.01, 64
     f = cosine_field(16)
-    z, phase, report = picard_solve(f, PicardConfig(T=T, M=M))
+    z, phase, report = picard_solve(f, PicardConfig(grid=GridSpec(16, M, T)))
     payload = {
         "T": T,
         "M": M,

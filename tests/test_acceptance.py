@@ -52,10 +52,10 @@ def passed(num: int, detail: str) -> None:
 def solution6():
     """The converged gauge run shared by criteria 6, 8 and 10."""
     f = cosine_field(16)
-    cfg = PicardConfig(params=SobolevIndex(s0=0.3), T=0.01, M=64)
+    cfg = PicardConfig(params=SobolevIndex(s0=0.3), grid=GridSpec(16, 64, 0.01))
     z, phase, report = solve_z(f, cfg)
     u = reconstruct_u(z, phase, f)
-    ref = solve_reference(f, cfg.T, ETDConfig(dt=1e-4), cfg.M)
+    ref = solve_reference(f, cfg.grid.T, ETDConfig(dt=1e-4), cfg.grid.M)
     return {"f": f, "cfg": cfg, "z": z, "phase": phase, "report": report,
             "u": u, "ref": ref}
 
@@ -173,8 +173,8 @@ def test_criterion_07_first_iterate_cubic_scaling():
     norms = {}
     for amplitude in (1.0, 2.0):
         f = cosine_field(16, amplitude=amplitude)
-        cfg = PicardConfig(T=1e-3, M=32)
-        z0 = Trajectory.zeros(cfg.grid_for(16))
+        cfg = PicardConfig(grid=GridSpec(16, 32, 1e-3))
+        z0 = Trajectory.zeros(cfg.grid)
         z1, _ = picard_step(z0, f, cfg)
         norms[amplitude] = xinfty_hs_norm(z1, cfg.params.s1)
     ratio = norms[2.0] / norms[1.0]
@@ -232,7 +232,7 @@ def test_criterion_10_self_consistency_and_uniqueness(solution6):
     assert residual <= 10.0 * solution6["cfg"].tol
 
     f2 = cosine_field(16)
-    cfg2 = PicardConfig(params=SobolevIndex(s0=0.3), T=0.01, M=64)
+    cfg2 = PicardConfig(params=SobolevIndex(s0=0.3), grid=GridSpec(16, 64, 0.01))
     z2, phase2, _ = solve_z(f2, cfg2)
     u2 = reconstruct_u(z2, phase2, f2)
     _, sup = modulus_gap_metric(solution6["u"], u2)

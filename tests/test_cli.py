@@ -472,15 +472,26 @@ class TestFailurePaths:
             ("picard", "M"),
             ("picard", "window"),
             ("picard", "pad_factor"),
+            ("proxy", "phase"),
         ],
     )
     def test_removed_key_is_unknown(self, tmp_path, section, key):
-        # b is always 1/2 + 2 delta; proxy takes s and b from params, and
-        # picard its horizon and frames from grid and its window from proxy
+        # b is always 1/2 + 2 delta; the proxy exponents come from params and
+        # its phase from the profile, and picard takes its horizon and frames
+        # from grid and its window from proxy
         r = run_cli(tmp_path, {"mode": "gauge_solve", section: {key: 0.51}})
         assert r.returncode == 2, r.stderr
         err = json.loads(r.stderr)
         assert err["problems"] == [{"field": f"{section}.{key}", "message": "unknown key"}]
+
+    @pytest.mark.parametrize("mode", ["gauge_solve", "compare", "q_solve"])
+    def test_picard_needs_eight_frames(self, tmp_path, mode):
+        # grid accepts M = 7, the Picard modes' norm proxy does not
+        r = run_cli(tmp_path, {"mode": mode, "grid": {"M": 7}})
+        assert r.returncode == 2, r.stderr
+        assert json.loads(r.stderr)["problems"] == [
+            {"field": "picard", "message": "M must be an integer >= 8, got 7"}
+        ]
 
     def test_seeded_random_needs_seed(self, tmp_path):
         doc = {"mode": "decompose_check", "initial_data": {"kind": "seeded-random"}}
@@ -772,7 +783,6 @@ FUZZ_KEYS = {
     "proxy": {
         "window": st.sampled_from(("hann", "rect")),
         "pad_factor": st.integers(1, 4),
-        "phase": st.sampled_from(("airy", "modified")),
     },
     "etd": {
         "dt": small_floats(1e-3, 1e-2),

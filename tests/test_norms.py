@@ -36,8 +36,11 @@ from mkdvlab.norms import (
 from mkdvlab.spectral import _CACHE_ENTRIES, bracket_sq
 
 
-def ysb_oracle(z: Trajectory, cfg: NormProxyConfig, f=None) -> float:
-    """The proxy written out as literal sums, window and DFT included."""
+def ysb_oracle(z: Trajectory, s: float, b: float, cfg: NormProxyConfig, f=None) -> float:
+    """The proxy written out as literal sums, window and DFT included.
+
+    The phase is the modified one when a profile f is given, else the Airy one.
+    """
     M, dt, K = z.grid.M, z.grid.dt, z.K
     n = np.arange(M)
     if cfg.window == "hann":
@@ -49,14 +52,14 @@ def ysb_oracle(z: Trajectory, cfg: NormProxyConfig, f=None) -> float:
     total = 0.0
     for k in range(-K, K + 1):
         phi = float(k) ** 3
-        if cfg.phase == "modified":
+        if f is not None:
             phi += k * abs(f.mode(k)) ** 2
         g = w * z.coeffs[:, k + K] * np.exp(-1j * phi * z.grid.times)
         for m in range(Mp):
             G = dt * np.sum(g * np.exp(-2j * np.pi * m * n / Mp))
             freq = (m if m < (Mp + 1) // 2 else m - Mp) / (Mp * dt)
             tau = 2.0 * np.pi * freq
-            total += (1.0 + k * k) ** cfg.s * (1.0 + tau * tau) ** cfg.b * abs(G) ** 2
+            total += (1.0 + k * k) ** s * (1.0 + tau * tau) ** b * abs(G) ** 2
     return math.sqrt(total / (Mp * dt))
 
 
@@ -105,8 +108,7 @@ class TestYsbProxy:
         # with b = 0 the tau sum telescopes to the window normalization
         grid = GridSpec(K=4, M=32, T=0.01)
         z = free_mode(grid, 3, 0.7)
-        cfg = NormProxyConfig(s=0.3, b=0.0, window=window)
-        got = ysb_norm_proxy(z, cfg)
+        got = ysb_norm_proxy(z, 0.3, 0.0, proxy=NormProxyConfig(window=window))
         assert abs(got - 0.7 * (1.0 + 9.0) ** 0.15) < 1e-12
 
     def test_matches_literal_sums(self):
@@ -116,13 +118,15 @@ class TestYsbProxy:
             grid, rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
         )
         f = cosine_field(2)
-        for cfg in (
-            NormProxyConfig(s=0.3, b=0.51, window="hann", pad_factor=2),
-            NormProxyConfig(s=0.0, b=1.0, window="rect", pad_factor=2),
-            NormProxyConfig(s=0.3, b=0.51, window="hann", pad_factor=2, phase="modified"),
+        # the Airy phase without a profile, the modified phase with one
+        for s, b, cfg, profile in (
+            (0.3, 0.51, NormProxyConfig("hann", 2), None),
+            (0.0, 1.0, NormProxyConfig("rect", 2), None),
+            (0.0, 1.0, NormProxyConfig("rect", 2), f),
+            (0.3, 0.51, NormProxyConfig("hann", 2), f),
         ):
-            got = ysb_norm_proxy(z, cfg, f)
-            ref = ysb_oracle(z, cfg, f)
+            got = ysb_norm_proxy(z, s, b, profile, cfg)
+            ref = ysb_oracle(z, s, b, cfg, profile)
             assert abs(got - ref) < 1e-12 * max(1.0, ref)
 
     def test_demodulation_phase_matters(self):
@@ -130,8 +134,8 @@ class TestYsbProxy:
         f = field_from_modes(8, {1: 3.0, -1: 3.0})
         grid = GridSpec(K=8, M=64, T=1.0)
         z = free_mode(grid, 1, 0.5, shift=9.0)
-        right = ysb_norm_proxy(z, NormProxyConfig(s=0.3, b=0.51, phase="modified"), f)
-        wrong = ysb_norm_proxy(z, NormProxyConfig(s=0.3, b=0.51, phase="airy"))
+        right = ysb_norm_proxy(z, 0.3, 0.51, f)
+        wrong = ysb_norm_proxy(z, 0.3, 0.51)
         assert right < wrong
 
     def test_exactly_homogeneous(self):
@@ -140,9 +144,8 @@ class TestYsbProxy:
         z = Trajectory(
             grid, rng.standard_normal((16, 7)) + 1j * rng.standard_normal((16, 7))
         )
-        cfg = NormProxyConfig(s=0.3, b=0.51)
         doubled = Trajectory(grid, 2.0 * z.coeffs)
-        assert ysb_norm_proxy(doubled, cfg) == 2.0 * ysb_norm_proxy(z, cfg)
+        assert ysb_norm_proxy(doubled, 0.3, 0.51) == 2.0 * ysb_norm_proxy(z, 0.3, 0.51)
 
     def test_monotone_in_exponents(self):
         grid = GridSpec(K=4, M=16, T=0.1)
@@ -150,23 +153,21 @@ class TestYsbProxy:
         z = Trajectory(
             grid, rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9))
         )
-        low = ysb_norm_proxy(z, NormProxyConfig(s=0.3, b=0.0))
-        mid = ysb_norm_proxy(z, NormProxyConfig(s=0.3, b=0.51))
-        high = ysb_norm_proxy(z, NormProxyConfig(s=0.8, b=0.51))
+        low = ysb_norm_proxy(z, 0.3, 0.0)
+        mid = ysb_norm_proxy(z, 0.3, 0.51)
+        high = ysb_norm_proxy(z, 0.8, 0.51)
         assert low <= mid <= high
 
     def test_needs_enough_frames(self):
         grid = GridSpec(K=2, M=4, T=0.1)
         with pytest.raises(ConfigError):
-            ysb_norm_proxy(Trajectory.zeros(grid), NormProxyConfig(s=0.3, b=0.51))
+            ysb_norm_proxy(Trajectory.zeros(grid), 0.3, 0.51)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            NormProxyConfig(s=0.3, b=0.5, window="welch")
+            NormProxyConfig(window="welch")
         with pytest.raises(ConfigError):
-            NormProxyConfig(s=0.3, b=0.5, pad_factor=0)
-        with pytest.raises(ConfigError):
-            NormProxyConfig(s=0.3, b=0.5, phase="galilean")
+            NormProxyConfig(pad_factor=0)
 
 
 class TestSupNorm:
@@ -220,9 +221,9 @@ class TestCompositeNorm:
         )
         f = random_real_field(4, seed=2)
         params = SobolevIndex()
-        cfg = NormProxyConfig(s=params.s0, b=params.b, phase="modified")
-        expected = ysb_norm_proxy(z, cfg, f) + xinfty_hs_norm(z, params.s1)
-        assert abs(x_space_norm(z, params, f) - expected) < 1e-14
+        proxy = NormProxyConfig("rect", 2)
+        expected = ysb_norm_proxy(z, params.s0, params.b, f, proxy) + xinfty_hs_norm(z, params.s1)
+        assert abs(x_space_norm(z, params, f, proxy) - expected) < 1e-14
 
     def test_rejects_inadmissible_exponents(self):
         grid = GridSpec(K=2, M=8, T=0.1)
@@ -252,9 +253,9 @@ class TestCompositeNorm:
         assert peak < 8 * 2**20
 
 
-def inline_factor(grid, sign, phase, f, bumps=None):
+def inline_factor(grid, sign, f, bumps=None):
     """The free phase factor as each call site wrote it before it was cached."""
-    phi = phase_rates(grid.K, phase, f)
+    phi = phase_rates(grid.K, "airy" if f is None else "modified", f)
     if bumps is not None:
         phi = phi + bumps
     if sign < 0:
@@ -262,18 +263,18 @@ def inline_factor(grid, sign, phase, f, bumps=None):
     return np.exp(1j * phi[None, :] * grid.times[:, None])
 
 
-def inline_ysb(z, cfg, f=None):
+def inline_ysb(z, s, b, cfg, f=None):
     """ysb_norm_proxy as written before its tables were cached."""
     M, dt, K = z.grid.M, z.grid.dt, z.K
     w = window_weights(M, dt, cfg.window)
-    phi = phase_rates(K, cfg.phase, f)
+    phi = phase_rates(K, "airy" if f is None else "modified", f)
     demod = z.coeffs * np.exp(-1j * phi[None, :] * z.grid.times[:, None])
     Mp = int(cfg.pad_factor) * M
     spectrum = np.fft.fft(w[:, None] * demod, n=Mp, axis=0) * dt
     taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=dt)
-    tau_weight = (1.0 + taus**2) ** cfg.b
+    tau_weight = (1.0 + taus**2) ** b
     mode_power = np.sum(tau_weight[:, None] * np.abs(spectrum) ** 2, axis=0)
-    total = float(np.sum(bracket_sq(K) ** cfg.s * mode_power)) / (Mp * dt)
+    total = float(np.sum(bracket_sq(K) ** s * mode_power)) / (Mp * dt)
     return math.sqrt(total)
 
 
@@ -304,63 +305,60 @@ class TestFreePhaseCache:
     """The cached factor and proxy tables against the formulas they replace."""
 
     @settings(max_examples=40, deadline=None)
-    @given(cache_cases(), st.sampled_from([-1, 1]), st.sampled_from(["airy", "modified"]))
-    def test_factor_tracks_profile_and_bumps(self, case, sign, phase):
+    @given(cache_cases(), st.sampled_from([-1, 1]), st.booleans())
+    def test_factor_tracks_profile_and_bumps(self, case, sign, with_profile):
+        # without a profile the factor is the Airy one
         grid, seeds, bump_scale = case
         for seed in seeds:
-            f = random_real_field(grid.K, seed=seed)
+            f = random_real_field(grid.K, seed=seed) if with_profile else None
             for bumps in (None, random_bumps(grid.K, seed, bump_scale)):
-                got = _free_phase_factor(grid, sign, phase, f, bumps)
-                assert same_bits(got, inline_factor(grid, sign, phase, f, bumps))
+                got = _free_phase_factor(grid, sign, f, bumps)
+                assert same_bits(got, inline_factor(grid, sign, f, bumps))
 
     @settings(max_examples=30, deadline=None)
-    @given(cache_cases(), st.sampled_from(["airy", "modified"]))
-    def test_proxy_tracks_profile_and_config(self, case, phase):
+    @given(cache_cases(), st.booleans())
+    def test_proxy_tracks_profile_and_config(self, case, with_profile):
         grid, seeds, _ = case
         rng = np.random.default_rng(seeds[0])
         shape = (grid.M, grid.n_modes)
         z = Trajectory(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         for seed in seeds:
-            f = random_real_field(grid.K, seed=seed)
+            f = random_real_field(grid.K, seed=seed) if with_profile else None
             for window in ("hann", "rect"):
                 for s, b in ((0.3, 0.51), (0.3, -0.39), (0.0, 0.51)):
                     for pad_factor in (1, 2):
-                        cfg = NormProxyConfig(s, b, window, pad_factor, phase)
-                        assert ysb_norm_proxy(z, cfg, f) == inline_ysb(z, cfg, f)
+                        cfg = NormProxyConfig(window, pad_factor)
+                        assert ysb_norm_proxy(z, s, b, f, cfg) == inline_ysb(z, s, b, cfg, f)
 
     def test_cached_tables_are_read_only(self):
         grid = GridSpec(4, 16, 0.5)
         f = random_real_field(4, seed=3)
-        factor = _free_phase_factor(grid, -1, "modified", f)
+        factor = _free_phase_factor(grid, -1, f)
         with pytest.raises(ValueError):
             factor[0, 0] = 0.0
-        for table in _proxy_weights(grid, NormProxyConfig(s=0.3, b=0.51)):
+        for table in _proxy_weights(grid, NormProxyConfig(), 0.3, 0.51):
             if isinstance(table, np.ndarray):
                 with pytest.raises(ValueError):
                     table[0] = 0.0
 
     def test_checks_run_on_every_call(self):
+        # a cached factor of the right cutoff does not let a wrong profile through
         grid = GridSpec(4, 16, 0.5)
         z = Trajectory.zeros(grid)
-        cfg = NormProxyConfig(s=0.3, b=0.51, phase="modified")
         for _ in range(3):
-            with pytest.raises(ConfigError):
-                ysb_norm_proxy(z, cfg, None)
-            with pytest.raises(ConfigError):
-                _free_phase_factor(grid, 1, "modified", None)
-        ysb_norm_proxy(z, cfg, random_real_field(4, seed=1))
-        for _ in range(3):
+            ysb_norm_proxy(z, 0.3, 0.51, random_real_field(4, seed=1))
             with pytest.raises(GridMismatchError):
-                ysb_norm_proxy(z, cfg, random_real_field(5, seed=1))
+                ysb_norm_proxy(z, 0.3, 0.51, random_real_field(5, seed=1))
+            with pytest.raises(GridMismatchError):
+                _free_phase_factor(grid, 1, random_real_field(3, seed=1))
 
     def test_one_factor_per_grid_and_sign(self):
         grid = GridSpec(6, 16, 0.5)
         z = Trajectory.zeros(grid)
-        cfg = NormProxyConfig(s=0.3, b=0.51, phase="modified")
         for seed in range(50):
             f = random_real_field(6, seed=seed)
-            ysb_norm_proxy(z, cfg, f)
-            _free_phase_factor(grid, 1, "modified", f)
+            ysb_norm_proxy(z, 0.3, 0.51, f)
+            _free_phase_factor(grid, 1, f)
         assert [key for key in _FACTORS if key[0] == grid] == [(grid, -1), (grid, 1)]
         assert len(_FACTORS) <= _CACHE_ENTRIES
         assert len(_PROXY_WEIGHTS) <= _CACHE_ENTRIES
@@ -379,7 +377,6 @@ class TestFreePhaseCache:
         rng = np.random.default_rng(8)
         z = Trajectory(grid, rng.standard_normal((16, 11)) + 0j)
         f = random_real_field(5, seed=12345)
-        cfg = NormProxyConfig(s=0.3, b=0.51, phase="modified")
-        values = {ysb_norm_proxy(z, cfg, f) for _ in range(10)}
+        values = {ysb_norm_proxy(z, 0.3, 0.51, f) for _ in range(10)}
         assert len(values) == 1
         assert calls == [(5, "modified")]

@@ -13,8 +13,10 @@ from mkdvlab import (
     ConfigError,
     ConvergenceError,
     FourierField,
+    GridMismatchError,
     GridSpec,
     InstabilityError,
+    NormProxyConfig,
     PhaseTable,
     PicardConfig,
     TimeHorizonWarning,
@@ -42,10 +44,10 @@ def nested_solve(f: FourierField, cfg: PicardConfig) -> tuple[Trajectory, int]:
     picard_solve ran this loop before z and Q were iterated together; it
     gives that solver's bits. Returns u and the iterate count.
     """
-    z = Trajectory.zeros(cfg.grid_for(f.K))
+    z = Trajectory.zeros(cfg.grid)
     for m in range(1, cfg.max_iters + 1):
         z_next, _ = picard_step(z, f, cfg)
-        diff = x_space_norm(z_next - z, cfg.params, f, cfg.window, cfg.pad_factor)
+        diff = x_space_norm(z_next - z, cfg.params, f, cfg.proxy)
         z = z_next
         if diff <= cfg.tol:
             break
@@ -64,9 +66,8 @@ def mode_forcing(grid: GridSpec, k0: int, values: np.ndarray) -> Trajectory:
 class TestPicardConfig:
     def test_defaults(self):
         cfg = PicardConfig()
-        assert cfg.T == 0.01
-        assert cfg.M == 64
-        assert cfg.grid_for(16) == GridSpec(16, 64, 0.01)
+        assert cfg.grid == GridSpec(16, 64, 0.01)
+        assert cfg.proxy == NormProxyConfig("hann", 4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -82,16 +83,20 @@ class TestPicardConfig:
         ],
     )
     def test_rejects(self, kwargs):
+        # T and M are grid values: the grid rejects T <= 0, the solver M < 8
+        grid = {"K": 16, "M": 64, "T": 0.01}
+        grid.update((k, v) for k, v in kwargs.items() if k in ("T", "M"))
+        rest = {k: v for k, v in kwargs.items() if k not in grid}
         with pytest.raises(ConfigError):
-            PicardConfig(**kwargs)
+            PicardConfig(grid=GridSpec(**grid), **rest)
 
     def test_long_horizon_warns(self):
-        with pytest.warns(TimeHorizonWarning):
-            PicardConfig(T=1.5)
+        with pytest.warns(TimeHorizonWarning, match="horizon T = 1.5 is outside"):
+            PicardConfig(grid=GridSpec(16, 64, 1.5))
 
     def test_smallest_counts_accepted(self):
-        cfg = PicardConfig(M=8, max_iters=1, phase_max_sweeps=1)
-        assert (cfg.M, cfg.max_iters, cfg.phase_max_sweeps) == (8, 1, 1)
+        cfg = PicardConfig(grid=GridSpec(16, 8, 0.01), max_iters=1, phase_max_sweeps=1)
+        assert (cfg.grid.M, cfg.max_iters, cfg.phase_max_sweeps) == (8, 1, 1)
 
 
 class TestDuhamelIntegrate:
@@ -177,8 +182,8 @@ class TestPicardRhs:
 class TestPicardStep:
     def test_first_iterate_closed_form(self):
         f = cosine_field(8)
-        cfg = PicardConfig(T=0.01, M=64)
-        grid = cfg.grid_for(8)
+        cfg = PicardConfig(grid=GridSpec(8, 64, 0.01))
+        grid = cfg.grid
         z1, phase = picard_step(Trajectory.zeros(grid), f, cfg)
         t = grid.times
         exact = -0.125j * np.exp(27j * t) * (1.0 - np.exp(-23.25j * t)) / 23.25j
@@ -191,15 +196,15 @@ class TestPicardStep:
 
     def test_first_iterate_is_conjugate_symmetric(self):
         f = cosine_field(8)
-        cfg = PicardConfig(T=0.01, M=16)
-        z1, _ = picard_step(Trajectory.zeros(cfg.grid_for(8)), f, cfg)
+        cfg = PicardConfig(grid=GridSpec(8, 16, 0.01))
+        z1, _ = picard_step(Trajectory.zeros(cfg.grid), f, cfg)
         worst = max(check_real_symmetry(z1.frame(n)) for n in range(16))
         assert worst < 1e-14
 
 
 class TestPicardSolve:
     def test_zero_profile_stays_zero(self):
-        z, phase, report = picard_solve(FourierField.zeros(4), PicardConfig(T=0.01, M=16))
+        z, phase, report = picard_solve(FourierField.zeros(4), PicardConfig(grid=GridSpec(4, 16, 0.01)))
         assert np.max(np.abs(z.coeffs)) == 0.0
         assert report.converged
         assert len(report.iters) == 1
@@ -208,7 +213,7 @@ class TestPicardSolve:
 
     def test_cosine_converges_and_contracts(self):
         f = cosine_field(8)
-        cfg = PicardConfig(T=0.01, M=32)
+        cfg = PicardConfig(grid=GridSpec(8, 32, 0.01))
         z, phase, report = picard_solve(f, cfg)
         assert report.converged
         assert all(r.ratio < 1.0 for r in report.iters if r.ratio is not None)
@@ -219,7 +224,7 @@ class TestPicardSolve:
 
     def test_reconstruction_starts_at_profile(self):
         f = cosine_field(8)
-        z, phase, _ = picard_solve(f, PicardConfig(T=0.01, M=16))
+        z, phase, _ = picard_solve(f, PicardConfig(grid=GridSpec(8, 16, 0.01)))
         u = reconstruct_solution(z, phase, f)
         assert np.array_equal(u.coeffs[0], f.coeffs)
         worst = max(check_real_symmetry(u.frame(n)) for n in range(16))
@@ -227,11 +232,10 @@ class TestPicardSolve:
 
     def test_diff_norms_match_composite_norm(self):
         f = cosine_field(8)
-        cfg = PicardConfig(T=0.01, M=32)
-        grid = cfg.grid_for(8)
-        z1, _ = picard_step(Trajectory.zeros(grid), f, cfg)
+        cfg = PicardConfig(grid=GridSpec(8, 32, 0.01))
+        z1, _ = picard_step(Trajectory.zeros(cfg.grid), f, cfg)
         _, _, report = picard_solve(f, cfg)
-        expected = x_space_norm(z1, cfg.params, f, cfg.window, cfg.pad_factor)
+        expected = x_space_norm(z1, cfg.params, f, cfg.proxy)
         assert abs(report.iters[0].diff_norm - expected) < 1e-12
         assert abs(report.first_iterate_norm - expected) < 1e-12
 
@@ -243,7 +247,7 @@ class TestPicardSolve:
             with pytest.raises(InstabilityError) as info:
                 picard_solve(
                     cosine_field(8, amplitude=1e40),
-                    PicardConfig(T=0.01, M=16, max_iters=6),
+                    PicardConfig(grid=GridSpec(8, 16, 0.01), max_iters=6),
                 )
         assert info.value.step == 2
 
@@ -256,14 +260,14 @@ class TestPicardSolve:
             with pytest.raises(InstabilityError) as info:
                 picard_solve(
                     cosine_field(8, amplitude=1e54),
-                    PicardConfig(T=0.01, M=16, max_iters=6),
+                    PicardConfig(grid=GridSpec(8, 16, 0.01), max_iters=6),
                 )
         assert info.value.step == 1
         assert "phase sweep" in str(info.value)
 
     def test_starved_phase_sweeps_raise(self):
         f = cosine_field(4)
-        cfg = PicardConfig(T=0.5, M=16, phase_max_sweeps=1)
+        cfg = PicardConfig(grid=GridSpec(4, 16, 0.5), phase_max_sweeps=1)
         with pytest.raises(ConvergenceError) as info:
             picard_solve(f, cfg)
         assert "reduce the time horizon" in str(info.value)
@@ -271,7 +275,7 @@ class TestPicardSolve:
 
     def test_long_horizon_fails_to_contract(self):
         with pytest.warns(TimeHorizonWarning):
-            cfg = PicardConfig(T=10.0, M=64, max_iters=8)
+            cfg = PicardConfig(grid=GridSpec(8, 64, 10.0), max_iters=8)
         import warnings
 
         with warnings.catch_warnings():
@@ -289,7 +293,8 @@ class TestPicardSolve:
 
     def test_two_stalled_ratios_do_not_abort(self, monkeypatch):
         self.measured_diffs(monkeypatch, [1.0, 2.0, 2.0])
-        _, _, report = picard_solve(cosine_field(4), PicardConfig(M=8, max_iters=3))
+        cfg = PicardConfig(grid=GridSpec(4, 8, 0.01), max_iters=3)
+        _, _, report = picard_solve(cosine_field(4), cfg)
         assert not report.converged
         assert [r.ratio for r in report.iters] == [None, 2.0, 1.0]
 
@@ -297,25 +302,24 @@ class TestPicardSolve:
         # a ratio of exactly 1 counts as failing to contract
         self.measured_diffs(monkeypatch, [1.0, 2.0, 2.0, 2.0])
         with pytest.raises(ConvergenceError) as info:
-            picard_solve(cosine_field(4), PicardConfig(M=8, max_iters=4))
+            picard_solve(cosine_field(4), PicardConfig(grid=GridSpec(4, 8, 0.01), max_iters=4))
         assert info.value.residual == 2.0
 
     def test_stall_needs_a_difference_above_tol(self, monkeypatch):
         # rising differences already below tol are no stall while the phase
         # still moves: the solve runs to max_iters, unconverged
         self.measured_diffs(monkeypatch, [1e-11, 2e-11, 4e-11, 8e-11])
-        cfg = PicardConfig(T=0.05, M=8, max_iters=4)
+        cfg = PicardConfig(grid=GridSpec(4, 8, 0.05), max_iters=4)
         _, _, report = picard_solve(cosine_field(4), cfg)
         assert not report.converged
         assert [r.ratio for r in report.iters] == [None, 2.0, 2.0, 2.0]
         assert min(r.phase_update for r in report.iters) > cfg.phase_tol
 
     def test_report_serialization_shape(self):
-        _, _, report = picard_solve(cosine_field(4), PicardConfig(T=0.01, M=16))
+        _, _, report = picard_solve(cosine_field(4), PicardConfig(grid=GridSpec(4, 16, 0.01)))
         obj = report.to_obj()
         assert set(obj) == {
             "iters",
-            "K",
             "first_iterate_norm",
             "converged",
             "certified_T0",
@@ -323,15 +327,18 @@ class TestPicardSolve:
             "within_first_iterate_bound",
             "richardson_delta",
         }
-        assert obj["K"] == report.first_iterate_norm
         assert {"norm_x", "diff_norm", "ratio", "phase_update"} == set(obj["iters"][0])
 
     def test_report_names_first_iterate_norm(self):
-        _, _, report = picard_solve(cosine_field(4), PicardConfig(T=0.01, M=16))
+        _, _, report = picard_solve(cosine_field(4), PicardConfig(grid=GridSpec(4, 16, 0.01)))
         obj = json.loads(json.dumps(report.to_obj()))
         assert report.first_iterate_norm > 0.0
         assert obj["first_iterate_norm"] == report.first_iterate_norm
-        assert obj["K"] == obj["first_iterate_norm"]
+
+    def test_profile_must_match_the_grid(self):
+        cfg = PicardConfig(grid=GridSpec(8, 16, 0.01))
+        with pytest.raises(GridMismatchError, match="profile cutoff 4 does not match grid K 8"):
+            picard_solve(cosine_field(4), cfg)
 
 
 class TestNestedOracle:
@@ -341,7 +348,7 @@ class TestNestedOracle:
         ids=["cosine16", "random32-1", "random32-2"],
     )
     def test_joint_iteration_matches_nested_scheme(self, f):
-        cfg = PicardConfig()
+        cfg = PicardConfig(grid=GridSpec(f.K, 64, 0.01))
         u_ref, iters_ref = nested_solve(f, cfg)
         z, phase, report = picard_solve(f, cfg)
         u = reconstruct_solution(z, phase, f)
@@ -356,7 +363,7 @@ class TestGoldenRegression:
     def test_cosine_K16_run(self):
         golden = json.loads(GOLDEN.read_text())
         f = cosine_field(16)
-        cfg = PicardConfig(T=golden["T"], M=golden["M"])
+        cfg = PicardConfig(grid=GridSpec(16, golden["M"], golden["T"]))
         z, phase, report = picard_solve(f, cfg)
         assert report.converged == golden["converged"]
         assert len(report.iters) == len(golden["iters"])
@@ -378,7 +385,8 @@ class TestGoldenRegression:
         # here even where the tolerances above still hold (recorded with numpy 2.4
         # on x86-64; another FFT build may round differently)
         golden = json.loads(GOLDEN.read_text())
-        z, phase, _ = picard_solve(cosine_field(16), PicardConfig(T=golden["T"], M=golden["M"]))
+        cfg = PicardConfig(grid=GridSpec(16, golden["M"], golden["T"]))
+        z, phase, _ = picard_solve(cosine_field(16), cfg)
         assert hashlib.sha256(z.coeffs.tobytes()).hexdigest() == (
             "7514669e77036b3bb23ea14e71cdc221e65ba3d3213fb13fd8c7050ff1f09de7"
         )

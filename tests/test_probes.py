@@ -42,6 +42,7 @@ from mkdvlab import (
     xinfty_hs_norm,
     ysb_norm_proxy,
 )
+from mkdvlab.cli import _keys
 
 
 class TestEnsembleSpec:
@@ -92,7 +93,13 @@ class TestEnsembleSpec:
         assert obj["seed"] == 7
         assert obj["k_values"] == [8, 16]
         assert obj["params"]["s1"] == pytest.approx(0.8)
-        assert obj["proxy"]["phase"] == "modified"
+        assert obj["proxy"] == {"window": "hann", "pad_factor": 4}
+
+    def test_to_obj_proxy_is_the_config_keys(self):
+        # the report records the proxy settings the run uses, nothing else
+        spec = EnsembleSpec(7, 3, 16, 2.0, proxy=NormProxyConfig("rect", 2))
+        assert tuple(spec.to_obj()["proxy"]) == _keys(NormProxyConfig)
+        assert spec.to_obj()["proxy"] == {"window": "rect", "pad_factor": 2}
 
 
 class TestFreeTrajectories:
@@ -142,7 +149,7 @@ def duhamel_oracle(forcing: Trajectory, f: FourierField) -> Trajectory:
 class TestRatioFunctions:
     def test_smoothing_ratio_against_chained_ops(self):
         params = SobolevIndex()
-        proxy = NormProxyConfig(params.s0, params.b, phase="modified")
+        proxy = NormProxyConfig("rect", 2)
         f = cosine_field(4)
         grid = GridSpec(K=4, M=16, T=0.5)
         gs = [
@@ -161,13 +168,13 @@ class TestRatioFunctions:
         )
         U = duhamel_oracle(Trajectory(grid, forcing), f)
         num = xinfty_hs_norm(U, params.s1)
-        denom = math.prod(ysb_norm_proxy(u, proxy, f) for u in us)
+        denom = math.prod(ysb_norm_proxy(u, params.s0, params.b, f, proxy) for u in us)
         expected = num / (grid.T**params.delta * denom)
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_ratios_are_scale_invariant(self):
         params = SobolevIndex()
-        proxy = NormProxyConfig(params.s0, params.b, phase="modified")
+        proxy = NormProxyConfig()
         f = cosine_field(4)
         grid = GridSpec(K=4, M=16, T=0.5)
         g = cosine_field(4, amplitude=0.3)
@@ -381,7 +388,7 @@ class TestSmoothingReport:
 
     def test_initial_frame_rows_are_zero(self):
         f = cosine_field(8)
-        z, phase, _ = picard_solve(f, PicardConfig(T=0.01, M=16))
+        z, phase, _ = picard_solve(f, PicardConfig(grid=GridSpec(8, 16, 0.01)))
         u = reconstruct_solution(z, phase, f)
         report = smoothing_report(u, f, SobolevIndex())
         assert report.remainder_hs1[0] == 0.0
@@ -398,7 +405,7 @@ class TestSmoothingReport:
 class TestGaugedResidual:
     def test_solver_output_is_certified(self):
         f = cosine_field(8)
-        cfg = PicardConfig(T=0.01, M=32)
+        cfg = PicardConfig(grid=GridSpec(8, 32, 0.01))
         z, phase, _ = picard_solve(f, cfg)
         u = reconstruct_solution(z, phase, f)
         direct = strong_form_residual(z, f, phase)

@@ -1,6 +1,7 @@
 """Checks on the package surface and on the benchmark tooling that changes to it can break."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,11 @@ import mkdvlab
 from mkdvlab import (
     EnsembleSpec,
     ETDConfig,
+    GridSpec,
+    NormProxyConfig,
     PicardConfig,
+    SobolevIndex,
+    cli,
     picard,
     probes,
     random_real_field,
@@ -149,6 +155,33 @@ def test_no_unused_imports(folder):
     assert [u for path in sorted(folder.glob("*.py")) for u in unused_imports(path)] == []
 
 
+# every dataclass that cli._resolve builds from a config section
+CONFIG_CLASSES = (
+    GridSpec, SobolevIndex, NormProxyConfig, ETDConfig, PicardConfig, EnsembleSpec,
+    *cli._INITIAL_KINDS.values(),
+)
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_config_fields_are_keys_or_sections(cls):
+    # each setting has one home: an init field is either a key of its own
+    # section or a whole nested section, and no key repeats a key of a nested
+    # section, so a field that copies another section's value (as
+    # PicardConfig.T once copied grid.T) cannot come back
+    hints = typing.get_type_hints(cls)
+    keys = cli._keys(cls)
+    fields = dataclasses.fields(cls)
+    sections = [hints[f.name] for f in fields if dataclasses.is_dataclass(hints[f.name])]
+    loose = [
+        f.name
+        for f in fields
+        if f.init and f.name not in keys and hints[f.name] not in sections
+    ]
+    assert loose == []
+    for section in sections:
+        assert set(keys).isdisjoint(cli._keys(section)), section.__name__
+
+
 def counting(monkeypatch, module, name):
     """Rebind module.name to a wrapper that counts its calls, as the tracer does."""
     calls = []
@@ -168,13 +201,13 @@ def counting(monkeypatch, module, name):
 
 def test_picard_makes_one_nr_call_per_frame(monkeypatch):
     f = random_real_field(8, 3, 1.0)
-    cfg = PicardConfig(T=0.01, M=9)
+    cfg = PicardConfig(grid=GridSpec(8, 9, 0.01))
     nr = counting(monkeypatch, picard, "nr_trilinear")
     z, phase, report = picard.picard_solve(f, cfg)
-    assert len(nr) == len(report.iters) * cfg.M
+    assert len(nr) == len(report.iters) * cfg.grid.M
     nr.clear()
     picard.picard_rhs(z, phase, f)
-    assert len(nr) == cfg.M
+    assert len(nr) == cfg.grid.M
 
 
 # both schemes evaluate four stages per substep; the etdrk4 cases keep their
