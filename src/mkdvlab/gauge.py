@@ -12,9 +12,11 @@ mode-wise algebra. A companion table P(t,k) = t k^3 + k int_0^t |u_hat|^2 ds
 is read off any trajectory directly.
 
 The right side of that equation, the phase map, has one array-level home,
-_phase_sweep on raw (M, 2K+1) arrays. solve_phase iterates it to a fixed
-point for a given z; picard_solve applies it once per iterate, reusing the
-e^{iQ} table of the iterate's right side, so z and Q settle together.
+_phase_sweep on raw arrays of any set of mode columns. solve_phase iterates
+it to a fixed point for a given z on all 2K+1 columns; picard_solve applies
+it once per iterate on the columns k = 0..K (Q is odd in k for a real
+solution), reusing the e^{iQ} table of the iterate's right side, so z and Q
+settle together.
 
 All time integrals use the trapezoid rule on the trajectory's own grid, so
 the phase solver, the iteration solver, and the diagnostics all see the same
@@ -117,21 +119,19 @@ def _phase_seed(f: FourierField, grid: GridSpec) -> np.ndarray:
     return seed
 
 
-def _modulate(f: FourierField, values: np.ndarray) -> np.ndarray:
-    """f_hat(k) exp(i Q(t, k)) on a raw (M, 2K+1) phase array."""
-    return f.coeffs[None, :] * np.exp(1j * values)
+def _modulate(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """f_hat(k) exp(i Q(t, k)) on a raw (M, n) phase array, coeffs the n modes of f."""
+    return coeffs[None, :] * np.exp(1j * values)
 
 
 def _phase_sweep(
-    profile: np.ndarray, z: np.ndarray, seed: np.ndarray, dt: float
+    profile: np.ndarray, z: np.ndarray, seed: np.ndarray, dt: float, ks: np.ndarray
 ) -> np.ndarray:
-    """One application of the phase map on (M, 2K+1) arrays.
+    """One application of the phase map on (M, n) arrays of the mode columns ks.
 
     seed + k int_0^t (2 Re(profile conj(z)) + |z|^2) ds, with profile the
     modulated profile f_hat e^{iQ} of the phase Q being swept.
     """
-    K = seed.shape[-1] // 2
-    ks = np.arange(-K, K + 1)
     g = 2.0 * np.real(profile * np.conj(z)) + np.abs(z) ** 2
     return seed + ks * cumulative_trapezoid(g, dt)
 
@@ -173,11 +173,12 @@ def solve_phase(
 
     seed = _phase_seed(f, z.grid)
     dt = z.grid.dt
+    ks = z.grid.wavenumbers
     values = seed
     updates: list[float] = []
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        new = _phase_sweep(_modulate(f, values), z.coeffs, seed, dt)
+        new = _phase_sweep(_modulate(f.coeffs, values), z.coeffs, seed, dt, ks)
         if not np.all(np.isfinite(new)):
             raise InstabilityError(
                 f"phase sweep {sweep} produced non-finite values", step=sweep
@@ -194,7 +195,7 @@ def solve_phase(
             f"(last update {updates[-1]:.3e}); reduce the time horizon T",
             residual=updates[-1],
         )
-    again = _phase_sweep(_modulate(f, values), z.coeffs, seed, dt)
+    again = _phase_sweep(_modulate(f.coeffs, values), z.coeffs, seed, dt, ks)
     residual = float(np.max(np.abs(again - values)))
     ratios = [
         updates[i + 1] / updates[i]
@@ -233,7 +234,7 @@ def modulated_profile(f: FourierField, table: PhaseTable) -> Trajectory:
     """Trajectory with frames f_hat(k) exp(i Q(t_n, k))."""
     if f.K != table.K:
         raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {table.K}")
-    return Trajectory(table.grid, _modulate(f, table.values))
+    return Trajectory(table.grid, _modulate(f.coeffs, table.values))
 
 
 def phase_to_obj(table: PhaseTable) -> dict:

@@ -8,10 +8,16 @@ i k |u_hat(k)|^2 u_hat(k) and a nonresonant triple sum
 taken over k1 + k2 + k3 = k with k != 0, every kj != 0, and
 (k1+k2)(k2+k3)(k3+k1) != 0. Under the convolution constraint the last
 condition is equivalent to kj != k for all j, which is how the code tests
-it. Every run evaluates it by one route, a padded-FFT convolution with
-boundary corrections; `nr_trilinear_naive`, a direct sum over the triple
-table, is kept only as the independent oracle the test suite checks that
-route against, to rounding.
+it. Every run evaluates it as a padded-FFT convolution with boundary
+corrections, by one of two routes: the cube NR(u, u, u) of one field marked
+real_symmetric by real transforms of its half spectrum, every other call by
+complex transforms of the full mode vectors. `nr_trilinear_naive`, a direct
+sum over the triple table, is kept only as the independent oracle the test
+suite checks both routes against, to rounding.
+
+One private kernel, _cube_modes, gives the modes of u^3 for a real field u
+from its half spectrum; the real NR route and direct_nonlinearity, the
+stage of the ETD oracle, both go through it.
 
 Everything here treats fields as plain mode vectors; no physical-space
 state is retained between calls.
@@ -19,6 +25,7 @@ state is retained between calls.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -230,6 +237,67 @@ def nr_trilinear_naive(
     return FourierField((-1j / 3.0) * np.arange(-K, K + 1) * sums)
 
 
+@cache
+def _alias_free_length(K: int) -> int:
+    """Smallest 5-smooth N >= 4K + 1, the transform length of _cube_modes.
+
+    u^3 has modes |m| <= 3K, so an alias m = k + jN (j != 0) of an output
+    mode |k| <= K needs N <= 4K; N = 4K + 1 is the first alias-free length.
+    Lengths whose only prime factors are 2, 3 and 5 are the fast ones; N is
+    such a length iff it divides 30^e, e its bit length, which bounds every
+    exponent of N.
+    """
+    N = 4 * K + 1
+    while pow(30, N.bit_length(), N):
+        N += 1
+    return N
+
+
+def _cube_modes(half: np.ndarray) -> np.ndarray:
+    """Modes k = 1..K of u^3 for the real field u with modes 0..K `half`.
+
+    One irfft of half on _alias_free_length(K) points, the cube of the
+    samples, one rfft; both transforms take norm="forward", so no separate
+    scaling pass is made. The imaginary part of half[0] is ignored, as the
+    real field has a real mean.
+    """
+    K = half.size - 1
+    n = _alias_free_length(K)
+    samples = np.fft.irfft(half, n, norm="forward")
+    return np.fft.rfft(samples * samples * samples, norm="forward")[1 : K + 1]
+
+
+def _nr_real_cube(c: np.ndarray) -> np.ndarray:
+    """Modes 1..K of NR(u, u, u) for the real field u with mode vector c.
+
+    a is u with a_0 stripped. The convolution is (a^3)^ by _cube_modes, and
+    for one real input the boundary terms of _nr_array reduce to
+    3 (p - |a_k|^2) a_k: each paired sum is p = sum_j a_j a_{-j}
+    = 2 sum_{k>=1} |a_k|^2, and each triple product is a_k |a_k|^2.
+    """
+    K = c.size // 2
+    a = c[K:].copy()
+    a[0] = 0.0
+    positive = a[1:]
+    power = positive.real**2 + positive.imag**2
+    p = 2.0 * np.sum(power)
+    conv = _cube_modes(a)
+    return (-1j / 3.0) * np.arange(1, K + 1) * (conv - 3.0 * (p - power) * positive)
+
+
+def _nr_field(v1: FourierField, v2: FourierField, v3: FourierField) -> FourierField:
+    """NR(v1, v2, v3): by real transforms for one real field passed three times.
+
+    The field counts as real when it is marked real_symmetric or, unmarked,
+    is exactly conjugate-symmetric, so the route never depends on the mark
+    alone. Every other call takes the complex route of _nr_array, bit for
+    bit.
+    """
+    if v1 is v2 is v3 and (v1.real_symmetric or check_real_symmetry(v1) == 0.0):
+        return _mirrored_field(0.0, _nr_real_cube(v1.coeffs))
+    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs))
+
+
 def nr_trilinear_fast(
     v1: FourierField, v2: FourierField, v3: FourierField
 ) -> FourierField:
@@ -238,12 +306,12 @@ def nr_trilinear_fast(
     Kept as a separate public name only because bench/tracer.py wraps it
     by name, until the benchmark's instruments move into the package.
     """
-    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs))
+    return _nr_field(v1, v2, v3)
 
 
 def nr_trilinear(v1: FourierField, v2: FourierField, v3: FourierField) -> FourierField:
     """Nonresonant trilinear term via a padded cyclic convolution with boundary corrections."""
-    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs))
+    return _nr_field(v1, v2, v3)
 
 
 def nr_framewise(
@@ -277,24 +345,24 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
     """Mode vector of -(u^2 - c) u_x, c = mean(u^2), for a real field.
 
     Evaluated in conservative form, -(u^2 - c) u_x = -(u^3)_x / 3 + c u_x,
-    so that two transforms suffice: u on 4K + 4 points from its half
-    spectrum, then the half spectrum of u^3, alias-free there for
-    |k| <= K. Mode k is then i k (c u_hat(k) - (u^3)_hat(k) / 3), and by
-    Parseval c = sum_k |u_hat(k)|^2. Both transforms take norm="forward",
-    so no separate scaling pass is made. The output is mirrored from modes
-    1..K, so it is conjugate-symmetric to the last bit, and its zero mode
-    (the integrand is a total derivative) is exactly zero. A field marked
-    real_symmetric passed the same check when it was built, so only
-    unmarked fields are checked here.
+    so that two transforms suffice: _cube_modes takes u from its half
+    spectrum on the smallest 5-smooth N >= 4K + 1 points, where u^3, of
+    modes |m| <= 3K, is alias-free for |k| <= K. Mode k is then
+    i k (c u_hat(k) - (u^3)_hat(k) / 3), and by Parseval
+    c = |u_hat(0)|^2 + 2 sum_{k>=1} |u_hat(k)|^2, one dot product. The
+    output is mirrored from modes 1..K, so it is conjugate-symmetric to the
+    last bit, and its zero mode (the integrand is a total derivative) is
+    exactly zero. A field marked real_symmetric passed the same check when
+    it was built, so only unmarked fields are checked here.
     """
     if not u.real_symmetric and check_real_symmetry(u) > REAL_SYMMETRY_TOL:
         raise FieldError("direct nonlinearity is defined for real fields")
     K = u.K
-    N = 4 * K + 4
-    samples = np.fft.irfft(half_spectrum(u.coeffs, N), N, norm="forward")
-    cube_half = np.fft.rfft(samples * samples * samples, norm="forward")
-    positive = galilean_speed(u) * u.coeffs[K + 1 :] - cube_half[1 : K + 1] / 3.0
-    return _mirrored_field(0.0, 1j * np.arange(1, K + 1) * positive)
+    half = u.coeffs[K:]
+    positive = half[1:]
+    c = abs(half[0]) ** 2 + 2.0 * np.vdot(positive, positive).real
+    out = c * positive - _cube_modes(half) / 3.0
+    return _mirrored_field(0.0, 1j * np.arange(1, K + 1) * out)
 
 
 def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarray:

@@ -21,6 +21,11 @@ phi_k is the profile-shifted rate when f is given and k^3 when it is not.
 Quadrature in tau is the rectangle rule on the padded DFT grid. With the
 window normalization sum w(t_n)^2 dt = 1 the proxy of a free mode
 exp(i phi_{k0} t) at b = 0 is exactly <k0>^s, which pins the constants.
+
+A trajectory marked real_symmetric is read on its columns k >= 0 only,
+with weight 2 on k >= 1: phi is odd, so the demodulated -k series is the
+conjugate of the +k series, and the tau weight is even, so the two columns
+carry equal power. Unmarked trajectories are read on all 2K+1 columns.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ _WINDOWS = ("hann", "rect")
 _PHASES = ("airy", "modified")
 
 # Per (grid, sign) the free phase factor of the latest (profile, bumps), and
-# per (grid, window, pad_factor, s, b) the weights of ysb_norm_proxy.
+# per (grid, window, pad_factor, s, b, half) the weights of ysb_norm_proxy.
 _FACTORS: dict[tuple[GridSpec, int], tuple[tuple, np.ndarray]] = {}
 _PROXY_WEIGHTS: dict[tuple, tuple[None, tuple]] = {}
 
@@ -117,17 +122,28 @@ def _free_phase_factor(
     return _cached(_FACTORS, (grid, sign), stamp, build)
 
 
-def _proxy_weights(grid: GridSpec, proxy: NormProxyConfig, s: float, b: float) -> tuple:
-    """(window column, Mp, tau-weight column, <k>^{2s}) of ysb_norm_proxy, read-only."""
+def _proxy_weights(
+    grid: GridSpec, proxy: NormProxyConfig, s: float, b: float, half: bool = False
+) -> tuple:
+    """(window column, Mp, tau-weight column, mode weights) of ysb_norm_proxy, read-only.
+
+    The mode weights are <k>^{2s} on k = -K..K, or on k = 0..K doubled for
+    k >= 1 when half is set.
+    """
 
     def build() -> tuple:
         w = window_weights(grid.M, grid.dt, proxy.window)
         Mp = int(proxy.pad_factor) * grid.M
         taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=grid.dt)
         tau_weight = (1.0 + taus**2) ** b
-        return w[:, None], Mp, tau_weight[:, None], bracket_sq(grid.K) ** s
+        mode_weight = bracket_sq(grid.K) ** s
+        if half:
+            mode_weight = mode_weight[grid.K :].copy()
+            mode_weight[1:] *= 2.0
+        return w[:, None], Mp, tau_weight[:, None], mode_weight
 
-    return _cached(_PROXY_WEIGHTS, (grid, proxy.window, proxy.pad_factor, s, b), None, build)
+    key = (grid, proxy.window, proxy.pad_factor, s, b, half)
+    return _cached(_PROXY_WEIGHTS, key, None, build)
 
 
 def ysb_norm_proxy(
@@ -142,26 +158,31 @@ def ysb_norm_proxy(
     norm^2 = sum_k <k>^{2s} * (1 / (Mp dt)) * sum_m <tau_m>^{2b} |G(m, k)|^2
     with G the time-DFT (times dt) of w(t) z_hat(t,k) exp(-i phi_k t) padded
     to Mp = pad_factor * M samples; phi_k is the modified rate of f when f
-    is given and k^3 otherwise. The phase factor and the weights are built
-    once per grid and profile and reused while they stay the same.
+    is given and k^3 otherwise. A trajectory marked real_symmetric is read
+    on its columns k >= 0, the terms of k >= 1 counted twice. The phase
+    factor and the weights are built once per grid and profile and reused
+    while they stay the same.
     """
     M = z.grid.M
     if M < 8:
         raise ConfigError(f"time-DFT proxy needs M >= 8 frames, got {M}")
     dt = z.grid.dt
-    w, Mp, tau_weight, bracket_weight = _proxy_weights(z.grid, proxy, s, b)
-    demod = z.coeffs * _free_phase_factor(z.grid, -1, f)
+    half = z.real_symmetric
+    w, Mp, tau_weight, mode_weight = _proxy_weights(z.grid, proxy, s, b, half)
+    cols = slice(z.K, None) if half else slice(None)
+    demod = z.coeffs[:, cols] * _free_phase_factor(z.grid, -1, f)[:, cols]
     spectrum = np.fft.fft(w * demod, n=Mp, axis=0)
     del demod
-    # in place on the (Mp, 2K+1) tables, bit-identical to the out-of-place
-    # products, so at most one padded complex table and one real one are live
+    # in place on the (Mp, n) tables of the n columns read, bit-identical to
+    # the out-of-place products, so at most one padded complex table and one
+    # real one are live
     spectrum *= dt
     power = np.abs(spectrum)
     del spectrum
     power *= power
     power *= tau_weight
     mode_power = np.sum(power, axis=0)
-    total = float(np.sum(bracket_weight * mode_power)) / (Mp * dt)
+    total = float(np.sum(mode_weight * mode_power)) / (Mp * dt)
     return math.sqrt(total)
 
 

@@ -19,6 +19,17 @@ before its update. The single NR call on the summed field equals the
 8-term multilinear expansion, which the test suite checks as a property of
 the NR kernel.
 
+The profile is real, so every array of the loop is conjugate-symmetric in
+k: the remainder z, the modulated profile, w and the forcing; Q is odd.
+picard_solve therefore holds only their columns k = 0..K, as (M, K+1)
+arrays, from the first iterate to the last. Each frame of w is mirrored
+into a real_symmetric field for its NR call, which takes the real-transform
+route; the calls stay one per frame, because the benchmark's traced runs
+check nr_calls == iterates x M. The iterates are mirrored into
+real_symmetric trajectories for the X norms, and z once more at the end.
+duhamel_integrate and picard_rhs apply the same array helpers, _duhamel
+and _rhs, to full columns, so each formula has one home.
+
 PicardConfig holds the run's exponents, grid and norm proxy as whole
 objects, so each setting has one home: the profile must have the grid's
 cutoff K, and the iterates are measured by x_space_norm, the proxy at
@@ -41,6 +52,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConvergenceError,
+    FieldError,
     GridMismatchError,
     InstabilityError,
     TimeHorizonWarning,
@@ -55,7 +67,17 @@ from .gauge import (
 )
 from .nonlinearity import nr_trilinear
 from .norms import NormProxyConfig, _free_phase_factor, x_space_norm
-from .spectral import FourierField, GridSpec, SobolevIndex, Trajectory, cumulative_trapezoid
+from .spectral import (
+    REAL_SYMMETRY_TOL,
+    FourierField,
+    GridSpec,
+    SobolevIndex,
+    Trajectory,
+    _mirrored_field,
+    _symmetric_trajectory,
+    check_real_symmetry,
+    cumulative_trapezoid,
+)
 
 __all__ = [
     "PicardConfig",
@@ -154,50 +176,72 @@ def duhamel_integrate(
     K = forcing.K
     if f is not None and f.K != K:
         raise ConfigError(f"profile cutoff {f.K} does not match forcing cutoff {K}")
-    damping = _free_phase_factor(forcing.grid, -1, f)
-    damped = damping * forcing.coeffs
-    integral = cumulative_trapezoid(damped, forcing.grid.dt)
     z0 = np.zeros(forcing.grid.n_modes, dtype=complex)
     if initial is not None:
         if initial.K != K:
             raise ConfigError(f"initial data cutoff {initial.K} does not match {K}")
         z0 = initial.coeffs
+    damping = _free_phase_factor(forcing.grid, -1, f)
+    return Trajectory(forcing.grid, _duhamel(forcing.coeffs, damping, forcing.grid.dt, z0))
+
+
+def _duhamel(forcing: np.ndarray, damping: np.ndarray, dt: float, z0: np.ndarray) -> np.ndarray:
+    """The Duhamel integral on (M, n) arrays of one set of n mode columns.
+
+    damping holds exp(-i t phi_k) and z0 the modes at t = 0 on those columns.
+    """
+    integral = cumulative_trapezoid(damping * forcing, dt)
     # the conjugate of the cached damping table, bit for bit exp(i t phi_k)
-    coeffs = np.conj(damping) * (z0[None, :] + integral)
-    return Trajectory(forcing.grid, coeffs)
+    return np.conj(damping) * (z0 + integral)
 
 
 def picard_rhs(z: Trajectory, phase: PhaseTable, f: FourierField) -> Trajectory:
-    """Full right side of the gauged evolution, one NR call per frame.
+    """Full right side of the gauged evolution on all 2K+1 columns, one NR call per frame.
 
-    Each call is the cube NR(w, w, w), which the NR kernel evaluates with
-    one transform. The frames stay separate calls because the benchmark's
-    traced runs check nr_calls == iterates x M.
+    Each call is the cube NR(w, w, w). The frames stay separate calls
+    because the benchmark's traced runs check nr_calls == iterates x M.
     """
     if z.grid != phase.grid:
         raise ConfigError("trajectory and phase table live on different grids")
     if f.K != z.K:
         raise ConfigError(f"mode cutoffs differ: {f.K} vs {z.K}")
-    return Trajectory(z.grid, _rhs(z.coeffs, _modulate(f, phase.values)))
+    profile = _modulate(f.coeffs, phase.values)
+    return Trajectory(z.grid, _rhs(z.coeffs, profile, z.grid.wavenumbers, FourierField))
 
 
-def _rhs(z: np.ndarray, profile: np.ndarray) -> np.ndarray:
-    """The right side on (M, 2K+1) arrays of the remainder and f_hat e^{iQ}."""
-    K = z.shape[-1] // 2
-    ks = np.arange(-K, K + 1)
+def _half_frame(row: np.ndarray) -> FourierField:
+    """The real_symmetric field whose modes k = 0..K are row's."""
+    return _mirrored_field(row[0].real, row[1:])
+
+
+def _rhs(z: np.ndarray, profile: np.ndarray, ks: np.ndarray, frame) -> np.ndarray:
+    """The right side on (M, n) arrays of the remainder and f_hat e^{iQ}.
+
+    ks are the wavenumbers of the n columns: all 2K+1, or k = 0..K of a
+    real solution. frame(row) makes the field of one row of w for its NR
+    call, and the last n columns of that call's output are kept.
+    """
+    n = z.shape[-1]
     absz_sq = np.abs(z) ** 2
     out = 1j * ks * (absz_sq + 2.0 * np.real(profile * np.conj(z))) * z
     summed = profile + z
-    for n in range(z.shape[0]):
-        w = FourierField(summed[n])
-        out[n] += nr_trilinear(w, w, w).coeffs
+    for m in range(z.shape[0]):
+        w = frame(summed[m])
+        out[m] += nr_trilinear(w, w, w).coeffs[-n:]
     return out
 
 
 def picard_step(
     z: Trajectory, f: FourierField, cfg: PicardConfig
 ) -> tuple[Trajectory, PhaseTable]:
-    """One iteration: solve the phase for z, then Duhamel-integrate the right side."""
+    """One iteration: solve the phase for z, then Duhamel-integrate the right side.
+
+    Raises GridMismatchError unless z lives on cfg.grid.
+    """
+    if z.grid != cfg.grid:
+        raise GridMismatchError(
+            f"remainder grid {z.grid} does not match the config grid {cfg.grid}"
+        )
     phase, _ = solve_phase(
         f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
     )
@@ -206,16 +250,20 @@ def picard_step(
 
 
 def _richardson_delta(
-    forcing: Trajectory, f: FourierField, fine: Trajectory
+    grid: GridSpec, forcing: np.ndarray, f: FourierField, fine: np.ndarray
 ) -> float:
-    """Quadrature-error estimate: redo the Duhamel integral on every other node."""
-    M = forcing.grid.M
-    idx = np.arange(0, M, 2)
+    """Quadrature-error estimate: redo the Duhamel integral on every other node.
+
+    On the columns k = 0..K of forcing and of the remainder fine: the -k
+    columns are their conjugates and hold no larger difference.
+    """
+    idx = np.arange(0, grid.M, 2)
     if idx.size < 2:
         return 0.0
-    sub_grid = GridSpec(forcing.grid.K, idx.size, float(forcing.grid.times[idx[-1]]))
-    coarse = duhamel_integrate(Trajectory(sub_grid, forcing.coeffs[idx]), f)
-    return float(np.max(np.abs(fine.coeffs[idx] - coarse.coeffs)))
+    sub_grid = GridSpec(grid.K, idx.size, float(grid.times[idx[-1]]))
+    damping = _free_phase_factor(sub_grid, -1, f)[:, grid.K :]
+    coarse = _duhamel(forcing[idx], damping, sub_grid.dt, np.zeros(grid.K + 1, dtype=complex))
+    return float(np.max(np.abs(fine[idx] - coarse)))
 
 
 def picard_solve(
@@ -229,37 +277,47 @@ def picard_solve(
     and the phase update at most cfg.phase_tol. Returns the remainder, the
     phase table solved for it from the cold seed (within
     cfg.phase_max_sweeps sweeps, which certifies it), and the iteration
-    report. Raises GridMismatchError unless f has the cutoff of cfg.grid,
-    ConvergenceError when the differences fail to contract for three
-    consecutive iterates (the advisory is to shrink T), and InstabilityError
-    if an iterate or its phase sweep stops being finite.
+    report. The loop holds the columns k = 0..K only; the returned
+    remainder is mirrored from them and marked real_symmetric. Raises
+    GridMismatchError unless f has the cutoff of cfg.grid, FieldError unless
+    f is real, ConvergenceError when the differences fail to contract for
+    three consecutive iterates (the advisory is to shrink T), and
+    InstabilityError if an iterate or its phase sweep stops being finite.
     """
     grid = cfg.grid
     if f.K != grid.K:
         raise GridMismatchError(f"profile cutoff {f.K} does not match grid K {grid.K}")
-    seed = _phase_seed(f, grid)
-    z = Trajectory.zeros(grid)
+    if not f.real_symmetric and check_real_symmetry(f) > REAL_SYMMETRY_TOL:
+        raise FieldError("the Picard iteration is defined for a real profile")
+    K = grid.K
+    ks = np.arange(K + 1)
+    modes = f.coeffs[K:]
+    seed = _phase_seed(f, grid)[:, K:]
+    damping = _free_phase_factor(grid, -1, f)[:, K:]
+    z0 = np.zeros(K + 1, dtype=complex)
+    z = np.zeros((grid.M, K + 1), dtype=complex)
     values = seed  # the phase of z = 0
     rows: list[PicardIterate] = []
     prev_diff: float | None = None
     stalled = 0
     converged = False
     for m in range(1, cfg.max_iters + 1):
-        profile = _modulate(f, values)
-        forcing = Trajectory(grid, _rhs(z.coeffs, profile))
-        z_next = duhamel_integrate(forcing, f)
-        if not np.all(np.isfinite(z_next.coeffs)):
+        profile = _modulate(modes, values)
+        forcing = _rhs(z, profile, ks, _half_frame)
+        z_next = _duhamel(forcing, damping, grid.dt, z0)
+        if not np.all(np.isfinite(z_next)):
             raise InstabilityError(f"iterate {m} produced non-finite modes", step=m)
-        new = _phase_sweep(profile, z_next.coeffs, seed, grid.dt)
-        del profile  # an (M, 2K+1) table the proxies need not sit beside
+        new = _phase_sweep(profile, z_next, seed, grid.dt, ks)
+        del profile  # an (M, K+1) table the proxies need not sit beside
         if not np.all(np.isfinite(new)):
             raise InstabilityError(
                 f"the phase sweep of iterate {m} produced non-finite values", step=m
             )
+        # Q is odd in k, so the k >= 0 columns hold the largest update
         phase_update = float(np.max(np.abs(new - values)))
         values = new
-        diff = x_space_norm(z_next - z, cfg.params, f, cfg.proxy)
-        norm_x = x_space_norm(z_next, cfg.params, f, cfg.proxy)
+        diff = x_space_norm(_symmetric_trajectory(grid, z_next - z), cfg.params, f, cfg.proxy)
+        norm_x = x_space_norm(_symmetric_trajectory(grid, z_next), cfg.params, f, cfg.proxy)
         ratio = diff / prev_diff if prev_diff is not None and prev_diff > 0 else None
         rows.append(PicardIterate(norm_x, diff, ratio, phase_update))
         # differences already below tol may wobble while the phase settles
@@ -280,6 +338,8 @@ def picard_solve(
             converged = True
             break
 
+    richardson_delta = _richardson_delta(grid, forcing, f, z)
+    z = _symmetric_trajectory(grid, z)
     phase, phase_report = solve_phase(
         f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
     )
@@ -290,7 +350,7 @@ def picard_solve(
         certified_T0=phase_report.certified_T0,
         contraction_T0=phase_report.contraction_T0,
         within_first_iterate_bound=bool(converged and rows[-1].norm_x <= 2.0 * rows[0].norm_x),
-        richardson_delta=_richardson_delta(forcing, f, z),
+        richardson_delta=richardson_delta,
     )
     return z, phase, report
 

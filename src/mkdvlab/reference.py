@@ -5,7 +5,8 @@ diagonal semigroup exp(i t phi_k) handled exactly (Cox-Matthews ETDRK4, or
 the integrating-factor IFRK4). The cubic term comes from
 direct_nonlinearity, one call per stage and so four per substep in either
 scheme; each call evaluates -(u^2 - c) u_x in conservative form with two
-transforms on 4K + 4 points. The phi-function weights are contour averages
+real transforms on the smallest 5-smooth N >= 4K + 1 points, alias-free for
+the cubic term's modes |k| <= K. The phi-function weights are contour averages
 on unit circles around each i*phi_k*h, the standard stable evaluation
 (Kassam-Trefethen). Weights are conjugate-symmetrized once per step size
 so a real initial field yields a bitwise conjugate-symmetric trajectory,
@@ -153,9 +154,10 @@ def solve_reference(
             step_index += 1
             if cfg.scheme == "etdrk4":
                 Nv = nonlinear(v)
-                a = w["E2"] * v + w["q"] * Nv
+                E2v = w["E2"] * v
+                a = E2v + w["q"] * Nv
                 Na = nonlinear(a)
-                b = w["E2"] * v + w["q"] * Na
+                b = E2v + w["q"] * Na
                 Nb = nonlinear(b)
                 c = w["E2"] * a + w["q"] * (2.0 * Nb - Nv)
                 Nc = nonlinear(c)

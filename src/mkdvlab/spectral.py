@@ -173,7 +173,11 @@ class FourierField:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """M field frames on a shared grid, stored as an (M, 2K+1) complex array."""
+    """M field frames on a shared grid, stored as an (M, 2K+1) complex array.
+
+    real_symmetric marks trajectories whose every frame is a real field; as
+    for FourierField, the claim is checked (loosely) at construction time.
+    """
 
     grid: GridSpec
     coeffs: np.ndarray
@@ -187,6 +191,13 @@ class Trajectory:
                 f"({self.grid.M}, {self.grid.n_modes})"
             )
         object.__setattr__(self, "coeffs", c)
+        if self.real_symmetric:
+            asym = check_real_symmetry(self)
+            if asym > REAL_SYMMETRY_TOL:
+                raise FieldError(
+                    "trajectory marked real_symmetric but max |u_hat(t, -k) - "
+                    f"conj(u_hat(t, k))| = {asym:.3e}"
+                )
 
     @property
     def K(self) -> int:
@@ -271,13 +282,17 @@ def half_spectrum(coeffs: np.ndarray, n: int) -> np.ndarray:
     return half
 
 
-def mirrored(zero: float, positive: np.ndarray) -> np.ndarray:
-    """Conjugate-symmetric mode vector with zero mode `zero` and modes 1..K `positive`."""
-    K = positive.size
-    c = np.empty(2 * K + 1, dtype=complex)
-    c[K] = zero
-    c[K + 1 :] = positive
-    c[:K] = np.conj(positive[::-1])
+def mirrored(zero, positive: np.ndarray) -> np.ndarray:
+    """Conjugate-symmetric mode vector with zero mode `zero` and modes 1..K `positive`.
+
+    Stacked rows work alike: positive of shape (..., K) and zero a scalar or
+    of shape (...) give a (..., 2K+1) array.
+    """
+    K = positive.shape[-1]
+    c = np.empty((*positive.shape[:-1], 2 * K + 1), dtype=complex)
+    c[..., K] = zero
+    c[..., K + 1 :] = positive
+    c[..., :K] = np.conj(positive[..., ::-1])
     return c
 
 
@@ -293,19 +308,30 @@ def _mirrored_field(zero: float, positive: np.ndarray) -> FourierField:
     return _symmetric_field(mirrored(zero, positive))
 
 
+def _symmetric_trajectory(grid: GridSpec, half: np.ndarray) -> Trajectory:
+    """The real_symmetric trajectory of the (M, K+1) columns k = 0..K of half, unchecked.
+
+    The k = 0 column is the real part of half's and the -k columns are the
+    conjugates of the +k ones, so the claim is exact by construction.
+    """
+    tr = Trajectory(grid, mirrored(half[:, 0].real, half[:, 1:]))
+    object.__setattr__(tr, "real_symmetric", True)
+    return tr
+
+
 def sobolev_norm(u: FourierField, s: float) -> float:
     """Sequence-space H^s norm: sqrt(sum_k <k>^{2s} |u_hat(k)|^2)."""
     return float(hs_norms(u.coeffs, s))
 
 
-def check_real_symmetry(u: FourierField) -> float:
-    """max_k |u_hat(-k) - conj(u_hat(k))|, zero for exactly real fields.
+def check_real_symmetry(u: FourierField | Trajectory) -> float:
+    """max_k |u_hat(-k) - conj(u_hat(k))| over every frame, zero for exactly real fields.
 
     A NaN or infinite mode makes the result NaN or infinite, without a warning.
     """
     c = u.coeffs
     with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(c[::-1] - np.conj(c))))
+        return float(np.max(np.abs(c[..., ::-1] - np.conj(c))))
 
 
 def cosine_field(K: int, amplitude: float = 1.0, harmonic: int = 1) -> FourierField:

@@ -40,7 +40,16 @@ from mkdvlab import (
     select_frequency_cutoff,
     trilinear_quotient_form,
 )
-from mkdvlab.nonlinearity import _DENOMINATORS, _PLANS, _TRIPLES, _nr_array, _triples
+from mkdvlab.nonlinearity import (
+    _DENOMINATORS,
+    _PLANS,
+    _TRIPLES,
+    _alias_free_length,
+    _cube_modes,
+    _nr_array,
+    _nr_real_cube,
+    _triples,
+)
 
 
 def nr_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> np.ndarray:
@@ -212,6 +221,77 @@ class TestNonresonantTerm:
             out_a = nr(u, u, u)
             out_b = nr(*[FourierField(shifted)] * 3)
             assert np.array_equal(out_a.coeffs, out_b.coeffs), nr.__name__
+
+    def test_insensitive_to_mean_mode_on_both_routes(self):
+        # a marked pair takes the real route, an unmarked asymmetric pair the
+        # complex one; the k = 0 entry enters neither
+        u = random_real_field(6, seed=14)
+        v = random_complex_field(6, seed=14)
+        for field in (u, v):
+            shifted = field.coeffs.copy()
+            shifted[6] = 0.7
+            moved = FourierField(shifted, real_symmetric=field.real_symmetric)
+            for nr in (nr_trilinear, nr_trilinear_naive):
+                out_a = nr(field, field, field)
+                out_b = nr(moved, moved, moved)
+                route = (nr.__name__, field.real_symmetric)
+                assert np.array_equal(out_a.coeffs, out_b.coeffs), route
+        assert same_bits(nr_trilinear(u, u, u).coeffs, mirrored(0.0, _nr_real_cube(u.coeffs)))
+        assert same_bits(nr_trilinear(v, v, v).coeffs, _nr_array(v.coeffs, v.coeffs, v.coeffs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=-8.0, max_value=8.0),
+    )
+    @example(128, 7, 0.0)
+    def test_real_route_matches_naive(self, K, seed, exponent):
+        u = 10.0**exponent * random_real_field(K, seed)
+        assert u.real_symmetric
+        out = nr_trilinear(u, u, u).coeffs
+        # the triple table stops at K = 127; at K = 128 the reference is the
+        # complex route, which the tests above check against the naive sum
+        if K <= 127:
+            ref = nr_trilinear_naive(u, u, u).coeffs
+        else:
+            ref = _nr_array(u.coeffs, u.coeffs, u.coeffs)
+        # every output mode is a sum of products of three inputs
+        scale = np.sum(np.abs(u.coeffs)) ** 3
+        assert np.max(np.abs(out - ref)) <= 1e-13 * scale
+        assert check_real_symmetry(FourierField(out)) == 0.0
+        assert out[K] == 0.0
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 7, 16, 43, 128, 1000])
+    def test_alias_free_length_is_the_smallest_5_smooth_one(self, K):
+        def smooth(n: int) -> bool:
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        N = _alias_free_length(K)
+        assert N >= 4 * K + 1 and smooth(N)
+        assert not any(smooth(n) for n in range(4 * K + 1, N))
+
+    @pytest.mark.parametrize("K", [4, 16, 33])
+    def test_cube_aliases_on_4K_points_only(self, K):
+        # u^3 has modes |m| <= 3K: on N = 4K points mode -3K, the one triple
+        # (-K, -K, -K), folds onto K, and nothing else folds onto |k| <= K
+        def cube_on(n: int) -> np.ndarray:
+            samples = np.fft.irfft(half, n) * n
+            return np.fft.rfft(samples**3)[1 : K + 1] / n
+
+        half = random_real_field(K, K, 0.0).coeffs[K:].copy()
+        half[K] = 0.6 - 0.3j  # a top mode whose alias stands out of the rounding
+        exact = cube_on(8 * K)
+        size = np.max(np.abs(exact))
+        assert np.max(np.abs(_cube_modes(half) - exact)) <= 1e-14 * size
+        assert np.max(np.abs(cube_on(4 * K + 1) - exact)) <= 1e-14 * size
+        error = cube_on(4 * K) - exact
+        assert np.max(np.abs(error[:-1])) <= 1e-14 * size
+        alias = np.conj(half[K]) ** 3
+        assert abs(error[-1] - alias) <= 1e-14 * size
 
     @given(
         st.integers(min_value=1, max_value=8),

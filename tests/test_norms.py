@@ -138,6 +138,22 @@ class TestYsbProxy:
         wrong = ysb_norm_proxy(z, 0.3, 0.51)
         assert right < wrong
 
+    @pytest.mark.parametrize(
+        "K, M, window, pad", [(3, 16, "hann", 4), (16, 33, "rect", 2), (64, 8, "hann", 1)]
+    )
+    def test_marked_trajectory_reads_half_columns(self, K, M, window, pad):
+        # the proxy of a real trajectory from its columns k >= 0 equals the
+        # full-column value to rounding, with and without a profile
+        grid = GridSpec(K=K, M=M, T=0.02)
+        f = random_real_field(K, seed=K)
+        c = np.stack([random_real_field(K, seed=[K, n]).coeffs for n in range(M)])
+        marked, plain = Trajectory(grid, c, real_symmetric=True), Trajectory(grid, c)
+        proxy = NormProxyConfig(window, pad)
+        for s, b, profile in ((0.3, 0.51, f), (0.0, 1.0, None), (0.5, -0.4, f)):
+            half = ysb_norm_proxy(marked, s, b, profile, proxy)
+            full = ysb_norm_proxy(plain, s, b, profile, proxy)
+            assert abs(half - full) <= 1e-14 * full
+
     def test_exactly_homogeneous(self):
         grid = GridSpec(K=3, M=16, T=0.1)
         rng = np.random.default_rng(4)

@@ -12,6 +12,7 @@ from conftest import random_real_field, strong_form_residual
 from mkdvlab import (
     ConfigError,
     ConvergenceError,
+    FieldError,
     FourierField,
     GridMismatchError,
     GridSpec,
@@ -340,6 +341,24 @@ class TestPicardSolve:
         with pytest.raises(GridMismatchError, match="profile cutoff 4 does not match grid K 8"):
             picard_solve(cosine_field(4), cfg)
 
+    def test_profile_must_be_real(self):
+        # the loop holds the columns k >= 0 only, which carry a real profile
+        c = cosine_field(4).coeffs.copy()
+        c[5] += 0.1j
+        with pytest.raises(FieldError, match="real profile"):
+            picard_solve(FourierField(c), PicardConfig(grid=GridSpec(4, 16, 0.01)))
+
+    def test_step_remainder_must_match_the_grid(self):
+        cfg = PicardConfig(grid=GridSpec(8, 16, 0.01))
+        for grid in (GridSpec(8, 17, 0.01), GridSpec(8, 16, 0.02), GridSpec(4, 16, 0.01)):
+            with pytest.raises(GridMismatchError, match="does not match the config grid"):
+                picard_step(Trajectory.zeros(grid), cosine_field(8), cfg)
+
+    def test_returns_a_marked_remainder(self):
+        z, _, _ = picard_solve(random_real_field(8, 5), PicardConfig(grid=GridSpec(8, 16, 0.01)))
+        assert z.real_symmetric
+        assert check_real_symmetry(z.frame(15)) == 0.0
+
 
 class TestNestedOracle:
     @pytest.mark.parametrize(
@@ -388,7 +407,7 @@ class TestGoldenRegression:
         cfg = PicardConfig(grid=GridSpec(16, golden["M"], golden["T"]))
         z, phase, _ = picard_solve(cosine_field(16), cfg)
         assert hashlib.sha256(z.coeffs.tobytes()).hexdigest() == (
-            "7514669e77036b3bb23ea14e71cdc221e65ba3d3213fb13fd8c7050ff1f09de7"
+            "828166680a97458a870033c4a14347e2c3536b0595468f31ad261321dfa02661"
         )
         assert hashlib.sha256(phase.values.tobytes()).hexdigest() == (
             "c15c7f9f2f18f9586c53ff14769a897676b63aa66fce25655d9bbb95d7339c20"

@@ -299,6 +299,15 @@ class TestSerialization:
         with pytest.raises(FieldError):
             Trajectory(grid, np.zeros((4, 6), dtype=complex))
 
+    def test_trajectory_rejects_false_symmetry_claim(self):
+        grid = GridSpec(K=3, M=4, T=0.5)
+        c = np.stack([library_random_real_field(3, seed).coeffs for seed in range(4)])
+        assert Trajectory(grid, c, real_symmetric=True).real_symmetric
+        c[2, 5] += 1e-6  # u_hat(t_2, 2) moved with no mirror at k = -2
+        with pytest.raises(FieldError):
+            Trajectory(grid, c, real_symmetric=True)
+        assert not Trajectory(grid, c).real_symmetric
+
 
 class TestRandomRealField:
     def test_pinned_draws(self):

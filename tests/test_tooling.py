@@ -183,12 +183,15 @@ def test_config_fields_are_keys_or_sections(cls):
 
 
 def counting(monkeypatch, module, name):
-    """Rebind module.name to a wrapper that counts its calls, as the tracer does."""
+    """Rebind module.name to a wrapper that records each call's arguments.
+
+    The tracer counts the same calls.
+    """
     calls = []
     inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -205,6 +208,9 @@ def test_picard_makes_one_nr_call_per_frame(monkeypatch):
     nr = counting(monkeypatch, picard, "nr_trilinear")
     z, phase, report = picard.picard_solve(f, cfg)
     assert len(nr) == len(report.iters) * cfg.grid.M
+    # each frame is one marked field passed three times, which the NR
+    # kernel evaluates by real transforms
+    assert all(w is x is y and w.real_symmetric for w, x, y in nr)
     nr.clear()
     picard.picard_rhs(z, phase, f)
     assert len(nr) == cfg.grid.M
