@@ -47,6 +47,7 @@ from .probes import (
 )
 from .reference import (
     CONSERVED_COLUMNS,
+    CONTOUR_POINTS,
     ETDConfig,
     compare_trajectories,
     conserved_series,
@@ -144,12 +145,6 @@ def _as_float(v: Any) -> float:
     return float(v)
 
 
-def _as_bool(v: Any) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"expected true or false, got {v!r}")
-    return v
-
-
 def _as_int_tuple(v: Any) -> tuple[int, ...]:
     if not isinstance(v, list):
         raise ValueError(f"expected a list of integers, got {v!r}")
@@ -178,7 +173,6 @@ _CASTS = {
     "int": _as_int,
     "float": _as_float,
     "float | None": _as_float,
-    "bool": _as_bool,
     "tuple[int, ...] | None": _as_int_tuple,
     "tuple[tuple[int, float, float], ...]": _as_mode_rows,
     "str": lambda v: v,
@@ -325,7 +319,7 @@ def _resolve(doc: dict, args: argparse.Namespace) -> tuple[dict | None, _Problem
     if mode in _ETD_MODES:
         etd = _load(problems, "etd", etd_sec, ETDConfig, {"dt": 1e-3})
     if etd is not None and grid is not None and (
-        _too_large(problems, "etd", grid.K, {"contour_points": etd.contour_points})
+        _too_large(problems, "etd", grid.K, {str(CONTOUR_POINTS): CONTOUR_POINTS})
         or _too_large(problems, "etd", grid.K, {"T / dt": grid.T / etd.dt})
     ):
         etd = None

@@ -111,7 +111,7 @@ class PhaseSolveReport:
 
 def _phase_seed(f: FourierField, grid: GridSpec) -> np.ndarray:
     """t (k^3 + k |f_hat|^2) on grid: the phase of z = 0, and every sweep's free term."""
-    seed = grid.times[:, None] * phase_rates(f.K, "modified", f)[None, :]
+    seed = grid.times[:, None] * phase_rates(f.K, f)[None, :]
     if not np.all(np.isfinite(seed)):
         # PhaseTable rejects the non-finite t = 0 row this leaves, so report
         # it as the first sweep would
@@ -225,7 +225,7 @@ def gauge_compose(z: Trajectory, table: PhaseTable, f: FourierField) -> Trajecto
 def phase_from_trajectory(u: Trajectory) -> PhaseTable:
     """P(t,k) = t k^3 + k int_0^t |u_hat(s,k)|^2 ds, trapezoid in s."""
     ks = np.arange(-u.K, u.K + 1)
-    seed = u.grid.times[:, None] * phase_rates(u.K, "airy", None)[None, :]
+    seed = u.grid.times[:, None] * phase_rates(u.K)[None, :]
     values = seed + ks * cumulative_trapezoid(np.abs(u.coeffs) ** 2, u.grid.dt)
     return PhaseTable(u.grid, values)
 

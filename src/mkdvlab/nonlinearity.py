@@ -164,18 +164,11 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
     minus the kj = k boundary terms in closed form (each carries a paired
     sum over opposite modes; the three pairwise overlaps are added back
     once).
-
-    When one array is passed three times, as the cube NR(w, w, w) of the
-    Picard right side is, it is copied, transformed and its paired sum
-    formed once, and each is reused for all three inputs. Every product is
-    still taken in the order of the three-input expression, so the result
-    is bit-identical to passing three equal copies.
     """
     if not c1.shape == c2.shape == c3.shape:
         raise GridMismatchError(f"mode arrays differ in shape: {c1.shape}, {c2.shape}, {c3.shape}")
     K = c1.shape[-1] // 2
-    cube = c1 is c2 is c3
-    a1, a2, a3 = [_stripped(c1)] * 3 if cube else (_stripped(c) for c in (c1, c2, c3))
+    a1, a2, a3 = (_stripped(c) for c in (c1, c2, c3))
     N = 4 * K + 4
 
     # mode k sits at grid index k mod N: 0..K at the front, -K..-1 at the back
@@ -185,17 +178,14 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
         buf[..., N - K :] = c[..., :K]
         return np.fft.ifft(buf) * N
 
-    g1, g2, g3 = [grid_values(a1)] * 3 if cube else (grid_values(a) for a in (a1, a2, a3))
+    g1, g2, g3 = (grid_values(a) for a in (a1, a2, a3))
     full_hat = np.fft.fft(g1 * g2 * g3) / N
     conv = np.concatenate((full_hat[..., N - K :], full_hat[..., : K + 1]), axis=-1)
 
     r1, r2, r3 = a1[..., ::-1], a2[..., ::-1], a3[..., ::-1]
     p23 = np.sum(a2 * r3, axis=-1, keepdims=True)
-    if cube:
-        p13 = p12 = p23
-    else:
-        p13 = np.sum(a1 * r3, axis=-1, keepdims=True)
-        p12 = np.sum(a1 * r2, axis=-1, keepdims=True)
+    p13 = np.sum(a1 * r3, axis=-1, keepdims=True)
+    p12 = np.sum(a1 * r2, axis=-1, keepdims=True)
     boundary = (
         p23 * a1
         + p13 * a2
@@ -489,9 +479,10 @@ def conserved_functionals(u: FourierField) -> tuple[float, float, float]:
     """(mean, squared l2 mass, energy) of a real field.
 
     The energy mean(u_x^2 / 2 - u^4 / 12) is evaluated on 8 (K + 1) points,
-    alias-free for the quartic term.
+    alias-free for the quartic term. A field marked real_symmetric passed
+    the same check when it was built, so only unmarked fields are checked.
     """
-    if check_real_symmetry(u) > REAL_SYMMETRY_TOL:
+    if not u.real_symmetric and check_real_symmetry(u) > REAL_SYMMETRY_TOL:
         raise FieldError("conserved functionals are defined for real fields")
     K = u.K
     mass = float(u.coeffs[K].real)

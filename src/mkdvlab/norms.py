@@ -16,7 +16,8 @@ window and padding so numbers are comparable.
 NormProxyConfig holds only that discretization, the window and the padding.
 The exponents (s, b) are arguments of each call, since one run measures
 inputs and outputs at different b, and the phase follows from the profile:
-phi_k is the profile-shifted rate when f is given and k^3 when it is not.
+phase_rates(K, f), the one home of both rates, gives the profile-shifted
+rate when f is given and k^3 when it is not.
 
 Quadrature in tau is the rectangle rule on the padded DFT grid. With the
 window normalization sum w(t_n)^2 dt = 1 the proxy of a free mode
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 _WINDOWS = ("hann", "rect")
-_PHASES = ("airy", "modified")
 
 # Per (grid, sign) the free phase factor of the latest (profile, bumps), and
 # per (grid, window, pad_factor, s, b, half) the weights of ysb_norm_proxy.
@@ -83,18 +83,18 @@ def window_weights(M: int, dt: float, kind: str) -> np.ndarray:
     return w / math.sqrt(float(np.sum(w**2)) * dt)
 
 
-def phase_rates(K: int, phase: str, f: FourierField | None) -> np.ndarray:
-    """phi_k = k^3, optionally shifted by k |f_hat(k)|^2."""
+def phase_rates(K: int, f: FourierField | None = None) -> np.ndarray:
+    """phi_k on k = -K..K: k^3, shifted by k |f_hat(k)|^2 when a profile f is given.
+
+    The Airy rate k^3 needs no profile; the shifted, modified rate needs f
+    on the cutoff K.
+    """
     ks = np.arange(-K, K + 1)
     rates = ks.astype(float) ** 3
-    if phase == "modified":
-        if f is None:
-            raise ConfigError("the modified phase symbol requires a profile f")
+    if f is not None:
         if f.K != K:
             raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {K}")
         rates = rates + ks * np.abs(f.coeffs) ** 2
-    elif phase != "airy":
-        raise ConfigError(f"phase must be one of {_PHASES}, got {phase!r}")
     return rates
 
 
@@ -114,7 +114,7 @@ def _free_phase_factor(
     )
 
     def build() -> np.ndarray:
-        phi = phase_rates(grid.K, "airy" if f is None else "modified", f)
+        phi = phase_rates(grid.K, f)
         if nu is not None:
             phi = phi + nu
         return np.exp(sign * 1j * phi[None, :] * grid.times[:, None])

@@ -1,17 +1,19 @@
 """Exponential time-differencing reference integrator.
 
 Independent of the gauge pipeline: it advances u_hat directly, with the
-diagonal semigroup exp(i t phi_k) handled exactly (Cox-Matthews ETDRK4, or
-the integrating-factor IFRK4). The cubic term comes from
-direct_nonlinearity, one call per stage and so four per substep in either
-scheme; each call evaluates -(u^2 - c) u_x in conservative form with two
-real transforms on the smallest 5-smooth N >= 4K + 1 points, alias-free for
-the cubic term's modes |k| <= K. The phi-function weights are contour averages
-on unit circles around each i*phi_k*h, the standard stable evaluation
-(Kassam-Trefethen). Weights are conjugate-symmetrized once per step size
-so a real initial field yields a bitwise conjugate-symmetric trajectory,
-and the k = 0 column is driven only by the (pinned zero) nonlinearity,
-which keeps the mass exactly constant.
+diagonal semigroup exp(i t k^3) of the Airy part handled exactly
+(Cox-Matthews ETDRK4, or the integrating-factor IFRK4). The cubic term comes
+from direct_nonlinearity, one call per stage and so four per substep in
+either scheme; each call evaluates -(u^2 - c) u_x in conservative form with
+two real transforms on the smallest 5-smooth N >= 4K + 1 points, alias-free
+for the cubic term's modes |k| <= K. The phi-function weights are averages
+over CONTOUR_POINTS = 32 points on unit circles around each i k^3 h, the
+standard stable evaluation (Kassam-Trefethen). Since k^3 is exactly odd,
+the true weights satisfy w(-k) = conj(w(k)); they are conjugate-symmetrized
+once per step size to pin the rounding, so every stage of exactly
+conjugate-symmetric data is exactly conjugate-symmetric and a real initial
+field yields a bitwise real trajectory. The k = 0 column is driven only by
+the (pinned zero) nonlinearity, which keeps the mass exactly constant.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ __all__ = [
 
 CONSERVED_COLUMNS = ("t", "mass", "l2", "energy")
 
+# Points on each contour of _phi_weights.
+CONTOUR_POINTS = 32
+
 
 @dataclass(frozen=True)
 class ETDConfig:
@@ -51,32 +56,23 @@ class ETDConfig:
 
     dt: float
     scheme: str = "etdrk4"
-    linear_phase: str = "airy"
-    contour_points: int = 32
-    nonlinearity_enabled: bool = True
 
     def __post_init__(self) -> None:
         if not (self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
         if self.scheme not in ("etdrk4", "ifrk4"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.linear_phase not in ("airy", "modified"):
-            raise ConfigError(f"unknown linear_phase {self.linear_phase!r}")
-        if int(self.contour_points) != self.contour_points or self.contour_points < 16:
-            raise ConfigError(
-                f"contour_points must be an integer >= 16, got {self.contour_points!r}"
-            )
 
 
 def _symmetrize(w: np.ndarray) -> np.ndarray:
-    # valid only when phi is exactly odd; the true weights then satisfy
-    # w(-k) = conj(w(k)) and averaging just pins the rounding
+    # phi is exactly odd, so the true weights satisfy w(-k) = conj(w(k))
+    # and averaging just pins the rounding
     return 0.5 * (w + np.conj(w[::-1]))
 
 
-def _phi_weights(phi: np.ndarray, h: float, points: int, odd: bool) -> dict[str, np.ndarray]:
+def _phi_weights(phi: np.ndarray, h: float) -> dict[str, np.ndarray]:
     lam = 1j * h * phi
-    theta = 2.0 * np.pi * (np.arange(points) + 0.5) / points
+    theta = 2.0 * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS
     r = np.exp(1j * theta)
     LR = lam[:, None] + r[None, :]
     eLR = np.exp(LR)
@@ -84,8 +80,7 @@ def _phi_weights(phi: np.ndarray, h: float, points: int, odd: bool) -> dict[str,
     f1 = h * np.mean((-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1)
     f2 = h * np.mean((2.0 + LR + eLR * (LR - 2.0)) / LR**3, axis=1)
     f3 = h * np.mean((-4.0 - 3.0 * LR - LR**2 + eLR * (4.0 - LR)) / LR**3, axis=1)
-    if odd:
-        q, f1, f2, f3 = map(_symmetrize, (q, f1, f2, f3))
+    q, f1, f2, f3 = map(_symmetrize, (q, f1, f2, f3))
     return {
         "E": np.exp(lam),
         "E2": np.exp(lam / 2),
@@ -110,31 +105,22 @@ def solve_reference(
         raise ConfigError(f"T must be positive, got {T!r}")
     grid = GridSpec(f.K, M, T)
     K = f.K
-    ks = np.arange(-K, K + 1)
-    phi = phase_rates(K, cfg.linear_phase, f)
-    odd = bool(np.array_equal(phi, -phi[::-1]))
+    phi = phase_rates(K)
 
     scale = float(np.max(np.abs(f.coeffs))) if f.coeffs.size else 0.0
-    if cfg.nonlinearity_enabled and scale * K * K * cfg.dt > 2.0 * np.pi:
+    if scale * K * K * cfg.dt > 2.0 * np.pi:
         warnings.warn(
             f"dt = {cfg.dt:g} is coarse for amplitude {scale:g} at K = {K}; "
             "the cubic term may be underresolved",
             StepSizeWarning,
         )
 
-    shift = ks * np.abs(f.coeffs) ** 2 if cfg.linear_phase == "modified" else None
-    zero = np.zeros(grid.n_modes, dtype=complex)
-    # under an odd phi, exactly symmetric data keeps every stage exactly
-    # symmetric (each operation acts alike on k and -k), so no stage is re-checked
-    wrap = _symmetric_field if odd and check_real_symmetry(f) == 0.0 else FourierField
+    # exactly symmetric data keeps every stage exactly symmetric (each
+    # operation acts alike on k and -k), so no stage is re-checked
+    wrap = _symmetric_field if check_real_symmetry(f) == 0.0 else FourierField
 
     def nonlinear(v: np.ndarray) -> np.ndarray:
-        if not cfg.nonlinearity_enabled:
-            return zero
-        out = direct_nonlinearity(wrap(v)).coeffs
-        if shift is not None:
-            out = out - 1j * shift * v
-        return out
+        return direct_nonlinearity(wrap(v)).coeffs
 
     frames = np.empty((M, grid.n_modes), dtype=complex)
     v = f.coeffs.astype(complex)
@@ -148,7 +134,7 @@ def solve_reference(
         h = gap / n_sub
         w = weights_cache.get(h)
         if w is None:
-            w = _phi_weights(phi, h, cfg.contour_points, odd)
+            w = _phi_weights(phi, h)
             weights_cache[h] = w
         for _ in range(n_sub):
             step_index += 1
@@ -174,7 +160,7 @@ def solve_reference(
                     step=step_index,
                 )
         frames[n] = v
-    return Trajectory(grid, frames, real_symmetric=f.real_symmetric and odd)
+    return Trajectory(grid, frames, real_symmetric=f.real_symmetric)
 
 
 def compare_trajectories(

@@ -78,7 +78,7 @@ def strong_form_residual(z: Trajectory, f: FourierField, phase: PhaseTable) -> f
 
 def airy_exact(u0: FourierField, t: float, f: FourierField | None = None) -> FourierField:
     """Free evolution: multiply mode k by exp(i t (k^3 + k|f_hat(k)|^2 if f given))."""
-    phi = phase_rates(u0.K, "modified" if f is not None else "airy", f)
+    phi = phase_rates(u0.K, f)
     factor = np.exp(1j * t * phi)
     odd = bool(np.array_equal(phi, -phi[::-1]))
     return FourierField(factor * u0.coeffs, real_symmetric=u0.real_symmetric and odd)

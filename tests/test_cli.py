@@ -403,7 +403,7 @@ class TestResolvedConfig:
     @pytest.mark.parametrize("mode", ["gauge_solve", "decompose_check"])
     def test_etd_checked_only_where_it_runs(self, tmp_path, mode):
         out = tmp_path / "out"
-        doc = {"mode": mode, "grid": {"K": 8, "M": 16}, "etd": {"contour_points": 8}}
+        doc = {"mode": mode, "grid": {"K": 8, "M": 16}, "etd": {"scheme": "rk4"}}
         r = run_cli(tmp_path, doc, "--output-dir", str(out))
         assert r.returncode == 0, r.stderr
         assert load(out / "resolved_config.json")["etd"] is None
@@ -484,6 +484,17 @@ class TestFailurePaths:
         err = json.loads(r.stderr)
         assert err["problems"] == [{"field": f"{section}.{key}", "message": "unknown key"}]
 
+    @pytest.mark.parametrize("mode", ["simulate", "gauge_solve"])
+    @pytest.mark.parametrize("key", ["linear_phase", "contour_points", "nonlinearity_enabled"])
+    def test_removed_etd_key_is_unknown(self, tmp_path, key, mode):
+        # the oracle's linear part is always Airy, its contour has a fixed 32
+        # points and its nonlinearity is always on; etd keys are checked in
+        # every mode, also where the oracle does not run
+        r = run_cli(tmp_path, {"mode": mode, "etd": {key: 32}})
+        assert r.returncode == 2, r.stderr
+        err = json.loads(r.stderr)
+        assert err["problems"] == [{"field": f"etd.{key}", "message": "unknown key"}]
+
     @pytest.mark.parametrize("mode", ["gauge_solve", "compare", "q_solve"])
     def test_picard_needs_eight_frames(self, tmp_path, mode):
         # grid accepts M = 7, the Picard modes' norm proxy does not
@@ -507,10 +518,6 @@ class TestFailurePaths:
             ({"grid": {"K": None}}, "grid.K"),
             ({"grid": {"K": 8.7}}, "grid.K"),
             ({"initial_data": {"kind": "seeded-random", "seed": -1}}, "initial_data.seed"),
-            (
-                {"mode": "simulate", "etd": {"nonlinearity_enabled": "false"}},
-                "etd.nonlinearity_enabled",
-            ),
             ({"mode": "simulate", "grid": {"T": float("inf")}}, "grid.T"),
             ({"initial_data": {"amplitude": float("nan")}}, "initial_data.amplitude"),
             ({"mode": "gauge_solve", "picard": {"phase_max_sweeps": 0}}, "picard"),
@@ -539,7 +546,7 @@ class TestFailurePaths:
             ),
         ],
         ids=[
-            "K-string", "K-null", "K-fraction", "negative-seed", "bool-as-string",
+            "K-string", "K-null", "K-fraction", "negative-seed",
             "T-infinite", "amplitude-nan", "no-phase-sweeps", "negative-phase-sweeps",
             "negative-phase-tol", "proxy-window-string", "proxy-negative-pad",
             "mode-row-nan", "mode-row-infinite", "mode-row-bool",
@@ -566,7 +573,8 @@ class TestFailurePaths:
                 },
                 "ensemble",
             ),
-            ({"mode": "simulate", "etd": {"contour_points": 10**12}}, "etd"),
+            # (2K + 1) * 32 contour points is 2^26 + 32 at K = 2^20
+            ({"mode": "simulate", "grid": {"K": 2**20, "M": 2}}, "etd"),
             ({"mode": "smoothing", "grid": {"T": 1e300}}, "etd"),
             ({"mode": "compare", "grid": {"T": 0.9}, "etd": {"dt": 1e-7}}, "etd"),
             (
@@ -787,9 +795,6 @@ FUZZ_KEYS = {
     "etd": {
         "dt": small_floats(1e-3, 1e-2),
         "scheme": st.sampled_from(("etdrk4", "ifrk4")),
-        "linear_phase": st.sampled_from(("airy", "modified")),
-        "contour_points": st.integers(16, 48),
-        "nonlinearity_enabled": st.booleans(),
     },
     "picard": {
         "tol": small_floats(1e-12, 1e-6),

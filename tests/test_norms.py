@@ -86,20 +86,20 @@ class TestWindowWeights:
 
 class TestPhaseRates:
     def test_airy(self):
-        rates = phase_rates(3, "airy", None)
+        rates = phase_rates(3)
         assert np.array_equal(rates, np.arange(-3, 4).astype(float) ** 3)
+        assert np.array_equal(phase_rates(3, None), rates)
 
     def test_modified_shift(self):
         f = cosine_field(3)
-        rates = phase_rates(3, "modified", f)
+        rates = phase_rates(3, f)
         assert abs(rates[4] - 1.25) < 1e-15
         assert abs(rates[2] + 1.25) < 1e-15
 
     def test_modified_requires_profile(self):
-        with pytest.raises(ConfigError):
-            phase_rates(3, "modified", None)
+        # the modified rate is taken from a profile on the same cutoff
         with pytest.raises(GridMismatchError):
-            phase_rates(3, "modified", cosine_field(4))
+            phase_rates(3, cosine_field(4))
 
 
 class TestYsbProxy:
@@ -271,7 +271,7 @@ class TestCompositeNorm:
 
 def inline_factor(grid, sign, f, bumps=None):
     """The free phase factor as each call site wrote it before it was cached."""
-    phi = phase_rates(grid.K, "airy" if f is None else "modified", f)
+    phi = phase_rates(grid.K, f)
     if bumps is not None:
         phi = phi + bumps
     if sign < 0:
@@ -283,7 +283,7 @@ def inline_ysb(z, s, b, cfg, f=None):
     """ysb_norm_proxy as written before its tables were cached."""
     M, dt, K = z.grid.M, z.grid.dt, z.K
     w = window_weights(M, dt, cfg.window)
-    phi = phase_rates(K, "airy" if f is None else "modified", f)
+    phi = phase_rates(K, f)
     demod = z.coeffs * np.exp(-1j * phi[None, :] * z.grid.times[:, None])
     Mp = int(cfg.pad_factor) * M
     spectrum = np.fft.fft(w[:, None] * demod, n=Mp, axis=0) * dt
@@ -385,7 +385,7 @@ class TestFreePhaseCache:
         calls = []
 
         def counting(*args):
-            calls.append(args[:2])
+            calls.append(args)
             return phase_rates(*args)
 
         monkeypatch.setattr(norms, "phase_rates", counting)
@@ -395,4 +395,4 @@ class TestFreePhaseCache:
         f = random_real_field(5, seed=12345)
         values = {ysb_norm_proxy(z, 0.3, 0.51, f) for _ in range(10)}
         assert len(values) == 1
-        assert calls == [(5, "modified")]
+        assert len(calls) == 1 and calls[0][0] == 5 and calls[0][1] is f

@@ -111,7 +111,7 @@ class TestFreeTrajectories:
         bumps[6] = 0.5
         bumps[2] = -0.5
         tr = free_modulated_trajectory(g, f, grid, bumps)
-        phi = phase_rates(4, "modified", f) + bumps
+        phi = phase_rates(4, f) + bumps
         expected = g.coeffs[None, :] * np.exp(1j * np.outer(grid.times, phi))
         assert np.max(np.abs(tr.coeffs - expected)) == 0.0
 

@@ -30,7 +30,7 @@ from mkdvlab import (
     sobolev_norm,
     solve_reference,
 )
-from mkdvlab import nonlinearity, reference
+from mkdvlab import nonlinearity, reference, spectral
 
 
 def reflect_field(u: FourierField) -> FourierField:
@@ -45,16 +45,13 @@ class TestETDConfig:
             dict(dt=0.0),
             dict(dt=-1e-3),
             dict(dt=1e-3, scheme="rk4"),
-            dict(dt=1e-3, linear_phase="galilean"),
-            dict(dt=1e-3, contour_points=8),
+            dict(dt=float("nan")),
+            dict(dt=1e-3, scheme="ETDRK4"),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             ETDConfig(**kwargs)
-
-    def test_accepts_sixteen_contour_points(self):
-        assert ETDConfig(dt=1e-3, contour_points=16).contour_points == 16
 
 
 class TestAiryExact:
@@ -84,21 +81,18 @@ class TestAiryExact:
 class TestLinearExactness:
     @pytest.mark.parametrize("scheme", ["etdrk4", "ifrk4"])
     @pytest.mark.parametrize("dt", [0.26, 0.07])
-    def test_matches_closed_form(self, scheme, dt):
+    def test_matches_closed_form(self, monkeypatch, scheme, dt):
         # with the nonlinearity off a single step of any size must be exact
+        monkeypatch.setattr(
+            reference, "direct_nonlinearity", lambda u: FourierField.zeros(u.K)
+        )
         u0 = random_real_field(8, seed=1)
-        cfg = ETDConfig(dt=dt, scheme=scheme, nonlinearity_enabled=False)
-        tr = solve_reference(u0, 1.0, cfg, M=5)
+        cfg = ETDConfig(dt=dt, scheme=scheme)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepSizeWarning)
+            tr = solve_reference(u0, 1.0, cfg, M=5)
         for n, t in enumerate(tr.grid.times):
             exact = airy_exact(u0, float(t))
-            assert np.max(np.abs(tr.coeffs[n] - exact.coeffs)) < 1e-13
-
-    def test_modified_phase_linear(self):
-        u0 = cosine_field(6)
-        cfg = ETDConfig(dt=0.11, linear_phase="modified", nonlinearity_enabled=False)
-        tr = solve_reference(u0, 0.5, cfg, M=3)
-        for n, t in enumerate(tr.grid.times):
-            exact = airy_exact(u0, float(t), f=u0)
             assert np.max(np.abs(tr.coeffs[n] - exact.coeffs)) < 1e-13
 
 
@@ -119,13 +113,6 @@ class TestAccuracy:
         b = solve_reference(f, 0.1, ETDConfig(dt=1e-3, scheme="ifrk4"), M=3)
         assert compare_trajectories(a, b, 0.0)[0] < 1e-9
 
-    def test_linear_phase_choice_is_invisible(self):
-        # shifting the rates into L and compensating in N must not change u
-        f = cosine_field(8)
-        a = solve_reference(f, 0.1, ETDConfig(dt=1e-3, linear_phase="airy"), M=3)
-        b = solve_reference(f, 0.1, ETDConfig(dt=1e-3, linear_phase="modified"), M=3)
-        assert compare_trajectories(a, b, 0.0)[0] < 1e-12
-
 
 class TestConservation:
     def test_invariants_along_the_flow(self):
@@ -139,6 +126,27 @@ class TestConservation:
         assert np.max(np.abs(series[:, 1] - mass0)) == 0.0
         assert np.max(np.abs(series[:, 2] - l20)) < 1e-11
         assert np.max(np.abs(series[:, 3] - energy0)) < 1e-9
+
+    def test_each_frame_is_checked_once(self, monkeypatch):
+        # Trajectory.frame builds a marked trajectory's frames as marked
+        # fields, which are checked at construction, so conserved_functionals
+        # checks only the frames of an unmarked trajectory
+        tr = solve_reference(cosine_field(8), 0.02, ETDConfig(dt=1e-3), M=5)
+        unmarked = Trajectory(tr.grid, tr.coeffs)
+        expected = conserved_series(tr)
+        calls = {"spectral": 0, "nonlinearity": 0}
+        for module in (spectral, nonlinearity):
+
+            def counting(u, name=module.__name__.split(".")[-1]):
+                calls[name] += 1
+                return check_real_symmetry(u)
+
+            monkeypatch.setattr(module, "check_real_symmetry", counting)
+        assert np.array_equal(conserved_series(tr), expected)
+        assert calls == {"spectral": 5, "nonlinearity": 0}
+        calls.update(spectral=0)
+        assert np.array_equal(conserved_series(unmarked), expected)
+        assert calls == {"spectral": 0, "nonlinearity": 5}
 
     def test_trajectory_stays_real(self):
         tr = solve_reference(cosine_field(8), 0.2, ETDConfig(dt=1e-3), M=3)
@@ -187,16 +195,6 @@ class TestFailureModes:
                 warnings.simplefilter("always", StepSizeWarning)
                 solve_reference(f, 0.04, ETDConfig(dt=dt), M=2)
             assert any(w.category is StepSizeWarning for w in caught) == warns, dt
-
-    def test_no_warning_for_linear_runs(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", StepSizeWarning)
-            solve_reference(
-                cosine_field(32),
-                0.04,
-                ETDConfig(dt=0.02, nonlinearity_enabled=False),
-                M=2,
-            )
 
     def test_horizon_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -247,12 +245,11 @@ class TestStageSymmetry:
         st.integers(0, 2**16),
         st.sampled_from([1e-4, 1e-3, 7e-3]),
         st.sampled_from(["etdrk4", "ifrk4"]),
-        st.sampled_from(["airy", "modified"]),
     )
-    def test_stages_stay_exactly_symmetric(self, K, seed, dt, scheme, linear_phase):
+    def test_stages_stay_exactly_symmetric(self, K, seed, dt, scheme):
         f = random_real_field(K, seed=seed)
         seen = []
-        cfg = ETDConfig(dt=dt, scheme=scheme, linear_phase=linear_phase)
+        cfg = ETDConfig(dt=dt, scheme=scheme)
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore", StepSizeWarning)
             spy_on_stages(mp, seen)

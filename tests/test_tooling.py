@@ -125,6 +125,22 @@ def test_every_public_name_is_used():
     assert unused == []
 
 
+def test_every_private_helper_is_read():
+    # a module-level _name that no code in the package reads is a dead
+    # helper, left behind when its last caller went; the tests do not count
+    defined, read = set(), set()
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            names = defined_names(stmt)
+            defined |= {
+                f"{path.stem}.{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            }
+            read |= loaded_names(stmt) - names
+    assert sorted(name for name in defined if name.split(".")[1] not in read) == []
+
+
 def unused_imports(path: Path) -> list[str]:
     """Imported names a module never reads; __all__ entries and # noqa: F401 lines are exempt."""
     text = path.read_text()
