@@ -44,6 +44,7 @@ from .spectral import (
     FourierField,
     GridSpec,
     Trajectory,
+    _marked_if_real,
     bracket_sq,
     cumulative_trapezoid,
     sobolev_norm,
@@ -219,7 +220,7 @@ def gauge_compose(z: Trajectory, table: PhaseTable, f: FourierField) -> Trajecto
     if table.grid != z.grid:
         raise GridMismatchError("phase table and trajectory live on different grids")
     coeffs = z.coeffs + modulated_profile(f, table).coeffs
-    return Trajectory(z.grid, coeffs, z.real_symmetric and f.real_symmetric)
+    return _marked_if_real(Trajectory(z.grid, coeffs), z.real_symmetric and f.real_symmetric)
 
 
 def phase_from_trajectory(u: Trajectory) -> PhaseTable:

@@ -10,14 +10,16 @@ taken over k1 + k2 + k3 = k with k != 0, every kj != 0, and
 condition is equivalent to kj != k for all j, which is how the code tests
 it. Every run evaluates it as a padded-FFT convolution with boundary
 corrections, by one of two routes: the cube NR(u, u, u) of one field marked
-real_symmetric by real transforms of its half spectrum, every other call by
-complex transforms of the full mode vectors. `nr_trilinear_naive`, a direct
+real_symmetric (or exactly conjugate-symmetric) by real transforms of its
+half spectrum, every other call by complex transforms of the full modes. `nr_trilinear_naive`, a direct
 sum over the triple table, is kept only as the independent oracle the test
 suite checks both routes against, to rounding.
 
 One private kernel, _cube_modes, gives the modes of u^3 for a real field u
 from its half spectrum; the real NR route and direct_nonlinearity, the
-stage of the ETD oracle, both go through it.
+stage of the ETD oracle, both go through it. direct_nonlinearity and
+conserved_functionals raise FieldError for a field that fails spectral's
+realness verdict; a marked field is not checked again.
 
 Everything here treats fields as plain mode vectors; no physical-space
 state is retained between calls.
@@ -32,11 +34,11 @@ import numpy as np
 
 from .errors import DenominatorError, FieldError, GridMismatchError
 from .spectral import (
-    REAL_SYMMETRY_TOL,
     FourierField,
     Trajectory,
     _cached,
     _mirrored_field,
+    _require_real,
     check_real_symmetry,
     half_spectrum,
 )
@@ -342,11 +344,10 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
     c = |u_hat(0)|^2 + 2 sum_{k>=1} |u_hat(k)|^2, one dot product. The
     output is mirrored from modes 1..K, so it is conjugate-symmetric to the
     last bit, and its zero mode (the integrand is a total derivative) is
-    exactly zero. A field marked real_symmetric passed the same check when
-    it was built, so only unmarked fields are checked here.
+    exactly zero. The field must pass spectral's realness verdict, which
+    only an unmarked field is checked against again.
     """
-    if not u.real_symmetric and check_real_symmetry(u) > REAL_SYMMETRY_TOL:
-        raise FieldError("direct nonlinearity is defined for real fields")
+    _require_real(u, "direct nonlinearity is defined for real fields")
     K = u.K
     half = u.coeffs[K:]
     positive = half[1:]
@@ -479,11 +480,10 @@ def conserved_functionals(u: FourierField) -> tuple[float, float, float]:
     """(mean, squared l2 mass, energy) of a real field.
 
     The energy mean(u_x^2 / 2 - u^4 / 12) is evaluated on 8 (K + 1) points,
-    alias-free for the quartic term. A field marked real_symmetric passed
-    the same check when it was built, so only unmarked fields are checked.
+    alias-free for the quartic term. The field must pass spectral's realness
+    verdict, which only an unmarked field is checked against again.
     """
-    if not u.real_symmetric and check_real_symmetry(u) > REAL_SYMMETRY_TOL:
-        raise FieldError("conserved functionals are defined for real fields")
+    _require_real(u, "conserved functionals are defined for real fields")
     K = u.K
     mass = float(u.coeffs[K].real)
     l2 = galilean_speed(u)

@@ -19,14 +19,15 @@ before its update. The single NR call on the summed field equals the
 8-term multilinear expansion, which the test suite checks as a property of
 the NR kernel.
 
-The profile is real, so every array of the loop is conjugate-symmetric in
-k: the remainder z, the modulated profile, w and the forcing; Q is odd.
+The profile must pass spectral's realness verdict, and only its modes
+k = 0..K are read, so every array of the loop is conjugate-symmetric in k:
+the remainder z, the modulated profile, w and the forcing; Q is odd.
 picard_solve therefore holds only their columns k = 0..K, as (M, K+1)
 arrays, from the first iterate to the last. Each frame of w is mirrored
-into a real_symmetric field for its NR call, which takes the real-transform
-route; the calls stay one per frame, because the benchmark's traced runs
-check nr_calls == iterates x M. The iterates are mirrored into
-real_symmetric trajectories for the X norms, and z once more at the end.
+into a field marked by spectral's trusted path for its NR call, which
+takes the real-transform route; the calls stay one per frame, because the
+benchmark's traced runs check nr_calls == iterates x M. The iterates are
+mirrored into marked trajectories for the X norms, and z once more at the end.
 duhamel_integrate and picard_rhs apply the same array helpers, _duhamel
 and _rhs, to full columns, so each formula has one home.
 
@@ -52,7 +53,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConvergenceError,
-    FieldError,
     GridMismatchError,
     InstabilityError,
     TimeHorizonWarning,
@@ -68,14 +68,13 @@ from .gauge import (
 from .nonlinearity import nr_trilinear
 from .norms import NormProxyConfig, _free_phase_factor, x_space_norm
 from .spectral import (
-    REAL_SYMMETRY_TOL,
     FourierField,
     GridSpec,
     SobolevIndex,
     Trajectory,
     _mirrored_field,
+    _require_real,
     _symmetric_trajectory,
-    check_real_symmetry,
     cumulative_trapezoid,
 )
 
@@ -191,7 +190,8 @@ def _duhamel(forcing: np.ndarray, damping: np.ndarray, dt: float, z0: np.ndarray
     damping holds exp(-i t phi_k) and z0 the modes at t = 0 on those columns.
     """
     integral = cumulative_trapezoid(damping * forcing, dt)
-    # the conjugate of the cached damping table, bit for bit exp(i t phi_k)
+    # the conjugate of the cached damping table: exp(i t phi_k) in value,
+    # though zeros of its t = 0 row may carry the other sign
     return np.conj(damping) * (z0 + integral)
 
 
@@ -250,20 +250,14 @@ def picard_step(
 
 
 def _richardson_delta(
-    grid: GridSpec, forcing: np.ndarray, f: FourierField, fine: np.ndarray
+    forcing: np.ndarray, damping: np.ndarray, dt: float, z0: np.ndarray, fine: np.ndarray
 ) -> float:
-    """Quadrature-error estimate: redo the Duhamel integral on every other node.
+    """Quadrature-error estimate: redo the Duhamel integral on every other node, step 2 dt.
 
-    On the columns k = 0..K of forcing and of the remainder fine: the -k
-    columns are their conjugates and hold no larger difference.
+    On the loop's columns k = 0..K; the -k columns hold no larger difference.
     """
-    idx = np.arange(0, grid.M, 2)
-    if idx.size < 2:
-        return 0.0
-    sub_grid = GridSpec(grid.K, idx.size, float(grid.times[idx[-1]]))
-    damping = _free_phase_factor(sub_grid, -1, f)[:, grid.K :]
-    coarse = _duhamel(forcing[idx], damping, sub_grid.dt, np.zeros(grid.K + 1, dtype=complex))
-    return float(np.max(np.abs(fine[idx] - coarse)))
+    coarse = _duhamel(forcing[::2], damping[::2], 2.0 * dt, z0)
+    return float(np.max(np.abs(fine[::2] - coarse)))
 
 
 def picard_solve(
@@ -287,8 +281,7 @@ def picard_solve(
     grid = cfg.grid
     if f.K != grid.K:
         raise GridMismatchError(f"profile cutoff {f.K} does not match grid K {grid.K}")
-    if not f.real_symmetric and check_real_symmetry(f) > REAL_SYMMETRY_TOL:
-        raise FieldError("the Picard iteration is defined for a real profile")
+    _require_real(f, "the Picard iteration is defined for a real profile")
     K = grid.K
     ks = np.arange(K + 1)
     modes = f.coeffs[K:]
@@ -338,7 +331,7 @@ def picard_solve(
             converged = True
             break
 
-    richardson_delta = _richardson_delta(grid, forcing, f, z)
+    richardson_delta = _richardson_delta(forcing, damping, grid.dt, z0, z)
     z = _symmetric_trajectory(grid, z)
     phase, phase_report = solve_phase(
         f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0

@@ -31,7 +31,8 @@ from .spectral import (
     FourierField,
     GridSpec,
     Trajectory,
-    _symmetric_field,
+    _mark,
+    _marked_if_real,
     check_real_symmetry,
     hs_norms,
 )
@@ -117,10 +118,10 @@ def solve_reference(
 
     # exactly symmetric data keeps every stage exactly symmetric (each
     # operation acts alike on k and -k), so no stage is re-checked
-    wrap = _symmetric_field if check_real_symmetry(f) == 0.0 else FourierField
+    exact = check_real_symmetry(f) == 0.0
 
     def nonlinear(v: np.ndarray) -> np.ndarray:
-        return direct_nonlinearity(wrap(v)).coeffs
+        return direct_nonlinearity(_mark(FourierField(v), exact)).coeffs
 
     frames = np.empty((M, grid.n_modes), dtype=complex)
     v = f.coeffs.astype(complex)
@@ -160,7 +161,7 @@ def solve_reference(
                     step=step_index,
                 )
         frames[n] = v
-    return Trajectory(grid, frames, real_symmetric=f.real_symmetric)
+    return _marked_if_real(Trajectory(grid, frames), f.real_symmetric)
 
 
 def compare_trajectories(

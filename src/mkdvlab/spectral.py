@@ -8,6 +8,11 @@ weight <k> = (1 + k^2)^(1/2); no 2*pi factors appear anywhere.
 
 Arrays index modes as j = k + K. Coefficient arrays are treated as
 immutable; operations return new objects.
+
+The real_symmetric mark follows one verdict, _is_real: no mode lies further
+than REAL_SYMMETRY_TOL from its mirror. Constructors reject a false claim,
+readers and arithmetic mark by it and never raise, and _mark is the one
+unchecked path.
 """
 
 from __future__ import annotations
@@ -112,8 +117,8 @@ class GridSpec:
 class FourierField:
     """Mode vector u_hat(k) for |k| <= K, stored at index k + K.
 
-    real_symmetric marks fields constructed to represent real-valued
-    functions; the claim is checked (loosely) at construction time.
+    real_symmetric marks fields that represent real-valued functions; a
+    claim made at construction must pass the verdict of _is_real.
     """
 
     coeffs: np.ndarray
@@ -126,12 +131,11 @@ class FourierField:
                 f"coefficients must be a 1d array of odd length, got shape {c.shape}"
             )
         object.__setattr__(self, "coeffs", c)
-        if self.real_symmetric:
-            asym = check_real_symmetry(self)
-            if asym > REAL_SYMMETRY_TOL:
-                raise FieldError(
-                    f"field marked real_symmetric but max |u_hat(-k) - conj(u_hat(k))| = {asym:.3e}"
-                )
+        if self.real_symmetric and not _is_real(self):
+            raise FieldError(
+                "field marked real_symmetric but max |u_hat(-k) - conj(u_hat(k))| = "
+                f"{check_real_symmetry(self):.3e}"
+            )
 
     @property
     def K(self) -> int:
@@ -147,24 +151,22 @@ class FourierField:
         return complex(self.coeffs[k + self.K])
 
     @staticmethod
-    def zeros(K: int, real_symmetric: bool = True) -> "FourierField":
-        return FourierField(np.zeros(2 * K + 1, dtype=complex), real_symmetric)
+    def zeros(K: int) -> "FourierField":
+        return _mark(FourierField(np.zeros(2 * K + 1, dtype=complex)))
 
     def __add__(self, other: "FourierField") -> "FourierField":
         self._check_same_K(other)
-        return FourierField(
-            self.coeffs + other.coeffs, self.real_symmetric and other.real_symmetric
-        )
+        both = self.real_symmetric and other.real_symmetric
+        return _marked_if_real(FourierField(self.coeffs + other.coeffs), both)
 
     def __sub__(self, other: "FourierField") -> "FourierField":
         self._check_same_K(other)
-        return FourierField(
-            self.coeffs - other.coeffs, self.real_symmetric and other.real_symmetric
-        )
+        both = self.real_symmetric and other.real_symmetric
+        return _marked_if_real(FourierField(self.coeffs - other.coeffs), both)
 
     def __rmul__(self, scalar: float) -> "FourierField":
         keep = self.real_symmetric and isinstance(scalar, (int, float))
-        return FourierField(scalar * self.coeffs, keep)
+        return _marked_if_real(FourierField(scalar * self.coeffs), keep)
 
     def _check_same_K(self, other: "FourierField") -> None:
         if self.K != other.K:
@@ -176,7 +178,7 @@ class Trajectory:
     """M field frames on a shared grid, stored as an (M, 2K+1) complex array.
 
     real_symmetric marks trajectories whose every frame is a real field; as
-    for FourierField, the claim is checked (loosely) at construction time.
+    for FourierField, a claim made at construction must pass the verdict.
     """
 
     grid: GridSpec
@@ -191,35 +193,28 @@ class Trajectory:
                 f"({self.grid.M}, {self.grid.n_modes})"
             )
         object.__setattr__(self, "coeffs", c)
-        if self.real_symmetric:
-            asym = check_real_symmetry(self)
-            if asym > REAL_SYMMETRY_TOL:
-                raise FieldError(
-                    "trajectory marked real_symmetric but max |u_hat(t, -k) - "
-                    f"conj(u_hat(t, k))| = {asym:.3e}"
-                )
+        if self.real_symmetric and not _is_real(self):
+            raise FieldError(
+                "trajectory marked real_symmetric but max |u_hat(t, -k) - "
+                f"conj(u_hat(t, k))| = {check_real_symmetry(self):.3e}"
+            )
 
     @property
     def K(self) -> int:
         return self.grid.K
 
     def frame(self, n: int) -> FourierField:
-        return FourierField(self.coeffs[n].copy(), self.real_symmetric)
+        return _mark(FourierField(self.coeffs[n].copy()), self.real_symmetric)
 
     @staticmethod
-    def zeros(grid: GridSpec, real_symmetric: bool = True) -> "Trajectory":
-        return Trajectory(
-            grid, np.zeros((grid.M, grid.n_modes), dtype=complex), real_symmetric
-        )
+    def zeros(grid: GridSpec) -> "Trajectory":
+        return _mark(Trajectory(grid, np.zeros((grid.M, grid.n_modes), dtype=complex)))
 
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         if self.grid != other.grid:
             raise GridMismatchError("trajectories live on different grids")
-        return Trajectory(
-            self.grid,
-            self.coeffs - other.coeffs,
-            self.real_symmetric and other.real_symmetric,
-        )
+        both = self.real_symmetric and other.real_symmetric
+        return _marked_if_real(Trajectory(self.grid, self.coeffs - other.coeffs), both)
 
 
 @dataclass(frozen=True)
@@ -296,27 +291,26 @@ def mirrored(zero, positive: np.ndarray) -> np.ndarray:
     return c
 
 
-def _symmetric_field(coeffs: np.ndarray) -> FourierField:
-    """coeffs as a real_symmetric field, unchecked: for arrays symmetric by construction."""
-    u = FourierField(coeffs)
-    object.__setattr__(u, "real_symmetric", True)
+def _mark(u, trusted: bool = True):
+    """u, a field or trajectory, marked real_symmetric without a check when trusted.
+
+    The one trusted path: only for arrays real by construction (mirrored
+    half spectra, zeros) or covered by verdicts already passed (the frames
+    and truncations of a marked object, the stack of marked frames).
+    """
+    if trusted:
+        object.__setattr__(u, "real_symmetric", True)
     return u
 
 
 def _mirrored_field(zero: float, positive: np.ndarray) -> FourierField:
     """mirrored(zero, positive) as a real_symmetric field, unchecked: exact by construction."""
-    return _symmetric_field(mirrored(zero, positive))
+    return _mark(FourierField(mirrored(zero, positive)))
 
 
 def _symmetric_trajectory(grid: GridSpec, half: np.ndarray) -> Trajectory:
-    """The real_symmetric trajectory of the (M, K+1) columns k = 0..K of half, unchecked.
-
-    The k = 0 column is the real part of half's and the -k columns are the
-    conjugates of the +k ones, so the claim is exact by construction.
-    """
-    tr = Trajectory(grid, mirrored(half[:, 0].real, half[:, 1:]))
-    object.__setattr__(tr, "real_symmetric", True)
-    return tr
+    """The trajectory mirrored from the (M, K+1) columns k = 0..K of half, marked: exact."""
+    return _mark(Trajectory(grid, mirrored(half[:, 0].real, half[:, 1:])))
 
 
 def sobolev_norm(u: FourierField, s: float) -> float:
@@ -332,6 +326,22 @@ def check_real_symmetry(u: FourierField | Trajectory) -> float:
     c = u.coeffs
     with np.errstate(invalid="ignore"):
         return float(np.max(np.abs(c[..., ::-1] - np.conj(c))))
+
+
+def _is_real(u: FourierField | Trajectory) -> bool:
+    """The realness verdict: only an asymmetry above REAL_SYMMETRY_TOL fails it, NaN passes."""
+    return not check_real_symmetry(u) > REAL_SYMMETRY_TOL
+
+
+def _marked_if_real(u, claim: bool = True):
+    """u marked when claim (for arithmetic: every input was marked) holds and u is real."""
+    return _mark(u, claim and _is_real(u))
+
+
+def _require_real(u: FourierField, message: str) -> None:
+    """Raise FieldError(message) unless u is marked real_symmetric or passes the verdict."""
+    if not (u.real_symmetric or _is_real(u)):
+        raise FieldError(message)
 
 
 def cosine_field(K: int, amplitude: float = 1.0, harmonic: int = 1) -> FourierField:
@@ -357,10 +367,7 @@ def field_from_modes(
             c[K - k] = np.conj(val)
     if symmetrize:
         c[K] = c[K].real
-    field = FourierField(c)
-    if check_real_symmetry(field) == 0.0:
-        return FourierField(c, real_symmetric=True)
-    return field
+    return _marked_if_real(FourierField(c))
 
 
 def _check_seed(seed) -> None:
@@ -400,7 +407,7 @@ def resize_field(u: FourierField, K: int) -> FourierField:
     c = np.zeros(2 * K + 1, dtype=complex)
     m = min(K, u.K)
     c[K - m : K + m + 1] = u.coeffs[u.K - m : u.K + m + 1]
-    return FourierField(c, u.real_symmetric)
+    return _mark(FourierField(c), u.real_symmetric)
 
 
 def cumulative_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
@@ -433,10 +440,7 @@ def field_from_obj(obj: list[list[float]]) -> FourierField:
     c = np.zeros(2 * K + 1, dtype=complex)
     for k, re, im in obj:
         c[int(k) + K] = complex(re, im)
-    field = FourierField(c)
-    if check_real_symmetry(field) <= 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-        return FourierField(c, real_symmetric=True)
-    return field
+    return _marked_if_real(FourierField(c))
 
 
 def trajectory_to_obj(tr: Trajectory) -> dict:
@@ -453,7 +457,7 @@ def trajectory_from_obj(obj: dict) -> Trajectory:
     if len(frames) != grid.M or any(f.K != grid.K for f in frames):
         raise FieldError("frame list inconsistent with grid header")
     coeffs = np.stack([f.coeffs for f in frames])
-    return Trajectory(grid, coeffs, all(f.real_symmetric for f in frames))
+    return _mark(Trajectory(grid, coeffs), all(f.real_symmetric for f in frames))
 
 
 def write_frames_json(path: str, grid: GridSpec, columns: tuple[np.ndarray, ...]) -> None:

@@ -128,25 +128,22 @@ class TestConservation:
         assert np.max(np.abs(series[:, 3] - energy0)) < 1e-9
 
     def test_each_frame_is_checked_once(self, monkeypatch):
-        # Trajectory.frame builds a marked trajectory's frames as marked
-        # fields, which are checked at construction, so conserved_functionals
-        # checks only the frames of an unmarked trajectory
+        # Trajectory.frame marks a marked trajectory's frames without a check,
+        # since the trajectory's own verdict covers them, so only the frames
+        # of an unmarked trajectory are checked, once each by
+        # conserved_functionals; every check runs in spectral
         tr = solve_reference(cosine_field(8), 0.02, ETDConfig(dt=1e-3), M=5)
         unmarked = Trajectory(tr.grid, tr.coeffs)
         expected = conserved_series(tr)
-        calls = {"spectral": 0, "nonlinearity": 0}
-        for module in (spectral, nonlinearity):
-
-            def counting(u, name=module.__name__.split(".")[-1]):
-                calls[name] += 1
-                return check_real_symmetry(u)
-
-            monkeypatch.setattr(module, "check_real_symmetry", counting)
+        seen = []
+        monkeypatch.setattr(
+            spectral, "check_real_symmetry", lambda u: seen.append(u) or check_real_symmetry(u)
+        )
         assert np.array_equal(conserved_series(tr), expected)
-        assert calls == {"spectral": 5, "nonlinearity": 0}
-        calls.update(spectral=0)
+        assert seen == []
         assert np.array_equal(conserved_series(unmarked), expected)
-        assert calls == {"spectral": 0, "nonlinearity": 5}
+        assert len(seen) == 5 and not any(u.real_symmetric for u in seen)
+        assert all(isinstance(u, FourierField) for u in seen)
 
     def test_trajectory_stays_real(self):
         tr = solve_reference(cosine_field(8), 0.2, ETDConfig(dt=1e-3), M=3)
@@ -292,10 +289,9 @@ class TestStageSymmetry:
             solve_reference(FourierField(c), 0.01, ETDConfig(dt=1e-3), M=3)
 
     def test_direct_nonlinearity_trusts_marked_fields(self, monkeypatch):
+        # the require-real check lives in spectral and skips marked fields
         calls = []
-        monkeypatch.setattr(
-            nonlinearity, "check_real_symmetry", lambda u: calls.append(u) or 0.0
-        )
+        monkeypatch.setattr(spectral, "check_real_symmetry", lambda u: calls.append(u) or 0.0)
         u = random_real_field(6, seed=2)
         marked = direct_nonlinearity(u)
         unmarked = direct_nonlinearity(FourierField(u.coeffs))

@@ -7,11 +7,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_real_field, to_real_samples
 from mkdvlab import (
+    REAL_SYMMETRY_TOL,
     ConfigError,
     FieldError,
     FourierField,
@@ -307,6 +308,75 @@ class TestSerialization:
         with pytest.raises(FieldError):
             Trajectory(grid, c, real_symmetric=True)
         assert not Trajectory(grid, c).real_symmetric
+
+
+# offsets of one mode off its mirror, at most 0.99 REAL_SYMMETRY_TOL in modulus
+OFFSETS = st.floats(-0.7 * REAL_SYMMETRY_TOL, 0.7 * REAL_SYMMETRY_TOL)
+
+
+@st.composite
+def nearly_real_coeffs(draw, K: int) -> np.ndarray:
+    """A real field's modes with one mode moved off its mirror, within the tolerance."""
+    c = library_random_real_field(K, draw(st.integers(0, 2**16))).coeffs.copy()
+    c[K + draw(st.integers(-K, K))] += complex(draw(OFFSETS), draw(OFFSETS))
+    assume(check_real_symmetry(FourierField(c)) <= REAL_SYMMETRY_TOL)
+    return c
+
+
+def drifted(delta: complex) -> np.ndarray:
+    """Modes of a K = 4 real field with u_hat(1) moved by delta off its mirror."""
+    c = library_random_real_field(4, 1).coeffs.copy()
+    c[5] += delta
+    return c
+
+
+class TestRealnessVerdict:
+    """One verdict decides the real_symmetric mark: within REAL_SYMMETRY_TOL of the mirror."""
+
+    # modes of modulus 1e5, one of them 5e-8 off its mirror
+    LOUD = [[-1, 1e5, 0.0], [0, 0.0, 0.0], [1, 1e5, 5e-8]]
+
+    def test_readers_leave_a_field_beyond_the_tolerance_unmarked(self):
+        u = field_from_obj(self.LOUD)
+        assert not u.real_symmetric and check_real_symmetry(u) == 5e-8
+        obj = {"grid": {"K": 1, "M": 2, "T": 0.1}, "frames": [self.LOUD, self.LOUD]}
+        assert not trajectory_from_obj(obj).real_symmetric
+
+    def test_readers_mark_a_field_within_the_tolerance(self):
+        obj = field_to_obj(FourierField(drifted(0.5 * REAL_SYMMETRY_TOL)))
+        assert field_from_obj(obj).real_symmetric
+        tr = trajectory_from_obj({"grid": {"K": 4, "M": 2, "T": 0.1}, "frames": [obj, obj]})
+        assert tr.real_symmetric
+        assert not field_from_modes(4, {1: 1.0, -1: 1.0 + 2 * REAL_SYMMETRY_TOL}).real_symmetric
+
+    def test_arithmetic_unmarks_a_result_beyond_the_tolerance(self):
+        u = FourierField(drifted(0.9e-8j), real_symmetric=True)
+        v = FourierField(drifted(-0.9e-8j), real_symmetric=True)
+        for out in (u + u, u - v, 3.0 * u):
+            assert not out.real_symmetric
+            assert check_real_symmetry(out) > REAL_SYMMETRY_TOL
+        assert (u + v).real_symmetric
+        grid = GridSpec(4, 2, 0.1)
+        a = Trajectory(grid, np.stack([u.coeffs, u.coeffs]), real_symmetric=True)
+        b = Trajectory(grid, np.stack([v.coeffs, v.coeffs]), real_symmetric=True)
+        assert not (a - b).real_symmetric
+        assert (a - a).real_symmetric
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.floats(-4.0, 4.0))
+    def test_arithmetic_marks_exactly_by_the_verdict(self, data, K, scalar):
+        u, v = (FourierField(data.draw(nearly_real_coeffs(K)), real_symmetric=True) for _ in "uv")
+        grid = GridSpec(K, 2, 0.1)
+        a, b = (
+            Trajectory(grid, np.stack([data.draw(nearly_real_coeffs(K)) for _ in "01"]), True)
+            for _ in "ab"
+        )
+        for out in (u + v, u - v, scalar * u, a - b):
+            assert out.real_symmetric == (check_real_symmetry(out) <= REAL_SYMMETRY_TOL)
+
+    def test_zeros_are_marked(self):
+        assert FourierField.zeros(3).real_symmetric
+        assert Trajectory.zeros(GridSpec(3, 2, 0.1)).real_symmetric
 
 
 class TestRandomRealField:

@@ -141,6 +141,35 @@ def test_every_private_helper_is_read():
     assert sorted(name for name in defined if name.split(".")[1] not in read) == []
 
 
+def marks_without_check(node: ast.AST) -> bool:
+    """Whether node is a call object.__setattr__(..., "real_symmetric", ...)."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "real_symmetric"
+    )
+
+
+def test_one_rule_decides_the_real_symmetric_mark():
+    # the mark that lets the kernels read only the k >= 0 half of a field is
+    # set unchecked at one site, spectral._mark, and REAL_SYMMETRY_TOL is
+    # compared at one site, the verdict spectral._is_real
+    setters, compared = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if marks_without_check(node):
+                setters.append(path.name)
+            if isinstance(node, ast.Compare) and "REAL_SYMMETRY_TOL" in loaded_names(node):
+                compared.append(path.name)
+    assert setters == ["spectral.py"]
+    assert compared == ["spectral.py"]
+
+
 def unused_imports(path: Path) -> list[str]:
     """Imported names a module never reads; __all__ entries and # noqa: F401 lines are exempt."""
     text = path.read_text()
