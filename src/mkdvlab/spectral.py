@@ -11,8 +11,8 @@ immutable; operations return new objects.
 
 The real_symmetric mark follows one verdict, _is_real: no mode lies further
 than REAL_SYMMETRY_TOL from its mirror. Constructors reject a false claim,
-readers and arithmetic mark by it and never raise, and _mark is the one
-unchecked path.
+readers and arithmetic mark finite results by it and never raise, and _mark
+is the one unchecked path.
 """
 
 from __future__ import annotations
@@ -334,8 +334,12 @@ def _is_real(u: FourierField | Trajectory) -> bool:
 
 
 def _marked_if_real(u, claim: bool = True):
-    """u marked when claim (for arithmetic: every input was marked) holds and u is real."""
-    return _mark(u, claim and _is_real(u))
+    """u marked when claim (for arithmetic: every input was marked) holds and u is real.
+
+    Only finite results are marked: the verdict passes a NaN mode, and the
+    half-spectrum routes a mark opens read only k >= 0.
+    """
+    return _mark(u, claim and _is_real(u) and bool(np.isfinite(u.coeffs).all()))
 
 
 def _require_real(u: FourierField, message: str) -> None:
@@ -460,16 +464,30 @@ def trajectory_from_obj(obj: dict) -> Trajectory:
     return _mark(Trajectory(grid, coeffs), all(f.real_symmetric for f in frames))
 
 
+# The sign bit of a float64 read as an int64: x ^ _SIGN_BIT is the bits of -x.
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+
+
+def _negated(s: str) -> str:
+    """The repr of -x from the repr s of a finite float x."""
+    return s[1:] if s[0] == "-" else "-" + s
+
+
 def write_frames_json(path: str, grid: GridSpec, columns: tuple[np.ndarray, ...]) -> None:
     """Write a frame table as json.dump(obj, fh, indent=2) plus a newline would.
 
     obj is {"grid": {K, M, T}, "frames": [...]}, where row j of frame n is
     [k_j, columns[0][n, j], columns[1][n, j], ...] for the real (M, 2K+1)
     arrays in columns; trajectory_to_obj and phase_to_obj build this shape.
-    Frames are formatted from a template prebuilt once and written one at a
-    time. "%r" of a finite float is exactly what json emits, but json writes
-    NaN and Infinity where "%r" gives nan and inf, so a table with any
-    non-finite value is built as an object and dumped by json instead.
+    Frames are formatted one at a time into a template prebuilt once. The
+    k >= 0 rows of a frame are formatted by one repr of their list, which for
+    finite floats is exactly the json tokens joined by ", ". Each k < 0 value
+    takes the string of its mirror at -k when the two are bitwise equal, that
+    string with its leading "-" flipped when they are bitwise negations (as
+    in the real and imaginary parts of a real field, and in the odd phase),
+    and its own repr otherwise; the bytes are the same either way. json
+    writes NaN and Infinity where repr gives nan and inf, so a table with
+    any non-finite value is built as an object and dumped by json instead.
     """
     ks = grid.wavenumbers.tolist()
     header = {"K": grid.K, "M": grid.M, "T": grid.T}
@@ -480,11 +498,31 @@ def write_frames_json(path: str, grid: GridSpec, columns: tuple[np.ndarray, ...]
             json.dump({"grid": header, "frames": frames}, fh, indent=2)
             fh.write("\n")
             return
-        cells = ",\n".join(["        %r"] * table.shape[-1])
+        K, C = grid.K, table.shape[-1]
+        cells = ",\n".join(["        %s"] * C)
         rows = ",\n".join(f"      [\n        {k},\n{cells}\n      ]" for k in ks)
         frame = f"    [\n{rows}\n    ]"
         # json.dumps ends the header object with "\n}"; the frame list goes there.
         fh.write(json.dumps({"grid": header}, indent=2)[:-2] + ',\n  "frames": [\n')
+        bits = table.view(np.int64)
+        low = [""] * (K * C)
         for n in range(table.shape[0]):
-            fh.write((",\n" if n else "") + frame % tuple(table[n].ravel().tolist()))
+            high = repr(table[n, K:].ravel().tolist())[1:-1].split(", ")
+            for c in range(C):
+                # the strings of k = K..1, the mirrors of rows k = -K..-1
+                mirror = high[C + c :: C][::-1]
+                lo, hi = bits[n, :K, c], bits[n, : K : -1, c]
+                same, negated = lo == hi, lo == hi ^ _SIGN_BIT
+                if same.all():
+                    low[c::C] = mirror
+                elif negated.all():
+                    low[c::C] = [_negated(s) for s in mirror]
+                else:
+                    low[c::C] = [
+                        s if eq else _negated(s) if neg else repr(v)
+                        for s, eq, neg, v in zip(
+                            mirror, same.tolist(), negated.tolist(), table[n, :K, c].tolist()
+                        )
+                    ]
+            fh.write((",\n" if n else "") + frame % tuple(low + high))
         fh.write("\n  ]\n}\n")

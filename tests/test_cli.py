@@ -137,6 +137,17 @@ class TestHappyPaths:
             text = (out / name).read_text(encoding="utf-8")
             assert json.dumps(dump(parse(json.loads(text))), indent=2) + "\n" == text
 
+    def test_simulate_trajectory_reserializes(self, tmp_path):
+        # a cosine run's frame 0 has +0.0 imaginary parts at k and -k, later
+        # frames conjugate pairs: the writer copies the one, flips the other
+        out = tmp_path / "out"
+        doc = {"mode": "simulate", "grid": {"K": 8, "M": 8, "T": 0.01}}
+        assert run_cli(tmp_path, doc, "--output-dir", str(out)).returncode == 0
+        text = (out / "trajectory.json").read_text(encoding="utf-8")
+        tr = trajectory_from_obj(json.loads(text))
+        assert not np.signbit(tr.coeffs[0].imag).any()
+        assert json.dumps(trajectory_to_obj(tr), indent=2) + "\n" == text
+
     def test_compare_mode(self, tmp_path):
         out = tmp_path / "out"
         doc = {"mode": "compare", "grid": {"K": 8, "M": 16, "T": 0.01}}

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from mkdvlab import (
     trajectory_to_obj,
     write_frames_json,
 )
-from mkdvlab.spectral import _CACHE_ENTRIES, _cached
+from mkdvlab.spectral import _CACHE_ENTRIES, _cached, _require_real
 
 
 def dft_oracle(samples: np.ndarray, k: int) -> complex:
@@ -374,6 +375,21 @@ class TestRealnessVerdict:
         for out in (u + v, u - v, scalar * u, a - b):
             assert out.real_symmetric == (check_real_symmetry(out) <= REAL_SYMMETRY_TOL)
 
+    def test_non_finite_results_are_left_unmarked(self):
+        nan_modes = [[-1, 1.0, 0.0], [0, float("nan"), 0.0], [1, 1.0, 0.0]]
+        u = field_from_obj(nan_modes)
+        assert not u.real_symmetric and not (u + u).real_symmetric
+        obj = {"grid": {"K": 1, "M": 2, "T": 0.1}, "frames": [nan_modes, nan_modes]}
+        assert not trajectory_from_obj(obj).real_symmetric
+        # the verdict itself passes NaN, so a claimed mark stands and a
+        # blown-up solve still reaches its own non-finite check
+        v = FourierField(u.coeffs, real_symmetric=True)
+        _require_real(u, "not real")
+        for out in (v + v, v - v, 2.0 * v):
+            assert not out.real_symmetric
+        w = FourierField(np.array([np.inf, 0.0, np.inf], dtype=complex), real_symmetric=True)
+        assert not (w + w).real_symmetric
+
     def test_zeros_are_marked(self):
         assert FourierField.zeros(3).real_symmetric
         assert Trajectory.zeros(GridSpec(3, 2, 0.1)).real_symmetric
@@ -436,6 +452,53 @@ def frame_tables(draw, columns, values=finite_floats):
     return GridSpec(K, M, T), np.array(vals, dtype=float).reshape(shape)
 
 
+# How a k < 0 value relates to its mirror at -k; "ulp" moves the copy or the
+# negation one ulp toward zero, "own" is a value of its own.
+RELATIONS = ("copy", "negate", "ulp copy", "ulp negate", "own")
+
+
+def related(relation, mirror, own):
+    if relation.startswith("ulp"):
+        mirror = np.nextafter(mirror, 0.0) if mirror != 0.0 else 5e-324
+    if relation == "own":
+        return own
+    return -mirror if relation.endswith("negate") else mirror
+
+
+@st.composite
+def mirrored_tables(draw, columns):
+    """(grid, (M, 2K+1, columns) table) whose k < 0 rows mirror the k > 0 rows.
+
+    Each frame and column is drawn as all copies, all negations, or mixed,
+    where every value is related to its mirror by one of RELATIONS.
+    """
+    K = draw(st.integers(min_value=1, max_value=3))
+    M = draw(st.integers(min_value=2, max_value=4))
+    values = st.one_of(st.sampled_from((0.0, -0.0)), finite_floats)
+    table = np.empty((M, 2 * K + 1, columns))
+    table[:, K:] = np.reshape(
+        draw(st.lists(values, min_size=M * (K + 1) * columns, max_size=M * (K + 1) * columns)),
+        (M, K + 1, columns),
+    )
+    for n in range(M):
+        for c in range(columns):
+            kind = draw(st.sampled_from(("copy", "negate", "mixed")))
+            for j in range(K):
+                relation = draw(st.sampled_from(RELATIONS)) if kind == "mixed" else kind
+                own = draw(values) if relation == "own" else 0.0
+                table[n, j, c] = related(relation, table[n, 2 * K - j, c], own)
+    return GridSpec(K, M, 0.5), table
+
+
+def frames_obj(grid, table):
+    """The object write_frames_json serializes: [k, *values] rows per frame."""
+    ks = grid.wavenumbers.tolist()
+    return {
+        "grid": {"K": grid.K, "M": grid.M, "T": grid.T},
+        "frames": [[[k, *row] for k, row in zip(ks, frame)] for frame in table.tolist()],
+    }
+
+
 def make_trajectory(grid, table):
     c = np.empty(table.shape[:2], dtype=complex)
     c.real = table[..., 0]
@@ -483,6 +546,30 @@ class TestFrameWriter:
         tr = make_trajectory(*drawn)
         expected = json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
         assert written(tr.grid, (tr.coeffs.real, tr.coeffs.imag)) == expected
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=1, max_value=2).flatmap(mirrored_tables))
+    def test_mirrored_bytes(self, drawn):
+        # the k < 0 strings are derived from their mirrors: copied, sign
+        # flipped (0.0 against -0.0 too) or, one ulp off, formatted anew
+        grid, table = drawn
+        expected = json.dumps(frames_obj(grid, table), indent=2) + "\n"
+        assert written(grid, tuple(np.moveaxis(table, -1, 0))) == expected
+
+    def test_memory_is_per_frame(self):
+        # formatting the whole table (131,584 doubles) at once peaks near 12 MiB
+        grid = GridSpec(128, 256, 0.01)
+        rng = np.random.default_rng(0)
+        half = rng.standard_normal((256, 129)) + 1j * rng.standard_normal((256, 129))
+        c = mirrored(half[:, 0].real, half[:, 1:])
+        with tempfile.TemporaryDirectory() as tmp:
+            tracemalloc.start()
+            try:
+                write_frames_json(os.path.join(tmp, "frames.json"), grid, (c.real, c.imag))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_non_finite_tokens(self):
         grid = GridSpec(K=1, M=2, T=0.5)
