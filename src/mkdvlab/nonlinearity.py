@@ -97,8 +97,8 @@ class _Triples(NamedTuple):
 
 
 # The derived tables of the quotient form hold one cutoff each: the slot of
-# _TRIPLES and _DENOMINATORS is None and their stamp names K, so a table of
-# a new K replaces the last one instead of joining it.
+# _TRIPLES is None and its stamp names K, so a table of a new K replaces the
+# last one instead of joining it.
 _TRIPLES: dict[None, tuple[int, _Triples]] = {}
 
 # Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 10 bytes per
@@ -366,42 +366,40 @@ def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarr
     raise FieldError(f"unknown case {case!r}; expected 'comparable' or 'separated'")
 
 
-# The latest (K, profile)'s denominators, and per case the quotient form's
-# kept rows for the latest (K, profile, cutoff).
-_DENOMINATORS: dict[None, tuple[tuple[int, bytes], np.ndarray]] = {}
+# Per case, the quotient form's kept rows for the latest (K, profile, cutoff).
 _PLANS: dict[str | None, tuple[tuple[int, bytes, int], tuple]] = {}
 
 
-def _corrected_denominators(f: FourierField) -> np.ndarray:
-    """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per triple."""
-
-    def build() -> np.ndarray:
-        t = _triples(f.K)
-        p = np.abs(f.coeffs) ** 2
-        kp = f.wavenumbers.astype(float) * p
-        d = kp[t.i1]
-        d += kp[t.i2]
-        d += kp[t.i3]
-        d -= kp[t.out]  # k p(k), with k = out - K
-        return t.base + d
-
-    return _cached(_DENOMINATORS, None, (f.K, f.coeffs.tobytes()), build)
+def _corrected_denominators(f: FourierField, rows) -> np.ndarray:
+    """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per table row in rows."""
+    t = _triples(f.K)
+    p = np.abs(f.coeffs) ** 2
+    kp = f.wavenumbers.astype(float) * p
+    d = kp[t.i1[rows]]
+    d += kp[t.i2[rows]]
+    d += kp[t.i3[rows]]
+    d -= kp[t.out[rows]]  # k p(k), with k = out - K
+    d += t.base[rows]
+    return d
 
 
 def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
     """(pair, i2, i3, out, scale) of the kept triples; cached only once checked.
 
-    pair = out * (2K+1) + i1 indexes the (k, k1) table of k * v1_hat(k1)
-    that trilinear_quotient_form builds per call, and scale = 1 / denom is
-    the reciprocal of the corrected denominator, taken after the floor check.
+    i2, i3 and out are the table's int16 columns at the kept rows.
+    pair = out * (2K+1) + i1, int32 since it leaves the int16 range from
+    K = 91, indexes the (k, k1) table of k * v1_hat(k1) that
+    trilinear_quotient_form builds per call, and scale = 1 / denom, float64,
+    is the reciprocal of the corrected denominator, taken after the floor
+    check: 18 bytes per kept triple.
     """
     K = f.K
 
     def build() -> tuple:
         t = _triples(K)
         kept = (t.kmax > cutoff) & _case_mask(t.kmax, t.kmin, case)
-        denom = _corrected_denominators(f)[kept]
-        bad = np.flatnonzero(np.abs(denom) < DENOMINATOR_FLOOR)
+        denom = _corrected_denominators(f, kept)
+        bad = np.flatnonzero((denom > -DENOMINATOR_FLOOR) & (denom < DENOMINATOR_FLOOR))
         if bad.size:
             j = np.flatnonzero(kept)[bad[0]]
             triple = (int(t.i1[j]) - K, int(t.i2[j]) - K, int(t.i3[j]) - K)
@@ -409,8 +407,9 @@ def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
                 f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}",
                 triple=triple,
             )
-        i2, i3, out = (col[kept].astype(np.intp) for col in (t.i2, t.i3, t.out))
-        pair = out * (2 * K + 1)
+        i2, i3, out = (col[kept] for col in (t.i2, t.i3, t.out))
+        pair = out.astype(np.int32)
+        pair *= 2 * K + 1
         pair += t.i1[kept]
         return pair, i2, i3, out, np.divide(1.0, denom, out=denom)
 
@@ -454,9 +453,12 @@ def trilinear_quotient_form(
     pair, i2, i3, out_idx, scale = _quotient_plan(f, cutoff, case)
     kv1 = (np.arange(-K, K + 1)[:, None] * v1.coeffs[None, :]).ravel()
 
+    # intp copies of each block's indices: numpy gathers and scatters by
+    # narrower index arrays on a path about twice as slow
     def block(rows: slice) -> tuple:
-        terms = kv1[pair[rows]] * v2.coeffs[i2[rows]] * v3.coeffs[i3[rows]]
-        return out_idx[rows], terms.real * scale[rows], terms.imag * scale[rows]
+        j, j2, j3, out = (col[rows].astype(np.intp) for col in (pair, i2, i3, out_idx))
+        terms = kv1[j] * v2.coeffs[j2] * v3.coeffs[j3]
+        return out, terms.real * scale[rows], terms.imag * scale[rows]
 
     return FourierField(_block_sums(n, pair.size, block))
 
@@ -464,16 +466,19 @@ def trilinear_quotient_form(
 def select_frequency_cutoff(f: FourierField) -> int:
     """Smallest safe truncation level for the quotient form around f.
 
-    Scans every admissible triple and flags those where the corrected
-    denominator fails |D| >= kmax / 2; returns the largest kmax among the
-    flagged triples (0 when the bound holds everywhere), so that dropping
-    max |kj| <= cutoff removes every flagged interaction.
+    Scans every admissible triple, a block of table rows at a time, and
+    flags those where the corrected denominator fails |D| >= kmax / 2;
+    returns the largest kmax among the flagged triples (0 when the bound
+    holds everywhere), so that dropping max |kj| <= cutoff removes every
+    flagged interaction.
     """
     kmax = _triples(f.K).kmax
-    bad = np.abs(_corrected_denominators(f)) < 0.5 * kmax
-    if not np.any(bad):
-        return 0
-    return int(kmax[bad].max())
+    flagged = 0
+    for start in range(0, kmax.size, _TABLE_BLOCK):
+        rows = slice(start, start + _TABLE_BLOCK)
+        bad = np.abs(_corrected_denominators(f, rows)) < 0.5 * kmax[rows]
+        flagged = max(flagged, int(kmax[rows][bad].max(initial=0)))
+    return flagged
 
 
 def conserved_functionals(u: FourierField) -> tuple[float, float, float]:

@@ -908,7 +908,6 @@ MODULE_CACHES = (
     norms._FACTORS,
     norms._PROXY_WEIGHTS,
     nonlinearity._TRIPLES,
-    nonlinearity._DENOMINATORS,
     nonlinearity._PLANS,
 )
 

@@ -41,13 +41,13 @@ from mkdvlab import (
     trilinear_quotient_form,
 )
 from mkdvlab.nonlinearity import (
-    _DENOMINATORS,
     _PLANS,
     _TRIPLES,
     _alias_free_length,
     _cube_modes,
     _nr_array,
     _nr_real_cube,
+    _quotient_plan,
     _triples,
 )
 
@@ -630,7 +630,7 @@ QUOTIENT_CASES = (None, "comparable", "separated")
 
 
 def clear_quotient_stores():
-    for store in (_TRIPLES, _DENOMINATORS, _PLANS):
+    for store in (_TRIPLES, _PLANS):
         store.clear()
 
 
@@ -764,15 +764,15 @@ class TestQuotientForm:
         profile = last.coeffs.tobytes()
         k0 = select_frequency_cutoff(last)
         assert {slot: entry[0] for slot, entry in _TRIPLES.items()} == {None: 16}
-        assert {slot: entry[0] for slot, entry in _DENOMINATORS.items()} == {None: (16, profile)}
         assert {case: entry[0] for case, entry in _PLANS.items()} == {
             case: (16, profile, k0) for case in ("comparable", "separated")
         }
 
     def test_probe_memory_ceiling(self):
-        # one probe700 sample at K = 64 from cold stores; with every cutoff's
-        # tables resident, and a plan's old arrays held through its rebuild,
-        # the peak was 114.7 MiB
+        # one probe700 sample at K = 64 from cold stores peaks at 48.4 MiB;
+        # with every cutoff's tables resident, and a plan's old arrays held
+        # through its rebuild, the peak was 114.7 MiB, and with cached
+        # full-table denominators and intp plan columns 87.6 MiB
         spec = EnsembleSpec(seed=1, count=1, K=64, decay_exponent=1.0)
         clear_quotient_stores()
         tracemalloc.start()
@@ -781,7 +781,42 @@ class TestQuotientForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100 * 2**20
+        assert peak < 64 * 2**20
+
+    def test_store_sizes(self):
+        # after one probe700 sample at K = 64 from cold stores, the table
+        # holds 16 bytes per row and the two case plans, which keep disjoint
+        # rows, 18 bytes per kept triple; the only float64 arrays held are
+        # the plans' reciprocal denominators
+        spec = EnsembleSpec(seed=1, count=1, K=64, decay_exponent=1.0)
+        clear_quotient_stores()
+        probe_quotient_form(cosine_field(64), spec)
+        rows = _triples(64).out.size
+        held = [a for store in (_TRIPLES, _PLANS) for _, value in store.values() for a in value]
+        assert sum(a.nbytes for a in held) <= (16 + 18) * rows
+        scales = [plan[-1] for _, plan in _PLANS.values()]
+        floats = [a for a in held if a.dtype == np.float64]
+        assert len(scales) == 2 and [id(a) for a in floats] == [id(a) for a in scales]
+
+    def test_pair_index_beyond_int16(self):
+        # K = 91 is the first cutoff where out * (2K+1) + i1 exceeds the
+        # int16 range of the table's columns
+        K = 91
+        assert (2 * K) * (2 * K + 1) + 2 * K > np.iinfo(np.int16).max >= 180 * 181 + 180
+        f = random_real_field(K, 11)
+        cutoff = select_frequency_cutoff(f)
+        t = _triples(K)
+        masks = {"comparable": t.kmax <= 2 * t.kmin, "separated": t.kmax > 2 * t.kmin}
+        for case, mask in masks.items():
+            kept = (t.kmax > cutoff) & mask
+            pair, i2, i3, out, _ = _quotient_plan(f, cutoff, case)
+            assert np.array_equal(pair, t.out[kept].astype(np.int64) * (2 * K + 1) + t.i1[kept])
+            assert pair.max() > np.iinfo(np.int16).max
+            for col, column in ((i2, t.i2), (i3, t.i3), (out, t.out)):
+                assert np.array_equal(col, column[kept])
+        vs = [random_real_field(K, [7, j]) for j in range(3)]
+        out = trilinear_quotient_form(*vs, f, cutoff, "comparable")
+        assert np.array_equal(out.coeffs, masked_quotient_formula(vs, f, cutoff, "comparable"))
 
     def test_select_frequency_cutoff(self):
         assert select_frequency_cutoff(FourierField.zeros(8)) == 0

@@ -31,6 +31,8 @@ from mkdvlab import (
     spectral,
 )
 
+from test_cli import MODULE_CACHES
+
 TESTS = Path(__file__).resolve().parent
 SRC = Path(mkdvlab.__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -168,6 +170,22 @@ def test_one_rule_decides_the_real_symmetric_mark():
                 compared.append(path.name)
     assert setters == ["spectral.py"]
     assert compared == ["spectral.py"]
+
+
+def test_module_caches_are_the_cached_stores():
+    # the CLI tests clear MODULE_CACHES between runs; it must list every
+    # store passed to spectral._cached, and no other
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_cached":
+                module = importlib.import_module(f"mkdvlab.{path.stem}")
+                found[f"{path.stem}.{node.args[0].id}"] = getattr(module, node.args[0].id)
+    listed = [
+        next((name for name, store in found.items() if store is cache), "a store no _cached call takes")
+        for cache in MODULE_CACHES
+    ]
+    assert sorted(listed) == sorted(found)
 
 
 def unused_imports(path: Path) -> list[str]:
