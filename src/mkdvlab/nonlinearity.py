@@ -8,17 +8,17 @@ i k |u_hat(k)|^2 u_hat(k) and a nonresonant triple sum
 taken over k1 + k2 + k3 = k with k != 0, every kj != 0, and
 (k1+k2)(k2+k3)(k3+k1) != 0. Under the convolution constraint the last
 condition is equivalent to kj != k for all j, which is how the code tests
-it. Every run evaluates it as a padded-FFT convolution with boundary
-corrections, by one of two routes: the cube NR(u, u, u) of one field marked
-real_symmetric (or exactly conjugate-symmetric) by real transforms of its
-half spectrum, every other call by complex transforms of the full modes. `nr_trilinear_naive`, a direct
-sum over the triple table, is kept only as the independent oracle the test
-suite checks both routes against, to rounding.
+it. NR is taken of real fields only, by one kernel on their k >= 0 half
+spectra, _nr_modes: real transforms and closed-form boundary corrections.
+`nr_trilinear_naive`, a direct sum over the triple table, is kept only as
+the independent oracle the test suite checks it against, to rounding; the
+tests keep a complex-transform route on full mode vectors as the oracle
+for complex input.
 
-One private kernel, _cube_modes, gives the modes of u^3 for a real field u
-from its half spectrum; the real NR route and direct_nonlinearity, the
-stage of the ETD oracle, both go through it. direct_nonlinearity and
-conserved_functionals raise FieldError for a field that fails spectral's
+_cube_modes gives the modes of u^3 for a real field u from its half
+spectrum; the NR cube and direct_nonlinearity, the stage of the ETD oracle,
+both go through it. The public NR functions, direct_nonlinearity and
+conserved_functionals raise FieldError for input that fails spectral's
 realness verdict; a marked field is not checked again.
 
 Everything here treats fields as plain mode vectors; no physical-space
@@ -37,10 +37,11 @@ from .spectral import (
     FourierField,
     Trajectory,
     _cached,
+    _mark,
     _mirrored_field,
     _require_real,
-    check_real_symmetry,
     half_spectrum,
+    mirrored,
 )
 
 __all__ = [
@@ -158,72 +159,26 @@ def _block_sums(n: int, size: int, block) -> np.ndarray:
     return re + 1j * im
 
 
-def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
-    """NR of the rows of three (..., 2K+1) mode arrays of one shape.
-
-    Every row at once: the full convolution of the zero-mode-stripped
-    inputs on a grid of 4K + 4 points, alias-free for outputs |k| <= K,
-    minus the kj = k boundary terms in closed form (each carries a paired
-    sum over opposite modes; the three pairwise overlaps are added back
-    once).
-    """
-    if not c1.shape == c2.shape == c3.shape:
-        raise GridMismatchError(f"mode arrays differ in shape: {c1.shape}, {c2.shape}, {c3.shape}")
-    K = c1.shape[-1] // 2
-    a1, a2, a3 = (_stripped(c) for c in (c1, c2, c3))
-    N = 4 * K + 4
-
-    # mode k sits at grid index k mod N: 0..K at the front, -K..-1 at the back
-    def grid_values(c: np.ndarray) -> np.ndarray:
-        buf = np.zeros((*c.shape[:-1], N), dtype=complex)
-        buf[..., : K + 1] = c[..., K:]
-        buf[..., N - K :] = c[..., :K]
-        return np.fft.ifft(buf) * N
-
-    g1, g2, g3 = (grid_values(a) for a in (a1, a2, a3))
-    full_hat = np.fft.fft(g1 * g2 * g3) / N
-    conv = np.concatenate((full_hat[..., N - K :], full_hat[..., : K + 1]), axis=-1)
-
-    r1, r2, r3 = a1[..., ::-1], a2[..., ::-1], a3[..., ::-1]
-    p23 = np.sum(a2 * r3, axis=-1, keepdims=True)
-    p13 = np.sum(a1 * r3, axis=-1, keepdims=True)
-    p12 = np.sum(a1 * r2, axis=-1, keepdims=True)
-    boundary = (
-        p23 * a1
-        + p13 * a2
-        + p12 * a3
-        - (a1 * a2 * r3 + a1 * r2 * a3 + r1 * a2 * a3)
-    )
-
-    out = (-1j / 3.0) * np.arange(-K, K + 1) * (conv - boundary)
-    out[..., K] = 0.0
-    return out
-
-
-def _stripped(c: np.ndarray) -> np.ndarray:
-    """A complex copy of a mode array with its k = 0 entries zeroed."""
-    a = np.array(c, dtype=complex)
-    a[..., a.shape[-1] // 2] = 0.0
-    return a
-
-
 def nr_trilinear_naive(
     v1: FourierField, v2: FourierField, v3: FourierField
 ) -> FourierField:
     """Nonresonant trilinear term by direct summation over the triple table.
 
-    The independent oracle of the fast route, used only by the tests.
+    The independent oracle of the real kernel, used only by the tests; it
+    takes complex fields as well.
     """
     K = _require_same_K(v1, v2, v3)
     n = 2 * K + 1
     t = _triples(K)
-    pair = (_stripped(v1.coeffs)[:, None] * _stripped(v2.coeffs)[None, :]).ravel()
-    b3 = _stripped(v3.coeffs)
+    b1, b2, b3 = stripped = np.array([v1.coeffs, v2.coeffs, v3.coeffs])
+    stripped[:, K] = 0.0  # and so in b1, b2 and b3, its rows
+    pair = (b1[:, None] * b2[None, :]).ravel()
 
+    # intp copies of the narrow table columns, as in trilinear_quotient_form
     def block(rows: slice) -> tuple:
         pair_index = t.i1[rows].astype(np.intp) * n + t.i2[rows]
-        prods = pair[pair_index] * b3[t.i3[rows]]
-        return t.out[rows], prods.real, prods.imag
+        prods = pair[pair_index] * b3[t.i3[rows].astype(np.intp)]
+        return t.out[rows].astype(np.intp), prods.real, prods.imag
 
     sums = _block_sums(n, t.out.size, block)
     return FourierField((-1j / 3.0) * np.arange(-K, K + 1) * sums)
@@ -246,48 +201,52 @@ def _alias_free_length(K: int) -> int:
 
 
 def _cube_modes(half: np.ndarray) -> np.ndarray:
-    """Modes k = 1..K of u^3 for the real field u with modes 0..K `half`.
+    """Modes k = 1..K of u^3 for each real field u with modes 0..K in a row of half.
 
     One irfft of half on _alias_free_length(K) points, the cube of the
     samples, one rfft; both transforms take norm="forward", so no separate
-    scaling pass is made. The imaginary part of half[0] is ignored, as the
-    real field has a real mean.
+    scaling pass is made. The imaginary part of each half[..., 0] is
+    ignored, as a real field has a real mean.
     """
-    K = half.size - 1
+    K = half.shape[-1] - 1
     n = _alias_free_length(K)
     samples = np.fft.irfft(half, n, norm="forward")
-    return np.fft.rfft(samples * samples * samples, norm="forward")[1 : K + 1]
+    return np.fft.rfft(samples * samples * samples, norm="forward")[..., 1 : K + 1]
 
 
-def _nr_real_cube(c: np.ndarray) -> np.ndarray:
-    """Modes 1..K of NR(u, u, u) for the real field u with mode vector c.
+def _nr_modes(u1, u2, u3) -> np.ndarray:
+    """Modes 1..K of NR for three real fields, or trajectories, of one shape.
 
-    a is u with a_0 stripped. The convolution is (a^3)^ by _cube_modes, and
-    for one real input the boundary terms of _nr_array reduce to
-    3 (p - |a_k|^2) a_k: each paired sum is p = sum_j a_j a_{-j}
-    = 2 sum_{k>=1} |a_k|^2, and each triple product is a_k |a_k|^2.
+    FieldError unless each passes the realness verdict (a marked one is not
+    checked again). Only columns k >= 0 are read: the halves a_i, stripped
+    of a_i(0), are convolved by their irffts on _alias_free_length(K) points
+    and one rfft; the kj = k triples are subtracted as each a_i times
+    p_jl = 2 Re sum_{k>=1} a_j conj(a_l) of the other two, less the pairwise
+    overlaps. Equal halves are the cube, by _cube_modes and its own boundary
+    order 3 (p - |a_k|^2) a_k, so the result depends on the values only.
     """
-    K = c.size // 2
-    a = c[K:].copy()
-    a[0] = 0.0
-    positive = a[1:]
-    power = positive.real**2 + positive.imag**2
-    p = 2.0 * np.sum(power)
-    conv = _cube_modes(a)
-    return (-1j / 3.0) * np.arange(1, K + 1) * (conv - 3.0 * (p - power) * positive)
-
-
-def _nr_field(v1: FourierField, v2: FourierField, v3: FourierField) -> FourierField:
-    """NR(v1, v2, v3): by real transforms for one real field passed three times.
-
-    The field counts as real when it is marked real_symmetric or, unmarked,
-    is exactly conjugate-symmetric, so the route never depends on the mark
-    alone. Every other call takes the complex route of _nr_array, bit for
-    bit.
-    """
-    if v1 is v2 is v3 and (v1.real_symmetric or check_real_symmetry(v1) == 0.0):
-        return _mirrored_field(0.0, _nr_real_cube(v1.coeffs))
-    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs))
+    for u in (u1,) if u1 is u2 is u3 else (u1, u2, u3):
+        _require_real(u, "the nonresonant term is defined for real fields")
+    K = u1.coeffs.shape[-1] // 2
+    half = u1.coeffs[..., K:]
+    if u1 is u2 is u3 or all(np.array_equal(u.coeffs[..., K:], half) for u in (u2, u3)):
+        a = half.copy()
+        a[..., 0] = 0.0
+        positive = a[..., 1:]
+        power = positive.real**2 + positive.imag**2
+        p = 2.0 * power.sum(axis=-1, keepdims=True)
+        conv, boundary = _cube_modes(a), 3.0 * (p - power) * positive
+    else:
+        a = np.stack([half, u2.coeffs[..., K:], u3.coeffs[..., K:]])
+        a[..., 0] = 0.0
+        s1, s2, s3 = np.fft.irfft(a, _alias_free_length(K), norm="forward")
+        conv = np.fft.rfft(s1 * s2 * s3, norm="forward")[..., 1 : K + 1]
+        (a1, a2, a3), (r1, r2, r3) = a[..., 1:], np.conj(a[..., 1:])
+        pairs = (np.stack([a2, a1, a1]) * np.stack([r3, r3, r2])).real
+        p23, p13, p12 = 2.0 * pairs.sum(axis=-1, keepdims=True)
+        triples = a1 * a2 * r3 + a1 * r2 * a3 + r1 * a2 * a3
+        boundary = p23 * a1 + p13 * a2 + p12 * a3 - triples
+    return (-1j / 3.0) * np.arange(1, K + 1) * (conv - boundary)
 
 
 def nr_trilinear_fast(
@@ -298,12 +257,16 @@ def nr_trilinear_fast(
     Kept as a separate public name only because bench/tracer.py wraps it
     by name, until the benchmark's instruments move into the package.
     """
-    return _nr_field(v1, v2, v3)
+    return nr_trilinear(v1, v2, v3)
 
 
 def nr_trilinear(v1: FourierField, v2: FourierField, v3: FourierField) -> FourierField:
-    """Nonresonant trilinear term via a padded cyclic convolution with boundary corrections."""
-    return _nr_field(v1, v2, v3)
+    """Nonresonant trilinear term of three real fields, marked real_symmetric.
+
+    Raises FieldError for a field that fails spectral's realness verdict.
+    """
+    _require_same_K(v1, v2, v3)
+    return _mirrored_field(0.0, _nr_modes(v1, v2, v3))
 
 
 def nr_framewise(
@@ -311,12 +274,16 @@ def nr_framewise(
     t2: Trajectory | None = None,
     t3: Trajectory | None = None,
 ) -> Trajectory:
-    """Apply the nonresonant term frame by frame along trajectories, in one array call."""
+    """The nonresonant term frame by frame along real trajectories, in one array call.
+
+    t2 and t3 default to t1. Raises FieldError for a trajectory that fails
+    spectral's realness verdict; a marked one is not checked again.
+    """
     t2 = t1 if t2 is None else t2
     t3 = t1 if t3 is None else t3
     if t1.grid != t2.grid or t1.grid != t3.grid:
         raise GridMismatchError("trajectories live on different grids")
-    return Trajectory(t1.grid, _nr_array(t1.coeffs, t2.coeffs, t3.coeffs))
+    return _mark(Trajectory(t1.grid, mirrored(0.0, _nr_modes(t1, t2, t3))))
 
 
 def resonant_term(v: FourierField) -> FourierField:

@@ -125,10 +125,10 @@ def _free_phase_factor(
 def _proxy_weights(
     grid: GridSpec, proxy: NormProxyConfig, s: float, b: float, half: bool = False
 ) -> tuple:
-    """(window column, Mp, tau-weight column, mode weights) of ysb_norm_proxy, read-only.
+    """(window column, Mp, tau-weight column, mode weights, free power) of ysb_norm_proxy, read-only.
 
     The mode weights are <k>^{2s} on k = -K..K, or on k = 0..K doubled for
-    k >= 1 when half is set.
+    k >= 1 when half is set. The free power is P(0) of _free_proxy_norms.
     """
 
     def build() -> tuple:
@@ -140,10 +140,44 @@ def _proxy_weights(
         if half:
             mode_weight = mode_weight[grid.K :].copy()
             mode_weight[1:] *= 2.0
-        return w[:, None], Mp, tau_weight[:, None], mode_weight
+        free = _tau_power(w[:, None], Mp, grid.dt, tau_weight[:, None]) / (Mp * grid.dt)
+        return w[:, None], Mp, tau_weight[:, None], mode_weight, free
 
     key = (grid, proxy.window, proxy.pad_factor, s, b, half)
     return _cached(_PROXY_WEIGHTS, key, None, build)
+
+
+def _tau_power(windowed: np.ndarray, Mp: int, dt: float, tau_weight: np.ndarray) -> np.ndarray:
+    """sum_m <tau_m>^{2b} |G(m)|^2 per column, G the time-DFT (times dt) of windowed padded to Mp.
+
+    In place, bit-identical to out-of-place products: with windowed passed
+    as a temporary, at most one padded complex and one padded real table are live.
+    """
+    spectrum = np.fft.fft(windowed, n=Mp, axis=0)
+    del windowed
+    spectrum *= dt
+    power = np.abs(spectrum)
+    del spectrum
+    power *= power
+    power *= tau_weight
+    return np.sum(power, axis=0)
+
+
+def _free_proxy_norms(
+    coeffs: np.ndarray, grid: GridSpec, s: float, b: float, proxy: NormProxyConfig, bumps=None
+) -> np.ndarray:
+    """ysb_norm_proxy of the free trajectory g e^{i t (phi_k + bumps_k)} per row g of coeffs.
+
+    In closed form, for the proxy with phi's profile: demodulated, column k
+    is g_k e^{i t nu_k}, so norm^2 = sum_k <k>^{2s} P(nu_k) |g_k|^2 with
+    P(nu) = (1 / (Mp dt)) sum_m <tau_m>^{2b} |dt FFT_Mp(w e^{i t nu})_m|^2;
+    P(0) is cached with the proxy weights, bumps take one transform.
+    """
+    w, Mp, tau_weight, _, free = _proxy_weights(grid, proxy, s, b)
+    if bumps is not None:
+        series = w * np.exp(1j * grid.times[:, None] * bumps.ravel())
+        free = _tau_power(series, Mp, grid.dt, tau_weight).reshape(bumps.shape) / (Mp * grid.dt)
+    return hs_norms(np.sqrt(free) * coeffs, s)
 
 
 def ysb_norm_proxy(
@@ -168,20 +202,10 @@ def ysb_norm_proxy(
         raise ConfigError(f"time-DFT proxy needs M >= 8 frames, got {M}")
     dt = z.grid.dt
     half = z.real_symmetric
-    w, Mp, tau_weight, mode_weight = _proxy_weights(z.grid, proxy, s, b, half)
+    w, Mp, tau_weight, mode_weight, _ = _proxy_weights(z.grid, proxy, s, b, half)
     cols = slice(z.K, None) if half else slice(None)
-    demod = z.coeffs[:, cols] * _free_phase_factor(z.grid, -1, f)[:, cols]
-    spectrum = np.fft.fft(w * demod, n=Mp, axis=0)
-    del demod
-    # in place on the (Mp, n) tables of the n columns read, bit-identical to
-    # the out-of-place products, so at most one padded complex table and one
-    # real one are live
-    spectrum *= dt
-    power = np.abs(spectrum)
-    del spectrum
-    power *= power
-    power *= tau_weight
-    mode_power = np.sum(power, axis=0)
+    factor = _free_phase_factor(z.grid, -1, f)[:, cols]
+    mode_power = _tau_power(w * (z.coeffs[:, cols] * factor), Mp, dt, tau_weight)
     total = float(np.sum(mode_weight * mode_power)) / (Mp * dt)
     return math.sqrt(total)
 

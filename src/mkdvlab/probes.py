@@ -23,14 +23,18 @@ samples at one cutoff before the next, so the tables a cutoff derives are
 needed only while it runs (the quotient form keeps one cutoff's).
 
 An evaluator maps (fields, bumps, fc, c), with fc the profile truncated to
-c, to (ratio, scales, (cases, extra)): scales holds one normalizing norm
-per slot, cases the per-case ratios of a probe with case bins (else empty)
-and extra the entries the argmax sample carries after its fields. It
-returns None, and the sample is skipped at c, when a scale is degenerate:
-a scale counts only if it is finite and above DEGENERATE_FLOOR. The loop
+c and bumps None without modulation bumps, to (ratio, scales, (cases,
+extra)): scales holds one normalizing norm per slot, cases the per-case
+ratios of a probe with case bins (else empty) and extra the entries the
+argmax sample carries after its fields. It returns None, and the sample is
+skipped at c, when a scale is degenerate: a scale counts only if it is
+finite and above DEGENERATE_FLOOR. A trajectory probe's scale is the
+Y-proxy of the slot's free trajectory in closed form (_free_proxy_norms);
+the draws over their scales are mirrored half spectra, marked unchecked,
+so with a marked profile their free trajectories, which ratio gets, are
+marked by construction and the only proxy calls are the ratio's. The loop
 builds FourierField and Trajectory wrappers only for the public functions
-that take them (free trajectories, proxies, ratio functions) and for the
-argmax fields it serializes.
+that take them and for the argmax fields it serializes.
 
 Ratios are scale-invariant (numerator and denominator are both cubic in
 the inputs), so the unit-denominator normalization applied before
@@ -51,7 +55,13 @@ from .nonlinearity import (
     select_frequency_cutoff,
     trilinear_quotient_form,
 )
-from .norms import NormProxyConfig, _free_phase_factor, xinfty_hs_norm, ysb_norm_proxy
+from .norms import (
+    NormProxyConfig,
+    _free_phase_factor,
+    _free_proxy_norms,
+    xinfty_hs_norm,
+    ysb_norm_proxy,
+)
 from .picard import duhamel_integrate
 from .spectral import (
     FourierField,
@@ -60,6 +70,8 @@ from .spectral import (
     Trajectory,
     _check_decay,
     _check_seed,
+    _mark,
+    _symmetric_trajectory,
     field_to_obj,
     hs_norms,
     random_real_field,
@@ -215,12 +227,8 @@ def _draw_bumps(spec: EnsembleSpec, sample: int, slot: int) -> np.ndarray:
     return nu
 
 
-def _draw_ensemble(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(fields, bumps) of every sample, each indexed [sample, slot, mode].
-
-    Without modulation bumps one shared zero stack stands in for every
-    sample's, so only the fields take count * 3 * (2K+1) entries.
-    """
+def _draw_ensemble(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """(fields, bumps) of every sample, indexed [sample, slot, mode]; bumps is None if unused."""
     shape = (spec.count, 3, 2 * spec.K + 1)
     fields = np.empty(shape, dtype=complex)
     bumps = np.empty(shape) if spec.modulation_bumps > 0 else None
@@ -229,19 +237,25 @@ def _draw_ensemble(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
             fields[j, i] = _draw_field(spec, j, i).coeffs
             if bumps is not None:
                 bumps[j, i] = _draw_bumps(spec, j, i)
-    if bumps is None:
-        bumps = np.broadcast_to(np.zeros(shape[1:]), shape)
     return fields, bumps
 
 
 def free_modulated_trajectory(
     g: FourierField, f: FourierField, grid: GridSpec, bumps: np.ndarray | None = None
 ) -> Trajectory:
-    """u_hat(t,k) = g_hat(k) exp(i t (k^3 + k|f_hat(k)|^2 + bump_k))."""
+    """u_hat(t,k) = g_hat(k) exp(i t (k^3 + k|f_hat(k)|^2 + bump_k)).
+
+    With g and f marked real_symmetric and the bumps absent or exactly odd
+    in k, u is real: it is built on its columns k >= 0 and mirrored, so its
+    mark is exact by construction. Otherwise it is left unmarked.
+    """
     if g.K != grid.K or f.K != grid.K:
         raise GridMismatchError("field cutoffs do not match the grid")
-    coeffs = g.coeffs[None, :] * _free_phase_factor(grid, 1, f, bumps)
-    return Trajectory(grid, coeffs)
+    factor = _free_phase_factor(grid, 1, f, bumps)
+    odd = bumps is None or np.array_equal(bumps, -np.asarray(bumps)[::-1])
+    if g.real_symmetric and f.real_symmetric and odd:
+        return _symmetric_trajectory(grid, g.coeffs[grid.K :] * factor[:, grid.K :])
+    return Trajectory(grid, g.coeffs[None, :] * factor)
 
 
 def _input_proxy_product(
@@ -350,7 +364,8 @@ def _run_probe(
         centre = slice(K - c, K + c + 1)
         fc = resize_field(f, c)
         for j in range(spec.count):
-            result = evaluate(fields[j, :, centre], bumps[j, :, centre], fc, c)
+            nu = None if bumps is None else bumps[j, :, centre]
+            result = evaluate(fields[j, :, centre], nu, fc, c)
             if result is None:
                 if c == K:
                     skipped += 1
@@ -384,25 +399,18 @@ def _run_probe(
 def _trajectory_evaluator(
     spec: EnsembleSpec, ratio: Callable[..., float]
 ) -> Callable[..., tuple | None]:
-    """Sample evaluator of the trajectory probes.
-
-    Builds each slot's free trajectory, takes its proxy norm as the slot's
-    scale and returns ratio of the three trajectories scaled to unit proxy.
-    """
+    """Sample evaluator of the trajectory probes; its contract is in the module docstring."""
 
     def evaluate(fields, bumps, fc, c):
         grid = GridSpec(c, spec.M, spec.T)
-        trajs: list[Trajectory] = []
-        scales: list[float] = []
-        for g, nu in zip(fields, bumps):
-            u = free_modulated_trajectory(FourierField(g), fc, grid, nu)
-            d = ysb_norm_proxy(u, spec.params.s0, spec.params.b, fc, spec.proxy)
-            if _degenerate(d):
-                return None
-            trajs.append(Trajectory(grid, u.coeffs / d))
-            scales.append(d)
-        value = ratio(*trajs, fc, spec.params, spec.proxy)
-        return value, np.array(scales), ({}, {})
+        scales = _free_proxy_norms(fields, grid, spec.params.s0, spec.params.b, spec.proxy, bumps)
+        if _degenerate(scales):
+            return None
+        trajs = [
+            free_modulated_trajectory(_mark(FourierField(g / d)), fc, grid, nu)
+            for g, d, nu in zip(fields, scales, (None,) * 3 if bumps is None else bumps)
+        ]
+        return ratio(*trajs, fc, spec.params, spec.proxy), scales, ({}, {})
 
     return evaluate
 

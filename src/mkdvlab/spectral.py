@@ -295,8 +295,9 @@ def _mark(u, trusted: bool = True):
     """u, a field or trajectory, marked real_symmetric without a check when trusted.
 
     The one trusted path: only for arrays real by construction (mirrored
-    half spectra, zeros) or covered by verdicts already passed (the frames
-    and truncations of a marked object, the stack of marked frames).
+    half spectra and their positive multiples, zeros) or covered by verdicts
+    already passed (the frames and truncations of a marked object, the
+    stack of marked frames).
     """
     if trusted:
         object.__setattr__(u, "real_symmetric", True)

@@ -1,5 +1,5 @@
-"""Shared test helpers: seeded fields, the oracles that more than one test file
-checks the package against, and the hypothesis profile."""
+"""Shared test helpers: seeded fields, the oracles that the tests check the
+package against, and the hypothesis profile."""
 
 import warnings
 
@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 from mkdvlab import random_real_field  # noqa: F401  (re-exported to the tests)
 from mkdvlab import (
     FourierField,
+    GridMismatchError,
     PhaseTable,
     Trajectory,
     duhamel_integrate,
@@ -43,6 +44,51 @@ def random_complex_field(K: int, seed) -> FourierField:
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
     return FourierField(c)
+
+
+def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
+    """NR of the rows of three (..., 2K+1) mode arrays of one shape, complex ones too.
+
+    The oracle of the real kernel beside nr_trilinear_naive: every row at
+    once, the full convolution of the zero-mode-stripped inputs by complex
+    transforms on a grid of 4K + 4 points, alias-free for outputs |k| <= K,
+    minus the kj = k boundary terms in closed form (each carries a paired
+    sum over opposite modes; the three pairwise overlaps are added back
+    once).
+    """
+    if not c1.shape == c2.shape == c3.shape:
+        raise GridMismatchError(f"mode arrays differ in shape: {c1.shape}, {c2.shape}, {c3.shape}")
+    K = c1.shape[-1] // 2
+    a1, a2, a3 = (np.array(c, dtype=complex) for c in (c1, c2, c3))
+    for a in (a1, a2, a3):
+        a[..., K] = 0.0
+    N = 4 * K + 4
+
+    # mode k sits at grid index k mod N: 0..K at the front, -K..-1 at the back
+    def grid_values(c: np.ndarray) -> np.ndarray:
+        buf = np.zeros((*c.shape[:-1], N), dtype=complex)
+        buf[..., : K + 1] = c[..., K:]
+        buf[..., N - K :] = c[..., :K]
+        return np.fft.ifft(buf) * N
+
+    g1, g2, g3 = (grid_values(a) for a in (a1, a2, a3))
+    full_hat = np.fft.fft(g1 * g2 * g3) / N
+    conv = np.concatenate((full_hat[..., N - K :], full_hat[..., : K + 1]), axis=-1)
+
+    r1, r2, r3 = a1[..., ::-1], a2[..., ::-1], a3[..., ::-1]
+    p23 = np.sum(a2 * r3, axis=-1, keepdims=True)
+    p13 = np.sum(a1 * r3, axis=-1, keepdims=True)
+    p12 = np.sum(a1 * r2, axis=-1, keepdims=True)
+    boundary = (
+        p23 * a1
+        + p13 * a2
+        + p12 * a3
+        - (a1 * a2 * r3 + a1 * r2 * a3 + r1 * a2 * a3)
+    )
+
+    out = (-1j / 3.0) * np.arange(-K, K + 1) * (conv - boundary)
+    out[..., K] = 0.0
+    return out
 
 
 def to_real_samples(u: FourierField, n: int) -> np.ndarray:

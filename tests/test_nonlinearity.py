@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _nr_array,
     random_complex_field,
     random_real_field,
     resonance_identity_residual,
@@ -45,11 +47,15 @@ from mkdvlab.nonlinearity import (
     _TRIPLES,
     _alias_free_length,
     _cube_modes,
-    _nr_array,
-    _nr_real_cube,
+    _nr_modes,
     _quotient_plan,
     _triples,
 )
+
+
+def complex_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> FourierField:
+    """NR of three fields, complex ones too, by the complex-transform oracle of conftest."""
+    return FourierField(_nr_array(v1.coeffs, v2.coeffs, v3.coeffs))
 
 
 def nr_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> np.ndarray:
@@ -189,9 +195,9 @@ class TestNonresonantTerm:
     @pytest.mark.parametrize("K", [4, 8, 16])
     def test_fast_matches_naive(self, K):
         for seed in range(5):
-            v1 = random_complex_field(K, seed=3 * seed)
-            v2 = random_complex_field(K, seed=3 * seed + 1)
-            v3 = random_complex_field(K, seed=3 * seed + 2)
+            v1 = random_real_field(K, seed=3 * seed)
+            v2 = random_real_field(K, seed=3 * seed + 1)
+            v3 = random_real_field(K, seed=3 * seed + 2)
             a = nr_trilinear_fast(v1, v2, v3)
             b = nr_trilinear_naive(v1, v2, v3)
             scale = max(1.0, np.max(np.abs(b.coeffs)))
@@ -209,9 +215,12 @@ class TestNonresonantTerm:
         assert check_real_symmetry(out) < 1e-13
 
     def test_mean_mode_pinned_to_zero(self):
-        v = random_complex_field(6, seed=9)
+        c = random_real_field(6, seed=9).coeffs.copy()
+        c[6] = 0.7
+        v = FourierField(c)
         assert nr_trilinear_fast(v, v, v).mode(0) == 0.0
         assert nr_trilinear_naive(v, v, v).mode(0) == 0.0
+        assert _nr_array(c, c, c)[6] == 0.0
 
     def test_insensitive_to_mean_mode(self):
         u = random_real_field(6, seed=14)
@@ -223,21 +232,25 @@ class TestNonresonantTerm:
             assert np.array_equal(out_a.coeffs, out_b.coeffs), nr.__name__
 
     def test_insensitive_to_mean_mode_on_both_routes(self):
-        # a marked pair takes the real route, an unmarked asymmetric pair the
-        # complex one; the k = 0 entry enters neither
+        # the kernel's cube route and its route for distinct inputs, and the
+        # complex oracle on an asymmetric field; the k = 0 entry enters none
         u = random_real_field(6, seed=14)
+        w = random_real_field(6, seed=15)
         v = random_complex_field(6, seed=14)
-        for field in (u, v):
+
+        def moved(field):
             shifted = field.coeffs.copy()
             shifted[6] = 0.7
-            moved = FourierField(shifted, real_symmetric=field.real_symmetric)
-            for nr in (nr_trilinear, nr_trilinear_naive):
-                out_a = nr(field, field, field)
-                out_b = nr(moved, moved, moved)
-                route = (nr.__name__, field.real_symmetric)
-                assert np.array_equal(out_a.coeffs, out_b.coeffs), route
-        assert same_bits(nr_trilinear(u, u, u).coeffs, mirrored(0.0, _nr_real_cube(u.coeffs)))
-        assert same_bits(nr_trilinear(v, v, v).coeffs, _nr_array(v.coeffs, v.coeffs, v.coeffs))
+            return FourierField(shifted, real_symmetric=field.real_symmetric)
+
+        for nr in (nr_trilinear, nr_trilinear_naive):
+            for route, fields in (("cube", (u, u, u)), ("distinct", (u, w, u))):
+                out_a = nr(*fields)
+                out_b = nr(*(moved(x) for x in fields))
+                assert np.array_equal(out_a.coeffs, out_b.coeffs), (nr.__name__, route)
+        assert np.array_equal(_nr_array(*[v.coeffs] * 3), _nr_array(*[moved(v).coeffs] * 3))
+        assert same_bits(nr_trilinear(u, u, u).coeffs, mirrored(0.0, _nr_modes(u, u, u)))
+        assert same_bits(nr_trilinear(u, w, u).coeffs, mirrored(0.0, _nr_modes(u, w, u)))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -296,11 +309,19 @@ class TestNonresonantTerm:
     @given(
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=0, max_value=10_000),
-        st.sampled_from([nr_trilinear, nr_trilinear_naive]),
+        st.sampled_from(
+            [
+                (complex_oracle, random_complex_field),
+                (nr_trilinear_naive, random_complex_field),
+                (nr_trilinear, random_real_field),
+            ]
+        ),
     )
-    def test_call_on_sum_equals_multilinear_expansion(self, K, seed, nr):
-        a = random_complex_field(K, seed=[seed, 0])
-        b = random_complex_field(K, seed=[seed, 1])
+    def test_call_on_sum_equals_multilinear_expansion(self, K, seed, route):
+        # the complex oracles on complex fields, the real kernel on real ones
+        nr, draw = route
+        a = draw(K, seed=[seed, 0])
+        b = draw(K, seed=[seed, 1])
         w = FourierField(a.coeffs + b.coeffs)
         one = nr(w, w, w).coeffs
         eight = sum(
@@ -315,13 +336,27 @@ class TestNonresonantTerm:
 
     def test_framewise(self):
         grid = GridSpec(K=4, M=3, T=1.0)
-        rng = np.random.default_rng(5)
-        coeffs = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
-        tr = Trajectory(grid, coeffs)
+        tr = Trajectory(grid, real_modes(4, 3, 5, 1.0))
         out = nr_framewise(tr)
+        assert out.real_symmetric
         for m in range(3):
             ref = nr_trilinear_fast(tr.frame(m), tr.frame(m), tr.frame(m))
             assert np.max(np.abs(out.coeffs[m] - ref.coeffs)) == 0.0
+
+    def test_complex_input_is_rejected(self):
+        # the kernel reads only the columns k >= 0 of real fields
+        u, v = random_real_field(4, 1), random_complex_field(4, 2)
+        for fields in ((v, v, v), (u, v, u), (u, u, v)):
+            with pytest.raises(FieldError):
+                nr_trilinear(*fields)
+            with pytest.raises(FieldError):
+                nr_trilinear_fast(*fields)
+        grid = GridSpec(K=4, M=3, T=1.0)
+        complex_traj = Trajectory(grid, stacked_modes(4, 3, 6, 1.0))
+        with pytest.raises(FieldError):
+            nr_framewise(complex_traj)
+        with pytest.raises(FieldError):
+            nr_framewise(Trajectory(grid, real_modes(4, 3, 7, 1.0)), complex_traj)
 
 
 def stacked_modes(K: int, M: int, seed: int, scale: float) -> np.ndarray:
@@ -330,6 +365,17 @@ def stacked_modes(K: int, M: int, seed: int, scale: float) -> np.ndarray:
     c = rng.standard_normal((M, 2 * K + 1)) + 1j * rng.standard_normal((M, 2 * K + 1))
     c[:, K] = 1.0 + 2.0 * rng.random(M) + 1j
     return scale * c
+
+
+def real_modes(K: int, M: int, seed, scale: float) -> np.ndarray:
+    """(M, 2K+1) real modes, each row mirrored from the k >= 0 half of stacked_modes."""
+    c = stacked_modes(K, M, seed, scale)
+    return mirrored(c[:, K].real, c[:, K + 1 :])
+
+
+def real_kernel(*cs: np.ndarray) -> np.ndarray:
+    """_nr_modes of real (..., 2K+1) mode arrays, mirrored; they stand in for marked fields."""
+    return mirrored(0.0, _nr_modes(*(SimpleNamespace(coeffs=c, real_symmetric=True) for c in cs)))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -350,28 +396,36 @@ class TestNRKernel:
         st.tuples(*[st.floats(min_value=-8.0, max_value=8.0)] * 3),
     )
     def test_stacked_equals_per_frame(self, K, M, seed, exponents):
-        cs = [stacked_modes(K, M, [seed, j], 10.0**e) for j, e in enumerate(exponents)]
-        copies = [c.copy() for c in cs]
-        out = _nr_array(*cs)
-        for m in range(M):
-            ref = nr_trilinear_fast(*(FourierField(c[m]) for c in cs)).coeffs
-            assert same_bits(out[m], ref), m
-        # the zero modes are stripped from copies, never from the inputs
-        assert all(np.array_equal(c, d) for c, d in zip(cs, copies))
+        # on complex modes for the oracle, on real ones for the kernel
+        for modes, nr in ((stacked_modes, _nr_array), (real_modes, real_kernel)):
+            cs = [modes(K, M, [seed, j], 10.0**e) for j, e in enumerate(exponents)]
+            copies = [c.copy() for c in cs]
+            out = nr(*cs)
+            for m in range(M):
+                assert same_bits(out[m], nr(*(c[m] for c in cs))), (nr.__name__, m)
+            # the zero modes are stripped from copies, never from the inputs
+            assert all(np.array_equal(c, d) for c, d in zip(cs, copies))
 
     @staticmethod
     def check_cube(c: np.ndarray) -> None:
-        """One array passed three times gives the bits of three equal copies."""
+        """One array passed three times gives the bits of three equal copies.
+
+        For the oracle on the complex modes c, and for the public functions
+        on the real modes mirrored from the k >= 0 half of c.
+        """
         kept = c.copy()
         cube = _nr_array(c, c, c)
         assert same_bits(cube, _nr_array(c, c.copy(), c.copy()))
+        K = c.shape[-1] // 2
+        r = mirrored(c[..., K].real, c[..., K + 1 :])
+        cube = real_kernel(r, r, r)
         if c.ndim == 1:
-            w = FourierField(c)
-            copies = (FourierField(c.copy()), FourierField(c.copy()))
+            w = FourierField(r)
+            copies = (FourierField(r.copy()), FourierField(r.copy()))
             wrapped, distinct = nr_trilinear(w, w, w), nr_trilinear(w, *copies)
         else:
-            t = Trajectory(GridSpec(c.shape[-1] // 2, c.shape[0], 1.0), c)
-            copies = (Trajectory(t.grid, c.copy()), Trajectory(t.grid, c.copy()))
+            t = Trajectory(GridSpec(K, c.shape[0], 1.0), r)
+            copies = (Trajectory(t.grid, r.copy()), Trajectory(t.grid, r.copy()))
             wrapped, distinct = nr_framewise(t), nr_framewise(t, *copies)
         assert same_bits(wrapped.coeffs, cube)
         assert same_bits(distinct.coeffs, cube)
@@ -395,6 +449,30 @@ class TestNRKernel:
         c = stacked_modes(K, M or 1, K, scale)
         self.check_cube(c[0] if M is None else c)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=33),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=10_000),
+        st.tuples(*[st.floats(min_value=-8.0, max_value=8.0)] * 3),
+    )
+    def test_distinct_real_inputs_match_naive(self, K, M, seed, exponents):
+        # the kernel's route for three distinct real inputs, on stacked
+        # frames with nonzero means, against the direct sum frame by frame
+        grid = GridSpec(K=K, M=M, T=1.0)
+        ts = [
+            Trajectory(grid, real_modes(K, M, [seed, j], 10.0**e)) for j, e in enumerate(exponents)
+        ]
+        out = nr_framewise(*ts)
+        assert out.real_symmetric and check_real_symmetry(out) == 0.0
+        for m in range(M):
+            frames = [t.frame(m) for t in ts]
+            ref = nr_trilinear_naive(*frames).coeffs
+            # every output mode is a sum of products of three inputs
+            scale = math.prod(np.sum(np.abs(v.coeffs)) for v in frames)
+            assert np.max(np.abs(out.coeffs[m] - ref)) <= 1e-13 * scale
+            assert same_bits(out.coeffs[m], nr_trilinear(*frames).coeffs)
+
     @pytest.mark.parametrize("K", [4, 8, 16])
     def test_cube_matches_naive(self, K):
         c = stacked_modes(K, 3, K, 1.0)
@@ -405,7 +483,7 @@ class TestNRKernel:
     @pytest.mark.parametrize("K, M", [(4, 3), (8, 5), (16, 2)])
     def test_framewise_naive_matches_fast(self, K, M):
         grid = GridSpec(K=K, M=M, T=1.0)
-        t1, t2, t3 = (Trajectory(grid, stacked_modes(K, M, 40 + j, 1.0)) for j in range(3))
+        t1, t2, t3 = (Trajectory(grid, real_modes(K, M, 40 + j, 1.0)) for j in range(3))
         a = nr_framewise(t1, t2, t3).coeffs
         frames = [(t1.frame(m), t2.frame(m), t3.frame(m)) for m in range(M)]
         b = np.stack([nr_trilinear_naive(*frame).coeffs for frame in frames])
@@ -474,7 +552,7 @@ class TestTripleTable:
         # i1 * (2K + 1) passes the int16 range from K = 91 on
         K = 91
         try:
-            v1, v2, v3 = (random_complex_field(K, seed=910 + j) for j in range(3))
+            v1, v2, v3 = (random_real_field(K, seed=910 + j) for j in range(3))
             a = nr_trilinear_fast(v1, v2, v3)
             b = nr_trilinear_naive(v1, v2, v3)
         finally:

@@ -26,6 +26,7 @@ from mkdvlab import (
     cosine_field,
     duhamel_integrate,
     hs_norms,
+    mirrored,
     nr_trilinear_naive,
     picard_rhs,
     picard_solve,
@@ -165,10 +166,10 @@ class TestPicardRhs:
 
     def test_zero_profile_hand_assembly(self):
         grid = GridSpec(K=6, M=8, T=0.02)
+        # real frames with a nonzero mean: NR is defined for real fields
         rng = np.random.default_rng(42)
-        z = Trajectory(
-            grid, rng.standard_normal((8, 13)) + 1j * rng.standard_normal((8, 13))
-        )
+        positive = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        z = Trajectory(grid, mirrored(rng.standard_normal(8), positive))
         f = FourierField.zeros(6)
         out = picard_rhs(z, PhaseTable.zeros(grid), f)
         for n in range(8):

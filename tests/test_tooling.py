@@ -313,6 +313,24 @@ def test_probes_make_one_ratio_call_per_sample_cutoff_and_case(monkeypatch, prob
     assert len(calls) == spec.count * len(spec.cutoffs()) * cases
 
 
+@pytest.mark.parametrize(
+    "probe, proxies", [("probe_trilinear_bourgain", 4), ("probe_duhamel_smoothing", 3)]
+)
+def test_trajectory_probes_measure_only_the_ratio_proxies(monkeypatch, probe, proxies):
+    # the slot scales are the closed form of the free trajectories' proxy, so
+    # an evaluation makes only its ratio's proxy calls: three inputs, and the
+    # output of probe12; its NR call gets three trajectories marked by
+    # construction
+    spec = EnsembleSpec(seed=1, count=3, K=16, decay_exponent=1.0)
+    ysb = counting(monkeypatch, probes, "ysb_norm_proxy")
+    nr = counting(monkeypatch, probes, "nr_framewise")
+    getattr(probes, probe)(random_real_field(16, 2, 1.0), spec)
+    evaluations = spec.count * len(spec.cutoffs())
+    assert len(ysb) == proxies * evaluations
+    assert len(nr) == evaluations
+    assert all(len(args) == 3 and all(t.real_symmetric for t in args) for args in nr)
+
+
 def test_probe_symmetry_checks_do_not_grow_with_count(monkeypatch):
     # the sample loop works on mode arrays; only the profile's truncations
     # are checked fields
