@@ -515,9 +515,7 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
     # q_solve: one iteration from rest, then the phase fixed point for it
     z0 = Trajectory.zeros(picard.grid)
     z1, _ = picard_step(z0, f, picard)
-    table, rep = solve_phase(
-        f, z1, tol=picard.phase_tol, max_sweeps=picard.phase_max_sweeps, s0=params.s0
-    )
+    table, rep = solve_phase(f, z1, tol=picard.phase_tol, max_sweeps=picard.phase_max_sweeps)
     write_frames_json(path("phase.json"), table.grid, (table.values,))
     return dataclasses.asdict(rep), artifacts
 

@@ -9,7 +9,6 @@ __all__ = [
     "ConvergenceError",
     "InstabilityError",
     "DenominatorError",
-    "PhaseWindowWarning",
     "TimeHorizonWarning",
     "StepSizeWarning",
 ]
@@ -49,10 +48,6 @@ class DenominatorError(ValueError):
     def __init__(self, message: str, triple: tuple[int, int, int] | None = None):
         super().__init__(message)
         self.triple = triple
-
-
-class PhaseWindowWarning(UserWarning):
-    """The requested horizon exceeds the heuristic phase window certified_T0."""
 
 
 class TimeHorizonWarning(UserWarning):

@@ -11,12 +11,15 @@ The gauge writes u_hat = z_hat + f_hat e^{iQ}; composing and decomposing are
 mode-wise algebra. A companion table P(t,k) = t k^3 + k int_0^t |u_hat|^2 ds
 is read off any trajectory directly.
 
-The right side of that equation, the phase map, has one array-level home,
-_phase_sweep on raw arrays of any set of mode columns. solve_phase iterates
-it to a fixed point for a given z on all 2K+1 columns; picard_solve applies
-it once per iterate on the columns k = 0..K (Q is odd in k for a real
-solution), reusing the e^{iQ} table of the iterate's right side, so z and Q
-settle together.
+Q is the seed t (k^3 + k |f_hat|^2), up to 2e4 at K = 128, plus a small
+correction q, the integral term. The phase map has one array-level home,
+_phase_sweep on raw arrays of any set of mode columns, and it returns q:
+seed + q is the swept Q. Both solvers stop on the update of q, which the
+doubles resolve, not on that of Q, whose last bit is coarser than the
+default tolerance. solve_phase iterates the map to a fixed point for a given
+z on all 2K+1 columns; picard_solve applies it once per iterate on the
+columns k = 0..K (Q is odd in k for a real solution), reusing the e^{iQ}
+table of the iterate's right side, so z and Q settle together.
 
 All time integrals use the trapezoid rule on the trajectory's own grid, so
 the phase solver, the iteration solver, and the diagnostics all see the same
@@ -25,8 +28,6 @@ discrete data. Refinement is the caller's job via M.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,6 @@ from .errors import (
     FieldError,
     GridMismatchError,
     InstabilityError,
-    PhaseWindowWarning,
 )
 from .norms import phase_rates
 from .spectral import (
@@ -45,9 +45,7 @@ from .spectral import (
     GridSpec,
     Trajectory,
     _marked_if_real,
-    bracket_sq,
     cumulative_trapezoid,
-    sobolev_norm,
 )
 
 __all__ = [
@@ -93,21 +91,15 @@ class PhaseTable:
 class PhaseSolveReport:
     """Convergence record of one fixed-point phase solve.
 
-    certified_T0 is min(T, 1/(100 c0 ||f||_{H^{s0}})) and contraction_T0 is
-    min(T, 1/(20 c0 ||f||_{H^{s0}})), with c0 = sup <k>^{1-s0} |z_hat|.
-    Both are heuristic windows: nothing in the code derives the constants
-    100 and 20, so neither certifies existence or contraction. What the
-    solve does establish is in sweeps, residual and ratios. The key names
-    are kept so that report shapes stay stable.
+    update_norms holds max |q_new - q| per sweep, with q the correction to
+    the seed, and ratios the quotients of successive updates: the measured
+    contraction. residual is the update one further sweep would make.
     """
 
     sweeps: int
     residual: float
     update_norms: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
-    c0: float = 0.0
-    certified_T0: float = 0.0
-    contraction_T0: float = 0.0
 
 
 def _phase_seed(f: FourierField, grid: GridSpec) -> np.ndarray:
@@ -125,16 +117,15 @@ def _modulate(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return coeffs[None, :] * np.exp(1j * values)
 
 
-def _phase_sweep(
-    profile: np.ndarray, z: np.ndarray, seed: np.ndarray, dt: float, ks: np.ndarray
-) -> np.ndarray:
-    """One application of the phase map on (M, n) arrays of the mode columns ks.
+def _phase_sweep(profile: np.ndarray, z: np.ndarray, dt: float, ks: np.ndarray) -> np.ndarray:
+    """The correction q of one application of the phase map, on (M, n) arrays of the columns ks.
 
-    seed + k int_0^t (2 Re(profile conj(z)) + |z|^2) ds, with profile the
-    modulated profile f_hat e^{iQ} of the phase Q being swept.
+    q = k int_0^t (2 Re(profile conj(z)) + |z|^2) ds, with profile the
+    modulated profile f_hat e^{iQ} of the phase Q being swept; the map's
+    value is seed + q.
     """
     g = 2.0 * np.real(profile * np.conj(z)) + np.abs(z) ** 2
-    return seed + ks * cumulative_trapezoid(g, dt)
+    return ks * cumulative_trapezoid(g, dt)
 
 
 def solve_phase(
@@ -142,51 +133,42 @@ def solve_phase(
     z: Trajectory,
     tol: float = 1e-12,
     max_sweeps: int = 50,
-    s0: float = 0.3,
 ) -> tuple[PhaseTable, PhaseSolveReport]:
     """Fixed point of the phase integral equation by direct sweeps.
 
     Seeds with the z = 0 solution t (k^3 + k |f_hat|^2) and re-applies the
-    right side until the sup update falls below tol. The returned residual
-    is measured by one further application of the map, so it certifies the
-    fixed-point equation itself, not just stagnation. Warns when the run
-    horizon exceeds the heuristic window certified_T0 (see
-    PhaseSolveReport); fails with the last
-    update size when the sweeps do not settle, which usually means T is too
-    large for this data. Raises ConfigError when max_sweeps < 1.
+    right side until the sup update of the correction q = Q - seed is at
+    most tol, so tol bounds the correction, not a last bit of Q. The
+    returned residual is measured on q by one further application of the
+    map, so it certifies the fixed-point equation itself, not just
+    stagnation. Fails with the last update size when the sweeps do not
+    settle, which usually means T is too large for this data. Raises
+    ConfigError when max_sweeps < 1 or tol is not >= 0, which no sweep
+    could meet.
     """
     if f.K != z.K:
         raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {z.K}")
     if max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
-    c0 = float(np.max(np.sqrt(bracket_sq(f.K)) ** (1.0 - s0) * np.abs(z.coeffs)))
-    norm_f = sobolev_norm(f, s0)
-    T = z.grid.T
-    scale = c0 * norm_f
-    exist_window = 1.0 / (100.0 * scale) if scale > 0 else math.inf
-    contraction_window = 1.0 / (20.0 * scale) if scale > 0 else math.inf
-    if T > exist_window:
-        warnings.warn(
-            f"horizon T = {T:g} exceeds the heuristic phase window certified_T0 = {exist_window:g}; "
-            "the fixed point may still converge",
-            PhaseWindowWarning,
-        )
-
+    if not tol >= 0:
+        raise ConfigError(f"tol must be >= 0, got {tol!r}")
     seed = _phase_seed(f, z.grid)
     dt = z.grid.dt
     ks = z.grid.wavenumbers
+    q = np.zeros_like(seed)
     values = seed
     updates: list[float] = []
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        new = _phase_sweep(_modulate(f.coeffs, values), z.coeffs, seed, dt, ks)
-        if not np.all(np.isfinite(new)):
+        new = _phase_sweep(_modulate(f.coeffs, values), z.coeffs, dt, ks)
+        values = seed + new
+        if not np.all(np.isfinite(values)):
             raise InstabilityError(
                 f"phase sweep {sweep} produced non-finite values", step=sweep
             )
-        delta = float(np.max(np.abs(new - values)))
+        delta = float(np.max(np.abs(new - q)))
         updates.append(delta)
-        values = new
+        q = new
         if delta <= tol:
             converged = True
             break
@@ -196,21 +178,15 @@ def solve_phase(
             f"(last update {updates[-1]:.3e}); reduce the time horizon T",
             residual=updates[-1],
         )
-    again = _phase_sweep(_modulate(f.coeffs, values), z.coeffs, seed, dt, ks)
-    residual = float(np.max(np.abs(again - values)))
-    ratios = [
-        updates[i + 1] / updates[i]
-        for i in range(len(updates) - 1)
-        if updates[i] > 0
-    ]
+    again = _phase_sweep(_modulate(f.coeffs, values), z.coeffs, dt, ks)
+    residual = float(np.max(np.abs(again - q)))
+    # every update but the last exceeds tol >= 0, so no ratio divides by zero
+    ratios = [updates[i + 1] / updates[i] for i in range(len(updates) - 1)]
     report = PhaseSolveReport(
         sweeps=sweep,
         residual=residual,
         update_norms=updates,
         ratios=ratios,
-        c0=c0,
-        certified_T0=min(T, exist_window),
-        contraction_T0=min(T, contraction_window),
     )
     return PhaseTable(z.grid, values), report
 

@@ -12,7 +12,8 @@ from the previous remainder, integrates it against the shifted semigroup
 exp(i t (k^3 + k |f_hat|^2)) by trapezoid quadrature with the exact
 unimodular integrating factor, and then drives one sweep of the phase map
 with the new remainder, which gives Q_{m+1}. The iteration stops once both
-the remainder difference and the phase update are below their tolerances;
+the remainder difference and the phase update, the change of the
+correction q = Q - t (k^3 + k |f_hat|^2), are below their tolerances;
 a final phase solve from the cold seed certifies the returned table.
 picard_step, the one-iterate route, still solves the phase to tolerance
 before its update. The single NR call on the summed field equals the
@@ -92,7 +93,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Run parameters of one iteration solve: exponents, grid, norm proxy, stopping rules."""
+    """Run parameters of one iteration solve: exponents, grid, norm proxy, stopping rules.
+
+    phase_tol bounds the update of the phase correction q = Q - t (k^3 +
+    k |f_hat|^2), in picard_solve's loop and in each phase solve; Q itself
+    reaches 2e4 at K = 128, where its last bit is coarser than 1e-12.
+    """
 
     params: SobolevIndex = SobolevIndex()
     grid: GridSpec = GridSpec(16, 64, 0.01)
@@ -127,8 +133,10 @@ class PicardConfig:
 class PicardIterate:
     """One row of the iteration record.
 
-    phase_update is max |Q_{m+1} - Q_m|, the change of the phase table made
-    by the sweep that follows this iterate's remainder update.
+    ratio is diff_norm over the previous row's, None for the first row and
+    after a zero difference. phase_update is max |q_{m+1} - q_m|, the change of the phase correction
+    q = Q - t (k^3 + k |f_hat|^2) made by the sweep that follows this
+    iterate's remainder update.
     """
 
     norm_x: float
@@ -143,17 +151,12 @@ class PicardReport:
 
     first_iterate_norm is the benchmark size ||z_1||; on convergence the
     final norm is checked against twice that value, which is the size the
-    contraction argument predicts for the limit. certified_T0 and
-    contraction_T0 are copied from the last phase solve: heuristic windows
-    with fixed constants that nothing in the code derives (see
-    PhaseSolveReport), not certificates.
+    contraction argument predicts for the limit.
     """
 
     iters: list[PicardIterate] = field(default_factory=list)
     first_iterate_norm: float = 0.0
     converged: bool = False
-    certified_T0: float = 0.0
-    contraction_T0: float = 0.0
     within_first_iterate_bound: bool = False
     richardson_delta: float = 0.0
 
@@ -242,9 +245,7 @@ def picard_step(
         raise GridMismatchError(
             f"remainder grid {z.grid} does not match the config grid {cfg.grid}"
         )
-    phase, _ = solve_phase(
-        f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
-    )
+    phase, _ = solve_phase(f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps)
     z_next = duhamel_integrate(picard_rhs(z, phase, f), f)
     return z_next, phase
 
@@ -268,8 +269,8 @@ def picard_solve(
     Iterate m forms the profile f_hat e^{iQ_m} once: it drives the update
     z_m from z_{m-1}, and then one phase sweep with z_m, which gives Q_{m+1}.
     The iteration stops when the remainder difference is at most cfg.tol
-    and the phase update at most cfg.phase_tol. Returns the remainder, the
-    phase table solved for it from the cold seed (within
+    and the update of the phase correction at most cfg.phase_tol. Returns
+    the remainder, the phase table solved for it from the cold seed (within
     cfg.phase_max_sweeps sweeps, which certifies it), and the iteration
     report. The loop holds the columns k = 0..K only; the returned
     remainder is mirrored from them and marked real_symmetric. Raises
@@ -289,6 +290,7 @@ def picard_solve(
     damping = _free_phase_factor(grid, -1, f)[:, K:]
     z0 = np.zeros(K + 1, dtype=complex)
     z = np.zeros((grid.M, K + 1), dtype=complex)
+    q = np.zeros_like(seed)
     values = seed  # the phase of z = 0
     rows: list[PicardIterate] = []
     prev_diff: float | None = None
@@ -300,15 +302,16 @@ def picard_solve(
         z_next = _duhamel(forcing, damping, grid.dt, z0)
         if not np.all(np.isfinite(z_next)):
             raise InstabilityError(f"iterate {m} produced non-finite modes", step=m)
-        new = _phase_sweep(profile, z_next, seed, grid.dt, ks)
+        new = _phase_sweep(profile, z_next, grid.dt, ks)
         del profile  # an (M, K+1) table the proxies need not sit beside
-        if not np.all(np.isfinite(new)):
+        values = seed + new
+        if not np.all(np.isfinite(values)):
             raise InstabilityError(
                 f"the phase sweep of iterate {m} produced non-finite values", step=m
             )
-        # Q is odd in k, so the k >= 0 columns hold the largest update
-        phase_update = float(np.max(np.abs(new - values)))
-        values = new
+        # q is odd in k, so the k >= 0 columns hold the largest update
+        phase_update = float(np.max(np.abs(new - q)))
+        q = new
         diff = x_space_norm(_symmetric_trajectory(grid, z_next - z), cfg.params, f, cfg.proxy)
         norm_x = x_space_norm(_symmetric_trajectory(grid, z_next), cfg.params, f, cfg.proxy)
         ratio = diff / prev_diff if prev_diff is not None and prev_diff > 0 else None
@@ -333,15 +336,11 @@ def picard_solve(
 
     richardson_delta = _richardson_delta(forcing, damping, grid.dt, z0, z)
     z = _symmetric_trajectory(grid, z)
-    phase, phase_report = solve_phase(
-        f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
-    )
+    phase, _ = solve_phase(f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps)
     report = PicardReport(
         iters=rows,
         first_iterate_norm=rows[0].norm_x,
         converged=converged,
-        certified_T0=phase_report.certified_T0,
-        contraction_T0=phase_report.contraction_T0,
         within_first_iterate_bound=bool(converged and rows[-1].norm_x <= 2.0 * rows[0].norm_x),
         richardson_delta=richardson_delta,
     )

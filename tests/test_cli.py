@@ -173,7 +173,7 @@ class TestHappyPaths:
         results = load(out / "report.json")["results"]
         assert results["sweeps"] == 2
         assert results["residual"] == 0.0
-        assert results["certified_T0"] == 0.01
+        assert set(results) == {"sweeps", "residual", "update_norms", "ratios"}
         phase = load(out / "phase.json")
         assert [val for _, val in phase["frames"][0]] == [0.0] * 17
 
@@ -703,15 +703,6 @@ class TestFailurePaths:
         "doc, warning, code",
         [
             ({"mode": "q_solve", "grid": {"K": 8, "M": 16, "T": 1.5}}, "TimeHorizonWarning", 0),
-            (
-                {
-                    "mode": "q_solve",
-                    "grid": {"K": 8, "M": 16, "T": 0.5},
-                    "initial_data": {"amplitude": 3.0},
-                },
-                "PhaseWindowWarning",
-                0,
-            ),
             (
                 {
                     "mode": "simulate",

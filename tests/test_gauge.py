@@ -14,7 +14,7 @@ from mkdvlab import (
     GridMismatchError,
     GridSpec,
     PhaseTable,
-    PhaseWindowWarning,
+    PicardConfig,
     SobolevIndex,
     Trajectory,
     bracket_sq,
@@ -26,6 +26,7 @@ from mkdvlab import (
     phase_from_obj,
     phase_from_trajectory,
     phase_to_obj,
+    picard_solve,
     sobolev_norm,
     solve_phase,
 )
@@ -139,19 +140,6 @@ class TestSolvePhase:
         updates = report.update_norms
         assert len(updates) == report.sweeps > 2
         assert report.ratios == [updates[i + 1] / updates[i] for i in range(len(updates) - 1)]
-        assert 0.0 < report.certified_T0 <= report.contraction_T0
-
-    @pytest.mark.parametrize(
-        "s0, c0",
-        # sup <k>^{1-s0} |z_hat|: k = 4 attains it at s0 = 0.3, k = 1 at s0 = 0.9
-        [(0.3, 17.0**0.35 * 0.05), (0.9, 2.0**0.05 * 0.1)],
-        ids=["s0=0.3", "s0=0.9"],
-    )
-    def test_report_c0(self, s0, c0):
-        grid = GridSpec(K=4, M=8, T=0.01)
-        z = field_from_modes(4, {1: 0.1, 4: 0.05j}, symmetrize=True)
-        _, report = solve_phase(cosine_field(4), constant_trajectory(z, grid), s0=s0)
-        assert report.c0 == pytest.approx(c0, rel=1e-14)
 
     def test_odd_in_k_for_real_data(self):
         f = cosine_field(8)
@@ -166,13 +154,31 @@ class TestSolvePhase:
         v[1] = [0.0, 1.0, 0.0, 1.0, 0.0]  # even in k: doubles under the check
         assert check_phase_oddness(PhaseTable(grid, v)) == 2.0
 
-    def test_window_warning(self):
-        f = cosine_field(8)
-        grid = GridSpec(K=8, M=16, T=0.2)
-        z = field_from_modes(8, {1: 0.1}, symmetrize=True)
-        with pytest.warns(PhaseWindowWarning):
-            table, report = solve_phase(f, constant_trajectory(z, grid))
-        assert report.certified_T0 < 0.2
+    def test_tol_bounds_the_correction(self):
+        # at K = 128 max|Q| is about 2.1e4, where one ulp exceeds the default
+        # tol of 1e-12; the correction q = Q - t (k^3 + k |f_hat|^2) is about
+        # 5e-6, resolved far below tol, so both solvers stop on its update
+        grid = GridSpec(128, 256, 0.01)
+        f = random_real_field(128, 1004, 1.0)
+        z, phase, report = picard_solve(f, PicardConfig(grid=grid))
+        ulp = float(np.spacing(np.max(np.abs(phase.values))))
+        assert ulp > 1e-12
+        updates = [r.phase_update for r in report.iters]
+        assert 0.0 < updates[-1] < ulp
+        assert updates == sorted(updates, reverse=True)
+        _, rep = solve_phase(f, z, tol=1e-12, max_sweeps=2)
+        assert rep.sweeps == 2
+        assert rep.update_norms[-1] < 1e-12
+        assert rep.residual < 1e-15
+
+    def test_an_exact_fixed_point_meets_tol_zero(self):
+        # the stop test is update <= tol: with f = 0 the second sweep repeats
+        # the first bit for bit
+        grid = GridSpec(K=4, M=32, T=0.02)
+        z = field_from_modes(4, {1: 0.3 + 0.1j}, symmetrize=True)
+        _, report = solve_phase(FourierField.zeros(4), constant_trajectory(z, grid), tol=0.0)
+        assert report.sweeps == 2
+        assert report.update_norms[-1] == 0.0
 
     def test_sweep_exhaustion_raises(self):
         f = cosine_field(4)
@@ -189,6 +195,12 @@ class TestSolvePhase:
         with pytest.raises(ConfigError, match="max_sweeps"):
             solve_phase(cosine_field(4), Trajectory.zeros(grid), max_sweeps=max_sweeps)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_unmeetable_tol_is_a_config_error(self, tol):
+        grid = GridSpec(K=4, M=8, T=0.01)
+        with pytest.raises(ConfigError, match="tol must be >= 0"):
+            solve_phase(cosine_field(4), Trajectory.zeros(grid), tol=tol)
+
     def test_grid_mismatch(self):
         grid = GridSpec(K=8, M=4, T=0.01)
         with pytest.raises(GridMismatchError):
@@ -196,6 +208,16 @@ class TestSolvePhase:
 
 
 class TestGaugeMaps:
+    def test_compose_marks_only_when_both_inputs_are_marked(self):
+        # arithmetic marks a real result only when every input was marked
+        grid = GridSpec(K=4, M=3, T=1.0)
+        table = PhaseTable(grid, np.outer(grid.times, np.arange(-4, 5).astype(float)))
+        f = cosine_field(4)
+        z = Trajectory(grid, np.zeros((3, 9), dtype=complex), real_symmetric=True)
+        assert gauge_compose(z, table, f).real_symmetric
+        assert not gauge_compose(z, table, FourierField(f.coeffs)).real_symmetric
+        assert not gauge_compose(Trajectory(grid, z.coeffs), table, f).real_symmetric
+
     def test_compose_values(self):
         f = cosine_field(2)
         grid = GridSpec(K=2, M=3, T=1.0)

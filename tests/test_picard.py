@@ -53,9 +53,7 @@ def nested_solve(f: FourierField, cfg: PicardConfig) -> tuple[Trajectory, int]:
         z = z_next
         if diff <= cfg.tol:
             break
-    phase, _ = solve_phase(
-        f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps, s0=cfg.params.s0
-    )
+    phase, _ = solve_phase(f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps)
     return reconstruct_solution(z, phase, f), m
 
 
@@ -211,7 +209,27 @@ class TestPicardSolve:
         assert report.converged
         assert len(report.iters) == 1
         assert report.first_iterate_norm == 0.0
-        assert report.certified_T0 == 0.01
+        assert report.within_first_iterate_bound
+
+    def test_unconverged_run_is_not_within_the_bound(self):
+        cfg = PicardConfig(grid=GridSpec(4, 16, 0.01), max_iters=1)
+        _, _, report = picard_solve(cosine_field(4), cfg)
+        assert not report.converged
+        assert not report.within_first_iterate_bound
+
+    def test_stop_tests_include_equality(self):
+        # a difference equal to tol, with the phase settled, stops the loop;
+        # so does a phase update equal to phase_tol, with z settled
+        grid = GridSpec(4, 16, 0.01)
+        _, _, ref = picard_solve(cosine_field(4), PicardConfig(grid=grid))
+        second = ref.iters[1]
+        for tols in (
+            dict(tol=second.diff_norm, phase_tol=1.0),
+            dict(tol=1e3, phase_tol=second.phase_update),
+        ):
+            _, _, report = picard_solve(cosine_field(4), PicardConfig(grid=grid, **tols))
+            assert report.converged
+            assert report.iters == ref.iters[:2]
 
     def test_cosine_converges_and_contracts(self):
         f = cosine_field(8)
@@ -317,6 +335,20 @@ class TestPicardSolve:
         assert [r.ratio for r in report.iters] == [None, 2.0, 2.0, 2.0]
         assert min(r.phase_update for r in report.iters) > cfg.phase_tol
 
+    def test_difference_at_tol_is_no_stall(self, monkeypatch):
+        # ratios of 1 count against contraction only above tol
+        cfg = PicardConfig(grid=GridSpec(4, 8, 0.05), max_iters=4)
+        self.measured_diffs(monkeypatch, [cfg.tol] * 4)
+        _, _, report = picard_solve(cosine_field(4), cfg)
+        assert not report.converged
+        assert [r.ratio for r in report.iters] == [None, 1.0, 1.0, 1.0]
+
+    def test_no_ratio_after_a_zero_difference(self, monkeypatch):
+        self.measured_diffs(monkeypatch, [1.0, 0.0, 1e-11])
+        cfg = PicardConfig(grid=GridSpec(4, 8, 0.05), max_iters=3)
+        _, _, report = picard_solve(cosine_field(4), cfg)
+        assert [r.ratio for r in report.iters] == [None, 0.0, None]
+
     def test_report_serialization_shape(self):
         _, _, report = picard_solve(cosine_field(4), PicardConfig(grid=GridSpec(4, 16, 0.01)))
         obj = report.to_obj()
@@ -324,8 +356,6 @@ class TestPicardSolve:
             "iters",
             "first_iterate_norm",
             "converged",
-            "certified_T0",
-            "contraction_T0",
             "within_first_iterate_bound",
             "richardson_delta",
         }

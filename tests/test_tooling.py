@@ -143,6 +143,37 @@ def test_every_private_helper_is_read():
     assert sorted(name for name in defined if name.split(".")[1] not in read) == []
 
 
+# parameters a function must take to fit a contract it does not otherwise
+# need: probe_quotient_form's evaluator has _run_probe's evaluator signature
+UNREAD_BY_CONTRACT = {"probes.evaluate.bumps"}
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is a knob with no effect, left
+    # behind when the code that read it went; self, cls and _names are exempt
+    unread = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread |= {
+                f"{path.stem}.{name}.{p.arg}"
+                for p in params
+                if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+            }
+    assert sorted(unread) == sorted(UNREAD_BY_CONTRACT)
+
+
 def marks_without_check(node: ast.AST) -> bool:
     """Whether node is a call object.__setattr__(..., "real_symmetric", ...)."""
     return (
