@@ -234,7 +234,7 @@ def phase_from_obj(obj: dict) -> PhaseTable:
     if len(frames) != grid.M:
         raise FieldError("frame list inconsistent with grid header")
     for n, row in enumerate(frames):
-        if sorted(int(k) for k, _ in row) != list(range(-grid.K, grid.K + 1)):
+        if [int(k) for k, _ in row] != list(range(-grid.K, grid.K + 1)):
             raise FieldError("mode list must cover -K..K exactly once, ascending")
         for k, val in row:
             values[n, int(k) + grid.K] = float(val)

@@ -29,8 +29,9 @@ into a field marked by spectral's trusted path for its NR call, which
 takes the real-transform route; the calls stay one per frame, because the
 benchmark's traced runs check nr_calls == iterates x M. The iterates are
 mirrored into marked trajectories for the X norms, and z once more at the end.
-duhamel_integrate and picard_rhs apply the same array helpers, _duhamel
-and _rhs, to full columns, so each formula has one home.
+picard_rhs checks its z and f against the verdict and runs the same _rhs on
+their columns k = 0..K, mirroring the result; duhamel_integrate applies
+_duhamel to full columns. Each formula has one home.
 
 PicardConfig holds the run's exponents, grid and norm proxy as whole
 objects, so each setting has one home: the profile must have the grid's
@@ -199,38 +200,37 @@ def _duhamel(forcing: np.ndarray, damping: np.ndarray, dt: float, z0: np.ndarray
 
 
 def picard_rhs(z: Trajectory, phase: PhaseTable, f: FourierField) -> Trajectory:
-    """Full right side of the gauged evolution on all 2K+1 columns, one NR call per frame.
+    """Full right side of the gauged evolution, one NR call per frame, marked real_symmetric.
 
-    Each call is the cube NR(w, w, w). The frames stay separate calls
-    because the benchmark's traced runs check nr_calls == iterates x M.
+    f and z must pass spectral's realness verdict, else FieldError; the
+    right side is then formed on the columns k = 0..K, as in picard_solve,
+    and mirrored, so only those columns of z and of the phase table are read.
     """
     if z.grid != phase.grid:
         raise ConfigError("trajectory and phase table live on different grids")
     if f.K != z.K:
         raise ConfigError(f"mode cutoffs differ: {f.K} vs {z.K}")
-    profile = _modulate(f.coeffs, phase.values)
-    return Trajectory(z.grid, _rhs(z.coeffs, profile, z.grid.wavenumbers, FourierField))
+    _require_real(f, "the gauged right side is defined for a real profile")
+    _require_real(z, "the gauged right side is defined for a real remainder")
+    K = z.K
+    profile = _modulate(f.coeffs[K:], phase.values[:, K:])
+    return _symmetric_trajectory(z.grid, _rhs(z.coeffs[:, K:], profile))
 
 
-def _half_frame(row: np.ndarray) -> FourierField:
-    """The real_symmetric field whose modes k = 0..K are row's."""
-    return _mirrored_field(row[0].real, row[1:])
+def _rhs(z: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """The right side on (M, K+1) arrays of the remainder and f_hat e^{iQ}, columns k = 0..K.
 
-
-def _rhs(z: np.ndarray, profile: np.ndarray, ks: np.ndarray, frame) -> np.ndarray:
-    """The right side on (M, n) arrays of the remainder and f_hat e^{iQ}.
-
-    ks are the wavenumbers of the n columns: all 2K+1, or k = 0..K of a
-    real solution. frame(row) makes the field of one row of w for its NR
-    call, and the last n columns of that call's output are kept.
+    Each frame of w is mirrored into a marked field for its one NR call,
+    which the benchmark's traced runs count: nr_calls == iterates x M.
     """
-    n = z.shape[-1]
+    K = z.shape[-1] - 1
+    ks = np.arange(K + 1)
     absz_sq = np.abs(z) ** 2
     out = 1j * ks * (absz_sq + 2.0 * np.real(profile * np.conj(z))) * z
     summed = profile + z
     for m in range(z.shape[0]):
-        w = frame(summed[m])
-        out[m] += nr_trilinear(w, w, w).coeffs[-n:]
+        w = _mirrored_field(summed[m, 0].real, summed[m, 1:])
+        out[m] += nr_trilinear(w, w, w).coeffs[K:]
     return out
 
 
@@ -298,7 +298,7 @@ def picard_solve(
     converged = False
     for m in range(1, cfg.max_iters + 1):
         profile = _modulate(modes, values)
-        forcing = _rhs(z, profile, ks, _half_frame)
+        forcing = _rhs(z, profile)
         z_next = _duhamel(forcing, damping, grid.dt, z0)
         if not np.all(np.isfinite(z_next)):
             raise InstabilityError(f"iterate {m} produced non-finite modes", step=m)

@@ -1,19 +1,22 @@
 """Exponential time-differencing reference integrator.
 
-Independent of the gauge pipeline: it advances u_hat directly, with the
-diagonal semigroup exp(i t k^3) of the Airy part handled exactly
-(Cox-Matthews ETDRK4, or the integrating-factor IFRK4). The cubic term comes
-from direct_nonlinearity, one call per stage and so four per substep in
-either scheme; each call evaluates -(u^2 - c) u_x in conservative form with
-two real transforms on the smallest 5-smooth N >= 4K + 1 points, alias-free
-for the cubic term's modes |k| <= K. The phi-function weights are averages
-over CONTOUR_POINTS = 32 points on unit circles around each i k^3 h, the
-standard stable evaluation (Kassam-Trefethen). Since k^3 is exactly odd,
-the true weights satisfy w(-k) = conj(w(k)); they are conjugate-symmetrized
-once per step size to pin the rounding, so every stage of exactly
-conjugate-symmetric data is exactly conjugate-symmetric and a real initial
-field yields a bitwise real trajectory. The k = 0 column is driven only by
-the (pinned zero) nonlinearity, which keeps the mass exactly constant.
+Independent of the gauge pipeline: it advances u_hat directly by
+Cox-Matthews ETDRK4, with the diagonal semigroup exp(i t k^3) of the Airy
+part handled exactly. The cubic term comes from direct_nonlinearity, one
+call per stage and so four per substep; each call evaluates -(u^2 - c) u_x
+in conservative form with two real transforms on the smallest 5-smooth
+N >= 4K + 1 points, alias-free for the cubic term's modes |k| <= K. The
+phi-function weights are averages over CONTOUR_POINTS = 32 points on unit
+circles around each i k^3 h, the standard stable evaluation
+(Kassam-Trefethen). Since k^3 is exactly odd, the true weights satisfy
+w(-k) = conj(w(k)); they are conjugate-symmetrized once per step size to
+pin the rounding, and the cubic term is mirrored from its modes k >= 0, so
+every stage keeps the asymmetry of the initial field, changed only by
+rounding: exactly conjugate-symmetric data gives a bitwise real trajectory.
+The initial field therefore takes spectral's realness verdict once, and
+the stages and the trajectory are marked without another. The k = 0 column
+is driven only by the (pinned zero) nonlinearity, which keeps the mass
+exactly constant.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .spectral import (
     GridSpec,
     Trajectory,
     _mark,
-    _marked_if_real,
-    check_real_symmetry,
+    _require_real,
     hs_norms,
 )
 
@@ -56,13 +58,10 @@ class ETDConfig:
     """Stepper parameters. dt caps the substep; frames are always hit exactly."""
 
     dt: float
-    scheme: str = "etdrk4"
 
     def __post_init__(self) -> None:
         if not (self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if self.scheme not in ("etdrk4", "ifrk4"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
 
 
 def _symmetrize(w: np.ndarray) -> np.ndarray:
@@ -85,8 +84,6 @@ def _phi_weights(phi: np.ndarray, h: float) -> dict[str, np.ndarray]:
     return {
         "E": np.exp(lam),
         "E2": np.exp(lam / 2),
-        "E2inv": np.exp(-lam / 2),
-        "Einv": np.exp(-lam),
         "q": q,
         "f1": f1,
         "f2": f2,
@@ -94,21 +91,23 @@ def _phi_weights(phi: np.ndarray, h: float) -> dict[str, np.ndarray]:
     }
 
 
-def solve_reference(
-    f: FourierField, T: float, cfg: ETDConfig, M: int = 2
-) -> Trajectory:
+def solve_reference(f: FourierField, T: float, cfg: ETDConfig, M: int) -> Trajectory:
     """March u_hat from f to time T, recording M equispaced frames.
 
     Each frame gap is covered by ceil(gap/dt) equal substeps so the frame
-    times are hit exactly rather than interpolated.
+    times are hit exactly rather than interpolated; gap/dt is lowered by
+    1e-9 first, so that its rounding adds no substep. Raises ConfigError
+    for a grid GridSpec rejects, FieldError unless f passes spectral's
+    realness verdict, and InstabilityError naming the first substep,
+    counted from 1, that leaves a non-finite mode. The returned trajectory
+    is marked real_symmetric.
     """
-    if not (T > 0):
-        raise ConfigError(f"T must be positive, got {T!r}")
     grid = GridSpec(f.K, M, T)
+    _require_real(f, "the reference integrator is defined for a real initial field")
     K = f.K
     phi = phase_rates(K)
 
-    scale = float(np.max(np.abs(f.coeffs))) if f.coeffs.size else 0.0
+    scale = float(np.max(np.abs(f.coeffs)))
     if scale * K * K * cfg.dt > 2.0 * np.pi:
         warnings.warn(
             f"dt = {cfg.dt:g} is coarse for amplitude {scale:g} at K = {K}; "
@@ -116,12 +115,9 @@ def solve_reference(
             StepSizeWarning,
         )
 
-    # exactly symmetric data keeps every stage exactly symmetric (each
-    # operation acts alike on k and -k), so no stage is re-checked
-    exact = check_real_symmetry(f) == 0.0
-
     def nonlinear(v: np.ndarray) -> np.ndarray:
-        return direct_nonlinearity(_mark(FourierField(v), exact)).coeffs
+        # a stage keeps f's asymmetry up to rounding, so f's verdict covers it
+        return direct_nonlinearity(_mark(FourierField(v))).coeffs
 
     frames = np.empty((M, grid.n_modes), dtype=complex)
     v = f.coeffs.astype(complex)
@@ -139,29 +135,22 @@ def solve_reference(
             weights_cache[h] = w
         for _ in range(n_sub):
             step_index += 1
-            if cfg.scheme == "etdrk4":
-                Nv = nonlinear(v)
-                E2v = w["E2"] * v
-                a = E2v + w["q"] * Nv
-                Na = nonlinear(a)
-                b = E2v + w["q"] * Na
-                Nb = nonlinear(b)
-                c = w["E2"] * a + w["q"] * (2.0 * Nb - Nv)
-                Nc = nonlinear(c)
-                v = w["E"] * v + w["f1"] * Nv + 2.0 * w["f2"] * (Na + Nb) + w["f3"] * Nc
-            else:
-                k1 = h * nonlinear(v)
-                k2 = h * w["E2inv"] * nonlinear(w["E2"] * (v + 0.5 * k1))
-                k3 = h * w["E2inv"] * nonlinear(w["E2"] * (v + 0.5 * k2))
-                k4 = h * w["Einv"] * nonlinear(w["E"] * (v + k3))
-                v = w["E"] * (v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+            Nv = nonlinear(v)
+            E2v = w["E2"] * v
+            a = E2v + w["q"] * Nv
+            Na = nonlinear(a)
+            b = E2v + w["q"] * Na
+            Nb = nonlinear(b)
+            c = w["E2"] * a + w["q"] * (2.0 * Nb - Nv)
+            Nc = nonlinear(c)
+            v = w["E"] * v + w["f1"] * Nv + 2.0 * w["f2"] * (Na + Nb) + w["f3"] * Nc
             if not np.all(np.isfinite(v)):
                 raise InstabilityError(
                     f"non-finite modes after step {step_index} (h = {h:.3g})",
                     step=step_index,
                 )
         frames[n] = v
-    return _marked_if_real(Trajectory(grid, frames), f.real_symmetric)
+    return _mark(Trajectory(grid, frames))
 
 
 def compare_trajectories(

@@ -297,7 +297,9 @@ def _mark(u, trusted: bool = True):
     The one trusted path: only for arrays real by construction (mirrored
     half spectra and their positive multiples, zeros) or covered by verdicts
     already passed (the frames and truncations of a marked object, the
-    stack of marked frames).
+    stack of marked frames, and the ETD stages and trajectory grown from a
+    checked initial field by conjugate-symmetric weights and mirrored cubic
+    terms, which keep its asymmetry up to rounding).
     """
     if trusted:
         object.__setattr__(u, "real_symmetric", True)
@@ -343,7 +345,7 @@ def _marked_if_real(u, claim: bool = True):
     return _mark(u, claim and _is_real(u) and bool(np.isfinite(u.coeffs).all()))
 
 
-def _require_real(u: FourierField, message: str) -> None:
+def _require_real(u: FourierField | Trajectory, message: str) -> None:
     """Raise FieldError(message) unless u is marked real_symmetric or passes the verdict."""
     if not (u.real_symmetric or _is_real(u)):
         raise FieldError(message)
@@ -440,7 +442,7 @@ def field_from_obj(obj: list[list[float]]) -> FourierField:
         raise FieldError("empty mode list")
     ks = [int(row[0]) for row in obj]
     K = max(abs(k) for k in ks)
-    if sorted(ks) != list(range(-K, K + 1)):
+    if ks != list(range(-K, K + 1)):
         raise FieldError("mode list must cover -K..K exactly once, ascending")
     c = np.zeros(2 * K + 1, dtype=complex)
     for k, re, im in obj:

@@ -348,8 +348,7 @@ class TestResolvedConfig:
         r = run_cli(tmp_path, {"mode": "simulate"}, "--output-dir", str(out))
         assert r.returncode == 0, r.stderr
         resolved = load(out / "resolved_config.json")
-        assert resolved["etd"]["dt"] == 1e-3
-        assert resolved["etd"]["scheme"] == "etdrk4"
+        assert resolved["etd"] == {"dt": 1e-3}
         # and the picard defaults by a mode that runs a Picard step
         out = tmp_path / "q_solve"
         r = run_cli(tmp_path, {"mode": "q_solve"}, "--output-dir", str(out))
@@ -414,7 +413,7 @@ class TestResolvedConfig:
     @pytest.mark.parametrize("mode", ["gauge_solve", "decompose_check"])
     def test_etd_checked_only_where_it_runs(self, tmp_path, mode):
         out = tmp_path / "out"
-        doc = {"mode": mode, "grid": {"K": 8, "M": 16}, "etd": {"scheme": "rk4"}}
+        doc = {"mode": mode, "grid": {"K": 8, "M": 16}, "etd": {"dt": -1.0}}
         r = run_cli(tmp_path, doc, "--output-dir", str(out))
         assert r.returncode == 0, r.stderr
         assert load(out / "resolved_config.json")["etd"] is None
@@ -496,11 +495,13 @@ class TestFailurePaths:
         assert err["problems"] == [{"field": f"{section}.{key}", "message": "unknown key"}]
 
     @pytest.mark.parametrize("mode", ["simulate", "gauge_solve"])
-    @pytest.mark.parametrize("key", ["linear_phase", "contour_points", "nonlinearity_enabled"])
+    @pytest.mark.parametrize(
+        "key", ["linear_phase", "contour_points", "nonlinearity_enabled", "scheme"]
+    )
     def test_removed_etd_key_is_unknown(self, tmp_path, key, mode):
         # the oracle's linear part is always Airy, its contour has a fixed 32
-        # points and its nonlinearity is always on; etd keys are checked in
-        # every mode, also where the oracle does not run
+        # points, its nonlinearity is always on and its scheme is ETDRK4; etd
+        # keys are checked in every mode, also where the oracle does not run
         r = run_cli(tmp_path, {"mode": mode, "etd": {key: 32}})
         assert r.returncode == 2, r.stderr
         err = json.loads(r.stderr)
@@ -794,10 +795,7 @@ FUZZ_KEYS = {
         "window": st.sampled_from(("hann", "rect")),
         "pad_factor": st.integers(1, 4),
     },
-    "etd": {
-        "dt": small_floats(1e-3, 1e-2),
-        "scheme": st.sampled_from(("etdrk4", "ifrk4")),
-    },
+    "etd": {"dt": small_floats(1e-3, 1e-2)},
     "picard": {
         "tol": small_floats(1e-12, 1e-6),
         "max_iters": st.integers(1, 8),

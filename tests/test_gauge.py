@@ -337,6 +337,13 @@ class TestPhaseSerialization:
         with pytest.raises(FieldError, match="exactly once"):
             phase_from_obj(obj)
 
+    def test_rows_must_ascend(self):
+        grid = GridSpec(K=2, M=2, T=0.01)
+        obj = phase_to_obj(PhaseTable(grid, np.zeros((2, 5))))
+        obj["frames"][1] = obj["frames"][1][::-1]
+        with pytest.raises(FieldError, match="ascending"):
+            phase_from_obj(obj)
+
     def test_mode_range_check(self):
         obj = {
             "grid": {"K": 1, "M": 2, "T": 1.0},

@@ -36,6 +36,7 @@ from mkdvlab import (
     solve_phase,
     x_space_norm,
 )
+from mkdvlab import picard
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "picard_cosine_K16.json"
 
@@ -177,6 +178,42 @@ class TestPicardRhs:
             ).coeffs
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(out.coeffs[n] - ref)) < 1e-12 * scale
+
+    def test_mirror_columns_are_not_read(self):
+        # the right side is formed on the columns k = 0..K and mirrored, so
+        # moving the k < 0 columns of z or f within the realness tolerance
+        # leaves it bit-identical
+        f = random_real_field(6, seed=4)
+        grid = GridSpec(K=6, M=8, T=0.01)
+        z, phase = picard_step(Trajectory.zeros(grid), f, PicardConfig(grid=grid))
+        expected = picard_rhs(z, phase, f)
+        rng = np.random.default_rng(5)
+        noise = 5e-9 * np.exp(2j * np.pi * rng.random((grid.M, 6)))
+        zc, fc = z.coeffs.copy(), f.coeffs.copy()
+        zc[:, :6] += noise
+        fc[:6] += noise[1]
+        out = picard_rhs(Trajectory(grid, zc), phase, FourierField(fc))
+        assert np.array_equal(out.coeffs, expected.coeffs)
+        assert out.real_symmetric and expected.real_symmetric
+
+    @pytest.mark.parametrize("which", ["z", "f"])
+    def test_non_real_input_is_rejected_before_any_nr_call(self, monkeypatch, which):
+        f = random_real_field(6, seed=4)
+        grid = GridSpec(K=6, M=8, T=0.01)
+        z, phase = picard_step(Trajectory.zeros(grid), f, PicardConfig(grid=grid))
+        calls = []
+        monkeypatch.setattr(picard, "nr_trilinear", lambda *args: calls.append(args))
+        if which == "z":
+            c = z.coeffs.copy()
+            c[3, 2] += 1e-3
+            z = Trajectory(grid, c)
+        else:
+            c = f.coeffs.copy()
+            c[2] += 1e-3
+            f = FourierField(c)
+        with pytest.raises(FieldError):
+            picard_rhs(z, phase, f)
+        assert calls == []
 
 
 class TestPicardStep:

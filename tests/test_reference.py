@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import airy_exact, random_real_field
 from mkdvlab import (
     CONSERVED_COLUMNS,
+    REAL_SYMMETRY_TOL,
     ConfigError,
     ETDConfig,
     FieldError,
@@ -44,9 +45,9 @@ class TestETDConfig:
         [
             dict(dt=0.0),
             dict(dt=-1e-3),
-            dict(dt=1e-3, scheme="rk4"),
+            dict(dt=-0.0),
             dict(dt=float("nan")),
-            dict(dt=1e-3, scheme="ETDRK4"),
+            dict(dt=-math.inf),
         ],
     )
     def test_rejects(self, kwargs):
@@ -79,21 +80,50 @@ class TestAiryExact:
 
 
 class TestLinearExactness:
-    @pytest.mark.parametrize("scheme", ["etdrk4", "ifrk4"])
-    @pytest.mark.parametrize("dt", [0.26, 0.07])
-    def test_matches_closed_form(self, monkeypatch, scheme, dt):
+    @pytest.mark.parametrize("dt", [0.26, 0.07], ids=["0.26-etdrk4", "0.07-etdrk4"])
+    def test_matches_closed_form(self, monkeypatch, dt):
         # with the nonlinearity off a single step of any size must be exact
         monkeypatch.setattr(
             reference, "direct_nonlinearity", lambda u: FourierField.zeros(u.K)
         )
         u0 = random_real_field(8, seed=1)
-        cfg = ETDConfig(dt=dt, scheme=scheme)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepSizeWarning)
-            tr = solve_reference(u0, 1.0, cfg, M=5)
+            tr = solve_reference(u0, 1.0, ETDConfig(dt=dt), M=5)
         for n, t in enumerate(tr.grid.times):
             exact = airy_exact(u0, float(t))
             assert np.max(np.abs(tr.coeffs[n] - exact.coeffs)) < 1e-13
+
+
+class TestSteps:
+    @pytest.mark.parametrize("excess, substeps", [(0.5e-9, 1), (1.5e-9, 2)])
+    def test_dt_caps_the_substep_up_to_rounding(self, monkeypatch, excess, substeps):
+        # a gap of dt (1 + excess) takes one substep while the excess is
+        # below 1e-9, the allowance for rounding in gap / dt
+        seen = []
+        spy_on_stages(monkeypatch, seen)
+        solve_reference(cosine_field(4), 1e-3 * (1.0 + excess), ETDConfig(dt=1e-3), M=2)
+        assert len(seen) == 4 * substeps
+
+    def test_contour_means_match_the_closed_forms(self):
+        # where |i h k^3| >= 5 the phi-functions are evaluated in closed form
+        # without cancellation, and the 32-point contour means match them to
+        # rounding; 16 points would miss by some 1e-13
+        h = 1e-2
+        phi = np.arange(-16, 17).astype(float) ** 3
+        far = h * np.abs(phi) >= 5
+        lam = 1j * h * phi[far]
+        e = np.exp(lam)
+        closed = {
+            "q": h * (np.exp(lam / 2) - 1.0) / lam,
+            "f1": h * (-4.0 - lam + e * (4.0 - 3.0 * lam + lam**2)) / lam**3,
+            "f2": h * (2.0 + lam + e * (lam - 2.0)) / lam**3,
+            "f3": h * (-4.0 - 3.0 * lam - lam**2 + e * (4.0 - lam)) / lam**3,
+        }
+        weights = reference._phi_weights(phi, h)
+        for name, exact in closed.items():
+            rel = np.abs(weights[name][far] - exact) / np.abs(exact)
+            assert np.max(rel) < 1e-14, name
 
 
 class TestAccuracy:
@@ -106,12 +136,6 @@ class TestAccuracy:
             errs.append(compare_trajectories(tr, ref, 0.0)[0])
         order = math.log2(errs[0] / errs[1])
         assert 3.7 < order < 4.3
-
-    def test_schemes_agree(self):
-        f = cosine_field(8)
-        a = solve_reference(f, 0.1, ETDConfig(dt=1e-3), M=3)
-        b = solve_reference(f, 0.1, ETDConfig(dt=1e-3, scheme="ifrk4"), M=3)
-        assert compare_trajectories(a, b, 0.0)[0] < 1e-9
 
 
 class TestConservation:
@@ -195,7 +219,16 @@ class TestFailureModes:
 
     def test_horizon_must_be_positive(self):
         with pytest.raises(ConfigError):
-            solve_reference(cosine_field(4), 0.0, ETDConfig(dt=1e-3))
+            solve_reference(cosine_field(4), 0.0, ETDConfig(dt=1e-3), M=2)
+
+    def test_instability_names_the_first_bad_substep(self):
+        # substeps count from 1; a NaN mode passes the realness verdict and
+        # spoils the first one
+        c = cosine_field(4).coeffs.copy()
+        c[4 + 2] = math.nan
+        with pytest.raises(InstabilityError, match="after step 1 ") as info:
+            solve_reference(FourierField(c), 0.01, ETDConfig(dt=1e-3), M=3)
+        assert info.value.step == 1
 
 
 class TestCompareTrajectories:
@@ -234,56 +267,66 @@ def spy_on_stages(monkeypatch, seen):
 
 
 class TestStageSymmetry:
-    """The stepper trusts its stages only where they are symmetric by construction."""
+    """The stepper takes one realness verdict, on f, and marks every stage it makes."""
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(1, 16),
-        st.integers(0, 2**16),
-        st.sampled_from([1e-4, 1e-3, 7e-3]),
-        st.sampled_from(["etdrk4", "ifrk4"]),
-    )
-    def test_stages_stay_exactly_symmetric(self, K, seed, dt, scheme):
+    @given(st.integers(1, 16), st.integers(0, 2**16), st.sampled_from([1e-4, 1e-3, 7e-3]))
+    def test_stages_stay_exactly_symmetric(self, K, seed, dt):
         f = random_real_field(K, seed=seed)
         seen = []
-        cfg = ETDConfig(dt=dt, scheme=scheme)
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore", StepSizeWarning)
             spy_on_stages(mp, seen)
-            solve_reference(f, 0.02, cfg, M=3)
+            solve_reference(f, 0.02, ETDConfig(dt=dt), M=3)
         assert len(seen) % 4 == 0 and seen
         assert all(u.real_symmetric and check_real_symmetry(u) == 0.0 for u in seen)
 
     def test_symmetric_data_is_checked_once(self, monkeypatch):
-        # spectral's binding counts the realness verdicts, which the stages
-        # would take if they were unmarked; the one made is the verdict that
-        # marks the returned trajectory
-        calls = {"reference": 0, "spectral": 0}
-        for module in (reference, spectral):
-
-            def counting(u, name=module.__name__.split(".")[-1]):
-                calls[name] += 1
-                return check_real_symmetry(u)
-
-            monkeypatch.setattr(module, "check_real_symmetry", counting)
-        tr = solve_reference(random_real_field(8, seed=5), 0.01, ETDConfig(dt=1e-3), M=3)
-        assert calls == {"reference": 1, "spectral": 1}
-        assert tr.real_symmetric
-
-    def test_inexact_data_is_checked_per_stage(self, monkeypatch):
-        # asymmetric by less than the tolerance: every stage is wrapped
-        # unmarked and checked, four per substep, and the values are those
-        # of the trusted route on the exact data up to that perturbation
+        # spectral's binding counts the realness verdicts: marked data takes
+        # none, and unmarked data one, on entry; the stages and the returned
+        # trajectory are marked without one
+        calls = []
+        monkeypatch.setattr(
+            spectral, "check_real_symmetry", lambda u: calls.append(u) or check_real_symmetry(u)
+        )
         f = random_real_field(8, seed=5)
+        tr = solve_reference(f, 0.01, ETDConfig(dt=1e-3), M=3)
+        assert calls == [] and tr.real_symmetric
+        unmarked = solve_reference(FourierField(f.coeffs), 0.01, ETDConfig(dt=1e-3), M=3)
+        assert len(calls) == 1 and not calls[0].real_symmetric
+        assert unmarked.real_symmetric and np.array_equal(unmarked.coeffs, tr.coeffs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**16),
+        st.integers(1, 12),
+        st.sampled_from([-1, 1]),
+        st.floats(1e-6, 1.0),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_inexact_data_keeps_its_asymmetry(self, K, seed, k, sign, size, angle):
+        # data asymmetric by less than the tolerance: every stage is marked,
+        # and each keeps f's asymmetry up to rounding, since the weights are
+        # conjugate-symmetric and the cubic term is mirrored; the values are
+        # those of the exact data up to about the size of the perturbation
+        f = random_real_field(K, seed=seed)
         c = f.coeffs.copy()
-        c[8 + 3] += 1e-12
+        c[K + sign * min(k, K)] += 0.9 * REAL_SYMMETRY_TOL * size * cmath.exp(1j * angle)
+        g = FourierField(c)
+        asymmetry = check_real_symmetry(g)
+        assert 0.0 < asymmetry <= REAL_SYMMETRY_TOL
         seen = []
-        spy_on_stages(monkeypatch, seen)
-        tr = solve_reference(FourierField(c), 0.01, ETDConfig(dt=1e-3), M=3)
+        with pytest.MonkeyPatch.context() as mp:
+            spy_on_stages(mp, seen)
+            tr = solve_reference(g, 0.01, ETDConfig(dt=1e-3), M=3)
         assert len(seen) == 4 * 10
-        assert not any(u.real_symmetric for u in seen)
+        assert all(u.real_symmetric for u in seen)
+        # modes below 1 in size, so rounding moves the asymmetry by some 1e-16 a stage
+        assert max(abs(check_real_symmetry(u) - asymmetry) for u in seen) <= 1e-14
+        assert tr.real_symmetric
         exact = solve_reference(f, 0.01, ETDConfig(dt=1e-3), M=3)
-        assert np.max(np.abs(tr.coeffs - exact.coeffs)) < 1e-10
+        assert np.max(np.abs(tr.coeffs - exact.coeffs)) <= 1.1 * asymmetry + 1e-15
 
     def test_asymmetric_data_is_rejected(self):
         c = random_real_field(8, seed=5).coeffs.copy()

@@ -287,6 +287,13 @@ class TestSerialization:
         with pytest.raises(FieldError):
             field_from_obj(obj[:-1])
 
+    def test_field_from_obj_requires_ascending_rows(self):
+        obj = field_to_obj(random_real_field(3, seed=1))
+        with pytest.raises(FieldError, match="ascending"):
+            field_from_obj(obj[::-1])
+        with pytest.raises(FieldError, match="ascending"):
+            trajectory_from_obj({"grid": {"K": 3, "M": 2, "T": 0.1}, "frames": [obj, obj[::-1]]})
+
     def test_trajectory_round_trip(self):
         grid = GridSpec(K=3, M=4, T=0.5)
         rng = np.random.default_rng(8)

@@ -191,16 +191,21 @@ def marks_without_check(node: ast.AST) -> bool:
 def test_one_rule_decides_the_real_symmetric_mark():
     # the mark that lets the kernels read only the k >= 0 half of a field is
     # set unchecked at one site, spectral._mark, and REAL_SYMMETRY_TOL is
-    # compared at one site, the verdict spectral._is_real
-    setters, compared = [], []
+    # compared at one site, the verdict spectral._is_real; the asymmetry it
+    # measures is read only in spectral, so no other module tests for exactness
+    setters, compared, measured = [], [], []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if marks_without_check(node):
                 setters.append(path.name)
             if isinstance(node, ast.Compare) and "REAL_SYMMETRY_TOL" in loaded_names(node):
                 compared.append(path.name)
+        if "check_real_symmetry" in loaded_names(tree):
+            measured.append(path.name)
     assert setters == ["spectral.py"]
     assert compared == ["spectral.py"]
+    assert measured == ["spectral.py"]
 
 
 def test_module_caches_are_the_cached_stores():
@@ -310,20 +315,11 @@ def test_picard_makes_one_nr_call_per_frame(monkeypatch):
     assert len(nr) == cfg.grid.M
 
 
-# both schemes evaluate four stages per substep; the etdrk4 cases keep their
-# ids from before the ifrk4 cases were added
-@pytest.mark.parametrize(
-    "scheme, dt, substeps",
-    [
-        pytest.param(scheme, dt, n, id=f"{dt}-{n}" if scheme == "etdrk4" else f"{scheme}-{dt}-{n}")
-        for scheme in ("etdrk4", "ifrk4")
-        for dt, n in ((1e-3, 4 * 3), (2.5e-3, 4), (0.02, 4))
-    ],
-)
-def test_etdrk4_makes_four_direct_calls_per_substep(monkeypatch, scheme, dt, substeps):
+@pytest.mark.parametrize("dt, substeps", [(1e-3, 4 * 3), (2.5e-3, 4), (0.02, 4)])
+def test_etdrk4_makes_four_direct_calls_per_substep(monkeypatch, dt, substeps):
     # T = 0.01 over M = 5 frames: gaps of 2.5e-3, each covered by ceil(gap / dt) substeps
     direct = counting(monkeypatch, reference, "direct_nonlinearity")
-    cfg = ETDConfig(dt=dt, scheme=scheme)
+    cfg = ETDConfig(dt=dt)
     reference.solve_reference(random_real_field(8, 3, 1.0), 0.01, cfg, M=5)
     assert len(direct) == 4 * substeps
 
