@@ -23,7 +23,8 @@ table of the iterate's right side, so z and Q settle together.
 
 All time integrals use the trapezoid rule on the trajectory's own grid, so
 the phase solver, the iteration solver, and the diagnostics all see the same
-discrete data. Refinement is the caller's job via M.
+discrete data. Refinement is the caller's job via M. Phase tables are
+stored as [k, Q] rows by spectral's frame-table codec.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .spectral import (
     GridSpec,
     Trajectory,
     _marked_if_real,
+    _frame_rows,
+    _obj_table,
     cumulative_trapezoid,
 )
 
@@ -216,26 +219,9 @@ def modulated_profile(f: FourierField, table: PhaseTable) -> Trajectory:
 
 def phase_to_obj(table: PhaseTable) -> dict:
     """JSON form mirroring trajectories, with real-valued [k, value] rows."""
-    K = table.K
-    ks = list(range(-K, K + 1))
-    return {
-        "grid": {"K": table.grid.K, "M": table.grid.M, "T": table.grid.T},
-        "frames": [
-            [[k, float(val)] for k, val in zip(ks, row)] for row in table.values
-        ],
-    }
+    return _frame_rows(table.values[..., None], table.grid)
 
 
 def phase_from_obj(obj: dict) -> PhaseTable:
-    g = obj["grid"]
-    grid = GridSpec(int(g["K"]), int(g["M"]), float(g["T"]))
-    values = np.zeros((grid.M, grid.n_modes))
-    frames = obj["frames"]
-    if len(frames) != grid.M:
-        raise FieldError("frame list inconsistent with grid header")
-    for n, row in enumerate(frames):
-        if [int(k) for k, _ in row] != list(range(-grid.K, grid.K + 1)):
-            raise FieldError("mode list must cover -K..K exactly once, ascending")
-        for k, val in row:
-            values[n, int(k) + grid.K] = float(val)
-    return PhaseTable(grid, values)
+    grid, values = _obj_table(obj, 1)
+    return PhaseTable(grid, values[..., 0])

@@ -45,7 +45,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "galilean_speed",
     "nr_trilinear",
     "nr_trilinear_naive",
     "nr_trilinear_fast",
@@ -61,11 +60,6 @@ __all__ = [
 # Guard below which a corrected denominator counts as a genuine division by
 # zero rather than a small divisor.
 DENOMINATOR_FLOOR = 1e-9
-
-def galilean_speed(f: FourierField) -> float:
-    """Mean of the squared field, sum_k |f_hat(k)|^2."""
-    return float(np.sum(np.abs(f.coeffs) ** 2))
-
 
 def _require_same_K(*fields: FourierField) -> int:
     K = fields[0].K
@@ -292,14 +286,6 @@ def resonant_term(v: FourierField) -> FourierField:
     return FourierField(1j * ks * np.abs(v.coeffs) ** 2 * v.coeffs)
 
 
-def _samples_and_slope(coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """u and u_x on N points, from the half spectrum of a real field's mode vector."""
-    half = half_spectrum(coeffs, N)
-    samples = np.fft.irfft(half, N) * N
-    slope = np.fft.irfft(half * 1j * np.arange(N // 2 + 1), N) * N
-    return samples, slope
-
-
 def direct_nonlinearity(u: FourierField) -> FourierField:
     """Mode vector of -(u^2 - c) u_x, c = mean(u^2), for a real field.
 
@@ -448,19 +434,24 @@ def select_frequency_cutoff(f: FourierField) -> int:
     return flagged
 
 
-def conserved_functionals(u: FourierField) -> tuple[float, float, float]:
-    """(mean, squared l2 mass, energy) of a real field.
+def _conserved(u: FourierField | Trajectory) -> np.ndarray:
+    """(mean u_hat(0), squared l2 mass, energy) of each real frame of u, as (..., 3) rows.
 
     The energy mean(u_x^2 / 2 - u^4 / 12) is evaluated on 8 (K + 1) points,
-    alias-free for the quartic term. The field must pass spectral's realness
-    verdict, which only an unmarked field is checked against again.
+    alias-free for the quartic term, by one transform pair for all frames.
+    u must pass spectral's realness verdict; only an unmarked u is checked.
     """
     _require_real(u, "conserved functionals are defined for real fields")
-    K = u.K
-    mass = float(u.coeffs[K].real)
-    l2 = galilean_speed(u)
+    c, K = u.coeffs, u.K
     N = 8 * (K + 1)
-    samples, slope = _samples_and_slope(u.coeffs, N)
+    half = half_spectrum(c, N)
+    samples = np.fft.irfft(half, N) * N
+    slope = np.fft.irfft(half * 1j * np.arange(N // 2 + 1), N) * N
     quartic = (samples * samples) * (samples * samples)
-    energy = float(np.mean(0.5 * (slope * slope) - quartic / 12.0))
-    return mass, l2, energy
+    energy = np.mean(0.5 * (slope * slope) - quartic / 12.0, axis=-1)
+    return np.stack((c[..., K].real, np.sum(np.abs(c) ** 2, axis=-1), energy), axis=-1)
+
+
+def conserved_functionals(u: FourierField) -> tuple[float, float, float]:
+    """(mean, squared l2 mass, energy) of a real field; see _conserved."""
+    return tuple(_conserved(u).tolist())

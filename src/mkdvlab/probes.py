@@ -34,7 +34,7 @@ the draws over their scales are mirrored half spectra, marked unchecked,
 so with a marked profile their free trajectories, which ratio gets, are
 marked by construction and the only proxy calls are the ratio's. The loop
 builds FourierField and Trajectory wrappers only for the public functions
-that take them and for the argmax fields it serializes.
+that take them.
 
 Ratios are scale-invariant (numerator and denominator are both cubic in
 the inputs), so the unit-denominator normalization applied before
@@ -70,9 +70,10 @@ from .spectral import (
     Trajectory,
     _check_decay,
     _check_seed,
+    _frame_rows,
     _mark,
+    _pairs,
     _symmetric_trajectory,
-    field_to_obj,
     hs_norms,
     random_real_field,
     resize_field,
@@ -181,7 +182,6 @@ class ProbeReport:
     skipped: int
     ratios: tuple[float, ...]
     per_K: tuple[tuple[int, float | None], ...]
-    argmax_index: int | None = None
     argmax_sample: dict | None = None
     argmax_sample_file: str | None = None
     extras: dict = field(default_factory=dict)
@@ -358,7 +358,6 @@ def _run_probe(
     per_case: dict[str, float] = {}
     skipped = 0
     best = -np.inf
-    argmax_index: int | None = None
     argmax_sample: dict | None = None
     for c in cutoffs:
         centre = slice(K - c, K + c + 1)
@@ -380,8 +379,7 @@ def _run_probe(
                 per_case[case] = max(per_case.get(case, r), r)
             if ratio > best:
                 best = ratio
-                argmax_index = j
-                rows = [field_to_obj(FourierField(g)) for g in fields[j] / scales[:, None]]
+                rows = _frame_rows(_pairs(fields[j] / scales[:, None]))
                 argmax_sample = {"sample": j, "K": c, "ratio": ratio, "fields": rows, **extra}
     return ProbeReport(
         kind=kind,
@@ -390,7 +388,6 @@ def _run_probe(
         skipped=skipped,
         ratios=tuple(ratios),
         per_K=_cumulative_per_k(cutoffs, raw_max),
-        argmax_index=argmax_index,
         argmax_sample=argmax_sample,
         extras={"per_case_max": per_case} if per_case else {},
     )

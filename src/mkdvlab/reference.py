@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, InstabilityError, StepSizeWarning
-from .nonlinearity import conserved_functionals, direct_nonlinearity
+from .nonlinearity import _conserved, direct_nonlinearity
 from .norms import phase_rates
 from .spectral import (
     FourierField,
@@ -165,8 +165,4 @@ def compare_trajectories(
 
 def conserved_series(tr: Trajectory) -> np.ndarray:
     """Rows (t, mass, l2, energy) per frame; columns named in CONSERVED_COLUMNS."""
-    out = np.empty((tr.grid.M, 4))
-    out[:, 0] = tr.grid.times
-    for n in range(tr.grid.M):
-        out[n, 1:] = conserved_functionals(tr.frame(n))
-    return out
+    return np.column_stack((tr.grid.times, _conserved(tr)))

@@ -13,6 +13,9 @@ The real_symmetric mark follows one verdict, _is_real: no mode lies further
 than REAL_SYMMETRY_TOL from its mirror. Constructors reject a false claim,
 readers and arithmetic mark finite results by it and never raise, and _mark
 is the one unchecked path.
+
+Fields, trajectories and phase tables are stored as JSON frame tables, built
+by _frame_rows and read by _rows_table alone, which rejects malformed rows.
 """
 
 from __future__ import annotations
@@ -269,11 +272,11 @@ def hs_norms(coeffs: np.ndarray, s: float) -> np.ndarray:
 
 
 def half_spectrum(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Modes 0..K of a conjugate-symmetric mode vector, zero-padded for an n-point irfft."""
-    K = (coeffs.size - 1) // 2
-    half = np.zeros(n // 2 + 1, dtype=complex)
-    half[0] = coeffs[K].real
-    half[1 : K + 1] = coeffs[K + 1 :]
+    """Modes 0..K of conjugate-symmetric (..., 2K+1) rows, zero-padded for an n-point irfft."""
+    K = (coeffs.shape[-1] - 1) // 2
+    half = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
+    half[..., 0] = coeffs[..., K].real
+    half[..., 1 : K + 1] = coeffs[..., K + 1 :]
     return half
 
 
@@ -324,10 +327,11 @@ def sobolev_norm(u: FourierField, s: float) -> float:
 def check_real_symmetry(u: FourierField | Trajectory) -> float:
     """max_k |u_hat(-k) - conj(u_hat(k))| over every frame, zero for exactly real fields.
 
-    A NaN or infinite mode makes the result NaN or infinite, without a warning.
+    A NaN or infinite mode, or a difference past the float range, makes the
+    result NaN or infinite, without a warning.
     """
     c = u.coeffs
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return float(np.max(np.abs(c[..., ::-1] - np.conj(c))))
 
 
@@ -386,12 +390,12 @@ def _check_seed(seed) -> None:
 def _check_decay(K: int, decay: float) -> None:
     """Raise ConfigError unless random_real_field(K, seed, decay) has finite weights.
 
-    Below -2 ln(DBL_MAX) / ln(1 + K^2) the top mode's weight
-    (1 + K^2)^(-decay/2) overflows.
+    At decay = -2 ln(DBL_MAX) / ln(1 + K^2) the top weight (1 + K^2)^(-decay/2)
+    is DBL_MAX before rounding, which overflows for some K; above, it is finite.
     """
     lowest = -2.0 * math.log(np.finfo(float).max) / math.log(1 + K**2)
-    if not decay >= lowest:
-        raise ConfigError(f"decay_exponent must be >= {lowest!r} at K = {K}, got {decay!r}")
+    if not decay > lowest:
+        raise ConfigError(f"decay_exponent must be > {lowest!r} at K = {K}, got {decay!r}")
 
 
 def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:
@@ -426,45 +430,73 @@ def cumulative_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON-facing serialization. Fields become [k, re, im] triples in ascending k;
-# trajectories carry their grid header. Floats survive round trips exactly
-# because json emits shortest round-trip decimals.
+# The frame-table codec. A frame is a list of [k, *values] rows, k an int in
+# -K..K ascending: [k, re, im] of a field, [k, Q] of a phase table. Floats
+# survive round trips exactly because json emits shortest round-trip decimals.
+
+def _pairs(c: np.ndarray) -> np.ndarray:
+    """The real (..., 2) table [re, im] of the complex array c."""
+    return np.stack((c.real, c.imag), axis=-1)
+
+
+def _frame_rows(table: np.ndarray, grid: GridSpec | None = None):
+    """[k, *values] rows of a real (..., 2K+1, C) table, k an int; leading axes nest as lists.
+
+    Given the grid of an (M, 2K+1, C) table, its {"grid", "frames"} object instead.
+    """
+    if grid is not None:
+        return {"grid": {"K": grid.K, "M": grid.M, "T": grid.T}, "frames": _frame_rows(table)}
+    if table.ndim > 2:
+        return [_frame_rows(t) for t in table]
+    K = table.shape[0] // 2
+    return [[k, *values] for k, values in zip(range(-K, K + 1), table.tolist())]
+
+
+def _rows_table(frames, width: int) -> np.ndarray:
+    """The real (F, 2K+1, width) table of F frames of [k, *values] rows; inverts _frame_rows.
+
+    Raises FieldError unless there is a row, each row is 1 + width numbers,
+    and each frame lists k = -K..K, for one K, once each in ascending order.
+    """
+    try:
+        table = np.array([row for frame in frames for row in frame])
+    except (TypeError, ValueError):
+        table = np.array(None)  # an object array, reported as malformed below
+    if not table.size:
+        raise FieldError("empty mode list")
+    if table.dtype.kind not in "iuf" or table.shape[1:] != (1 + width,):
+        raise FieldError(f"mode rows must be [k, *values] lists of {1 + width} numbers")
+    n = len(table) // len(frames)
+    if not np.array_equal(table[:, 0], np.tile(np.arange(-(n // 2), n // 2 + 1), len(frames))):
+        raise FieldError("mode list must cover -K..K exactly once, ascending")
+    return table[:, 1:].astype(float).reshape(len(frames), n, width)
+
+
+def _obj_table(obj: dict, width: int) -> tuple[GridSpec, np.ndarray]:
+    """The grid and (M, 2K+1, width) table of a {"grid", "frames"} object, which must agree."""
+    g = obj["grid"]
+    grid = GridSpec(int(g["K"]), int(g["M"]), float(g["T"]))
+    table = _rows_table(obj["frames"], width)
+    if table.shape[:2] != (grid.M, grid.n_modes):
+        raise FieldError("frame list inconsistent with grid header")
+    return grid, table
+
 
 def field_to_obj(u: FourierField) -> list[list[float]]:
-    return [
-        [int(k), float(c.real), float(c.imag)]
-        for k, c in zip(u.wavenumbers, u.coeffs)
-    ]
+    return _frame_rows(_pairs(u.coeffs))
 
 
 def field_from_obj(obj: list[list[float]]) -> FourierField:
-    if not obj:
-        raise FieldError("empty mode list")
-    ks = [int(row[0]) for row in obj]
-    K = max(abs(k) for k in ks)
-    if ks != list(range(-K, K + 1)):
-        raise FieldError("mode list must cover -K..K exactly once, ascending")
-    c = np.zeros(2 * K + 1, dtype=complex)
-    for k, re, im in obj:
-        c[int(k) + K] = complex(re, im)
-    return _marked_if_real(FourierField(c))
+    return _marked_if_real(FourierField(_rows_table([obj], 2).view(complex)[0, :, 0]))
 
 
 def trajectory_to_obj(tr: Trajectory) -> dict:
-    return {
-        "grid": {"K": tr.grid.K, "M": tr.grid.M, "T": tr.grid.T},
-        "frames": [field_to_obj(tr.frame(n)) for n in range(tr.grid.M)],
-    }
+    return _frame_rows(_pairs(tr.coeffs), tr.grid)
 
 
 def trajectory_from_obj(obj: dict) -> Trajectory:
-    g = obj["grid"]
-    grid = GridSpec(int(g["K"]), int(g["M"]), float(g["T"]))
-    frames = [field_from_obj(f) for f in obj["frames"]]
-    if len(frames) != grid.M or any(f.K != grid.K for f in frames):
-        raise FieldError("frame list inconsistent with grid header")
-    coeffs = np.stack([f.coeffs for f in frames])
-    return _mark(Trajectory(grid, coeffs), all(f.real_symmetric for f in frames))
+    grid, table = _obj_table(obj, 2)
+    return _marked_if_real(Trajectory(grid, table.view(complex)[..., 0]))
 
 
 # The sign bit of a float64 read as an int64: x ^ _SIGN_BIT is the bits of -x.
@@ -479,9 +511,9 @@ def _negated(s: str) -> str:
 def write_frames_json(path: str, grid: GridSpec, columns: tuple[np.ndarray, ...]) -> None:
     """Write a frame table as json.dump(obj, fh, indent=2) plus a newline would.
 
-    obj is {"grid": {K, M, T}, "frames": [...]}, where row j of frame n is
-    [k_j, columns[0][n, j], columns[1][n, j], ...] for the real (M, 2K+1)
-    arrays in columns; trajectory_to_obj and phase_to_obj build this shape.
+    obj is _frame_rows's {"grid": {K, M, T}, "frames": [...]}, where row j
+    of frame n is [k_j, columns[0][n, j], columns[1][n, j], ...] for the
+    real (M, 2K+1) arrays in columns.
     Frames are formatted one at a time into a template prebuilt once. The
     k >= 0 rows of a frame are formatted by one repr of their list, which for
     finite floats is exactly the json tokens joined by ", ". Each k < 0 value
@@ -490,23 +522,20 @@ def write_frames_json(path: str, grid: GridSpec, columns: tuple[np.ndarray, ...]
     in the real and imaginary parts of a real field, and in the odd phase),
     and its own repr otherwise; the bytes are the same either way. json
     writes NaN and Infinity where repr gives nan and inf, so a table with
-    any non-finite value is built as an object and dumped by json instead.
+    any non-finite value is built as that object and dumped by json instead.
     """
-    ks = grid.wavenumbers.tolist()
-    header = {"K": grid.K, "M": grid.M, "T": grid.T}
     table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=-1)
     with open(path, "w", encoding="utf-8") as fh:
         if not np.isfinite(table).all():
-            frames = [[[k, *vals] for k, vals in zip(ks, frame)] for frame in table.tolist()]
-            json.dump({"grid": header, "frames": frames}, fh, indent=2)
+            json.dump(_frame_rows(table, grid), fh, indent=2)
             fh.write("\n")
             return
         K, C = grid.K, table.shape[-1]
         cells = ",\n".join(["        %s"] * C)
-        rows = ",\n".join(f"      [\n        {k},\n{cells}\n      ]" for k in ks)
+        rows = ",\n".join(f"      [\n        {k},\n{cells}\n      ]" for k in range(-K, K + 1))
         frame = f"    [\n{rows}\n    ]"
-        # json.dumps ends the header object with "\n}"; the frame list goes there.
-        fh.write(json.dumps({"grid": header}, indent=2)[:-2] + ',\n  "frames": [\n')
+        # the object of no frames ends with "[]\n}"; the frames go into that list
+        fh.write(json.dumps(_frame_rows(table[:0], grid), indent=2)[:-4] + "[\n")
         bits = table.view(np.int64)
         low = [""] * (K * C)
         for n in range(table.shape[0]):

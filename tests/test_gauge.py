@@ -344,6 +344,19 @@ class TestPhaseSerialization:
         with pytest.raises(FieldError, match="ascending"):
             phase_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[-1.5, 0.0], [-1], [-1, 0.0, 0.0], ["-1", 0.0], [-1, "x"], [-1, None], None],
+        ids=["fractional-k", "short", "long", "string-k", "string", "null", "no-row"],
+    )
+    def test_malformed_rows_raise_field_error(self, bad):
+        grid = GridSpec(K=1, M=2, T=0.01)
+        obj = phase_to_obj(PhaseTable(grid, np.zeros((2, 3))))
+        obj["frames"][1][0] = bad
+        message = "exactly once" if bad == [-1.5, 0.0] else "lists of 2 numbers"
+        with pytest.raises(FieldError, match=message):
+            phase_from_obj(obj)
+
     def test_mode_range_check(self):
         obj = {
             "grid": {"K": 1, "M": 2, "T": 1.0},

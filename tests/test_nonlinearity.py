@@ -30,7 +30,6 @@ from mkdvlab import (
     cosine_field,
     direct_nonlinearity,
     field_from_modes,
-    galilean_speed,
     half_spectrum,
     mirrored,
     nr_framewise,
@@ -76,6 +75,11 @@ def nr_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> np.ndarra
                 acc += v1.mode(k1) * v2.mode(k2) * v3.mode(k3)
         out[k + K] = (-1j * k / 3.0) * acc
     return out
+
+
+def galilean_speed(f: FourierField) -> float:
+    """Mean of the squared field, sum_k |f_hat(k)|^2: the c of -(u^2 - c) u_x."""
+    return float(np.sum(np.abs(f.coeffs) ** 2))
 
 
 def direct_oracle(u: FourierField) -> np.ndarray:
@@ -677,7 +681,10 @@ class TestResonantAndDirect:
         assert np.max(np.abs(direct.coeffs - nr.coeffs - res.coeffs)) > 1e-6
 
     def test_galilean_speed(self):
+        # the squared l2 mass of the conserved functionals is the oracle's c
         assert abs(galilean_speed(cosine_field(4)) - 0.5) < 1e-15
+        for u in (cosine_field(4), *(random_real_field(9, seed) for seed in range(5))):
+            assert conserved_functionals(u)[1] == galilean_speed(u)
 
 
 class TestDenominatorCorrection:

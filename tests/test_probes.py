@@ -278,7 +278,6 @@ class TestProbeRuns:
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == summary["max"]
         assert report.argmax_sample["ratio"] == summary["max"]
-        assert report.argmax_index == report.argmax_sample["sample"]
 
     def test_degenerate_ensemble_skips(self):
         f = cosine_field(8)

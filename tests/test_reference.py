@@ -152,10 +152,9 @@ class TestConservation:
         assert np.max(np.abs(series[:, 3] - energy0)) < 1e-9
 
     def test_each_frame_is_checked_once(self, monkeypatch):
-        # Trajectory.frame marks a marked trajectory's frames without a check,
-        # since the trajectory's own verdict covers them, so only the frames
-        # of an unmarked trajectory are checked, once each by
-        # conserved_functionals; every check runs in spectral
+        # the series reads the whole trajectory in one call: a marked one
+        # takes no verdict and an unmarked one a single verdict over every
+        # frame, never one per frame; every check runs in spectral
         tr = solve_reference(cosine_field(8), 0.02, ETDConfig(dt=1e-3), M=5)
         unmarked = Trajectory(tr.grid, tr.coeffs)
         expected = conserved_series(tr)
@@ -166,8 +165,7 @@ class TestConservation:
         assert np.array_equal(conserved_series(tr), expected)
         assert seen == []
         assert np.array_equal(conserved_series(unmarked), expected)
-        assert len(seen) == 5 and not any(u.real_symmetric for u in seen)
-        assert all(isinstance(u, FourierField) for u in seen)
+        assert len(seen) == 1 and seen[0] is unmarked
 
     def test_trajectory_stays_real(self):
         tr = solve_reference(cosine_field(8), 0.2, ETDConfig(dt=1e-3), M=3)

@@ -31,7 +31,7 @@ from mkdvlab import (
     field_to_obj,
     half_spectrum,
     mirrored,
-    phase_to_obj,
+    phase_from_obj,
     random_real_field as library_random_real_field,
     resize_field,
     sobolev_norm,
@@ -39,7 +39,7 @@ from mkdvlab import (
     trajectory_to_obj,
     write_frames_json,
 )
-from mkdvlab.spectral import _CACHE_ENTRIES, _cached, _require_real
+from mkdvlab.spectral import _CACHE_ENTRIES, _cached, _check_decay, _check_seed, _require_real
 
 
 def dft_oracle(samples: np.ndarray, k: int) -> complex:
@@ -111,12 +111,26 @@ class TestFourierField:
         with pytest.raises(GridMismatchError):
             u + cosine_field(4)
 
+    def test_arithmetic_marks_only_when_every_input_is_marked(self):
+        # a real but unmarked operand, or a scalar of complex type, leaves the
+        # result unmarked even though it would pass the verdict
+        u = cosine_field(3)
+        v = FourierField(u.coeffs)
+        for out in (u + v, v + u, u - v, v - u, 2.0 * v, (2 + 0j) * u):
+            assert not out.real_symmetric
+        assert (u + u).real_symmetric and (u - u).real_symmetric
+        grid = GridSpec(3, 2, 0.1)
+        a = Trajectory(grid, np.stack([u.coeffs, u.coeffs]), real_symmetric=True)
+        b = Trajectory(grid, a.coeffs)
+        assert not (a - b).real_symmetric and not (b - a).real_symmetric
+
     def test_cosine_field_values(self):
         u = cosine_field(8)
         assert u.mode(1) == 0.5
         assert u.mode(-1) == 0.5
         assert u.mode(0) == 0.0
         assert u.real_symmetric
+        assert cosine_field(4, harmonic=4).mode(-4) == 0.5
         with pytest.raises(FieldError):
             cosine_field(4, harmonic=5)
         with pytest.raises(FieldError):
@@ -217,6 +231,7 @@ class TestFieldConstructors:
     def test_field_from_modes_out_of_range(self):
         with pytest.raises(FieldError):
             field_from_modes(2, {3: 1.0})
+        assert field_from_modes(2, {-2: 1.0}).mode(-2) == 1.0
 
     def test_symmetry_gauge(self):
         u = random_real_field(8, seed=1)
@@ -253,6 +268,28 @@ class TestSobolevIndex:
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             SobolevIndex(**kwargs).validate()
+
+    def test_default_s1_is_the_middle_of_its_window(self):
+        # at s0 = 0.4 the window is (max(1/2, 0.6), min(1, 1.2)) = (0.6, 1)
+        assert abs(SobolevIndex(s0=0.4).s1 - 0.8) < 1e-15
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            (dict(s0=0.25, delta=0.01), ["s0", "s1", "delta"]),
+            (dict(s0=0.5), ["s0", "s1"]),
+            (dict(s0=0.6), ["s0", "s1"]),
+            (dict(s0=0.3, s1=0.7), ["s1"]),
+            (dict(s0=0.4, s1=1.0), ["s1"]),
+            (dict(s0=0.3, delta=0.0), ["delta"]),
+            (dict(s0=0.3, delta=0.3 - 0.25), ["delta"]),
+        ],
+    )
+    def test_each_violated_bound_is_named(self, kwargs, named):
+        # every window is open: an exponent on its boundary is named too
+        with pytest.raises(ConfigError) as err:
+            SobolevIndex(**kwargs)
+        assert [p.split(" = ")[0] for p in str(err.value).split("; ")] == named
 
 
 class TestCumulativeTrapezoid:
@@ -293,6 +330,21 @@ class TestSerialization:
             field_from_obj(obj[::-1])
         with pytest.raises(FieldError, match="ascending"):
             trajectory_from_obj({"grid": {"K": 3, "M": 2, "T": 0.1}, "frames": [obj, obj[::-1]]})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[-1.5, 1.0, 0.0], [-1, 1.0], [-1, 1.0, 0.0, 0.0], [-1, "1.0", 0.0], [-1, None, 0.0],
+         [-1, [1.0], 0.0], "abc", 7],
+        ids=["fractional-k", "short", "long", "string", "null", "nested", "text", "number"],
+    )
+    def test_malformed_rows_raise_field_error(self, bad):
+        # the k = -1 row of a K = 1 field replaced by bad
+        rows = [bad, [0, 0.0, 0.0], [1, 1.0, 0.0]]
+        message = "exactly once" if bad == [-1.5, 1.0, 0.0] else "lists of 3 numbers"
+        with pytest.raises(FieldError, match=message):
+            field_from_obj(rows)
+        with pytest.raises(FieldError, match=message):
+            trajectory_from_obj({"grid": {"K": 1, "M": 2, "T": 0.1}, "frames": [rows, rows]})
 
     def test_trajectory_round_trip(self):
         grid = GridSpec(K=3, M=4, T=0.5)
@@ -397,6 +449,12 @@ class TestRealnessVerdict:
         w = FourierField(np.array([np.inf, 0.0, np.inf], dtype=complex), real_symmetric=True)
         assert not (w + w).real_symmetric
 
+    def test_asymmetry_past_the_float_range_is_infinite(self):
+        # the difference of 1e308 and its mirror's -1e308 overflows; numpy's
+        # RuntimeWarning would be an error under pytest
+        u = field_from_obj([[-1, 1e308, 0.0], [0, 0.0, 0.0], [1, -1e308, 0.0]])
+        assert check_real_symmetry(u) == np.inf and not u.real_symmetric
+
     def test_zeros_are_marked(self):
         assert FourierField.zeros(3).real_symmetric
         assert Trajectory.zeros(GridSpec(3, 2, 0.1)).real_symmetric
@@ -420,6 +478,26 @@ class TestRandomRealField:
             0.21966607061563903 + 0.04003116541944742j,
         ]
         assert np.array_equal(v.coeffs[:2], np.conj(v.coeffs[3:])[::-1])
+
+    @pytest.mark.parametrize("K", [1, 2, 4, 16, 128, 1000])
+    def test_decay_bound_is_exclusive(self, K):
+        # at the bound the top weight is DBL_MAX before rounding, which
+        # overflows for some K; one ulp above it every weight is finite, and
+        # an overflow warning would be an error under pytest
+        lowest = -2.0 * math.log(np.finfo(float).max) / math.log(1 + K**2)
+        above = np.nextafter(lowest, np.inf)
+        _check_decay(K, above)
+        assert np.isfinite(library_random_real_field(K, 0, above).coeffs).all()
+        for decay in (lowest, np.nextafter(lowest, -np.inf)):
+            with pytest.raises(ConfigError, match=f"must be > {lowest!r} at K = {K},"):
+                _check_decay(K, decay)
+
+    def test_config_seeds_are_the_64_bit_unsigned_integers(self):
+        for seed in (0, 1000, 2**64 - 1):
+            _check_seed(seed)
+        for seed in (-1, 2**64, 2.5):
+            with pytest.raises(ConfigError):
+                _check_seed(seed)
 
 
 class TestMirroredOutputs:
@@ -513,6 +591,13 @@ def make_trajectory(grid, table):
     return Trajectory(grid, c)
 
 
+def assert_same_floats(got, want):
+    """got equals want bit for bit, up to the payload and sign of a NaN, which json drops."""
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
 def written(grid, columns) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "frames.json")
@@ -522,12 +607,17 @@ def written(grid, columns) -> str:
 
 
 class TestFrameWriter:
-    """write_frames_json writes the bytes json.dump(obj, indent=2) + newline would."""
+    """write_frames_json writes the bytes json.dump(obj, indent=2) + newline would.
+
+    The expected object is the tests' own frames_obj: the package's
+    trajectory_to_obj and phase_to_obj share their row builder with the
+    writer's non-finite fallback, so they could not stand in for it.
+    """
 
     @given(frame_tables(2))
     def test_trajectory_bytes(self, drawn):
         tr = make_trajectory(*drawn)
-        expected = json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
+        expected = json.dumps(frames_obj(*drawn), indent=2) + "\n"
         assert written(tr.grid, (tr.coeffs.real, tr.coeffs.imag)) == expected
 
     @given(frame_tables(1))
@@ -536,7 +626,7 @@ class TestFrameWriter:
         values = table[..., 0].copy()
         values[0] = 0.0
         ph = PhaseTable(grid, values)
-        expected = json.dumps(phase_to_obj(ph), indent=2) + "\n"
+        expected = json.dumps(frames_obj(grid, values[..., None]), indent=2) + "\n"
         assert written(grid, (ph.values,)) == expected
 
     def test_awkward_values_in_every_column(self):
@@ -544,15 +634,32 @@ class TestFrameWriter:
         table = np.resize(np.array(AWKWARD + (-1e22, 0.1)), (2, 5, 2))
         tr = make_trajectory(grid, table)
         text = written(grid, (tr.coeffs.real, tr.coeffs.imag))
-        assert text == json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
+        assert text == json.dumps(frames_obj(grid, table), indent=2) + "\n"
         for v in AWKWARD:
             assert f" {v!r}" in text
 
     @given(frame_tables(2, values=st.one_of(finite_floats, st.floats())))
     def test_non_finite_values_fall_back_to_json(self, drawn):
         tr = make_trajectory(*drawn)
-        expected = json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
+        expected = json.dumps(frames_obj(*drawn), indent=2) + "\n"
         assert written(tr.grid, (tr.coeffs.real, tr.coeffs.imag)) == expected
+
+    @given(frame_tables(2, values=st.one_of(finite_floats, st.floats())))
+    def test_trajectories_read_back_exactly(self, drawn):
+        # an infinite imaginary part must not turn the real part into NaN
+        grid, table = drawn
+        back = trajectory_from_obj(json.loads(written(grid, (table[..., 0], table[..., 1]))))
+        assert back.grid == grid
+        assert_same_floats(np.stack((back.coeffs.real, back.coeffs.imag), axis=-1), table)
+
+    @given(frame_tables(1, values=st.one_of(finite_floats, st.floats())))
+    def test_phase_tables_read_back_exactly(self, drawn):
+        grid, table = drawn
+        values = table[..., 0].copy()
+        values[0] = 0.0
+        back = phase_from_obj(json.loads(written(grid, (values,))))
+        assert back.grid == grid
+        assert_same_floats(back.values, values)
 
     @settings(max_examples=200)
     @given(st.integers(min_value=1, max_value=2).flatmap(mirrored_tables))
@@ -584,7 +691,8 @@ class TestFrameWriter:
         c[1] = [complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(0.5, -0.0)]
         tr = Trajectory(grid, c)
         text = written(grid, (tr.coeffs.real, tr.coeffs.imag))
-        assert text == json.dumps(trajectory_to_obj(tr), indent=2) + "\n"
+        table = np.stack((c.real, c.imag), axis=-1)
+        assert text == json.dumps(frames_obj(grid, table), indent=2) + "\n"
         assert "NaN" in text and "-Infinity" in text and "nan" not in text
         back = trajectory_from_obj(json.loads(text))
         assert np.array_equal(back.coeffs, tr.coeffs, equal_nan=True)
@@ -592,6 +700,7 @@ class TestFrameWriter:
 
 class TestCachePolicy:
     def test_stamps_recency_eviction_and_failed_builds(self):
+        assert _CACHE_ENTRIES == 32  # the slot count README documents
         store = {}
         builds = []
 
