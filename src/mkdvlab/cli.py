@@ -7,6 +7,9 @@ with every default made explicit so runs are diffable artifacts. Exit code
 JSON), 3 means a numerical failure (non-contraction, instability, vanishing
 denominator), 0 means all artifacts were written.
 
+The Picard modes all run picard_solve; q_solve stops it after one iterate
+and reports the phase solve that certifies its table.
+
 The only environment variable consulted is OUTPUT_DIR, which overrides the
 config's output_dir but loses to the --output-dir flag.
 """
@@ -33,10 +36,9 @@ from .errors import (
     GridMismatchError,
     InstabilityError,
 )
-from .gauge import solve_phase
 from .nonlinearity import MAX_TRIPLES, direct_nonlinearity, nr_trilinear, resonant_term
 from .norms import NormProxyConfig
-from .picard import PicardConfig, picard_solve, picard_step, reconstruct_solution
+from .picard import PicardConfig, picard_solve, reconstruct_solution
 from .probes import (
     SMOOTHING_COLUMNS,
     EnsembleSpec,
@@ -512,12 +514,10 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
         _write_csv(path("smoothing.csv"), ("t", *SMOOTHING_COLUMNS), rows)
         return {"upgraded_exponent": rep.upgraded_exponent, "sups": rep.sups}, artifacts
 
-    # q_solve: one iteration from rest, then the phase fixed point for it
-    z0 = Trajectory.zeros(picard.grid)
-    z1, _ = picard_step(z0, f, picard)
-    table, rep = solve_phase(f, z1, tol=picard.phase_tol, max_sweeps=picard.phase_max_sweeps)
+    # q_solve: one Picard iterate from rest and the phase solve that certifies it
+    _, table, report = picard_solve(f, dataclasses.replace(picard, max_iters=1))
     write_frames_json(path("phase.json"), table.grid, (table.values,))
-    return dataclasses.asdict(rep), artifacts
+    return dataclasses.asdict(report.phase_solve), artifacts
 
 
 def run(resolved: dict) -> dict:

@@ -47,6 +47,7 @@ from .spectral import (
     Trajectory,
     _marked_if_real,
     _frame_rows,
+    _integer,
     _obj_table,
     cumulative_trapezoid,
 )
@@ -146,13 +147,12 @@ def solve_phase(
     map, so it certifies the fixed-point equation itself, not just
     stagnation. Fails with the last update size when the sweeps do not
     settle, which usually means T is too large for this data. Raises
-    ConfigError when max_sweeps < 1 or tol is not >= 0, which no sweep
-    could meet.
+    ConfigError when max_sweeps is not an integer >= 1 or tol is not >= 0,
+    which no sweep could meet.
     """
     if f.K != z.K:
         raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {z.K}")
-    if max_sweeps < 1:
-        raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
+    max_sweeps = _integer(max_sweeps, "max_sweeps must be an integer >= 1", 1)
     if not tol >= 0:
         raise ConfigError(f"tol must be >= 0, got {tol!r}")
     seed = _phase_seed(f, z.grid)

@@ -61,7 +61,7 @@ __all__ = [
 # zero rather than a small divisor.
 DENOMINATOR_FLOOR = 1e-9
 
-def _require_same_K(*fields: FourierField) -> int:
+def _require_same_K(*fields: FourierField | Trajectory) -> int:
     K = fields[0].K
     for g in fields[1:]:
         if g.K != K:

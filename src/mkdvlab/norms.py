@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .spectral import (
-    FourierField, GridSpec, SobolevIndex, Trajectory, _cached, bracket_sq, hs_norms
+    FourierField, GridSpec, SobolevIndex, Trajectory, _cached, _integer, bracket_sq,
+    hs_norms,
 )
 
 __all__ = [
@@ -68,8 +69,8 @@ class NormProxyConfig:
     def __post_init__(self) -> None:
         if self.window not in _WINDOWS:
             raise ConfigError(f"window must be one of {_WINDOWS}, got {self.window!r}")
-        if int(self.pad_factor) != self.pad_factor or self.pad_factor < 1:
-            raise ConfigError(f"pad_factor must be an integer >= 1, got {self.pad_factor!r}")
+        rule = "pad_factor must be an integer >= 1"
+        object.__setattr__(self, "pad_factor", _integer(self.pad_factor, rule, 1))
 
 
 def window_weights(M: int, dt: float, kind: str) -> np.ndarray:
@@ -133,7 +134,7 @@ def _proxy_weights(
 
     def build() -> tuple:
         w = window_weights(grid.M, grid.dt, proxy.window)
-        Mp = int(proxy.pad_factor) * grid.M
+        Mp = proxy.pad_factor * grid.M
         taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=grid.dt)
         tau_weight = (1.0 + taus**2) ** b
         mode_weight = bracket_sq(grid.K) ** s

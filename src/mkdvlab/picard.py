@@ -14,11 +14,11 @@ unimodular integrating factor, and then drives one sweep of the phase map
 with the new remainder, which gives Q_{m+1}. The iteration stops once both
 the remainder difference and the phase update, the change of the
 correction q = Q - t (k^3 + k |f_hat|^2), are below their tolerances;
-a final phase solve from the cold seed certifies the returned table.
-picard_step, the one-iterate route, still solves the phase to tolerance
-before its update. The single NR call on the summed field equals the
-8-term multilinear expansion, which the test suite checks as a property of
-the NR kernel.
+a final phase solve from the cold seed certifies the returned table, and
+the report keeps its record. picard_step, the nested scheme that solves the
+phase before each update, is the tests' oracle. The single NR call on the
+summed field equals the 8-term multilinear expansion, which the test suite
+checks as a property of the NR kernel.
 
 The profile must pass spectral's realness verdict, and only its modes
 k = 0..K are read, so every array of the loop is conjugate-symmetric in k:
@@ -48,7 +48,7 @@ whose differences are still above the tolerance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .errors import (
     TimeHorizonWarning,
 )
 from .gauge import (
+    PhaseSolveReport,
     PhaseTable,
     _modulate,
     _phase_seed,
@@ -67,14 +68,16 @@ from .gauge import (
     gauge_compose,
     solve_phase,
 )
-from .nonlinearity import nr_trilinear
+from .nonlinearity import _require_same_K, nr_trilinear
 from .norms import NormProxyConfig, _free_phase_factor, x_space_norm
 from .spectral import (
     FourierField,
     GridSpec,
     SobolevIndex,
     Trajectory,
+    _integer,
     _mirrored_field,
+    _positive,
     _require_real,
     _symmetric_trajectory,
     cumulative_trapezoid,
@@ -118,16 +121,11 @@ class PicardConfig:
             )
         if self.grid.M < 8:
             raise ConfigError(f"M must be an integer >= 8, got {self.grid.M!r}")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 1:
-            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if int(self.phase_max_sweeps) != self.phase_max_sweeps or self.phase_max_sweeps < 1:
-            raise ConfigError(
-                f"phase_max_sweeps must be an integer >= 1, got {self.phase_max_sweeps!r}"
-            )
-        if not (self.tol > 0):
-            raise ConfigError(f"tol must be positive, got {self.tol!r}")
-        if not (self.phase_tol > 0):
-            raise ConfigError(f"phase_tol must be positive, got {self.phase_tol!r}")
+        for name in ("max_iters", "phase_max_sweeps"):
+            rule = f"{name} must be an integer >= 1"
+            object.__setattr__(self, name, _integer(getattr(self, name), rule, 1))
+        for name in ("tol", "phase_tol"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -152,14 +150,16 @@ class PicardReport:
 
     first_iterate_norm is the benchmark size ||z_1||; on convergence the
     final norm is checked against twice that value, which is the size the
-    contraction argument predicts for the limit.
+    contraction argument predicts for the limit. phase_solve is the record
+    of the cold phase solve that certifies the returned table.
     """
 
-    iters: list[PicardIterate] = field(default_factory=list)
-    first_iterate_norm: float = 0.0
-    converged: bool = False
-    within_first_iterate_bound: bool = False
-    richardson_delta: float = 0.0
+    iters: list[PicardIterate]
+    first_iterate_norm: float
+    converged: bool
+    within_first_iterate_bound: bool
+    richardson_delta: float
+    phase_solve: PhaseSolveReport
 
     def to_obj(self) -> dict:
         return asdict(self)
@@ -174,15 +174,14 @@ def duhamel_integrate(
 
     phi_k = k^3, shifted by k |f_hat(k)|^2 when a profile is given. The
     integrating factor is exact and unimodular, so the quadrature error is
-    the plain trapezoid one of the premultiplied integrand.
+    the plain trapezoid one of the premultiplied integrand. Raises
+    GridMismatchError when f or initial has another cutoff than the forcing.
     """
-    K = forcing.K
-    if f is not None and f.K != K:
-        raise ConfigError(f"profile cutoff {f.K} does not match forcing cutoff {K}")
+    if f is not None:
+        _require_same_K(forcing, f)
     z0 = np.zeros(forcing.grid.n_modes, dtype=complex)
     if initial is not None:
-        if initial.K != K:
-            raise ConfigError(f"initial data cutoff {initial.K} does not match {K}")
+        _require_same_K(forcing, initial)
         z0 = initial.coeffs
     damping = _free_phase_factor(forcing.grid, -1, f)
     return Trajectory(forcing.grid, _duhamel(forcing.coeffs, damping, forcing.grid.dt, z0))
@@ -202,14 +201,14 @@ def _duhamel(forcing: np.ndarray, damping: np.ndarray, dt: float, z0: np.ndarray
 def picard_rhs(z: Trajectory, phase: PhaseTable, f: FourierField) -> Trajectory:
     """Full right side of the gauged evolution, one NR call per frame, marked real_symmetric.
 
-    f and z must pass spectral's realness verdict, else FieldError; the
-    right side is then formed on the columns k = 0..K, as in picard_solve,
-    and mirrored, so only those columns of z and of the phase table are read.
+    GridMismatchError unless z and the phase table share a grid and f its
+    cutoff, FieldError unless f and z pass spectral's realness verdict. The
+    right side is formed on the columns k = 0..K, as in picard_solve, and
+    mirrored, so only those columns of z and of the phase table are read.
     """
     if z.grid != phase.grid:
-        raise ConfigError("trajectory and phase table live on different grids")
-    if f.K != z.K:
-        raise ConfigError(f"mode cutoffs differ: {f.K} vs {z.K}")
+        raise GridMismatchError("trajectory and phase table live on different grids")
+    _require_same_K(f, z)
     _require_real(f, "the gauged right side is defined for a real profile")
     _require_real(z, "the gauged right side is defined for a real remainder")
     K = z.K
@@ -237,9 +236,10 @@ def _rhs(z: np.ndarray, profile: np.ndarray) -> np.ndarray:
 def picard_step(
     z: Trajectory, f: FourierField, cfg: PicardConfig
 ) -> tuple[Trajectory, PhaseTable]:
-    """One iteration: solve the phase for z, then Duhamel-integrate the right side.
+    """One iteration of the nested scheme: solve the phase for z, then Duhamel-integrate.
 
-    Raises GridMismatchError unless z lives on cfg.grid.
+    Public for the acceptance test, the tests' oracle and the benchmark's
+    tracer; runs use picard_solve. GridMismatchError unless z is on cfg.grid.
     """
     if z.grid != cfg.grid:
         raise GridMismatchError(
@@ -272,8 +272,9 @@ def picard_solve(
     and the update of the phase correction at most cfg.phase_tol. Returns
     the remainder, the phase table solved for it from the cold seed (within
     cfg.phase_max_sweeps sweeps, which certifies it), and the iteration
-    report. The loop holds the columns k = 0..K only; the returned
-    remainder is mirrored from them and marked real_symmetric. Raises
+    report with that solve's record. The loop holds the columns k = 0..K
+    only; the returned remainder is mirrored from them and marked
+    real_symmetric. Raises
     GridMismatchError unless f has the cutoff of cfg.grid, FieldError unless
     f is real, ConvergenceError when the differences fail to contract for
     three consecutive iterates (the advisory is to shrink T), and
@@ -336,13 +337,14 @@ def picard_solve(
 
     richardson_delta = _richardson_delta(forcing, damping, grid.dt, z0, z)
     z = _symmetric_trajectory(grid, z)
-    phase, _ = solve_phase(f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps)
+    phase, phase_report = solve_phase(f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps)
     report = PicardReport(
         iters=rows,
         first_iterate_norm=rows[0].norm_x,
         converged=converged,
         within_first_iterate_bound=bool(converged and rows[-1].norm_x <= 2.0 * rows[0].norm_x),
         richardson_delta=richardson_delta,
+        phase_solve=phase_report,
     )
     return z, phase, report
 

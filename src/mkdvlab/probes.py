@@ -71,8 +71,10 @@ from .spectral import (
     _check_decay,
     _check_seed,
     _frame_rows,
+    _integer,
     _mark,
     _pairs,
+    _positive,
     _symmetric_trajectory,
     hs_norms,
     random_real_field,
@@ -120,33 +122,31 @@ class EnsembleSpec:
     count: int
     K: int
     decay_exponent: float
-    params: SobolevIndex = SobolevIndex()
-    proxy: NormProxyConfig = NormProxyConfig()
     M: int = 16
     T: float = 0.5
     k_values: tuple[int, ...] | None = None
     modulation_bumps: float = 0.0
+    params: SobolevIndex = SobolevIndex()
+    proxy: NormProxyConfig = NormProxyConfig()
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
-        if int(self.count) != self.count or self.count < 1:
-            raise ConfigError(f"count must be a positive integer, got {self.count!r}")
-        if int(self.K) != self.K or self.K < 1:
-            raise ConfigError(f"K must be a positive integer, got {self.K!r}")
-        if int(self.M) != self.M or self.M < 8:
-            raise ConfigError(f"M must be an integer >= 8, got {self.M!r}")
-        if not (self.T > 0):
-            raise ConfigError(f"T must be positive, got {self.T!r}")
-        if self.modulation_bumps < 0:
+        put = object.__setattr__
+        put(self, "seed", _check_seed(self.seed))
+        put(self, "count", _integer(self.count, "count must be a positive integer", 1))
+        put(self, "K", _integer(self.K, "K must be a positive integer", 1))
+        put(self, "M", _integer(self.M, "M must be an integer >= 8", 8))
+        put(self, "T", _positive(self.T, "T"))
+        if not self.modulation_bumps >= 0:
             raise ConfigError(f"modulation_bumps must be >= 0, got {self.modulation_bumps!r}")
         _check_decay(self.K, self.decay_exponent)
         if self.k_values is not None:
-            vals = tuple(int(v) for v in self.k_values)
-            if not vals or vals != tuple(sorted(set(vals))) or any(v < 1 for v in vals):
-                raise ConfigError("k_values must be strictly increasing positive integers")
+            rule = "k_values must be strictly increasing positive integers"
+            vals = tuple(_integer(v, rule, 1) for v in self.k_values)
+            if not vals or vals != tuple(sorted(set(vals))):
+                raise ConfigError(rule)
             if vals[-1] > self.K:
                 raise ConfigError(f"k_values exceed the ensemble cutoff {self.K}")
-            object.__setattr__(self, "k_values", vals)
+            put(self, "k_values", vals)
 
     def cutoffs(self) -> tuple[int, ...]:
         """Evaluation cutoffs, always ending at the headline K."""
@@ -158,18 +158,7 @@ class EnsembleSpec:
         return vals
 
     def to_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "K": self.K,
-            "decay_exponent": self.decay_exponent,
-            "M": self.M,
-            "T": self.T,
-            "k_values": list(self.cutoffs()),
-            "modulation_bumps": self.modulation_bumps,
-            "params": asdict(self.params),
-            "proxy": asdict(self.proxy),
-        }
+        return {**asdict(self), "k_values": list(self.cutoffs())}
 
 
 @dataclass(frozen=True)
@@ -429,8 +418,12 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
 
     The per-sample ratio is the larger of the two case ratios; both are
     kept in the report extras. The truncation level protecting the
-    denominators is recomputed per cutoff from the truncated profile.
+    denominators is recomputed per cutoff from the truncated profile. The
+    static form takes no modulation_bumps: a nonzero value raises ConfigError.
     """
+    if spec.modulation_bumps:
+        bumps = spec.modulation_bumps
+        raise ConfigError(f"modulation_bumps applies to probe16 and probe12, got {bumps!r}")
     cutoff_for: dict[int, int] = {}
 
     def evaluate(fields, bumps, fc, c):

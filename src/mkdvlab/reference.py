@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, InstabilityError, StepSizeWarning
+from .errors import GridMismatchError, InstabilityError, StepSizeWarning
 from .nonlinearity import _conserved, direct_nonlinearity
 from .norms import phase_rates
 from .spectral import (
@@ -35,6 +35,7 @@ from .spectral import (
     GridSpec,
     Trajectory,
     _mark,
+    _positive,
     _require_real,
     hs_norms,
 )
@@ -60,8 +61,7 @@ class ETDConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0):
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
+        object.__setattr__(self, "dt", _positive(self.dt, "dt"))
 
 
 def _symmetrize(w: np.ndarray) -> np.ndarray:
@@ -119,13 +119,13 @@ def solve_reference(f: FourierField, T: float, cfg: ETDConfig, M: int) -> Trajec
         # a stage keeps f's asymmetry up to rounding, so f's verdict covers it
         return direct_nonlinearity(_mark(FourierField(v))).coeffs
 
-    frames = np.empty((M, grid.n_modes), dtype=complex)
+    frames = np.empty((grid.M, grid.n_modes), dtype=complex)
     v = f.coeffs.astype(complex)
     frames[0] = v
     times = grid.times
     weights_cache: dict[float, dict[str, np.ndarray]] = {}
     step_index = 0
-    for n in range(1, M):
+    for n in range(1, grid.M):
         gap = float(times[n] - times[n - 1])
         n_sub = max(1, math.ceil(gap / cfg.dt - 1e-9))
         h = gap / n_sub

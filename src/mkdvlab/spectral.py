@@ -92,12 +92,9 @@ class GridSpec:
     T: float
 
     def __post_init__(self) -> None:
-        if int(self.K) != self.K or self.K < 1:
-            raise ConfigError(f"K must be an integer >= 1, got {self.K!r}")
-        if int(self.M) != self.M or self.M < 2:
-            raise ConfigError(f"M must be an integer >= 2, got {self.M!r}")
-        if not (self.T > 0):
-            raise ConfigError(f"T must be positive, got {self.T!r}")
+        object.__setattr__(self, "K", _integer(self.K, "K must be an integer >= 1", 1))
+        object.__setattr__(self, "M", _integer(self.M, "M must be an integer >= 2", 2))
+        object.__setattr__(self, "T", _positive(self.T, "T"))
 
     @property
     def n_modes(self) -> int:
@@ -381,10 +378,32 @@ def field_from_modes(
     return _marked_if_real(FourierField(c))
 
 
-def _check_seed(seed) -> None:
-    """Raise ConfigError unless seed is an integer in [0, 2^64), as a config seed must be."""
-    if int(seed) != seed or not (0 <= seed < 2**64):
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+def _integer(value, rule: str, low: int, high: float = math.inf) -> int:
+    """value as an int in [low, high), else ConfigError(f"{rule}, got {value!r}").
+
+    Ints and integral floats, numpy's included, qualify; bools, fractions,
+    NaN, infinities and strings do not.
+    """
+    if isinstance(value, (float, np.floating)):
+        integral = float(value).is_integer()
+    else:
+        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and low <= value < high):
+        raise ConfigError(f"{rule}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name: str) -> float:
+    """value as a float > 0, else ConfigError; bools and strings are not numbers."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not (real and value > 0):
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
+def _check_seed(seed) -> int:
+    """seed as an int; ConfigError unless it is an integer in [0, 2^64), as config seeds are."""
+    return _integer(seed, "seed must be a 64-bit unsigned integer", 0, 2**64)
 
 
 def _check_decay(K: int, decay: float) -> None:
@@ -473,10 +492,16 @@ def _rows_table(frames, width: int) -> np.ndarray:
 
 
 def _obj_table(obj: dict, width: int) -> tuple[GridSpec, np.ndarray]:
-    """The grid and (M, 2K+1, width) table of a {"grid", "frames"} object, which must agree."""
-    g = obj["grid"]
-    grid = GridSpec(int(g["K"]), int(g["M"]), float(g["T"]))
-    table = _rows_table(obj["frames"], width)
+    """The grid and (M, 2K+1, width) table of a {"grid", "frames"} object, which must agree.
+
+    FieldError for a missing key, a header GridSpec rejects or bad rows.
+    """
+    try:
+        g, frames = obj["grid"], obj["frames"]
+        grid = GridSpec(g["K"], g["M"], g["T"])
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise FieldError(f"a frame table needs a valid grid and frames: {exc}") from None
+    table = _rows_table(frames, width)
     if table.shape[:2] != (grid.M, grid.n_modes):
         raise FieldError("frame list inconsistent with grid header")
     return grid, table

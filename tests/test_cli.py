@@ -159,6 +159,8 @@ class TestHappyPaths:
         assert len(rows) == 17
         results = load(out / "report.json")["results"]
         assert results["picard_converged"] is True
+        # max_hs_distance is the H^0 distance, and says so
+        assert results["s"] == 0.0
         assert results["max_hs_distance"] < 1e-6
         assert max(float(row[2]) for row in rows[1:]) == results["max_hs_distance"]
         # the gap in the paper's norm H^{s0}, s0 > 0, bounds the H^0 gap mode by mode
@@ -176,6 +178,26 @@ class TestHappyPaths:
         assert set(results) == {"sweeps", "residual", "update_norms", "ratios"}
         phase = load(out / "phase.json")
         assert [val for _, val in phase["frames"][0]] == [0.0] * 17
+
+    def test_q_solve_is_one_gauge_solve_iterate(self, tmp_path):
+        # q_solve runs picard_solve with max_iters = 1: its table is the one
+        # gauge_solve writes after one iterate, and its results the
+        # certificate gauge_solve keeps in its reports
+        base = {
+            "grid": {"K": 16, "M": 32, "T": 0.01},
+            "initial_data": {"kind": "seeded-random", "seed": 3},
+        }
+        one = {"picard": {"max_iters": 1}}
+        q, g = tmp_path / "q", tmp_path / "g"
+        r = run_cli(tmp_path, {**base, "mode": "q_solve"}, "--output-dir", str(q))
+        assert r.returncode == 0, r.stderr
+        r = run_cli(tmp_path, {**base, **one, "mode": "gauge_solve"}, "--output-dir", str(g))
+        assert r.returncode == 0, r.stderr
+        assert (q / "phase.json").read_bytes() == (g / "phase.json").read_bytes()
+        certificate = load(q / "report.json")["results"]
+        assert certificate["sweeps"] >= 2
+        assert load(g / "picard_report.json")["phase_solve"] == certificate
+        assert load(g / "report.json")["results"]["phase_solve"] == certificate
 
     def test_smoothing_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -658,6 +680,18 @@ class TestFailurePaths:
         )
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"] == "config-parse-error"
+
+    def test_probe700_rejects_modulation_bumps(self, tmp_path):
+        doc = {
+            "mode": "probe700",
+            "grid": {"K": 8, "M": 16, "T": 0.01},
+            "ensemble": {"seed": 2, "count": 1, "decay_exponent": 1.0, "modulation_bumps": 0.5},
+        }
+        r = run_cli(tmp_path, doc, "--output-dir", str(tmp_path / "out"))
+        assert r.returncode == 2
+        err = json.loads(r.stderr)
+        assert err["error"] == "ConfigError"
+        assert "modulation_bumps" in err["message"]
 
     def test_numerical_failure_exits_3(self, tmp_path):
         doc = {

@@ -1,6 +1,7 @@
 """Duhamel integration and the gauged fixed-point iteration."""
 
 import cmath
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -95,6 +96,11 @@ class TestPicardConfig:
         with pytest.warns(TimeHorizonWarning, match="horizon T = 1.5 is outside"):
             PicardConfig(grid=GridSpec(16, 64, 1.5))
 
+    def test_horizon_one_is_outside_the_regime(self):
+        # the scheme is designed for T < 1, so T = 1 itself warns
+        with pytest.warns(TimeHorizonWarning, match="horizon T = 1 is outside"):
+            PicardConfig(grid=GridSpec(16, 64, 1.0))
+
     def test_smallest_counts_accepted(self):
         cfg = PicardConfig(grid=GridSpec(16, 8, 0.01), max_iters=1, phase_max_sweeps=1)
         assert (cfg.grid.M, cfg.max_iters, cfg.phase_max_sweeps) == (8, 1, 1)
@@ -140,9 +146,9 @@ class TestDuhamelIntegrate:
 
     def test_cutoff_mismatch(self):
         grid = GridSpec(K=2, M=16, T=0.1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(GridMismatchError, match="mode cutoffs differ: 2 vs 3"):
             duhamel_integrate(Trajectory.zeros(grid), f=cosine_field(3))
-        with pytest.raises(ConfigError):
+        with pytest.raises(GridMismatchError, match="mode cutoffs differ: 2 vs 3"):
             duhamel_integrate(Trajectory.zeros(grid), initial=cosine_field(3))
 
 
@@ -214,6 +220,14 @@ class TestPicardRhs:
         with pytest.raises(FieldError):
             picard_rhs(z, phase, f)
         assert calls == []
+
+    def test_grid_and_cutoff_mismatch(self):
+        grid = GridSpec(K=4, M=8, T=0.01)
+        z = Trajectory.zeros(grid)
+        with pytest.raises(GridMismatchError, match="different grids"):
+            picard_rhs(z, PhaseTable.zeros(GridSpec(K=4, M=9, T=0.01)), cosine_field(4))
+        with pytest.raises(GridMismatchError, match="mode cutoffs differ: 5 vs 4"):
+            picard_rhs(z, PhaseTable.zeros(grid), cosine_field(5))
 
 
 class TestPicardStep:
@@ -395,8 +409,50 @@ class TestPicardSolve:
             "converged",
             "within_first_iterate_bound",
             "richardson_delta",
+            "phase_solve",
         }
         assert {"norm_x", "diff_norm", "ratio", "phase_update"} == set(obj["iters"][0])
+        assert {"sweeps", "residual", "update_norms", "ratios"} == set(obj["phase_solve"])
+
+    @pytest.mark.parametrize("max_iters", [1, 25])
+    def test_report_keeps_the_certifying_phase_solve(self, max_iters):
+        f = random_real_field(16, seed=3)
+        # the second sweep's update, about 7.7e-13, lies between phase_tol
+        # and phase_tol / 10, so the sweep count shows the tolerance used
+        cfg = PicardConfig(grid=GridSpec(16, 32, 0.01), max_iters=max_iters)
+        z, table, report = picard_solve(f, cfg)
+        again, certificate = solve_phase(f, z, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps)
+        assert report.phase_solve == certificate
+        assert np.array_equal(table.values, again.values)
+        assert report.to_obj()["phase_solve"] == dataclasses.asdict(certificate)
+
+    @pytest.mark.parametrize(
+        "f, M",
+        [(cosine_field(16), 64), (random_real_field(32, seed=3), 64)],
+        ids=["cos16", "seed3"],
+    )
+    def test_one_iterate_is_the_nested_first_step(self, f, M):
+        # one shared-fixed-point iterate from rest equals the nested scheme's
+        # first step, and its certifying table the phase solve for that step
+        cfg = PicardConfig(grid=GridSpec(f.K, M, 0.01))
+        z1, _ = picard_step(Trajectory.zeros(cfg.grid), f, cfg)
+        table, certificate = solve_phase(f, z1, tol=cfg.phase_tol, max_sweeps=cfg.phase_max_sweeps)
+        z, got, report = picard_solve(f, dataclasses.replace(cfg, max_iters=1))
+        assert np.array_equal(z.coeffs, z1.coeffs)
+        assert np.array_equal(got.values, table.values)
+        assert report.phase_solve == certificate
+        assert len(report.iters) == 1
+
+    @pytest.mark.parametrize("final, within", [(2.0, True), (2.5, False)])
+    def test_first_iterate_bound_is_twice_the_first_norm(self, monkeypatch, final, within):
+        # x_space_norm is called for the difference, then the iterate: two
+        # iterates, the second settled, whose norm is `final` times the first
+        norms = iter([1.0, 1.0, 1e-12, final])
+        monkeypatch.setattr(picard, "x_space_norm", lambda *args: next(norms))
+        cfg = PicardConfig(grid=GridSpec(4, 16, 0.01), phase_tol=1.0)
+        _, _, report = picard_solve(cosine_field(4), cfg)
+        assert report.converged and len(report.iters) == 2
+        assert report.within_first_iterate_bound is within
 
     def test_report_names_first_iterate_norm(self):
         _, _, report = picard_solve(cosine_field(4), PicardConfig(grid=GridSpec(4, 16, 0.01)))

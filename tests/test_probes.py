@@ -46,6 +46,7 @@ from mkdvlab import (
 )
 from mkdvlab.cli import _keys
 from mkdvlab.norms import _free_proxy_norms
+from mkdvlab import probes
 from mkdvlab.probes import _draw_bumps
 
 
@@ -391,6 +392,14 @@ class TestProbeRuns:
             probe_duhamel_smoothing(
                 cosine_field(8), EnsembleSpec(seed=1, count=1, K=16, decay_exponent=1.0)
             )
+
+    def test_quotient_form_rejects_modulation_bumps(self, monkeypatch):
+        # the static form never reads the bumps, so a nonzero value is refused
+        # before any sample is drawn
+        monkeypatch.setattr(probes, "_draw_field", lambda *a: pytest.fail("drew a sample"))
+        spec = EnsembleSpec(seed=1, count=2, K=8, decay_exponent=1.0, modulation_bumps=5.0)
+        with pytest.raises(ConfigError, match="applies to probe16 and probe12, got 5.0"):
+            probe_quotient_form(cosine_field(8), spec)
 
     def test_report_obj_shape(self):
         f = cosine_field(8)

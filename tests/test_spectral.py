@@ -15,6 +15,10 @@ from conftest import random_real_field, to_real_samples
 from mkdvlab import (
     REAL_SYMMETRY_TOL,
     ConfigError,
+    ETDConfig,
+    EnsembleSpec,
+    NormProxyConfig,
+    PicardConfig,
     FieldError,
     FourierField,
     GridMismatchError,
@@ -35,6 +39,8 @@ from mkdvlab import (
     random_real_field as library_random_real_field,
     resize_field,
     sobolev_norm,
+    solve_phase,
+    solve_reference,
     trajectory_from_obj,
     trajectory_to_obj,
     write_frames_json,
@@ -80,6 +86,59 @@ class TestGridSpec:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ConfigError):
             GridSpec(**kwargs)
+
+
+# Every integer the library reads from its caller, as (value -> the value it
+# stores or runs with). Each must come back as an int, or fail with ConfigError.
+INTEGER_FIELDS = {
+    "GridSpec.K": lambda v: GridSpec(v, 8, 0.1).K,
+    "GridSpec.M": lambda v: GridSpec(4, v, 0.1).M,
+    "EnsembleSpec.seed": lambda v: EnsembleSpec(v, 2, 8, 1.0).to_obj()["seed"],
+    "EnsembleSpec.count": lambda v: EnsembleSpec(1, v, 8, 1.0).count,
+    "EnsembleSpec.K": lambda v: EnsembleSpec(1, 2, v, 1.0).K,
+    "EnsembleSpec.M": lambda v: EnsembleSpec(1, 2, 8, 1.0, M=v).M,
+    "EnsembleSpec.k_values": lambda v: EnsembleSpec(1, 2, 8, 1.0, k_values=(v,)).cutoffs()[0],
+    "NormProxyConfig.pad_factor": lambda v: NormProxyConfig("hann", v).pad_factor,
+    "PicardConfig.max_iters": lambda v: PicardConfig(max_iters=v).max_iters,
+    "PicardConfig.phase_max_sweeps": lambda v: PicardConfig(phase_max_sweeps=v).phase_max_sweeps,
+    "solve_reference.M": lambda v: solve_reference(
+        cosine_field(2), 0.01, ETDConfig(0.005), v
+    ).grid.M,
+    "solve_phase.max_sweeps": lambda v: solve_phase(
+        cosine_field(2), Trajectory.zeros(GridSpec(2, 8, 0.01)), max_sweeps=v
+    )[1].sweeps,
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    @pytest.mark.parametrize(
+        "value", [8.0, np.int64(8), np.float64(8.0)], ids=["float", "int64", "float64"]
+    )
+    def test_integral_values_are_stored_as_int(self, name, value):
+        stored = INTEGER_FIELDS[name](value)
+        assert type(stored) is int
+        # a phase solve for z = 0 settles in its first sweep
+        assert stored == (1 if name == "solve_phase.max_sweeps" else 8)
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    @pytest.mark.parametrize(
+        "value", [True, 8.5, "8", float("nan"), float("inf"), None],
+        ids=["bool", "fraction", "string", "nan", "inf", "none"],
+    )
+    def test_non_integers_are_config_errors(self, name, value):
+        with pytest.raises(ConfigError, match="got"):
+            INTEGER_FIELDS[name](value)
+
+    @pytest.mark.parametrize("value", [True, "0.1", float("nan"), None])
+    def test_horizons_are_positive_numbers(self, value):
+        for build in (lambda: GridSpec(4, 8, value), lambda: EnsembleSpec(1, 2, 8, 1.0, T=value)):
+            with pytest.raises(ConfigError, match="T must be positive"):
+                build()
+
+    def test_bumps_reject_nan(self):
+        with pytest.raises(ConfigError, match="modulation_bumps must be >= 0"):
+            EnsembleSpec(1, 2, 8, 1.0, modulation_bumps=float("nan"))
 
 
 class TestFourierField:
@@ -345,6 +404,37 @@ class TestSerialization:
             field_from_obj(rows)
         with pytest.raises(FieldError, match=message):
             trajectory_from_obj({"grid": {"K": 1, "M": 2, "T": 0.1}, "frames": [rows, rows]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"grid": {"K": 1.5, "M": 2.9, "T": 0.1}},
+            {"grid": {"K": "1", "M": 2, "T": 0.1}},
+            {"grid": {"K": 1, "M": 2, "T": "0.1"}},
+            {"grid": {"K": True, "M": 2, "T": 0.1}},
+            {"grid": {"K": 1, "M": 2}},
+            {"grid": [1, 2, 0.1]},
+            {},
+        ],
+        ids=["fractional", "string-K", "string-T", "bool-K", "no-T", "list", "no-grid"],
+    )
+    def test_bad_headers_raise_field_error(self, obj):
+        rows = field_to_obj(cosine_field(1))
+        obj = {**obj, "frames": [rows, rows]}
+        with pytest.raises(FieldError, match="a frame table needs a valid grid"):
+            trajectory_from_obj(obj)
+        with pytest.raises(FieldError, match="a frame table needs a valid grid"):
+            phase_from_obj({**obj, "frames": [[[k, 0.0] for k, _, _ in rows]] * 2})
+
+    def test_missing_frames_raise_field_error(self):
+        with pytest.raises(FieldError, match="a frame table needs a valid grid and frames"):
+            trajectory_from_obj({"grid": {"K": 1, "M": 2, "T": 0.1}})
+
+    def test_integral_header_reads_as_ints(self):
+        rows = field_to_obj(cosine_field(1))
+        tr = trajectory_from_obj({"grid": {"K": 1.0, "M": 2.0, "T": 0.1}, "frames": [rows, rows]})
+        assert tr.grid == GridSpec(1, 2, 0.1)
+        assert (type(tr.grid.K), type(tr.grid.M)) == (int, int)
 
     def test_trajectory_round_trip(self):
         grid = GridSpec(K=3, M=4, T=0.5)
