@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -35,6 +36,7 @@ from .errors import (
     FieldError,
     GridMismatchError,
     InstabilityError,
+    TimeHorizonWarning,
 )
 from .nonlinearity import MAX_TRIPLES, direct_nonlinearity, nr_trilinear, resonant_term
 from .norms import NormProxyConfig
@@ -515,7 +517,10 @@ def _run_mode(resolved: dict, out: str) -> tuple[dict, list[str]]:
         return {"upgraded_exponent": rep.upgraded_exponent, "sups": rep.sups}, artifacts
 
     # q_solve: one Picard iterate from rest and the phase solve that certifies it
-    _, table, report = picard_solve(f, dataclasses.replace(picard, max_iters=1))
+    with warnings.catch_warnings():  # the copy would repeat picard's TimeHorizonWarning
+        warnings.simplefilter("ignore", TimeHorizonWarning)
+        one = dataclasses.replace(picard, max_iters=1)
+    _, table, report = picard_solve(f, one)
     write_frames_json(path("phase.json"), table.grid, (table.values,))
     return dataclasses.asdict(report.phase_solve), artifacts
 

@@ -17,9 +17,9 @@ for complex input.
 
 _cube_modes gives the modes of u^3 for a real field u from its half
 spectrum; the NR cube and direct_nonlinearity, the stage of the ETD oracle,
-both go through it. The public NR functions, direct_nonlinearity and
-conserved_functionals raise FieldError for input that fails spectral's
-realness verdict; a marked field is not checked again.
+both go through it. Every public function here but nr_trilinear_naive and
+resonant_term raises FieldError for input that fails spectral's realness
+verdict; a marked field is not checked again.
 
 Everything here treats fields as plain mode vectors; no physical-space
 state is retained between calls.
@@ -71,14 +71,15 @@ def _require_same_K(*fields: FourierField | Trajectory) -> int:
 
 # ---------------------------------------------------------------------------
 # One triple table serves the naive NR sum and the quotient form: every
-# (k1, k2, k3) with |kj| <= K, k = k1 + k2 + k3 != 0, |k| <= K and a nonzero
-# kernel product (k1+k2)(k2+k3)(k3+k1), zero input modes included, in
-# ascending order. The NR sum zeroes the k = 0 entry of its inputs, so the
-# triples with a zero input add exact zeros to it. Built one k1 slice at a
-# time, so no (2K+1)^3 array exists, and cached for the latest K only; never
-# modified. The index and size columns are int16, enough for K <= 127, where
-# (2K+1)^3 <= 2^24; base is int32, exact since |base| <= 3 (2K)^3 < 2^31
-# there. k is not stored: it is out - K. That is 16 bytes per row.
+# (k1, k2, k3) with |kj| <= K, k = k1 + k2 + k3 in 1..K and a nonzero kernel
+# product (k1+k2)(k2+k3)(k3+k1), zero input modes included, in ascending
+# order; the triples of k <= -1 are their negations, at indices 2K - i. The
+# NR sum zeroes the k = 0 entry of its inputs, so the triples with a zero
+# input add exact zeros to it. Built one k1 slice at a time, so no (2K+1)^3
+# array exists, and cached for the latest K only; never modified. The index
+# and size columns are int16, enough for K <= 127, where (2K+1)^3 <= 2^24;
+# base is int32, exact since |base| <= 3 (2K)^3 < 2^31 there. k is not
+# stored: it is out - K. That is 16 bytes per row.
 
 
 class _Triples(NamedTuple):
@@ -96,8 +97,8 @@ class _Triples(NamedTuple):
 # last one instead of joining it.
 _TRIPLES: dict[None, tuple[int, _Triples]] = {}
 
-# Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 10 bytes per
-# (2K + 1)^3 entry (22 MB at K = 64, 173 MB at K = 127), and a naive NR call
+# Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 5 bytes per
+# (2K + 1)^3 entry (11 MB at K = 64, 86 MB at K = 127), and a naive NR call
 # adds only one block of temporaries and the (2K + 1)^2 pair table.
 MAX_TRIPLES = 2**24
 
@@ -115,7 +116,7 @@ def _triple_table(K: int) -> _Triples:
     def admissible(k1):
         k = k1 + k2 + k3
         prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
-        return k, prod, (np.abs(k) <= K) & (k != 0) & (prod != 0)
+        return k, prod, (k >= 1) & (k <= K) & (prod != 0)
 
     # a counting pass first, so each column is allocated once at full size
     ends = np.cumsum([np.count_nonzero(admissible(k1)[2]) for k1 in ks])
@@ -159,22 +160,25 @@ def nr_trilinear_naive(
     """Nonresonant trilinear term by direct summation over the triple table.
 
     The independent oracle of the real kernel, used only by the tests; it
-    takes complex fields as well.
+    takes complex fields as well. The table's rows give the modes k >= 1,
+    and the same walk over the reversed inputs, reversed, the modes k <= -1.
     """
     K = _require_same_K(v1, v2, v3)
     n = 2 * K + 1
     t = _triples(K)
-    b1, b2, b3 = stripped = np.array([v1.coeffs, v2.coeffs, v3.coeffs])
-    stripped[:, K] = 0.0  # and so in b1, b2 and b3, its rows
-    pair = (b1[:, None] * b2[None, :]).ravel()
+    stripped = np.array([v1.coeffs, v2.coeffs, v3.coeffs])
+    stripped[:, K] = 0.0
 
-    # intp copies of the narrow table columns, as in trilinear_quotient_form
-    def block(rows: slice) -> tuple:
-        pair_index = t.i1[rows].astype(np.intp) * n + t.i2[rows]
-        prods = pair[pair_index] * b3[t.i3[rows].astype(np.intp)]
-        return t.out[rows].astype(np.intp), prods.real, prods.imag
+    def table_sums(b1, b2, b3) -> np.ndarray:
+        pair = (b1[:, None] * b2[None, :]).ravel()
+        # intp copies of the narrow table columns, as in trilinear_quotient_form
+        def block(rows: slice) -> tuple:
+            pair_index = t.i1[rows].astype(np.intp) * n + t.i2[rows]
+            prods = pair[pair_index] * b3[t.i3[rows].astype(np.intp)]
+            return t.out[rows].astype(np.intp), prods.real, prods.imag
+        return _block_sums(n, t.out.size, block)
 
-    sums = _block_sums(n, t.out.size, block)
+    sums = table_sums(*stripped) + table_sums(*stripped[:, ::-1])[::-1]
     return FourierField((-1j / 3.0) * np.arange(-K, K + 1) * sums)
 
 
@@ -377,7 +381,7 @@ def trilinear_quotient_form(
     cutoff: int = 0,
     case: str | None = None,
 ) -> FourierField:
-    """Kernel-weighted trilinear sum with profile-corrected denominators.
+    """Kernel-weighted trilinear sum of real fields with profile-corrected denominators.
 
     For each admissible triple the summand is
 
@@ -389,7 +393,8 @@ def trilinear_quotient_form(
     DENOMINATOR_FLOOR raises DenominatorError naming the triple. The kept
     triples and the reciprocals of their denominators are prepared once per
     (f, cutoff, case) and kept until another K, profile or cutoff asks for
-    that case.
+    that case. k / D is even under negating the triple, so for real fields
+    only the modes k >= 1 are summed; the result is their marked mirror.
 
     Each call builds the (2K+1)^2 table of k * v1_hat(k1) over (k, k1) and
     walks the kept triples by _block_sums: per block, one gather of that
@@ -402,7 +407,8 @@ def trilinear_quotient_form(
     that starts at +0.0 absorbs that sign.
     """
     K = _require_same_K(v1, v2, v3, f)
-    n = 2 * K + 1
+    for u in (v1, v2, v3, f):
+        _require_real(u, "the quotient form is defined for real fields")
     pair, i2, i3, out_idx, scale = _quotient_plan(f, cutoff, case)
     kv1 = (np.arange(-K, K + 1)[:, None] * v1.coeffs[None, :]).ravel()
 
@@ -413,18 +419,20 @@ def trilinear_quotient_form(
         terms = kv1[j] * v2.coeffs[j2] * v3.coeffs[j3]
         return out, terms.real * scale[rows], terms.imag * scale[rows]
 
-    return FourierField(_block_sums(n, pair.size, block))
+    return _mirrored_field(0.0, _block_sums(2 * K + 1, pair.size, block)[K + 1 :])
 
 
 def select_frequency_cutoff(f: FourierField) -> int:
-    """Smallest safe truncation level for the quotient form around f.
+    """Smallest safe truncation level for the quotient form around a real profile f.
 
-    Scans every admissible triple, a block of table rows at a time, and
-    flags those where the corrected denominator fails |D| >= kmax / 2;
-    returns the largest kmax among the flagged triples (0 when the bound
-    holds everywhere), so that dropping max |kj| <= cutoff removes every
-    flagged interaction.
+    Scans the triple table, a block of rows at a time, and flags the
+    triples where the corrected denominator fails |D| >= kmax / 2; returns
+    the largest kmax among the flagged triples (0 when the bound holds
+    everywhere), so that dropping max |kj| <= cutoff removes every flagged
+    interaction. The negated triples, of k <= -1, have the same |D|, bit
+    for bit when f is exactly conjugate-symmetric.
     """
+    _require_real(f, "the frequency cutoff is defined for real profiles")
     kmax = _triples(f.K).kmax
     flagged = 0
     for start in range(0, kmax.size, _TABLE_BLOCK):

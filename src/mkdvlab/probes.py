@@ -433,7 +433,7 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
         scales = hs_norms(fields, spec.params.s0)
         if _degenerate(scales):
             return None
-        v1, v2, v3 = (FourierField(g) for g in fields / scales[:, None])
+        v1, v2, v3 = (_mark(FourierField(g)) for g in fields / scales[:, None])
         cases = {
             case: quotient_form_ratio(v1, v2, v3, fc, spec.params, k0, case)
             for case in ("comparable", "separated")

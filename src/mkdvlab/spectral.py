@@ -353,7 +353,9 @@ def _require_real(u: FourierField | Trajectory, message: str) -> None:
 
 
 def cosine_field(K: int, amplitude: float = 1.0, harmonic: int = 1) -> FourierField:
-    """amplitude * cos(harmonic * x) as a mode vector."""
+    """amplitude * cos(harmonic * x) as a mode vector; ConfigError for a non-integer K or harmonic."""
+    K = _integer(K, "K must be an integer >= 1", 1)
+    harmonic = _integer(harmonic, "harmonic must be an integer", -math.inf)
     if not (1 <= harmonic <= K):
         raise FieldError(f"harmonic {harmonic} outside 1..{K}")
     c = np.zeros(2 * K + 1, dtype=complex)

@@ -755,6 +755,15 @@ class TestFailurePaths:
         assert r.returncode == code
         assert warning in r.stderr
 
+    def test_q_solve_warns_once(self, tmp_path):
+        # under -W always each issue prints: the one-iterate copy of the
+        # picard config must not issue the horizon warning a second time
+        doc = {"mode": "q_solve", "grid": {"K": 8, "M": 16, "T": 1.0}}
+        always = [sys.executable, "-W", "always", "-m", "mkdvlab.cli"]
+        r = run_cli(tmp_path, doc, "--output-dir", str(tmp_path / "out"), executable=always)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.count("TimeHorizonWarning") == 1
+
 
 # Every key _resolve reads, per section, with a few values of each JSON type.
 CONFIG_KEYS = {name: keys for name, (_, keys) in SECTIONS.items()}

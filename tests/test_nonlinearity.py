@@ -522,13 +522,14 @@ class TestNRKernel:
 class TestTripleTable:
     @pytest.mark.parametrize("K", range(1, 7))
     def test_matches_loop_enumeration(self, K):
+        # the rows of the output modes k >= 1; those of k <= -1 are their negations
         rows = []
         for k1 in range(-K, K + 1):
             for k2 in range(-K, K + 1):
                 for k3 in range(-K, K + 1):
                     k = k1 + k2 + k3
                     prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
-                    if abs(k) > K or k == 0 or prod == 0:
+                    if not 1 <= k <= K or prod == 0:
                         continue
                     a = (abs(k1), abs(k2), abs(k3))
                     rows.append((k1 + K, k2 + K, k3 + K, k + K, -3 * prod, max(a), min(a)))
@@ -565,16 +566,20 @@ class TestTripleTable:
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * scale
 
     def test_naive_walks_the_table_in_blocks(self):
-        # bit-identical to one bincount pass over the whole table, and one
-        # K = 64 call no longer allocates table-length temporaries (52.6 MiB
-        # when it did)
+        # bit-identical to two bincount passes over the whole table, its rows
+        # for k >= 1 and its negated rows, at indices 2K - i, for k <= -1; and
+        # one K = 64 call no longer allocates table-length temporaries (52.6
+        # MiB when it did)
         K = 16
         v1, v2, v3 = (random_complex_field(K, seed=160 + j) for j in range(3))
         t = _triples(K)
         a1, a2, a3 = (np.where(np.arange(-K, K + 1) == 0, 0, v.coeffs) for v in (v1, v2, v3))
-        prods = a1[t.i1] * a2[t.i2] * a3[t.i3]
         n = 2 * K + 1
-        sums = np.bincount(t.out, prods.real, n) + 1j * np.bincount(t.out, prods.imag, n)
+        sums = np.zeros(n, dtype=complex)
+        rows = np.array([t.i1, t.i2, t.i3, t.out], dtype=np.intp)
+        for i1, i2, i3, out in (rows, 2 * K - rows):
+            prods = a1[i1] * a2[i2] * a3[i3]
+            sums += np.bincount(out, prods.real, n) + 1j * np.bincount(out, prods.imag, n)
         expected = (-1j / 3.0) * np.arange(-K, K + 1) * sums
         assert np.array_equal(nr_trilinear_naive(v1, v2, v3).coeffs, expected)
 
@@ -722,7 +727,7 @@ def clear_quotient_stores():
 def masked_quotient_formula(
     vs: list[FourierField], f: FourierField, cutoff: int, case: str | None
 ) -> np.ndarray:
-    """The quotient form as the straight formula over the table's columns, recomputed per call."""
+    """Modes 1..K of the quotient form: the straight formula over the table's columns, per call."""
     K = f.K
     t = _triples(K)
     k = t.out - K
@@ -744,24 +749,56 @@ def masked_quotient_formula(
     terms = terms / denom[keep]
     n = 2 * K + 1
     out = t.out[keep]
-    return np.bincount(out, terms.real, n) + 1j * np.bincount(out, terms.imag, n)
+    sums = np.bincount(out, terms.real, n) + 1j * np.bincount(out, terms.imag, n)
+    return sums[K + 1 :]
+
+
+def assert_mirrors(out: FourierField, half: np.ndarray) -> None:
+    """out is marked, its modes k >= 1 equal half and its modes k <= -1 are their conjugates."""
+    K = out.K
+    assert out.real_symmetric and out.mode(0) == 0.0
+    assert np.array_equal(out.coeffs[K + 1 :], half)
+    assert np.array_equal(out.coeffs[:K], np.conj(half[::-1]))
+
+
+def real_draw(K: int, seed) -> FourierField:
+    """A random real field with mean 0.7, so that the triples with a zero input mode count."""
+    return random_real_field(K, seed) + field_from_modes(K, {0: 0.7})
+
+
+def cutoff_oracle(f: FourierField) -> int:
+    """select_frequency_cutoff by literal loops over every admissible triple, k <= -1 included."""
+    K = f.K
+    flagged = 0
+    for k1 in range(-K, K + 1):
+        for k2 in range(-K, K + 1):
+            for k3 in range(-K, K + 1):
+                k = k1 + k2 + k3
+                prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
+                if abs(k) > K or k == 0 or prod == 0:
+                    continue
+                kmax = max(abs(k1), abs(k2), abs(k3))
+                if abs(-3.0 * prod + denominator_correction(f, k1, k2, k3)) < 0.5 * kmax:
+                    flagged = max(flagged, kmax)
+    return flagged
 
 
 class TestQuotientForm:
     def test_single_mode_frozen_weight(self):
-        v = field_from_modes(4, {1: 1.0})
+        v = field_from_modes(4, {1: 1.0}, symmetrize=True)
         f = FourierField.zeros(4)
         out = trilinear_quotient_form(v, v, v, f)
-        # only (1,1,1) contributes: 3 / (-3 * 2 * 2 * 2) = -1/8
+        # only (1,1,1) contributes: 3 / (-3 * 2 * 2 * 2) = -1/8, and (-1,-1,-1) its mirror
         assert abs(out.mode(3) - (-0.125)) < 1e-15
+        assert out.mode(-3) == out.mode(3)
         assert trilinear_quotient_form(v, v, v, f, cutoff=1).mode(3) == 0.0
 
     @pytest.mark.parametrize("profile", ["zero", "cosine"])
     def test_matches_loop_oracle(self, profile):
         K = 5
-        v1 = random_complex_field(K, seed=61)
-        v2 = random_complex_field(K, seed=62)
-        v3 = random_complex_field(K, seed=63)
+        v1 = real_draw(K, seed=61)
+        v2 = real_draw(K, seed=62)
+        v3 = real_draw(K, seed=63)
         f = FourierField.zeros(K) if profile == "zero" else cosine_field(K)
         for cutoff in (0, 2):
             for case in (None, "comparable", "separated"):
@@ -771,7 +808,7 @@ class TestQuotientForm:
 
     def test_zero_input_modes_contribute(self):
         # (0, 1, 1) is admissible here, unlike in the nonresonant sum
-        v = field_from_modes(3, {0: 1.0, 1: 1.0})
+        v = field_from_modes(3, {0: 1.0, 1: 1.0}, symmetrize=True)
         f = FourierField.zeros(3)
         out = trilinear_quotient_form(v, v, v, f)
         assert np.max(np.abs(out.coeffs - quotient_oracle(v, v, v, f))) < 1e-13
@@ -779,9 +816,9 @@ class TestQuotientForm:
 
     def test_case_bins_partition(self):
         K = 5
-        v1 = random_complex_field(K, seed=71)
-        v2 = random_complex_field(K, seed=72)
-        v3 = random_complex_field(K, seed=73)
+        v1 = real_draw(K, seed=71)
+        v2 = real_draw(K, seed=72)
+        v3 = real_draw(K, seed=73)
         f = cosine_field(K)
         both = trilinear_quotient_form(v1, v2, v3, f)
         comp = trilinear_quotient_form(v1, v2, v3, f, case="comparable")
@@ -798,6 +835,7 @@ class TestQuotientForm:
         with pytest.raises(DenominatorError) as info:
             trilinear_quotient_form(v, v, v, f)
         k1, k2, k3 = info.value.triple
+        assert 1 <= k1 + k2 + k3 <= 4
         base = -3.0 * (k1 + k2) * (k2 + k3) * (k3 + k1)
         assert abs(base + denominator_correction(f, k1, k2, k3)) < 1e-9
         # a failed check is not cached: the bad profile raises every time,
@@ -813,30 +851,42 @@ class TestQuotientForm:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
     def test_matches_masked_formula(self, K, seed):
-        rng = np.random.default_rng(seed)
-        vs = [random_complex_field(K, seed=[seed, j]) for j in range(3)]
+        vs = [real_draw(K, seed=[seed, j]) for j in range(3)]
         # small profiles keep every corrected denominator away from zero
-        profiles = [FourierField(0.05 * random_complex_field(K, [seed, j]).coeffs) for j in (3, 4)]
-        cutoffs = rng.integers(0, K + 1, size=2)
+        profiles = [0.05 * random_real_field(K, [seed, j]) for j in (3, 4)]
         # alternate profiles and cutoffs, so a stale plan gives wrong values
         for _ in range(2):
-            for cutoff in cutoffs:
+            for cutoff in range(K + 1):
                 for f in profiles:
                     for case in QUOTIENT_CASES:
-                        out = trilinear_quotient_form(*vs, f, int(cutoff), case)
-                        ref = masked_quotient_formula(vs, f, int(cutoff), case)
-                        assert np.array_equal(out.coeffs, ref)
+                        out = trilinear_quotient_form(*vs, f, cutoff, case)
+                        assert_mirrors(out, masked_quotient_formula(vs, f, cutoff, case))
 
     def test_matches_masked_formula_at_k64(self):
         # real draws at the probe700_k64 cutoff, where the separated plan
-        # keeps about 1.0M triples
+        # keeps about 0.5M triples, and at larger cutoffs up to K
         K = 64
-        vs = [random_real_field(K, [5, j]) for j in range(3)]
+        vs = [real_draw(K, [5, j]) for j in range(3)]
         f = random_real_field(K, 11)
-        cutoff = select_frequency_cutoff(f)
-        for case in QUOTIENT_CASES:
-            out = trilinear_quotient_form(*vs, f, cutoff, case)
-            assert np.array_equal(out.coeffs, masked_quotient_formula(vs, f, cutoff, case))
+        k0 = select_frequency_cutoff(f)
+        for cutoff in (k0, 40, K):
+            for case in QUOTIENT_CASES:
+                out = trilinear_quotient_form(*vs, f, cutoff, case)
+                assert_mirrors(out, masked_quotient_formula(vs, f, cutoff, case))
+
+    def test_requires_real_fields(self):
+        K = 4
+        v, f = real_draw(K, 1), 0.05 * random_real_field(K, 2)
+        bad = random_complex_field(K, seed=3)
+        for args in ((bad, v, v, f), (v, bad, v, f), (v, v, bad, f), (v, v, v, bad)):
+            with pytest.raises(FieldError, match="real fields"):
+                trilinear_quotient_form(*args)
+        with pytest.raises(FieldError, match="real profiles"):
+            select_frequency_cutoff(bad)
+        # a field that passes the verdict unmarked is accepted, with the marked field's result
+        unmarked = [FourierField(u.coeffs) for u in (v, f)]
+        out = trilinear_quotient_form(unmarked[0], v, v, unmarked[1])
+        assert np.array_equal(out.coeffs, trilinear_quotient_form(v, v, v, f).coeffs)
 
     def test_plan_cache_is_bounded(self):
         spec = EnsembleSpec(seed=2, count=2, K=16, decay_exponent=1.0, k_values=(2, 4, 8))
@@ -854,10 +904,11 @@ class TestQuotientForm:
         }
 
     def test_probe_memory_ceiling(self):
-        # one probe700 sample at K = 64 from cold stores peaks at 48.4 MiB;
-        # with every cutoff's tables resident, and a plan's old arrays held
-        # through its rebuild, the peak was 114.7 MiB, and with cached
-        # full-table denominators and intp plan columns 87.6 MiB
+        # one probe700 sample at K = 64 from cold stores peaks at 23.9 MiB
+        # with the table of the output modes k >= 1 only, and at 48.4 MiB
+        # with both halves; with every cutoff's tables resident, and a plan's
+        # old arrays held through its rebuild, the peak was 114.7 MiB, and
+        # with cached full-table denominators and intp plan columns 87.6 MiB
         spec = EnsembleSpec(seed=1, count=1, K=64, decay_exponent=1.0)
         clear_quotient_stores()
         tracemalloc.start()
@@ -866,7 +917,7 @@ class TestQuotientForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 26 * 2**20
 
     def test_store_sizes(self):
         # after one probe700 sample at K = 64 from cold stores, the table
@@ -899,9 +950,29 @@ class TestQuotientForm:
             assert pair.max() > np.iinfo(np.int16).max
             for col, column in ((i2, t.i2), (i3, t.i3), (out, t.out)):
                 assert np.array_equal(col, column[kept])
-        vs = [random_real_field(K, [7, j]) for j in range(3)]
-        out = trilinear_quotient_form(*vs, f, cutoff, "comparable")
-        assert np.array_equal(out.coeffs, masked_quotient_formula(vs, f, cutoff, "comparable"))
+        vs = [real_draw(K, [7, j]) for j in range(3)]
+        for case in QUOTIENT_CASES:
+            out = trilinear_quotient_form(*vs, f, cutoff, case)
+            assert_mirrors(out, masked_quotient_formula(vs, f, cutoff, case))
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            FourierField.zeros(8),
+            cosine_field(8),
+            # the corrected denominator vanishes at (1, 1, 1)
+            field_from_modes(4, {1: math.sqrt(8.0), -1: math.sqrt(8.0)}),
+            # |D| = kmax / 2 exactly at a triple of kmax 4, which is not flagged
+            field_from_modes(4, {2: 4.0}, symmetrize=True),
+            # strong profiles whose cutoffs are 2, 5, 4 and 2
+            *(
+                a * random_real_field(K, seed)
+                for a, K, seed in ((4, 3, 0), (7.5, 6, 1), (11, 8, 0), (13, 8, 2))
+            ),
+        ],
+    )
+    def test_cutoff_matches_full_enumeration(self, profile):
+        assert select_frequency_cutoff(profile) == cutoff_oracle(profile)
 
     def test_select_frequency_cutoff(self):
         assert select_frequency_cutoff(FourierField.zeros(8)) == 0

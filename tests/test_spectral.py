@@ -93,6 +93,8 @@ class TestGridSpec:
 INTEGER_FIELDS = {
     "GridSpec.K": lambda v: GridSpec(v, 8, 0.1).K,
     "GridSpec.M": lambda v: GridSpec(4, v, 0.1).M,
+    "cosine_field.K": lambda v: cosine_field(v).K,
+    "cosine_field.harmonic": lambda v: int(np.flatnonzero(cosine_field(8, 1.0, v).coeffs)[-1]) - 8,
     "EnsembleSpec.seed": lambda v: EnsembleSpec(v, 2, 8, 1.0).to_obj()["seed"],
     "EnsembleSpec.count": lambda v: EnsembleSpec(1, v, 8, 1.0).count,
     "EnsembleSpec.K": lambda v: EnsembleSpec(1, 2, v, 1.0).K,
@@ -194,6 +196,13 @@ class TestFourierField:
             cosine_field(4, harmonic=5)
         with pytest.raises(FieldError):
             cosine_field(4, harmonic=0)
+
+    def test_cosine_field_takes_the_integer_rule(self):
+        # not numpy's bare IndexError and TypeError
+        with pytest.raises(ConfigError, match="harmonic must be an integer, got 1.5"):
+            cosine_field(8, 1.0, 1.5)
+        assert type(cosine_field(8.0).K) is int
+        assert np.array_equal(cosine_field(8.0).coeffs, cosine_field(8).coeffs)
 
 
 class TestSampling:
