@@ -1,11 +1,12 @@
 """Config-driven experiment runner.
 
 Every experiment is one JSON config plus a mode name; outputs are JSON and
-CSV files in the output directory, always including resolved_config.json
-with every default made explicit so runs are diffable artifacts. Exit code
-2 means the config failed validation (field-level messages on stderr as
-JSON), 3 means a numerical failure (non-contraction, instability, vanishing
-denominator), 0 means all artifacts were written.
+CSV files in the output directory. Every successful run includes
+resolved_config.json, with every default made explicit so runs are
+diffable artifacts; a failed run writes neither it nor report.json. Exit
+code 2 means the config failed validation (field-level messages on stderr
+as JSON), 3 means a numerical failure (non-contraction, instability,
+vanishing denominator), 0 means all artifacts were written.
 
 The Picard modes all run picard_solve; q_solve stops it after one iterate
 and reports the phase solve that certifies its table.
@@ -529,13 +530,13 @@ def run(resolved: dict) -> dict:
     """Execute a resolved config: write artifacts, return the report object."""
     out = resolved["output_dir"]
     os.makedirs(out, exist_ok=True)
-    echo = {k: v for k, v in resolved.items() if not k.startswith("_")}
-    _write_json(os.path.join(out, "resolved_config.json"), echo)
     # every mode checks its numbers for finite values and fails with exit 3,
     # so numpy's overflow and invalid-value warnings would only precede the
     # error JSON on stderr
     with np.errstate(all="ignore"):
         results, artifacts = _run_mode(resolved, out)
+    echo = {k: v for k, v in resolved.items() if not k.startswith("_")}
+    _write_json(os.path.join(out, "resolved_config.json"), echo)
     report = {
         "version": VERSION,
         "mode": resolved["mode"],

@@ -36,7 +36,6 @@ from .errors import DenominatorError, FieldError, GridMismatchError
 from .spectral import (
     FourierField,
     Trajectory,
-    _cached,
     _mark,
     _mirrored_field,
     _require_real,
@@ -76,13 +75,15 @@ def _require_same_K(*fields: FourierField | Trajectory) -> int:
 # order; the triples of k <= -1 are their negations, at indices 2K - i. The
 # NR sum zeroes the k = 0 entry of its inputs, so the triples with a zero
 # input add exact zeros to it. Built one k1 slice at a time, so no (2K+1)^3
-# array exists, and cached for the latest K only; never modified. The index
-# and size columns are int16, enough for K <= 127, where (2K+1)^3 <= 2^24;
-# base is int32, exact since |base| <= 3 (2K)^3 < 2^31 there. k is not
-# stored: it is out - K. That is 16 bytes per row.
+# array exists, by each run that needs it; a run that needs it more than once
+# builds it once and passes it down. The index and size columns are int16,
+# enough for K <= 127, where (2K+1)^3 <= 2^24; base is int32, exact since
+# |base| <= 3 (2K)^3 < 2^31 there. k is not stored: it is out - K. That is
+# 16 bytes per row.
 
 
 class _Triples(NamedTuple):
+    K: int  # the cutoff the table was built for
     i1: np.ndarray  # indices of k1, k2, k3 and k in -K..K
     i2: np.ndarray
     i3: np.ndarray
@@ -92,24 +93,15 @@ class _Triples(NamedTuple):
     kmin: np.ndarray  # min |kj|
 
 
-# The derived tables of the quotient form hold one cutoff each: the slot of
-# _TRIPLES is None and its stamp names K, so a table of a new K replaces the
-# last one instead of joining it.
-_TRIPLES: dict[None, tuple[int, _Triples]] = {}
-
 # Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 5 bytes per
 # (2K + 1)^3 entry (11 MB at K = 64, 86 MB at K = 127), and a naive NR call
 # adds only one block of temporaries and the (2K + 1)^2 pair table.
 MAX_TRIPLES = 2**24
 
 
-def _triples(K: int) -> _Triples:
+def _triple_table(K: int) -> _Triples:
     if (2 * K + 1) ** 3 > MAX_TRIPLES:
         raise FieldError(f"the triple table needs K <= 127, got {K}")
-    return _cached(_TRIPLES, None, K, lambda: _triple_table(K))
-
-
-def _triple_table(K: int) -> _Triples:
     ks = np.arange(-K, K + 1)
     k2, k3 = ks[:, None], ks[None, :]
 
@@ -120,17 +112,17 @@ def _triple_table(K: int) -> _Triples:
 
     # a counting pass first, so each column is allocated once at full size
     ends = np.cumsum([np.count_nonzero(admissible(k1)[2]) for k1 in ks])
-    dtypes = [np.int32 if c == "base" else np.int16 for c in _Triples._fields]
-    table = _Triples(*(np.empty(ends[-1], d) for d in dtypes))
+    dtypes = [np.int32 if c == "base" else np.int16 for c in _Triples._fields[1:]]
+    columns = [np.empty(ends[-1], d) for d in dtypes]
     for i1, k1 in enumerate(ks):
         k, prod, valid = admissible(k1)
         j2, j3 = np.nonzero(valid)
         absk = np.abs(np.stack([np.full(j2.size, k1), ks[j2], ks[j3]]))
         piece = (i1, j2, j3, k[valid] + K, -3 * prod[valid])
         rows = slice(ends[i1] - j2.size, ends[i1])
-        for col, values in zip(table, (*piece, absk.max(axis=0), absk.min(axis=0))):
+        for col, values in zip(columns, (*piece, absk.max(axis=0), absk.min(axis=0))):
             col[rows] = values
-    return table
+    return _Triples(K, *columns)
 
 
 # The table routes walk their rows in blocks of this many, so that their
@@ -165,7 +157,7 @@ def nr_trilinear_naive(
     """
     K = _require_same_K(v1, v2, v3)
     n = 2 * K + 1
-    t = _triples(K)
+    t = _triple_table(K)
     stripped = np.array([v1.coeffs, v2.coeffs, v3.coeffs])
     stripped[:, K] = 0.0
 
@@ -323,13 +315,8 @@ def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarr
     raise FieldError(f"unknown case {case!r}; expected 'comparable' or 'separated'")
 
 
-# Per case, the quotient form's kept rows for the latest (K, profile, cutoff).
-_PLANS: dict[str | None, tuple[tuple[int, bytes, int], tuple]] = {}
-
-
-def _corrected_denominators(f: FourierField, rows) -> np.ndarray:
-    """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per table row in rows."""
-    t = _triples(f.K)
+def _corrected_denominators(f: FourierField, t: _Triples, rows) -> np.ndarray:
+    """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per row in rows of table t."""
     p = np.abs(f.coeffs) ** 2
     kp = f.wavenumbers.astype(float) * p
     d = kp[t.i1[rows]]
@@ -340,8 +327,23 @@ def _corrected_denominators(f: FourierField, rows) -> np.ndarray:
     return d
 
 
-def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
-    """(pair, i2, i3, out, scale) of the kept triples; cached only once checked.
+class _QuotientPlan(NamedTuple):
+    """The kept triples of the quotient form for one (profile, cutoff, case); see _quotient_plan."""
+
+    profile: FourierField
+    cutoff: int
+    case: str | None
+    pair: np.ndarray
+    i2: np.ndarray
+    i3: np.ndarray
+    out: np.ndarray
+    scale: np.ndarray
+
+
+def _quotient_plan(
+    f: FourierField, cutoff: int, case: str | None, table: _Triples | None = None
+) -> _QuotientPlan:
+    """The kept triples of (f, cutoff, case), from table or, by default, a table of its own.
 
     i2, i3 and out are the table's int16 columns at the kept rows.
     pair = out * (2K+1) + i1, int32 since it leaves the int16 range from
@@ -351,26 +353,22 @@ def _quotient_plan(f: FourierField, cutoff: int, case: str | None) -> tuple:
     check: 18 bytes per kept triple.
     """
     K = f.K
-
-    def build() -> tuple:
-        t = _triples(K)
-        kept = (t.kmax > cutoff) & _case_mask(t.kmax, t.kmin, case)
-        denom = _corrected_denominators(f, kept)
-        bad = np.flatnonzero((denom > -DENOMINATOR_FLOOR) & (denom < DENOMINATOR_FLOOR))
-        if bad.size:
-            j = np.flatnonzero(kept)[bad[0]]
-            triple = (int(t.i1[j]) - K, int(t.i2[j]) - K, int(t.i3[j]) - K)
-            raise DenominatorError(
-                f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}",
-                triple=triple,
-            )
-        i2, i3, out = (col[kept] for col in (t.i2, t.i3, t.out))
-        pair = out.astype(np.int32)
-        pair *= 2 * K + 1
-        pair += t.i1[kept]
-        return pair, i2, i3, out, np.divide(1.0, denom, out=denom)
-
-    return _cached(_PLANS, case, (K, f.coeffs.tobytes(), cutoff), build)
+    t = _triple_table(K) if table is None else table
+    kept = (t.kmax > cutoff) & _case_mask(t.kmax, t.kmin, case)
+    denom = _corrected_denominators(f, t, kept)
+    bad = np.flatnonzero((denom > -DENOMINATOR_FLOOR) & (denom < DENOMINATOR_FLOOR))
+    if bad.size:
+        j = np.flatnonzero(kept)[bad[0]]
+        triple = (int(t.i1[j]) - K, int(t.i2[j]) - K, int(t.i3[j]) - K)
+        raise DenominatorError(
+            f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}",
+            triple=triple,
+        )
+    i2, i3, out = (col[kept] for col in (t.i2, t.i3, t.out))
+    pair = out.astype(np.int32)
+    pair *= 2 * K + 1
+    pair += t.i1[kept]
+    return _QuotientPlan(f, cutoff, case, pair, i2, i3, out, np.divide(1.0, denom, out=denom))
 
 
 def trilinear_quotient_form(
@@ -380,6 +378,8 @@ def trilinear_quotient_form(
     f: FourierField,
     cutoff: int = 0,
     case: str | None = None,
+    *,
+    plan: _QuotientPlan | None = None,
 ) -> FourierField:
     """Kernel-weighted trilinear sum of real fields with profile-corrected denominators.
 
@@ -391,10 +391,12 @@ def trilinear_quotient_form(
     largest input frequency is <= cutoff are dropped, as are those outside
     the requested case bin. A corrected denominator smaller than
     DENOMINATOR_FLOOR raises DenominatorError naming the triple. The kept
-    triples and the reciprocals of their denominators are prepared once per
-    (f, cutoff, case) and kept until another K, profile or cutoff asks for
-    that case. k / D is even under negating the triple, so for real fields
-    only the modes k >= 1 are summed; the result is their marked mirror.
+    triples and the reciprocals of their denominators are the plan, which a
+    caller of many forms on one (f, cutoff, case) builds once by
+    _quotient_plan, else the call's own; a plan of another profile (by
+    identity), cutoff or case raises GridMismatchError. k / D is even
+    under negating the triple, so for real fields only the modes k >= 1 are
+    summed; the result is their marked mirror.
 
     Each call builds the (2K+1)^2 table of k * v1_hat(k1) over (k, k1) and
     walks the kept triples by _block_sums: per block, one gather of that
@@ -409,7 +411,11 @@ def trilinear_quotient_form(
     K = _require_same_K(v1, v2, v3, f)
     for u in (v1, v2, v3, f):
         _require_real(u, "the quotient form is defined for real fields")
-    pair, i2, i3, out_idx, scale = _quotient_plan(f, cutoff, case)
+    if plan is None:
+        plan = _quotient_plan(f, cutoff, case)
+    elif plan.profile is not f or plan.cutoff != cutoff or plan.case != case:
+        raise GridMismatchError("the held plan belongs to another profile, cutoff or case")
+    pair, i2, i3, out_idx, scale = plan[3:]
     kv1 = (np.arange(-K, K + 1)[:, None] * v1.coeffs[None, :]).ravel()
 
     # intp copies of each block's indices: numpy gathers and scatters by
@@ -422,22 +428,27 @@ def trilinear_quotient_form(
     return _mirrored_field(0.0, _block_sums(2 * K + 1, pair.size, block)[K + 1 :])
 
 
-def select_frequency_cutoff(f: FourierField) -> int:
+def select_frequency_cutoff(f: FourierField, *, table: _Triples | None = None) -> int:
     """Smallest safe truncation level for the quotient form around a real profile f.
 
-    Scans the triple table, a block of rows at a time, and flags the
-    triples where the corrected denominator fails |D| >= kmax / 2; returns
-    the largest kmax among the flagged triples (0 when the bound holds
-    everywhere), so that dropping max |kj| <= cutoff removes every flagged
-    interaction. The negated triples, of k <= -1, have the same |D|, bit
-    for bit when f is exactly conjugate-symmetric.
+    Scans the triple table of f's cutoff, the given one (GridMismatchError
+    if it is another cutoff's) or one of its own, a block of rows at a
+    time, and flags the triples where the corrected denominator fails
+    |D| >= kmax / 2; returns the largest kmax among the flagged triples (0
+    when the bound holds everywhere), so that dropping max |kj| <= cutoff
+    removes every flagged interaction. The negated triples, of k <= -1,
+    have the same |D|, bit for bit when f is exactly conjugate-symmetric.
     """
     _require_real(f, "the frequency cutoff is defined for real profiles")
-    kmax = _triples(f.K).kmax
+    if table is None:
+        table = _triple_table(f.K)
+    elif table.K != f.K:
+        raise GridMismatchError(f"mode cutoffs differ: {table.K} vs {f.K}")
+    kmax = table.kmax
     flagged = 0
     for start in range(0, kmax.size, _TABLE_BLOCK):
         rows = slice(start, start + _TABLE_BLOCK)
-        bad = np.abs(_corrected_denominators(f, rows)) < 0.5 * kmax[rows]
+        bad = np.abs(_corrected_denominators(f, table, rows)) < 0.5 * kmax[rows]
         flagged = max(flagged, int(kmax[rows][bad].max(initial=0)))
     return flagged
 

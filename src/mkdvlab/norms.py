@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .spectral import (
-    FourierField, GridSpec, SobolevIndex, Trajectory, _cached, _integer, bracket_sq,
+    FourierField, GridSpec, SobolevIndex, Trajectory, _integer, bracket_sq,
     hs_norms,
 )
 
@@ -52,11 +53,6 @@ __all__ = [
 ]
 
 _WINDOWS = ("hann", "rect")
-
-# Per (grid, sign) the free phase factor of the latest (profile, bumps), and
-# per (grid, window, pad_factor, s, b, half) the weights of ysb_norm_proxy.
-_FACTORS: dict[tuple[GridSpec, int], tuple[tuple, np.ndarray]] = {}
-_PROXY_WEIGHTS: dict[tuple, tuple[None, tuple]] = {}
 
 
 @dataclass(frozen=True)
@@ -102,50 +98,61 @@ def phase_rates(K: int, f: FourierField | None = None) -> np.ndarray:
 def _free_phase_factor(
     grid: GridSpec, sign: int, f: FourierField | None, bumps: np.ndarray | None = None
 ) -> np.ndarray:
-    """exp(sign i t (phi_k + bumps_k)) on the (t, k) table of grid, read-only.
+    """exp(sign i t (phi_k + bumps_k)) on the (t, k) table of grid.
 
     phi_k is the modified rate with a profile f and the Airy rate without.
-    phase_rates runs, with its checks, whenever the entry is built; a new
-    profile or bumps replaces the entry of (grid, sign).
     """
-    nu = None if bumps is None else np.asarray(bumps)
-    stamp = (
-        None if f is None else f.coeffs.tobytes(),
-        None if nu is None else (nu.dtype.str, nu.shape, nu.tobytes()),
-    )
-
-    def build() -> np.ndarray:
-        phi = phase_rates(grid.K, f)
-        if nu is not None:
-            phi = phi + nu
-        return np.exp(sign * 1j * phi[None, :] * grid.times[:, None])
-
-    return _cached(_FACTORS, (grid, sign), stamp, build)
+    phi = phase_rates(grid.K, f)
+    if bumps is not None:
+        phi = phi + bumps
+    return np.exp(sign * 1j * phi[None, :] * grid.times[:, None])
 
 
-def _proxy_weights(
-    grid: GridSpec, proxy: NormProxyConfig, s: float, b: float, half: bool = False
-) -> tuple:
-    """(window column, Mp, tau-weight column, mode weights, free power) of ysb_norm_proxy, read-only.
+def _proxy_weights(grid: GridSpec, proxy: NormProxyConfig, s: float, b: float) -> tuple:
+    """(window column, Mp, tau-weight column, mode weights, half mode weights, free power).
 
-    The mode weights are <k>^{2s} on k = -K..K, or on k = 0..K doubled for
-    k >= 1 when half is set. The free power is P(0) of _free_proxy_norms.
+    The mode weights are <k>^{2s} on k = -K..K, the half ones on k = 0..K
+    doubled for k >= 1. The free power is P(0) of _free_proxy_norms.
+    """
+    w = window_weights(grid.M, grid.dt, proxy.window)
+    Mp = proxy.pad_factor * grid.M
+    taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=grid.dt)
+    tau_weight = (1.0 + taus**2) ** b
+    mode_weight = bracket_sq(grid.K) ** s
+    half = mode_weight[grid.K :].copy()
+    half[1:] *= 2.0
+    free = _tau_power(w[:, None], Mp, grid.dt, tau_weight[:, None]) / (Mp * grid.dt)
+    return w[:, None], Mp, tau_weight[:, None], mode_weight, half, free
+
+
+class _ProxyTables(NamedTuple):
+    """The tables of one (grid, profile, proxy), which a run builds once by _proxy_tables.
+
+    damping is exp(-i t phi_k) on the (t, k) table, growth exp(i t phi_k) or
+    None, and weights maps each (s, b) built for to its _proxy_weights.
     """
 
-    def build() -> tuple:
-        w = window_weights(grid.M, grid.dt, proxy.window)
-        Mp = proxy.pad_factor * grid.M
-        taus = 2.0 * np.pi * np.fft.fftfreq(Mp, d=grid.dt)
-        tau_weight = (1.0 + taus**2) ** b
-        mode_weight = bracket_sq(grid.K) ** s
-        if half:
-            mode_weight = mode_weight[grid.K :].copy()
-            mode_weight[1:] *= 2.0
-        free = _tau_power(w[:, None], Mp, grid.dt, tau_weight[:, None]) / (Mp * grid.dt)
-        return w[:, None], Mp, tau_weight[:, None], mode_weight, free
+    grid: GridSpec
+    profile: FourierField | None
+    proxy: NormProxyConfig
+    damping: np.ndarray
+    growth: np.ndarray | None
+    weights: dict[tuple[float, float], tuple]
 
-    key = (grid, proxy.window, proxy.pad_factor, s, b, half)
-    return _cached(_PROXY_WEIGHTS, key, None, build)
+    def check(self, grid: GridSpec, f: FourierField | None, proxy=None) -> _ProxyTables:
+        """self, unless another grid, profile (by identity) or proxy owns it: GridMismatchError."""
+        if self.grid != grid or self.profile is not f or proxy not in (None, self.proxy):
+            raise GridMismatchError("the held tables belong to another grid, profile or proxy")
+        return self
+
+
+def _proxy_tables(
+    grid: GridSpec, f: FourierField | None, proxy: NormProxyConfig, exponents, growth=False
+) -> _ProxyTables:
+    """Fresh tables of (grid, f, proxy) at each (s, b) of exponents, growth if asked for."""
+    weights = {(s, b): _proxy_weights(grid, proxy, s, b) for s, b in exponents}
+    grow = _free_phase_factor(grid, 1, f) if growth else None
+    return _ProxyTables(grid, f, proxy, _free_phase_factor(grid, -1, f), grow, weights)
 
 
 def _tau_power(windowed: np.ndarray, Mp: int, dt: float, tau_weight: np.ndarray) -> np.ndarray:
@@ -165,17 +172,18 @@ def _tau_power(windowed: np.ndarray, Mp: int, dt: float, tau_weight: np.ndarray)
 
 
 def _free_proxy_norms(
-    coeffs: np.ndarray, grid: GridSpec, s: float, b: float, proxy: NormProxyConfig, bumps=None
+    coeffs: np.ndarray, tables: _ProxyTables, s: float, b: float, bumps=None
 ) -> np.ndarray:
     """ysb_norm_proxy of the free trajectory g e^{i t (phi_k + bumps_k)} per row g of coeffs.
 
     In closed form, for the proxy with phi's profile: demodulated, column k
     is g_k e^{i t nu_k}, so norm^2 = sum_k <k>^{2s} P(nu_k) |g_k|^2 with
     P(nu) = (1 / (Mp dt)) sum_m <tau_m>^{2b} |dt FFT_Mp(w e^{i t nu})_m|^2;
-    P(0) is cached with the proxy weights, bumps take one transform.
+    P(0) is held with the weights of tables at (s, b), bumps take one transform.
     """
-    w, Mp, tau_weight, _, free = _proxy_weights(grid, proxy, s, b)
+    w, Mp, tau_weight, _, _, free = tables.weights[(s, b)]
     if bumps is not None:
+        grid = tables.grid
         series = w * np.exp(1j * grid.times[:, None] * bumps.ravel())
         free = _tau_power(series, Mp, grid.dt, tau_weight).reshape(bumps.shape) / (Mp * grid.dt)
     return hs_norms(np.sqrt(free) * coeffs, s)
@@ -187,6 +195,8 @@ def ysb_norm_proxy(
     b: float,
     f: FourierField | None = None,
     proxy: NormProxyConfig = NormProxyConfig(),
+    *,
+    tables: _ProxyTables | None = None,
 ) -> float:
     """Windowed, demodulated proxy of the <tau - phi_k>^b weighted norm.
 
@@ -195,18 +205,24 @@ def ysb_norm_proxy(
     to Mp = pad_factor * M samples; phi_k is the modified rate of f when f
     is given and k^3 otherwise. A trajectory marked real_symmetric is read
     on its columns k >= 0, the terms of k >= 1 counted twice. The phase
-    factor and the weights are built once per grid and profile and reused
-    while they stay the same.
+    factor and the weights come from tables, which a caller of many proxies
+    on one (grid, f, proxy) builds once by _proxy_tables, else from tables
+    of the call's own; GridMismatchError if tables are another grid's,
+    profile's or proxy's, or lack (s, b).
     """
     M = z.grid.M
     if M < 8:
         raise ConfigError(f"time-DFT proxy needs M >= 8 frames, got {M}")
+    if tables is None:
+        tables = _proxy_tables(z.grid, f, proxy, ((s, b),))
+    weights = tables.check(z.grid, f, proxy).weights.get((s, b))
+    if weights is None:
+        raise GridMismatchError(f"the held tables have no weights at (s, b) = ({s}, {b})")
+    w, Mp, tau_weight, full, half, _ = weights
     dt = z.grid.dt
-    half = z.real_symmetric
-    w, Mp, tau_weight, mode_weight, _ = _proxy_weights(z.grid, proxy, s, b, half)
-    cols = slice(z.K, None) if half else slice(None)
-    factor = _free_phase_factor(z.grid, -1, f)[:, cols]
-    mode_power = _tau_power(w * (z.coeffs[:, cols] * factor), Mp, dt, tau_weight)
+    cols = slice(z.K, None) if z.real_symmetric else slice(None)
+    mode_weight = half if z.real_symmetric else full
+    mode_power = _tau_power(w * (z.coeffs[:, cols] * tables.damping[:, cols]), Mp, dt, tau_weight)
     total = float(np.sum(mode_weight * mode_power)) / (Mp * dt)
     return math.sqrt(total)
 
@@ -221,6 +237,9 @@ def x_space_norm(
     params: SobolevIndex,
     f: FourierField,
     proxy: NormProxyConfig = NormProxyConfig(),
+    *,
+    tables: _ProxyTables | None = None,
 ) -> float:
     """Solution-space norm: modified-phase proxy at (s0, b) plus sup-in-time H^{s1}."""
-    return ysb_norm_proxy(z, params.s0, params.b, f, proxy) + xinfty_hs_norm(z, params.s1)
+    proxy_norm = ysb_norm_proxy(z, params.s0, params.b, f, proxy, tables=tables)
+    return proxy_norm + xinfty_hs_norm(z, params.s1)

@@ -69,7 +69,7 @@ from .gauge import (
     solve_phase,
 )
 from .nonlinearity import _require_same_K, nr_trilinear
-from .norms import NormProxyConfig, _free_phase_factor, x_space_norm
+from .norms import NormProxyConfig, _free_phase_factor, _proxy_tables, _ProxyTables, x_space_norm
 from .spectral import (
     FourierField,
     GridSpec,
@@ -169,13 +169,16 @@ def duhamel_integrate(
     forcing: Trajectory,
     f: FourierField | None = None,
     initial: FourierField | None = None,
+    *,
+    tables: _ProxyTables | None = None,
 ) -> Trajectory:
     """z(t) = e^{i t phi_k} (z(0) + int_0^t e^{-i s phi_k} F(s) ds), trapezoid in s.
 
     phi_k = k^3, shifted by k |f_hat(k)|^2 when a profile is given. The
     integrating factor is exact and unimodular, so the quadrature error is
     the plain trapezoid one of the premultiplied integrand. Raises
-    GridMismatchError when f or initial has another cutoff than the forcing.
+    GridMismatchError when f or initial has another cutoff than the
+    forcing, or held tables another grid or profile.
     """
     if f is not None:
         _require_same_K(forcing, f)
@@ -183,8 +186,9 @@ def duhamel_integrate(
     if initial is not None:
         _require_same_K(forcing, initial)
         z0 = initial.coeffs
-    damping = _free_phase_factor(forcing.grid, -1, f)
-    return Trajectory(forcing.grid, _duhamel(forcing.coeffs, damping, forcing.grid.dt, z0))
+    grid = forcing.grid
+    damping = _free_phase_factor(grid, -1, f) if tables is None else tables.check(grid, f).damping
+    return Trajectory(grid, _duhamel(forcing.coeffs, damping, grid.dt, z0))
 
 
 def _duhamel(forcing: np.ndarray, damping: np.ndarray, dt: float, z0: np.ndarray) -> np.ndarray:
@@ -193,7 +197,7 @@ def _duhamel(forcing: np.ndarray, damping: np.ndarray, dt: float, z0: np.ndarray
     damping holds exp(-i t phi_k) and z0 the modes at t = 0 on those columns.
     """
     integral = cumulative_trapezoid(damping * forcing, dt)
-    # the conjugate of the cached damping table: exp(i t phi_k) in value,
+    # the conjugate of the damping table: exp(i t phi_k) in value,
     # though zeros of its t = 0 row may carry the other sign
     return np.conj(damping) * (z0 + integral)
 
@@ -274,7 +278,7 @@ def picard_solve(
     cfg.phase_max_sweeps sweeps, which certifies it), and the iteration
     report with that solve's record. The loop holds the columns k = 0..K
     only; the returned remainder is mirrored from them and marked
-    real_symmetric. Raises
+    real_symmetric. The proxy tables are built once per solve. Raises
     GridMismatchError unless f has the cutoff of cfg.grid, FieldError unless
     f is real, ConvergenceError when the differences fail to contract for
     three consecutive iterates (the advisory is to shrink T), and
@@ -288,7 +292,8 @@ def picard_solve(
     ks = np.arange(K + 1)
     modes = f.coeffs[K:]
     seed = _phase_seed(f, grid)[:, K:]
-    damping = _free_phase_factor(grid, -1, f)[:, K:]
+    tables = _proxy_tables(grid, f, cfg.proxy, ((cfg.params.s0, cfg.params.b),))
+    damping = tables.damping[:, K:]
     z0 = np.zeros(K + 1, dtype=complex)
     z = np.zeros((grid.M, K + 1), dtype=complex)
     q = np.zeros_like(seed)
@@ -313,8 +318,12 @@ def picard_solve(
         # q is odd in k, so the k >= 0 columns hold the largest update
         phase_update = float(np.max(np.abs(new - q)))
         q = new
-        diff = x_space_norm(_symmetric_trajectory(grid, z_next - z), cfg.params, f, cfg.proxy)
-        norm_x = x_space_norm(_symmetric_trajectory(grid, z_next), cfg.params, f, cfg.proxy)
+        diff = x_space_norm(
+            _symmetric_trajectory(grid, z_next - z), cfg.params, f, cfg.proxy, tables=tables
+        )
+        norm_x = x_space_norm(
+            _symmetric_trajectory(grid, z_next), cfg.params, f, cfg.proxy, tables=tables
+        )
         ratio = diff / prev_diff if prev_diff is not None and prev_diff > 0 else None
         rows.append(PicardIterate(norm_x, diff, ratio, phase_update))
         # differences already below tol may wobble while the phase settles

@@ -20,15 +20,16 @@ the emitted table reports the running maximum: row K is the best ratio
 seen at any cutoff <= K, which makes the growth signal monotone by
 construction rather than sampling luck. The loop is cutoff-major, all
 samples at one cutoff before the next, so the tables a cutoff derives are
-needed only while it runs (the quotient form keeps one cutoff's).
+built once before its samples and dropped after them.
 
-An evaluator maps (fields, bumps, fc, c), with fc the profile truncated to
-c and bumps None without modulation bumps, to (ratio, scales, (cases,
+A probe's prepare maps (fc, c), fc the profile truncated to c, to the
+evaluate of cutoff c, which holds that cutoff's tables and maps (fields,
+bumps), bumps None without modulation bumps, to (ratio, scales, (cases,
 extra)): scales holds one normalizing norm per slot, cases the per-case
 ratios of a probe with case bins (else empty) and extra the entries the
-argmax sample carries after its fields. It returns None, and the sample is
-skipped at c, when a scale is degenerate: a scale counts only if it is
-finite and above DEGENERATE_FLOOR. A trajectory probe's scale is the
+argmax sample carries after its fields. It returns None, and the sample
+is skipped at c, when a scale is degenerate: a scale counts only if it
+is finite and above DEGENERATE_FLOOR. A trajectory probe's scale is the
 Y-proxy of the slot's free trajectory in closed form (_free_proxy_norms);
 the draws over their scales are mirrored half spectra, marked unchecked,
 so with a marked profile their free trajectories, which ratio gets, are
@@ -51,6 +52,9 @@ import numpy as np
 from .errors import ConfigError, FieldError, GridMismatchError
 from .gauge import modulated_profile, phase_from_trajectory
 from .nonlinearity import (
+    _quotient_plan,
+    _QuotientPlan,
+    _triple_table,
     nr_framewise,
     select_frequency_cutoff,
     trilinear_quotient_form,
@@ -59,6 +63,8 @@ from .norms import (
     NormProxyConfig,
     _free_phase_factor,
     _free_proxy_norms,
+    _proxy_tables,
+    _ProxyTables,
     xinfty_hs_norm,
     ysb_norm_proxy,
 )
@@ -230,17 +236,25 @@ def _draw_ensemble(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def free_modulated_trajectory(
-    g: FourierField, f: FourierField, grid: GridSpec, bumps: np.ndarray | None = None
+    g: FourierField,
+    f: FourierField,
+    grid: GridSpec,
+    bumps: np.ndarray | None = None,
+    *,
+    tables: _ProxyTables | None = None,
 ) -> Trajectory:
     """u_hat(t,k) = g_hat(k) exp(i t (k^3 + k|f_hat(k)|^2 + bump_k)).
 
     With g and f marked real_symmetric and the bumps absent or exactly odd
     in k, u is real: it is built on its columns k >= 0 and mirrored, so its
-    mark is exact by construction. Otherwise it is left unmarked.
+    mark is exact by construction. Otherwise it is left unmarked. Without
+    bumps the factor is the growth table of tables if they hold one
+    (GridMismatchError unless they are (grid, f)'s); else it is built here.
     """
     if g.K != grid.K or f.K != grid.K:
         raise GridMismatchError("field cutoffs do not match the grid")
-    factor = _free_phase_factor(grid, 1, f, bumps)
+    held = None if tables is None else tables.check(grid, f).growth
+    factor = held if bumps is None and held is not None else _free_phase_factor(grid, 1, f, bumps)
     odd = bumps is None or np.array_equal(bumps, -np.asarray(bumps)[::-1])
     if g.real_symmetric and f.real_symmetric and odd:
         return _symmetric_trajectory(grid, g.coeffs[grid.K :] * factor[:, grid.K :])
@@ -252,11 +266,12 @@ def _input_proxy_product(
     f: FourierField,
     params: SobolevIndex,
     proxy: NormProxyConfig,
+    tables: _ProxyTables | None,
 ) -> float:
     """Product of the inputs' Y-proxies at (s0, b), with proxy's window and padding."""
     denom = 1.0
     for u in inputs:
-        denom *= ysb_norm_proxy(u, params.s0, params.b, f, proxy)
+        denom *= ysb_norm_proxy(u, params.s0, params.b, f, proxy, tables=tables)
     return denom
 
 
@@ -267,14 +282,16 @@ def duhamel_smoothing_ratio(
     f: FourierField,
     params: SobolevIndex,
     proxy: NormProxyConfig,
+    *,
+    tables: _ProxyTables | None = None,
 ) -> float:
     """sup_t H^{s1} of duhamel(NR(u1,u2,u3)) over T^delta times the Y-proxy product.
 
     Exponents come from params and proxy contributes window and padding, so
     the denominator matches the solver's working norm.
     """
-    denom = _input_proxy_product((u1, u2, u3), f, params, proxy)
-    U = duhamel_integrate(nr_framewise(u1, u2, u3), f)
+    denom = _input_proxy_product((u1, u2, u3), f, params, proxy, tables)
+    U = duhamel_integrate(nr_framewise(u1, u2, u3), f, tables=tables)
     return xinfty_hs_norm(U, params.s1) / (u1.grid.T**params.delta * denom)
 
 
@@ -285,11 +302,14 @@ def trilinear_bourgain_ratio(
     f: FourierField,
     params: SobolevIndex,
     proxy: NormProxyConfig,
+    *,
+    tables: _ProxyTables | None = None,
 ) -> float:
     """Y-proxy of NR(u1,u2,u3) at exponent b-1+delta over the product at b."""
-    denom = _input_proxy_product((u1, u2, u3), f, params, proxy)
+    denom = _input_proxy_product((u1, u2, u3), f, params, proxy, tables)
     out_b = params.b - 1.0 + params.delta
-    return ysb_norm_proxy(nr_framewise(u1, u2, u3), params.s0, out_b, f, proxy) / denom
+    out = nr_framewise(u1, u2, u3)
+    return ysb_norm_proxy(out, params.s0, out_b, f, proxy, tables=tables) / denom
 
 
 def quotient_form_ratio(
@@ -300,12 +320,14 @@ def quotient_form_ratio(
     params: SobolevIndex,
     cutoff: int,
     case: str | None = None,
+    *,
+    plan: _QuotientPlan | None = None,
 ) -> float:
     """H^{s1} of the kernel-weighted quotient form over the product of H^{s0} norms."""
     denom = 1.0
     for v in (v1, v2, v3):
         denom *= sobolev_norm(v, params.s0)
-    out = trilinear_quotient_form(v1, v2, v3, f, cutoff=cutoff, case=case)
+    out = trilinear_quotient_form(v1, v2, v3, f, cutoff=cutoff, case=case, plan=plan)
     return sobolev_norm(out, params.s1) / denom
 
 
@@ -328,14 +350,15 @@ def _degenerate(scales) -> bool:
 
 
 def _run_probe(
-    kind: str, f: FourierField, spec: EnsembleSpec, evaluate: Callable[..., tuple | None]
+    kind: str, f: FourierField, spec: EnsembleSpec, prepare: Callable[..., Callable]
 ) -> ProbeReport:
-    """Shared sample loop: draw, then per cutoff take each sample's centre modes, evaluate, reduce.
+    """Shared sample loop: draw, then per cutoff prepare, evaluate each sample's centre, reduce.
 
-    The evaluator contract is in the module docstring. Only the headline
-    cutoff adds to ratios, skipped and the argmax, in sample order; the
-    normalized fields, fields / scales, are formed and serialized only for
-    a new best sample.
+    The contract of prepare is in the module docstring; a cutoff's evaluate
+    is dropped before the next cutoff is prepared. Only the headline cutoff
+    adds to ratios, skipped and the argmax, in sample order; the normalized
+    fields, fields / scales, are formed and serialized only for a new best
+    sample.
     """
     if f.K != spec.K:
         raise GridMismatchError(f"profile cutoff {f.K} does not match ensemble K {spec.K}")
@@ -350,10 +373,10 @@ def _run_probe(
     argmax_sample: dict | None = None
     for c in cutoffs:
         centre = slice(K - c, K + c + 1)
-        fc = resize_field(f, c)
+        evaluate = prepare(resize_field(f, c), c)
         for j in range(spec.count):
             nu = None if bumps is None else bumps[j, :, centre]
-            result = evaluate(fields[j, :, centre], nu, fc, c)
+            result = evaluate(fields[j, :, centre], nu)
             if result is None:
                 if c == K:
                     skipped += 1
@@ -370,6 +393,7 @@ def _run_probe(
                 best = ratio
                 rows = _frame_rows(_pairs(fields[j] / scales[:, None]))
                 argmax_sample = {"sample": j, "K": c, "ratio": ratio, "fields": rows, **extra}
+        del evaluate
     return ProbeReport(
         kind=kind,
         spec=spec,
@@ -382,65 +406,79 @@ def _run_probe(
     )
 
 
-def _trajectory_evaluator(
-    spec: EnsembleSpec, ratio: Callable[..., float]
-) -> Callable[..., tuple | None]:
-    """Sample evaluator of the trajectory probes; its contract is in the module docstring."""
+def _trajectory_preparer(spec: EnsembleSpec, ratio: Callable[..., float]) -> Callable:
+    """The prepare of the trajectory probes; its contract is in the module docstring.
 
-    def evaluate(fields, bumps, fc, c):
+    A cutoff's tables hold the weights of the inputs and of probe12's
+    output and, without bumps, the growth factor.
+    """
+    params, proxy = spec.params, spec.proxy
+    exponents = ((params.s0, params.b), (params.s0, params.b - 1.0 + params.delta))
+
+    def prepare(fc, c):
         grid = GridSpec(c, spec.M, spec.T)
-        scales = _free_proxy_norms(fields, grid, spec.params.s0, spec.params.b, spec.proxy, bumps)
-        if _degenerate(scales):
-            return None
-        trajs = [
-            free_modulated_trajectory(_mark(FourierField(g / d)), fc, grid, nu)
-            for g, d, nu in zip(fields, scales, (None,) * 3 if bumps is None else bumps)
-        ]
-        return ratio(*trajs, fc, spec.params, spec.proxy), scales, ({}, {})
+        tables = _proxy_tables(grid, fc, proxy, exponents, growth=not spec.modulation_bumps)
 
-    return evaluate
+        def evaluate(fields, bumps):
+            scales = _free_proxy_norms(fields, tables, params.s0, params.b, bumps)
+            if _degenerate(scales):
+                return None
+            trajs = [
+                free_modulated_trajectory(_mark(FourierField(g / d)), fc, grid, nu, tables=tables)
+                for g, d, nu in zip(fields, scales, (None,) * 3 if bumps is None else bumps)
+            ]
+            return ratio(*trajs, fc, params, proxy, tables=tables), scales, ({}, {})
+
+        return evaluate
+
+    return prepare
 
 
 def probe_duhamel_smoothing(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     """Ensemble search for the largest Duhamel-smoothing ratio."""
-    evaluate = _trajectory_evaluator(spec, duhamel_smoothing_ratio)
-    return _run_probe("probe16", f, spec, evaluate)
+    prepare = _trajectory_preparer(spec, duhamel_smoothing_ratio)
+    return _run_probe("probe16", f, spec, prepare)
 
 
 def probe_trilinear_bourgain(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     """Ensemble search for the largest trilinear Y-proxy ratio."""
-    evaluate = _trajectory_evaluator(spec, trilinear_bourgain_ratio)
-    return _run_probe("probe12", f, spec, evaluate)
+    prepare = _trajectory_preparer(spec, trilinear_bourgain_ratio)
+    return _run_probe("probe12", f, spec, prepare)
 
 
 def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     """Ensemble search over the static quotient form, binned by frequency case.
 
     The per-sample ratio is the larger of the two case ratios; both are
-    kept in the report extras. The truncation level protecting the
-    denominators is recomputed per cutoff from the truncated profile. The
-    static form takes no modulation_bumps: a nonzero value raises ConfigError.
+    kept in the report extras. Each cutoff builds its triple table, the
+    truncation level protecting the denominators of its truncated profile
+    and the two case plans; only the plans outlive prepare. The static form
+    takes no modulation_bumps: a nonzero value raises ConfigError.
     """
     if spec.modulation_bumps:
         bumps = spec.modulation_bumps
         raise ConfigError(f"modulation_bumps applies to probe16 and probe12, got {bumps!r}")
-    cutoff_for: dict[int, int] = {}
+    params = spec.params
 
-    def evaluate(fields, bumps, fc, c):
-        if c not in cutoff_for:
-            cutoff_for[c] = select_frequency_cutoff(fc)
-        k0 = cutoff_for[c]
-        scales = hs_norms(fields, spec.params.s0)
-        if _degenerate(scales):
-            return None
-        v1, v2, v3 = (_mark(FourierField(g)) for g in fields / scales[:, None])
-        cases = {
-            case: quotient_form_ratio(v1, v2, v3, fc, spec.params, k0, case)
-            for case in ("comparable", "separated")
-        }
-        return max(cases.values()), scales, (cases, {"frequency_cutoff": k0})
+    def prepare(fc, c):
+        table = _triple_table(c)
+        k0 = select_frequency_cutoff(fc, table=table)
+        plans = {case: _quotient_plan(fc, k0, case, table) for case in ("comparable", "separated")}
 
-    return _run_probe("probe700", f, spec, evaluate)
+        def evaluate(fields, bumps):
+            scales = hs_norms(fields, params.s0)
+            if _degenerate(scales):
+                return None
+            v1, v2, v3 = (_mark(FourierField(g)) for g in fields / scales[:, None])
+            cases = {
+                case: quotient_form_ratio(v1, v2, v3, fc, params, k0, case, plan=plan)
+                for case, plan in plans.items()
+            }
+            return max(cases.values()), scales, (cases, {"frequency_cutoff": k0})
+
+        return evaluate
+
+    return _run_probe("probe700", f, spec, prepare)
 
 
 SMOOTHING_COLUMNS = ("remainder_hs1", "gap_sum_weight1", "gap_sum_upgraded", "gap_sup_weight1")

@@ -55,33 +55,6 @@ __all__ = [
 # Verified reality tolerance for operations that require real-valued input.
 REAL_SYMMETRY_TOL = 1e-8
 
-# Slots kept by each cache of derived tables; see _cached.
-_CACHE_ENTRIES = 32
-
-
-def _cached(store: dict, slot, stamp, build):
-    """The value held for slot if its stamp equals stamp, else build()'s, stored.
-
-    Every cache of tables derived from a grid or a profile is a dict of
-    slot -> (stamp, value) kept here: a built value's arrays are made
-    read-only, the slot becomes the most recent, the oldest slot is evicted
-    once store holds more than _CACHE_ENTRIES, and a build that raises
-    leaves the slot empty. A stale value is dropped before build() runs, so
-    it and its successor are never held together.
-    """
-    entry = store.pop(slot, None)
-    if entry is None or entry[0] != stamp:
-        entry = None
-        value = build()
-        for a in value if isinstance(value, tuple) else (value,):
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
-        entry = (stamp, value)
-    store[slot] = entry
-    if len(store) > _CACHE_ENTRIES:
-        del store[next(iter(store))]
-    return entry[1]
-
 
 @dataclass(frozen=True)
 class GridSpec:

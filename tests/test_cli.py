@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import warnings
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 import mkdvlab
 import mkdvlab.cli
-from mkdvlab import nonlinearity, norms
 from mkdvlab import (
     cosine_field,
     phase_from_obj,
@@ -693,6 +693,40 @@ class TestFailurePaths:
         assert err["error"] == "ConfigError"
         assert "modulation_bumps" in err["message"]
 
+    @pytest.mark.parametrize(
+        "doc, code, error",
+        [
+            (
+                {
+                    "mode": "probe700",
+                    "grid": {"K": 8, "M": 16, "T": 0.01},
+                    "ensemble": {"seed": 2, "count": 1, "decay_exponent": 1.0,
+                                 "modulation_bumps": 0.5},
+                },
+                2,
+                "ConfigError",
+            ),
+            (
+                {
+                    "mode": "simulate",
+                    "grid": {"K": 8, "M": 8},
+                    "initial_data": {"kind": "seeded-random", "seed": 3, "decay_exponent": -250},
+                },
+                3,
+                "InstabilityError",
+            ),
+        ],
+        ids=["library-config-error", "instability"],
+    )
+    def test_failed_run_leaves_a_fresh_directory_empty(self, tmp_path, doc, code, error):
+        # resolved_config.json is written with report.json, after the mode
+        # ran; the simulate run warns of its step size before the error JSON
+        out = tmp_path / "out"
+        r = run_cli(tmp_path, doc, "--output-dir", str(out))
+        assert r.returncode == code
+        assert json.loads(r.stderr[r.stderr.index("{\n") :])["error"] == error
+        assert out.is_dir() and list(out.iterdir()) == []
+
     def test_numerical_failure_exits_3(self, tmp_path):
         doc = {
             "mode": "gauge_solve",
@@ -936,27 +970,6 @@ class TestWholeCliFuzz:
             assert artifacts(Path(tmp) / "b") == artifacts(Path(tmp) / "a")
 
 
-MODULE_CACHES = (
-    norms._FACTORS,
-    norms._PROXY_WEIGHTS,
-    nonlinearity._TRIPLES,
-    nonlinearity._PLANS,
-)
-
-
-def clear_module_caches():
-    for cache in MODULE_CACHES:
-        cache.clear()
-
-
-def held_arrays(value):
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from held_arrays(item)
-
-
 class TestCacheIsolation:
     def test_results_do_not_depend_on_earlier_runs(self, tmp_path):
         # the probe runs share their grids but not their profiles, so the warm
@@ -979,7 +992,6 @@ class TestCacheIsolation:
         for name, doc in docs.items():
             config = tmp_path / f"{name}.json"
             config.write_text(json.dumps(doc))
-            clear_module_caches()
             cold = main_in_process(config, tmp_path / f"{name}-cold")
             assert cold[0] == 0, cold[1]
             configs[name] = config
@@ -990,15 +1002,24 @@ class TestCacheIsolation:
             cold = artifacts(tmp_path / f"{name}-cold")
             assert cold and artifacts(tmp_path / f"{name}-warm") == cold
 
-    def test_cached_arrays_are_read_only(self, tmp_path):
-        ensemble = {"seed": 5, "count": 2, "decay_exponent": 1.0}
-        clear_module_caches()
-        for mode in ("probe700", "probe12", "gauge_solve"):
-            config = tmp_path / f"{mode}.json"
-            doc = {"mode": mode, "grid": {"K": 8, "M": 16, "T": 0.01}, "ensemble": ensemble}
+    def test_probe_run_releases_its_tables(self, tmp_path):
+        # a run keeps no derived table once it returns: after a warm-up run,
+        # a K = 32 probe700 run leaves the traced size where it found it (the
+        # module-level stores once kept 2.74 MB of its tables)
+        ensemble = {"count": 3, "decay_exponent": 1.0}
+        configs = []
+        for seed, K in ((1, 8), (2, 32)):
+            config = tmp_path / f"probe700-{K}.json"
+            doc = {"mode": "probe700", "ensemble": {**ensemble, "seed": seed, "K": K}}
             config.write_text(json.dumps(doc))
-            code, err = main_in_process(config, tmp_path / mode)
-            assert code == 0, err
-        for cache in MODULE_CACHES:
-            arrays = list(held_arrays(tuple(cache.values())))
-            assert arrays and not any(a.flags.writeable for a in arrays)
+            configs.append(config)
+        tracemalloc.start()
+        try:
+            assert main_in_process(configs[0], tmp_path / "warm")[0] == 0
+            before = tracemalloc.get_traced_memory()[0]
+            code, err = main_in_process(configs[1], tmp_path / "run")
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert abs(after - before) < 0.5e6

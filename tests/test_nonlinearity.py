@@ -37,18 +37,18 @@ from mkdvlab import (
     nr_trilinear_fast,
     nr_trilinear_naive,
     probe_quotient_form,
+    resize_field,
     resonant_term,
     select_frequency_cutoff,
     trilinear_quotient_form,
 )
+from mkdvlab import nonlinearity
 from mkdvlab.nonlinearity import (
-    _PLANS,
-    _TRIPLES,
     _alias_free_length,
     _cube_modes,
     _nr_modes,
     _quotient_plan,
-    _triples,
+    _triple_table,
 )
 
 
@@ -533,46 +533,43 @@ class TestTripleTable:
                         continue
                     a = (abs(k1), abs(k2), abs(k3))
                     rows.append((k1 + K, k2 + K, k3 + K, k + K, -3 * prod, max(a), min(a)))
-        table = _triples(K)
-        for j, name in enumerate(table._fields):
+        table = _triple_table(K)
+        assert table.K == K
+        for j, name in enumerate(table._fields[1:]):
             assert getattr(table, name).tolist() == [row[j] for row in rows], name
 
     def test_build_memory_ceiling(self):
         # a dense (2K+1)^3 enumeration peaks near 234 MB at K = 64
-        _TRIPLES.clear()
         tracemalloc.start()
         try:
-            _triples(64)
+            _triple_table(64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 200e6
 
     def test_compact_columns(self):
-        table = _triples(64)
+        table = _triple_table(64)
         rows = table.out.size
-        assert sum(col.nbytes for col in table) <= 16 * rows
+        assert sum(col.nbytes for col in table[1:]) <= 16 * rows
 
     def test_naive_index_does_not_overflow(self):
         # i1 * (2K + 1) passes the int16 range from K = 91 on
         K = 91
-        try:
-            v1, v2, v3 = (random_real_field(K, seed=910 + j) for j in range(3))
-            a = nr_trilinear_fast(v1, v2, v3)
-            b = nr_trilinear_naive(v1, v2, v3)
-        finally:
-            _TRIPLES.clear()
+        v1, v2, v3 = (random_real_field(K, seed=910 + j) for j in range(3))
+        a = nr_trilinear_fast(v1, v2, v3)
+        b = nr_trilinear_naive(v1, v2, v3)
         scale = max(1.0, np.max(np.abs(b.coeffs)))
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * scale
 
     def test_naive_walks_the_table_in_blocks(self):
         # bit-identical to two bincount passes over the whole table, its rows
         # for k >= 1 and its negated rows, at indices 2K - i, for k <= -1; and
-        # one K = 64 call no longer allocates table-length temporaries (52.6
-        # MiB when it did)
+        # one K = 64 call allocates no table-length temporaries (52.6 MiB when
+        # it did) beyond the table it builds
         K = 16
         v1, v2, v3 = (random_complex_field(K, seed=160 + j) for j in range(3))
-        t = _triples(K)
+        t = _triple_table(K)
         a1, a2, a3 = (np.where(np.arange(-K, K + 1) == 0, 0, v.coeffs) for v in (v1, v2, v3))
         n = 2 * K + 1
         sums = np.zeros(n, dtype=complex)
@@ -584,18 +581,18 @@ class TestTripleTable:
         assert np.array_equal(nr_trilinear_naive(v1, v2, v3).coeffs, expected)
 
         u = random_real_field(64, seed=640)
-        _triples(64)
+        table_bytes = sum(col.nbytes for col in _triple_table(64)[1:])
         tracemalloc.start()
         try:
             nr_trilinear_naive(u, u, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < table_bytes + 4 * 2**20
 
     def test_size_guard(self):
         with pytest.raises(FieldError):
-            _triples(128)
+            _triple_table(128)
         u = cosine_field(128)
         with pytest.raises(FieldError):
             nr_trilinear_naive(u, u, u)
@@ -719,17 +716,12 @@ class TestDenominatorCorrection:
 QUOTIENT_CASES = (None, "comparable", "separated")
 
 
-def clear_quotient_stores():
-    for store in (_TRIPLES, _PLANS):
-        store.clear()
-
-
 def masked_quotient_formula(
     vs: list[FourierField], f: FourierField, cutoff: int, case: str | None
 ) -> np.ndarray:
     """Modes 1..K of the quotient form: the straight formula over the table's columns, per call."""
     K = f.K
-    t = _triples(K)
+    t = _triple_table(K)
     k = t.out - K
     masks = {
         None: np.ones(k.size, dtype=bool),
@@ -838,8 +830,8 @@ class TestQuotientForm:
         assert 1 <= k1 + k2 + k3 <= 4
         base = -3.0 * (k1 + k2) * (k2 + k3) * (k3 + k1)
         assert abs(base + denominator_correction(f, k1, k2, k3)) < 1e-9
-        # a failed check is not cached: the bad profile raises every time,
-        # also after a good profile at the same K
+        # every call checks: the bad profile raises every time, also after a
+        # good profile at the same K
         for good in (None, cosine_field(4)):
             if good is not None:
                 trilinear_quotient_form(v, v, v, good)
@@ -847,6 +839,17 @@ class TestQuotientForm:
                 trilinear_quotient_form(v, v, v, f)
             assert str(again.value) == str(info.value)
             assert again.value.triple == info.value.triple
+
+    def test_floor_is_exclusive(self, monkeypatch):
+        # only a corrected denominator smaller than the floor in size raises:
+        # with a zero profile at K = 2 every kept denominator is +6 or -6
+        f, v = FourierField.zeros(2), cosine_field(2)
+        assert set(_triple_table(2).base.tolist()) == {-6, 6}
+        monkeypatch.setattr(nonlinearity, "DENOMINATOR_FLOOR", 6.0)
+        trilinear_quotient_form(v, v, v, f)
+        monkeypatch.setattr(nonlinearity, "DENOMINATOR_FLOOR", np.nextafter(6.0, 7.0))
+        with pytest.raises(DenominatorError):
+            trilinear_quotient_form(v, v, v, f)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
@@ -888,29 +891,13 @@ class TestQuotientForm:
         out = trilinear_quotient_form(unmarked[0], v, v, unmarked[1])
         assert np.array_equal(out.coeffs, trilinear_quotient_form(v, v, v, f).coeffs)
 
-    def test_plan_cache_is_bounded(self):
-        spec = EnsembleSpec(seed=2, count=2, K=16, decay_exponent=1.0, k_values=(2, 4, 8))
-        assert len(spec.cutoffs()) == 4
-        last = random_real_field(16, seed=5)
-        clear_quotient_stores()
-        for f in (cosine_field(16), last):
-            probe_quotient_form(f, spec)
-        # only the headline cutoff's tables are left, stamped with the second profile
-        profile = last.coeffs.tobytes()
-        k0 = select_frequency_cutoff(last)
-        assert {slot: entry[0] for slot, entry in _TRIPLES.items()} == {None: 16}
-        assert {case: entry[0] for case, entry in _PLANS.items()} == {
-            case: (16, profile, k0) for case in ("comparable", "separated")
-        }
-
     def test_probe_memory_ceiling(self):
-        # one probe700 sample at K = 64 from cold stores peaks at 23.9 MiB
-        # with the table of the output modes k >= 1 only, and at 48.4 MiB
-        # with both halves; with every cutoff's tables resident, and a plan's
-        # old arrays held through its rebuild, the peak was 114.7 MiB, and
-        # with cached full-table denominators and intp plan columns 87.6 MiB
+        # one probe700 sample at K = 64 peaks at 23.9 MiB with the table of
+        # the output modes k >= 1 only, and at 48.4 MiB with both halves;
+        # with every cutoff's tables resident, and a plan's old arrays held
+        # through its rebuild, the peak was 114.7 MiB, and with cached
+        # full-table denominators and intp plan columns 87.6 MiB
         spec = EnsembleSpec(seed=1, count=1, K=64, decay_exponent=1.0)
-        clear_quotient_stores()
         tracemalloc.start()
         try:
             probe_quotient_form(cosine_field(64), spec)
@@ -920,19 +907,40 @@ class TestQuotientForm:
         assert peak < 26 * 2**20
 
     def test_store_sizes(self):
-        # after one probe700 sample at K = 64 from cold stores, the table
-        # holds 16 bytes per row and the two case plans, which keep disjoint
-        # rows, 18 bytes per kept triple; the only float64 arrays held are
-        # the plans' reciprocal denominators
-        spec = EnsembleSpec(seed=1, count=1, K=64, decay_exponent=1.0)
-        clear_quotient_stores()
-        probe_quotient_form(cosine_field(64), spec)
-        rows = _triples(64).out.size
-        held = [a for store in (_TRIPLES, _PLANS) for _, value in store.values() for a in value]
-        assert sum(a.nbytes for a in held) <= (16 + 18) * rows
-        scales = [plan[-1] for _, plan in _PLANS.values()]
+        # the two case plans of a K = 64 profile, which keep disjoint rows,
+        # hold 18 bytes per kept triple; their only float64 arrays are the
+        # reciprocal denominators
+        f = cosine_field(64)
+        table = _triple_table(64)
+        k0 = select_frequency_cutoff(f, table=table)
+        plans = [_quotient_plan(f, k0, case, table) for case in ("comparable", "separated")]
+        kept = int(np.count_nonzero(table.kmax > k0))
+        held = [a for plan in plans for a in plan[3:]]
+        assert kept and sum(a.nbytes for a in held) <= 18 * kept
         floats = [a for a in held if a.dtype == np.float64]
-        assert len(scales) == 2 and [id(a) for a in floats] == [id(a) for a in scales]
+        assert [id(a) for a in floats] == [id(plan.scale) for plan in plans]
+
+    def test_held_plan_and_table_must_match(self):
+        # a plan gives the per-call result; one of another profile (by
+        # identity, so an equal copy fails too), cutoff or case raises, and
+        # so does a triple table of another cutoff
+        K = 8
+        f = 0.5 * random_real_field(K, seed=4)
+        vs = [real_draw(K, [8, j]) for j in range(3)]
+        table = _triple_table(K)
+        cutoff = select_frequency_cutoff(f, table=table)
+        assert cutoff == select_frequency_cutoff(f)
+        plan = _quotient_plan(f, cutoff, "separated", table)
+        held = trilinear_quotient_form(*vs, f, cutoff, "separated", plan=plan)
+        own = trilinear_quotient_form(*vs, f, cutoff, "separated")
+        assert np.array_equal(held.coeffs, own.coeffs) and held.real_symmetric
+        copy = FourierField(f.coeffs.copy(), real_symmetric=True)
+        for args in ((*vs, copy, cutoff, "separated"), (*vs, f, cutoff + 1, "separated"),
+                     (*vs, f, cutoff, "comparable"), (*vs, f, cutoff, None)):
+            with pytest.raises(GridMismatchError):
+                trilinear_quotient_form(*args, plan=plan)
+        with pytest.raises(GridMismatchError):
+            select_frequency_cutoff(resize_field(f, K - 1), table=table)
 
     def test_pair_index_beyond_int16(self):
         # K = 91 is the first cutoff where out * (2K+1) + i1 exceeds the
@@ -941,11 +949,11 @@ class TestQuotientForm:
         assert (2 * K) * (2 * K + 1) + 2 * K > np.iinfo(np.int16).max >= 180 * 181 + 180
         f = random_real_field(K, 11)
         cutoff = select_frequency_cutoff(f)
-        t = _triples(K)
+        t = _triple_table(K)
         masks = {"comparable": t.kmax <= 2 * t.kmin, "separated": t.kmax > 2 * t.kmin}
         for case, mask in masks.items():
             kept = (t.kmax > cutoff) & mask
-            pair, i2, i3, out, _ = _quotient_plan(f, cutoff, case)
+            pair, i2, i3, out, _ = _quotient_plan(f, cutoff, case)[3:]
             assert np.array_equal(pair, t.out[kept].astype(np.int64) * (2 * K + 1) + t.i1[kept])
             assert pair.max() > np.iinfo(np.int16).max
             for col, column in ((i2, t.i2), (i3, t.i3), (out, t.out)):

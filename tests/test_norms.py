@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 from conftest import random_real_field
 from mkdvlab import (
     ConfigError,
+    FourierField,
     GridMismatchError,
     GridSpec,
     NormProxyConfig,
     SobolevIndex,
     Trajectory,
     cosine_field,
+    duhamel_integrate,
     field_from_modes,
+    free_modulated_trajectory,
     hs_norms,
     phase_rates,
     sobolev_norm,
@@ -27,13 +30,8 @@ from mkdvlab import (
     ysb_norm_proxy,
 )
 from mkdvlab import norms
-from mkdvlab.norms import (
-    _FACTORS,
-    _PROXY_WEIGHTS,
-    _free_phase_factor,
-    _proxy_weights,
-)
-from mkdvlab.spectral import _CACHE_ENTRIES, bracket_sq
+from mkdvlab.norms import _free_phase_factor, _proxy_tables
+from mkdvlab.spectral import bracket_sq
 
 
 def ysb_oracle(z: Trajectory, s: float, b: float, cfg: NormProxyConfig, f=None) -> float:
@@ -252,6 +250,7 @@ class TestCompositeNorm:
         # the proxy squares and weighs its padded spectrum in place: one
         # K = 128, M = 256 call peaks at 6.0 MiB traced (9.1 MiB with the
         # out-of-place products), and the Picard loop makes two per iterate
+        # with the tables it builds once per solve
         grid = GridSpec(K=128, M=256, T=0.01)
         rng = np.random.default_rng(11)
         z = Trajectory(
@@ -259,10 +258,10 @@ class TestCompositeNorm:
         )
         f = random_real_field(128, seed=3)
         params = SobolevIndex()
-        x_space_norm(z, params, f)  # fills the phase factor and weight caches
+        tables = _proxy_tables(grid, f, NormProxyConfig(), ((params.s0, params.b),))
         tracemalloc.start()
         try:
-            x_space_norm(z, params, f)
+            x_space_norm(z, params, f, tables=tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -270,7 +269,7 @@ class TestCompositeNorm:
 
 
 def inline_factor(grid, sign, f, bumps=None):
-    """The free phase factor as each call site wrote it before it was cached."""
+    """The free phase factor written out at its call site."""
     phi = phase_rates(grid.K, f)
     if bumps is not None:
         phi = phi + bumps
@@ -280,7 +279,7 @@ def inline_factor(grid, sign, f, bumps=None):
 
 
 def inline_ysb(z, s, b, cfg, f=None):
-    """ysb_norm_proxy as written before its tables were cached."""
+    """ysb_norm_proxy written out with no table built ahead."""
     M, dt, K = z.grid.M, z.grid.dt, z.K
     w = window_weights(M, dt, cfg.window)
     phi = phase_rates(K, f)
@@ -318,7 +317,7 @@ def cache_cases(draw):
 
 
 class TestFreePhaseCache:
-    """The cached factor and proxy tables against the formulas they replace."""
+    """The free phase factor and the proxy tables against the formulas they replace."""
 
     @settings(max_examples=40, deadline=None)
     @given(cache_cases(), st.sampled_from([-1, 1]), st.booleans())
@@ -344,21 +343,13 @@ class TestFreePhaseCache:
                 for s, b in ((0.3, 0.51), (0.3, -0.39), (0.0, 0.51)):
                     for pad_factor in (1, 2):
                         cfg = NormProxyConfig(window, pad_factor)
-                        assert ysb_norm_proxy(z, s, b, f, cfg) == inline_ysb(z, s, b, cfg, f)
-
-    def test_cached_tables_are_read_only(self):
-        grid = GridSpec(4, 16, 0.5)
-        f = random_real_field(4, seed=3)
-        factor = _free_phase_factor(grid, -1, f)
-        with pytest.raises(ValueError):
-            factor[0, 0] = 0.0
-        for table in _proxy_weights(grid, NormProxyConfig(), 0.3, 0.51):
-            if isinstance(table, np.ndarray):
-                with pytest.raises(ValueError):
-                    table[0] = 0.0
+                        expected = inline_ysb(z, s, b, cfg, f)
+                        assert ysb_norm_proxy(z, s, b, f, cfg) == expected
+                        held = _proxy_tables(grid, f, cfg, ((s, b), (0.1, 0.2)))
+                        assert ysb_norm_proxy(z, s, b, f, cfg, tables=held) == expected
 
     def test_checks_run_on_every_call(self):
-        # a cached factor of the right cutoff does not let a wrong profile through
+        # a table of the right cutoff does not let a wrong profile through
         grid = GridSpec(4, 16, 0.5)
         z = Trajectory.zeros(grid)
         for _ in range(3):
@@ -368,20 +359,54 @@ class TestFreePhaseCache:
             with pytest.raises(GridMismatchError):
                 _free_phase_factor(grid, 1, random_real_field(3, seed=1))
 
-    def test_one_factor_per_grid_and_sign(self):
+    def test_one_factor_per_grid_and_sign(self, monkeypatch):
+        # a run's tables hold one damping factor, and one growth factor only
+        # when asked for; every build is fresh and writable
         grid = GridSpec(6, 16, 0.5)
-        z = Trajectory.zeros(grid)
-        for seed in range(50):
-            f = random_real_field(6, seed=seed)
-            ysb_norm_proxy(z, 0.3, 0.51, f)
-            _free_phase_factor(grid, 1, f)
-        assert [key for key in _FACTORS if key[0] == grid] == [(grid, -1), (grid, 1)]
-        assert len(_FACTORS) <= _CACHE_ENTRIES
-        assert len(_PROXY_WEIGHTS) <= _CACHE_ENTRIES
+        f = random_real_field(6, seed=4)
+        signs = []
+
+        def counting(grid, sign, *args):
+            signs.append(sign)
+            return _free_phase_factor(grid, sign, *args)
+
+        monkeypatch.setattr(norms, "_free_phase_factor", counting)
+        exponents = ((0.3, 0.51), (0.3, -0.39))
+        first = _proxy_tables(grid, f, NormProxyConfig(), exponents)
+        assert signs == [-1] and first.growth is None and set(first.weights) == set(exponents)
+        second = _proxy_tables(grid, f, NormProxyConfig(), exponents, growth=True)
+        assert signs == [-1, 1, -1]
+        assert same_bits(second.growth, inline_factor(grid, 1, f))
+        assert second.damping is not first.damping and second.damping.flags.writeable
+        assert same_bits(second.damping, first.damping)
+
+    def test_held_tables_must_match(self):
+        # tables of another grid, profile (by identity, so an equal copy
+        # fails too) or proxy, or without the call's exponents, raise
+        grid = GridSpec(4, 16, 0.5)
+        z = Trajectory(grid, np.random.default_rng(2).standard_normal((16, 9)) + 0j)
+        f = random_real_field(4, seed=1)
+        proxy = NormProxyConfig()
+        tables = _proxy_tables(grid, f, proxy, ((0.3, 0.51),), growth=True)
+        assert ysb_norm_proxy(z, 0.3, 0.51, f, tables=tables) == ysb_norm_proxy(z, 0.3, 0.51, f)
+        other = Trajectory(GridSpec(4, 16, 0.25), z.coeffs)
+        copy = FourierField(f.coeffs.copy(), real_symmetric=True)
+        for call in (
+            lambda: ysb_norm_proxy(other, 0.3, 0.51, f, tables=tables),
+            lambda: ysb_norm_proxy(z, 0.3, 0.51, copy, tables=tables),
+            lambda: ysb_norm_proxy(z, 0.3, 0.51, None, tables=tables),
+            lambda: ysb_norm_proxy(z, 0.3, 0.51, f, NormProxyConfig("rect"), tables=tables),
+            lambda: ysb_norm_proxy(z, 0.3, 0.52, f, tables=tables),
+            lambda: x_space_norm(z, SobolevIndex(), copy, tables=tables),
+            lambda: duhamel_integrate(z, copy, tables=tables),
+            lambda: free_modulated_trajectory(f, copy, grid, tables=tables),
+        ):
+            with pytest.raises(GridMismatchError):
+                call()
 
     def test_phase_table_built_once(self, monkeypatch):
         # pins the gain: repeated proxies of one (trajectory, profile, config)
-        # build the phase table once, not once per call
+        # with one held carrier build the phase table once, not once per call
         calls = []
 
         def counting(*args):
@@ -393,6 +418,7 @@ class TestFreePhaseCache:
         rng = np.random.default_rng(8)
         z = Trajectory(grid, rng.standard_normal((16, 11)) + 0j)
         f = random_real_field(5, seed=12345)
-        values = {ysb_norm_proxy(z, 0.3, 0.51, f) for _ in range(10)}
+        tables = _proxy_tables(grid, f, NormProxyConfig(), ((0.3, 0.51),))
+        values = {ysb_norm_proxy(z, 0.3, 0.51, f, tables=tables) for _ in range(10)}
         assert len(values) == 1
         assert len(calls) == 1 and calls[0][0] == 5 and calls[0][1] is f

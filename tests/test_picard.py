@@ -360,7 +360,7 @@ class TestPicardSolve:
     def measured_diffs(monkeypatch, diffs):
         """Make the solver measure the given successive differences, norms of 1."""
         values = iter([v for d in diffs for v in (d, 1.0)])
-        monkeypatch.setattr("mkdvlab.picard.x_space_norm", lambda *args: next(values))
+        monkeypatch.setattr("mkdvlab.picard.x_space_norm", lambda *args, **kwargs: next(values))
 
     def test_two_stalled_ratios_do_not_abort(self, monkeypatch):
         self.measured_diffs(monkeypatch, [1.0, 2.0, 2.0])
@@ -448,7 +448,7 @@ class TestPicardSolve:
         # x_space_norm is called for the difference, then the iterate: two
         # iterates, the second settled, whose norm is `final` times the first
         norms = iter([1.0, 1.0, 1e-12, final])
-        monkeypatch.setattr(picard, "x_space_norm", lambda *args: next(norms))
+        monkeypatch.setattr(picard, "x_space_norm", lambda *args, **kwargs: next(norms))
         cfg = PicardConfig(grid=GridSpec(4, 16, 0.01), phase_tol=1.0)
         _, _, report = picard_solve(cosine_field(4), cfg)
         assert report.converged and len(report.iters) == 2

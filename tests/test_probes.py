@@ -45,7 +45,7 @@ from mkdvlab import (
     ysb_norm_proxy,
 )
 from mkdvlab.cli import _keys
-from mkdvlab.norms import _free_proxy_norms
+from mkdvlab.norms import _free_proxy_norms, _proxy_tables
 from mkdvlab import probes
 from mkdvlab.probes import _draw_bumps
 
@@ -148,11 +148,25 @@ class TestFreeTrajectories:
             proxy = NormProxyConfig(window, pad)
             nus = (None,) * 3 if bumps is None else bumps
             for b in (params.b, params.b - 1.0 + params.delta):
-                closed = _free_proxy_norms(gs, grid, params.s0, b, proxy, bumps)
+                tables = _proxy_tables(grid, f, proxy, ((params.s0, b),))
+                closed = _free_proxy_norms(gs, tables, params.s0, b, bumps)
                 for g, nu, norm in zip(draws, nus, closed):
                     u = free_modulated_trajectory(g, f, grid, nu)
                     measured = ysb_norm_proxy(u, params.s0, b, f, proxy)
                     assert norm == pytest.approx(measured, rel=1e-13)
+
+    def test_bumps_outrank_the_held_growth_factor(self):
+        # held tables serve only the unbumped trajectory; a bumped one builds
+        # its own factor, as it does without tables
+        grid = GridSpec(K=6, M=10, T=0.5)
+        f, g = random_real_field(6, 1, 1.0), random_real_field(6, 2, 1.0)
+        tables = _proxy_tables(grid, f, NormProxyConfig(), (), growth=True)
+        spec = EnsembleSpec(seed=1, count=1, K=6, decay_exponent=1.0, modulation_bumps=0.5)
+        for nu in (None, _draw_bumps(spec, 0, 0)):
+            held = free_modulated_trajectory(g, f, grid, nu, tables=tables)
+            own = free_modulated_trajectory(g, f, grid, nu)
+            assert np.array_equal(held.coeffs, own.coeffs)
+        assert not np.array_equal(own.coeffs, free_modulated_trajectory(g, f, grid).coeffs)
 
     def test_marked_by_construction(self):
         grid = GridSpec(K=8, M=10, T=0.5)
@@ -280,6 +294,21 @@ class TestProbeRuns:
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == summary["max"]
         assert report.argmax_sample["ratio"] == summary["max"]
+
+    def test_argmax_is_the_first_of_equal_ratios(self, monkeypatch):
+        # a later sample replaces the argmax only with a strictly larger ratio
+        draw = probes._draw_ensemble
+
+        def twins(spec):
+            fields, bumps = draw(spec)
+            fields[1] = fields[0]
+            return fields, bumps
+
+        monkeypatch.setattr(probes, "_draw_ensemble", twins)
+        spec = EnsembleSpec(seed=1, count=2, K=8, decay_exponent=1.0)
+        report = probe_quotient_form(random_real_field(8, 2), spec)
+        assert report.ratios[0] == report.ratios[1]
+        assert report.argmax_sample["sample"] == 0
 
     def test_degenerate_ensemble_skips(self):
         f = cosine_field(8)

@@ -45,7 +45,7 @@ from mkdvlab import (
     trajectory_to_obj,
     write_frames_json,
 )
-from mkdvlab.spectral import _CACHE_ENTRIES, _cached, _check_decay, _check_seed, _require_real
+from mkdvlab.spectral import _check_decay, _check_seed, _require_real
 
 
 def dft_oracle(samples: np.ndarray, k: int) -> complex:
@@ -795,34 +795,3 @@ class TestFrameWriter:
         assert "NaN" in text and "-Infinity" in text and "nan" not in text
         back = trajectory_from_obj(json.loads(text))
         assert np.array_equal(back.coeffs, tr.coeffs, equal_nan=True)
-
-
-class TestCachePolicy:
-    def test_stamps_recency_eviction_and_failed_builds(self):
-        assert _CACHE_ENTRIES == 32  # the slot count README documents
-        store = {}
-        builds = []
-
-        def build(value):
-            builds.append(value)
-            return np.full(2, value), value
-
-        first = _cached(store, "a", 1, lambda: build(1.0))
-        assert _cached(store, "a", 1, lambda: build(2.0)) is first
-        assert not first[0].flags.writeable
-        assert _cached(store, "a", 2, lambda: build(3.0))[1] == 3.0
-        assert builds == [1.0, 3.0] and store["a"][0] == 2
-
-        for slot in range(_CACHE_ENTRIES):
-            _cached(store, slot, None, lambda: build(0.0))
-        assert "a" not in store and len(store) == _CACHE_ENTRIES
-        _cached(store, 0, None, lambda: build(0.0))
-        _cached(store, "b", None, lambda: build(0.0))
-        assert 0 in store and 1 not in store
-
-        def failing():
-            raise FieldError("bad")
-
-        with pytest.raises(FieldError):
-            _cached(store, 0, "new", failing)
-        assert 0 not in store

@@ -24,6 +24,8 @@ from mkdvlab import (
     PicardConfig,
     SobolevIndex,
     cli,
+    nonlinearity,
+    norms,
     picard,
     probes,
     random_real_field,
@@ -31,7 +33,6 @@ from mkdvlab import (
     spectral,
 )
 
-from test_cli import MODULE_CACHES
 
 TESTS = Path(__file__).resolve().parent
 SRC = Path(mkdvlab.__file__).resolve().parent
@@ -208,20 +209,103 @@ def test_one_rule_decides_the_real_symmetric_mark():
     assert measured == ["spectral.py"]
 
 
-def test_module_caches_are_the_cached_stores():
-    # the CLI tests clear MODULE_CACHES between runs; it must list every
-    # store passed to spectral._cached, and no other
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_cached":
-                module = importlib.import_module(f"mkdvlab.{path.stem}")
-                found[f"{path.stem}.{node.args[0].id}"] = getattr(module, node.args[0].id)
-    listed = [
-        next((name for name, store in found.items() if store is cache), "a store no _cached call takes")
-        for cache in MODULE_CACHES
+MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem", "remove",
+    "setdefault", "update",
+}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def written_root(node: ast.AST, names: set[str]) -> str | None:
+    """The name in names that node writes through, if node is one of its
+    subscripts or attributes in a store or del, or the receiver of one of MUTATORS."""
+    if isinstance(node, (ast.Subscript, ast.Attribute)) and not isinstance(node.ctx, ast.Load):
+        target = node
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+        target = node.func.value
+    else:
+        return None
+    while isinstance(target, (ast.Subscript, ast.Attribute)):
+        target = target.value
+    return target.id if isinstance(target, ast.Name) and target.id in names else None
+
+
+def parameter_writes(sources: list[str]) -> dict[str, set[int]]:
+    """Per function name, the positions of the parameters it writes through."""
+    writes: dict[str, set[int]] = {}
+    for source in sources:
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = [a.arg for a in (*fn.args.posonlyargs, *fn.args.args)]
+                hit = {written_root(n, set(params)) for n in ast.walk(fn)} - {None}
+                writes[fn.name] = {params.index(name) for name in hit}
+    return writes
+
+
+def module_state_writes(source: str, writers: dict[str, set[int]]) -> list[str]:
+    """Where a function writes a module-level name: a global statement, a write
+    through the name (see written_root), or the name passed at a position that
+    writers says the called function writes through.
+
+    A name bound anywhere inside the top-level definition, as a parameter or
+    a local, shadows the module's name there.
+    """
+    tree = ast.parse(source)
+    module_names, imported = set(), set()
+    for stmt in tree.body:
+        module_names |= defined_names(stmt)
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in stmt.names}
+    module_names |= imported
+    found = set()
+    for top in tree.body:
+        nodes = list(ast.walk(top))
+        local = {n.arg for n in nodes if isinstance(n, ast.arg)} | {
+            n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)
+        }
+        shared = module_names - local
+        for node in (n for fn in ast.walk(top) if isinstance(fn, FUNCTIONS) for n in ast.walk(fn)):
+            if isinstance(node, ast.Global):
+                found.add(f"global {', '.join(node.names)}")
+            # a call such as np.add(x, y) on an imported module writes nothing
+            name = written_root(node, shared)
+            if name and not (isinstance(node, ast.Call) and name in imported):
+                found.add(f"writes {name}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                for i in writers.get(node.func.id, ()):
+                    arg = node.args[i] if i < len(node.args) else None
+                    if isinstance(arg, ast.Name) and arg.id in shared:
+                        found.add(f"passes {arg.id} to {node.func.id}")
+    return sorted(found)
+
+
+def test_no_function_writes_module_state():
+    # derived tables live for one run: the run that needs one builds it and
+    # passes it down, so no function keeps state in a module-level name
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    writers = parameter_writes(list(sources.values()))
+    assert {
+        name: writes
+        for name, source in sources.items()
+        if (writes := module_state_writes(source, writers))
+    } == {}
+    rule_breakers = """
+import numpy as np
+_STORE = {}
+_SEEN = []
+def fill(k, v): _STORE[k] = v
+def count(): global _N
+def forget(): del _STORE[0]; _STORE.clear()
+def keep(x): _SEEN.append(x)
+def patch(): np.cached = True
+def cached(store, slot): store.pop(slot, None)
+def lookup(): cached(_STORE, 1)
+def local(_STORE): _STORE[0] = 1
+def fresh(): d = {}; d[0] = 1; d.update(a=1); cached(d, 0); cached({}, 0); np.add(1, 2)
+"""
+    assert module_state_writes(rule_breakers, parameter_writes([rule_breakers])) == [
+        "global _N", "passes _STORE to cached", "writes _SEEN", "writes _STORE", "writes np",
     ]
-    assert sorted(listed) == sorted(found)
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -356,6 +440,70 @@ def test_trajectory_probes_measure_only_the_ratio_proxies(monkeypatch, probe, pr
     assert len(ysb) == proxies * evaluations
     assert len(nr) == evaluations
     assert all(len(args) == 3 and all(t.real_symmetric for t in args) for args in nr)
+
+
+def counting_everywhere(monkeypatch, home, name):
+    """counting of home.name in every mkdvlab module that binds it."""
+    calls = []
+    inner = getattr(home, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "mkdvlab"]:
+        if getattr(module, name, None) is inner:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "probe, bumps",
+    [
+        ("probe_trilinear_bourgain", 0.0),
+        ("probe_duhamel_smoothing", 0.0),
+        ("probe_trilinear_bourgain", 0.5),
+        ("probe_quotient_form", 0.0),
+    ],
+)
+def test_probes_build_their_tables_once_per_cutoff(monkeypatch, probe, bumps):
+    # a cutoff's tables are built before its samples, not per sample: the
+    # damping factor, the growth factor without bumps and the weights of each
+    # exponent pair, or the triple table and one plan per case; a free
+    # trajectory with bumps builds its own factor
+    spec = EnsembleSpec(seed=1, count=3, K=16, decay_exponent=1.0, modulation_bumps=bumps)
+    builds = {
+        name: counting_everywhere(monkeypatch, module, name)
+        for module, name in (
+            (norms, "_free_phase_factor"),
+            (norms, "_proxy_weights"),
+            (nonlinearity, "_triple_table"),
+            (nonlinearity, "_quotient_plan"),
+        )
+    }
+    getattr(probes, probe)(random_real_field(16, 2, 1.0), spec)
+    cutoffs = len(spec.cutoffs())
+    signs = [args[1] for args in builds["_free_phase_factor"]]
+    if probe == "probe_quotient_form":
+        assert signs == [] and builds["_proxy_weights"] == []
+        assert len(builds["_triple_table"]) == cutoffs
+        assert [args[2] for args in builds["_quotient_plan"]] == [
+            "comparable", "separated"
+        ] * cutoffs
+        return
+    growth = 3 * spec.count if bumps else 1
+    assert signs.count(-1) == cutoffs and signs.count(1) == growth * cutoffs
+    assert len(builds["_proxy_weights"]) == 2 * cutoffs
+    assert builds["_triple_table"] == builds["_quotient_plan"] == []
+
+
+def test_picard_builds_its_tables_once_per_solve(monkeypatch):
+    f = random_real_field(8, 3, 1.0)
+    factors = counting_everywhere(monkeypatch, norms, "_free_phase_factor")
+    weights = counting_everywhere(monkeypatch, norms, "_proxy_weights")
+    _, _, report = picard.picard_solve(f, PicardConfig(grid=GridSpec(8, 9, 0.01)))
+    assert len(report.iters) > 1
+    assert [args[1] for args in factors] == [-1] and len(weights) == 1
 
 
 def test_probe_symmetry_checks_do_not_grow_with_count(monkeypatch):
