@@ -74,12 +74,12 @@ def _require_same_K(*fields: FourierField | Trajectory) -> int:
 # product (k1+k2)(k2+k3)(k3+k1), zero input modes included, in ascending
 # order; the triples of k <= -1 are their negations, at indices 2K - i. The
 # NR sum zeroes the k = 0 entry of its inputs, so the triples with a zero
-# input add exact zeros to it. Built one k1 slice at a time, so no (2K+1)^3
-# array exists, by each run that needs it; a run that needs it more than once
-# builds it once and passes it down. The index and size columns are int16,
-# enough for K <= 127, where (2K+1)^3 <= 2^24; base is int32, exact since
-# |base| <= 3 (2K)^3 < 2^31 there. k is not stored: it is out - K. That is
-# 16 bytes per row.
+# input add exact zeros to it. For k1 + k2 != 0, k3 runs over the bounds
+# max(-K, 1 - k1 - k2)..min(K, K - k1 - k2) less the kernel's roots -k2 and
+# -k1; the bounds size each column, filled one k1 slice at a time by each run
+# that needs it (once, and passed down). The index and size columns are
+# int16, enough for K <= 127, where (2K+1)^3 <= 2^24; base is int32, exact
+# since |base| <= 3 (2K)^3 < 2^31 there. k = out - K. 16 bytes per row.
 
 
 class _Triples(NamedTuple):
@@ -94,8 +94,8 @@ class _Triples(NamedTuple):
 
 
 # Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 5 bytes per
-# (2K + 1)^3 entry (11 MB at K = 64, 86 MB at K = 127), and a naive NR call
-# adds only one block of temporaries and the (2K + 1)^2 pair table.
+# (2K + 1)^3 entry (11 MB at K = 64, 86 MB at K = 127); its build adds one k1
+# slice of temporaries, a plan build or a naive NR call one block of rows.
 MAX_TRIPLES = 2**24
 
 
@@ -103,25 +103,24 @@ def _triple_table(K: int) -> _Triples:
     if (2 * K + 1) ** 3 > MAX_TRIPLES:
         raise FieldError(f"the triple table needs K <= 127, got {K}")
     ks = np.arange(-K, K + 1)
-    k2, k3 = ks[:, None], ks[None, :]
-
-    def admissible(k1):
-        k = k1 + k2 + k3
-        prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
-        return k, prod, (k >= 1) & (k <= K) & (prod != 0)
-
-    # a counting pass first, so each column is allocated once at full size
-    ends = np.cumsum([np.count_nonzero(admissible(k1)[2]) for k1 in ks])
+    k1, k2 = ks[:, None], ks[None, :]
+    s = k1 + k2
+    lo, hi = np.maximum(-K, 1 - s), np.minimum(K, K - s)
+    span = np.where(s != 0, np.maximum(hi - lo + 1, 0), 0)  # k3 = lo..hi per (k1, k2)
+    roots = ((lo <= -k2) & (-k2 <= hi)).astype(int) + ((lo <= -k1) & (-k1 <= hi) & (k1 != k2))
+    ends = np.cumsum(np.sum(span - roots * (s != 0), axis=1))
     dtypes = [np.int32 if c == "base" else np.int16 for c in _Triples._fields[1:]]
     columns = [np.empty(ends[-1], d) for d in dtypes]
     for i1, k1 in enumerate(ks):
-        k, prod, valid = admissible(k1)
-        j2, j3 = np.nonzero(valid)
-        absk = np.abs(np.stack([np.full(j2.size, k1), ks[j2], ks[j3]]))
-        piece = (i1, j2, j3, k[valid] + K, -3 * prod[valid])
-        rows = slice(ends[i1] - j2.size, ends[i1])
-        for col, values in zip(columns, (*piece, absk.max(axis=0), absk.min(axis=0))):
-            col[rows] = values
+        n = span[i1]  # the (k1, k2) pairs' ranges of k3 laid end to end, lo first
+        k2, k3 = np.repeat(ks, n), np.arange(n.sum()) + np.repeat(lo[i1] - np.cumsum(n) + n, n)
+        kept = (k3 != -k2) & (k3 != -k1)
+        k2, k3 = k2[kept], k3[kept]
+        absk = np.abs([np.full(k2.size, k1), k2, k3])
+        base = -3 * (k1 + k2) * (k2 + k3) * (k3 + k1)
+        piece = (i1, k2 + K, k3 + K, k1 + k2 + k3 + K, base, absk.max(axis=0), absk.min(axis=0))
+        for col, values in zip(columns, piece):
+            col[ends[i1] - k2.size : ends[i1]] = values
     return _Triples(K, *columns)
 
 
@@ -305,26 +304,11 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
     return _mirrored_field(0.0, 1j * np.arange(1, K + 1) * out)
 
 
-def _case_mask(kmax: np.ndarray, kmin: np.ndarray, case: str | None) -> np.ndarray:
-    if case is None:
-        return np.ones(kmax.shape, dtype=bool)
-    if case == "comparable":
-        return kmax <= 2 * kmin
-    if case == "separated":
-        return kmax > 2 * kmin
-    raise FieldError(f"unknown case {case!r}; expected 'comparable' or 'separated'")
-
-
-def _corrected_denominators(f: FourierField, t: _Triples, rows) -> np.ndarray:
-    """-3 (k1+k2)(k2+k3)(k3+k1) plus the profile correction of f, per row in rows of table t."""
-    p = np.abs(f.coeffs) ** 2
-    kp = f.wavenumbers.astype(float) * p
-    d = kp[t.i1[rows]]
-    d += kp[t.i2[rows]]
-    d += kp[t.i3[rows]]
-    d -= kp[t.out[rows]]  # k p(k), with k = out - K
-    d += t.base[rows]
-    return d
+def _corrected_denominators(kp: np.ndarray, t: _Triples, rows: slice) -> np.ndarray:
+    """-3 (k1+k2)(k2+k3)(k3+k1) + kp(k1) + kp(k2) + kp(k3) - kp(k), kp = k |f_hat(k)|^2, per row."""
+    # kp is gathered by intp copies of the int16 columns, which numpy takes twice as fast
+    i1, i2, i3, out = (col[rows].astype(np.intp) for col in (t.i1, t.i2, t.i3, t.out))
+    return kp[i1] + kp[i2] + kp[i3] - kp[out] + t.base[rows]
 
 
 class _QuotientPlan(NamedTuple):
@@ -341,34 +325,46 @@ class _QuotientPlan(NamedTuple):
 
 
 def _quotient_plan(
-    f: FourierField, cutoff: int, case: str | None, table: _Triples | None = None
-) -> _QuotientPlan:
-    """The kept triples of (f, cutoff, case), from table or, by default, a table of its own.
+    f: FourierField, cutoff: int, cases: tuple, table: _Triples | None = None
+) -> list[_QuotientPlan]:
+    """The plans of (f, cutoff, case) for the given cases, from table or a table of its own.
 
-    i2, i3 and out are the table's int16 columns at the kept rows.
-    pair = out * (2K+1) + i1, int32 since it leaves the int16 range from
-    K = 91, indexes the (k, k1) table of k * v1_hat(k1) that
-    trilinear_quotient_form builds per call, and scale = 1 / denom, float64,
-    is the reciprocal of the corrected denominator, taken after the floor
-    check: 18 bytes per kept triple.
+    A plan keeps the rows of kmax > cutoff in its case bin (all for case
+    None): the table's int16 i2, i3 and out there; pair = out * (2K+1) + i1,
+    int32 from K = 91 on, into the (k, k1) table of k * v1_hat(k1) that
+    trilinear_quotient_form builds per call; and scale = 1 / denom, float64:
+    18 bytes per kept triple. A counting pass sizes the plans, and one walk
+    of the table by blocks computes each row's denominator once and fills
+    them all. A denominator below DENOMINATOR_FLOOR in size raises
+    DenominatorError at the first row in table order that one of them keeps.
     """
     K = f.K
     t = _triple_table(K) if table is None else table
-    kept = (t.kmax > cutoff) & _case_mask(t.kmax, t.kmin, case)
-    denom = _corrected_denominators(f, t, kept)
-    bad = np.flatnonzero((denom > -DENOMINATOR_FLOOR) & (denom < DENOMINATOR_FLOOR))
-    if bad.size:
-        j = np.flatnonzero(kept)[bad[0]]
-        triple = (int(t.i1[j]) - K, int(t.i2[j]) - K, int(t.i3[j]) - K)
-        raise DenominatorError(
-            f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}",
-            triple=triple,
-        )
-    i2, i3, out = (col[kept] for col in (t.i2, t.i3, t.out))
-    pair = out.astype(np.int32)
-    pair *= 2 * K + 1
-    pair += t.i1[kept]
-    return _QuotientPlan(f, cutoff, case, pair, i2, i3, out, np.divide(1.0, denom, out=denom))
+    blocks = [slice(start, start + _TABLE_BLOCK) for start in range(0, t.out.size, _TABLE_BLOCK)]
+
+    def kept(rows: slice) -> list[np.ndarray]:
+        live, comparable = t.kmax[rows] > cutoff, t.kmax[rows] <= 2 * t.kmin[rows]
+        bins = {None: live, "comparable": live & comparable, "separated": live & ~comparable}
+        return [bins[case] for case in cases]
+
+    sizes = sum((np.count_nonzero(kept(r), axis=1) for r in blocks), np.zeros(len(cases), int))
+    plans = [_QuotientPlan(f, cutoff, case, np.empty(n, np.int32), *np.empty((3, n), np.int16),
+                           np.empty(n)) for case, n in zip(cases, sizes)]
+    kp, filled = f.wavenumbers * np.abs(f.coeffs) ** 2, [0] * len(cases)
+    for rows in blocks:
+        masks, denom = kept(rows), _corrected_denominators(kp, t, rows)
+        bad = np.flatnonzero((np.abs(denom) < DENOMINATOR_FLOOR) & np.logical_or.reduce(masks))
+        if bad.size:
+            triple = tuple(int(col[rows.start + bad[0]]) - K for col in (t.i1, t.i2, t.i3))
+            message = f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}"
+            raise DenominatorError(message, triple=triple)
+        for j, (plan, mask) in enumerate(zip(plans, masks)):
+            at = slice(filled[j], filled[j] + np.count_nonzero(mask))
+            filled[j] = at.stop
+            i1, plan.i2[at], plan.i3[at], plan.out[at] = (col[rows][mask] for col in t[1:5])
+            plan.pair[at] = plan.out[at] * np.int32(2 * K + 1) + i1
+            plan.scale[at] = 1.0 / denom[mask]
+    return plans
 
 
 def trilinear_quotient_form(
@@ -389,8 +385,9 @@ def trilinear_quotient_form(
 
     with E the denominator correction of the profile f. Triples whose
     largest input frequency is <= cutoff are dropped, as are those outside
-    the requested case bin. A corrected denominator smaller than
-    DENOMINATOR_FLOOR raises DenominatorError naming the triple. The kept
+    the case bin (another case than None, "comparable" and "separated" raises
+    FieldError). A corrected denominator smaller than DENOMINATOR_FLOOR
+    raises DenominatorError naming the first such triple. The kept
     triples and the reciprocals of their denominators are the plan, which a
     caller of many forms on one (f, cutoff, case) builds once by
     _quotient_plan, else the call's own; a plan of another profile (by
@@ -412,7 +409,9 @@ def trilinear_quotient_form(
     for u in (v1, v2, v3, f):
         _require_real(u, "the quotient form is defined for real fields")
     if plan is None:
-        plan = _quotient_plan(f, cutoff, case)
+        if case not in (None, "comparable", "separated"):
+            raise FieldError(f"unknown case {case!r}; expected 'comparable' or 'separated'")
+        (plan,) = _quotient_plan(f, cutoff, (case,))
     elif plan.profile is not f or plan.cutoff != cutoff or plan.case != case:
         raise GridMismatchError("the held plan belongs to another profile, cutoff or case")
     pair, i2, i3, out_idx, scale = plan[3:]
@@ -444,11 +443,11 @@ def select_frequency_cutoff(f: FourierField, *, table: _Triples | None = None) -
         table = _triple_table(f.K)
     elif table.K != f.K:
         raise GridMismatchError(f"mode cutoffs differ: {table.K} vs {f.K}")
-    kmax = table.kmax
+    kmax, kp = table.kmax, f.wavenumbers * np.abs(f.coeffs) ** 2
     flagged = 0
     for start in range(0, kmax.size, _TABLE_BLOCK):
         rows = slice(start, start + _TABLE_BLOCK)
-        bad = np.abs(_corrected_denominators(f, table, rows)) < 0.5 * kmax[rows]
+        bad = np.abs(_corrected_denominators(kp, table, rows)) < 0.5 * kmax[rows]
         flagged = max(flagged, int(kmax[rows][bad].max(initial=0)))
     return flagged
 

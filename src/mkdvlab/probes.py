@@ -452,8 +452,9 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     The per-sample ratio is the larger of the two case ratios; both are
     kept in the report extras. Each cutoff builds its triple table, the
     truncation level protecting the denominators of its truncated profile
-    and the two case plans; only the plans outlive prepare. The static form
-    takes no modulation_bumps: a nonzero value raises ConfigError.
+    and, in one walk of the table, both case plans; only the plans outlive
+    prepare. The static form takes no modulation_bumps: a nonzero value
+    raises ConfigError.
     """
     if spec.modulation_bumps:
         bumps = spec.modulation_bumps
@@ -463,7 +464,7 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     def prepare(fc, c):
         table = _triple_table(c)
         k0 = select_frequency_cutoff(fc, table=table)
-        plans = {case: _quotient_plan(fc, k0, case, table) for case in ("comparable", "separated")}
+        plans = {p.case: p for p in _quotient_plan(fc, k0, ("comparable", "separated"), table)}
 
         def evaluate(fields, bumps):
             scales = hs_norms(fields, params.s0)

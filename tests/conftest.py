@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from mkdvlab import random_real_field  # noqa: F401  (re-exported to the tests)
 from mkdvlab import (
+    FieldError,
     FourierField,
     GridMismatchError,
     PhaseTable,
@@ -19,6 +20,7 @@ from mkdvlab import (
     phase_rates,
     picard_rhs,
 )
+from mkdvlab.nonlinearity import MAX_TRIPLES, _Triples
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -89,6 +91,37 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
     out = (-1j / 3.0) * np.arange(-K, K + 1) * (conv - boundary)
     out[..., K] = 0.0
     return out
+
+
+def triple_table_oracle(K: int) -> _Triples:
+    """The triple table by two passes of the (k2, k3) admissibility mask per k1 slice.
+
+    The oracle of nonlinearity._triple_table, which builds the same rows
+    from closed-form bounds: a counting pass sizes each column, then each
+    k1 slice fills its rows in np.nonzero order, ascending (k2, k3).
+    """
+    if (2 * K + 1) ** 3 > MAX_TRIPLES:
+        raise FieldError(f"the triple table needs K <= 127, got {K}")
+    ks = np.arange(-K, K + 1)
+    k2, k3 = ks[:, None], ks[None, :]
+
+    def admissible(k1):
+        k = k1 + k2 + k3
+        prod = (k1 + k2) * (k2 + k3) * (k3 + k1)
+        return k, prod, (k >= 1) & (k <= K) & (prod != 0)
+
+    ends = np.cumsum([np.count_nonzero(admissible(k1)[2]) for k1 in ks])
+    dtypes = [np.int32 if c == "base" else np.int16 for c in _Triples._fields[1:]]
+    columns = [np.empty(ends[-1], d) for d in dtypes]
+    for i1, k1 in enumerate(ks):
+        k, prod, valid = admissible(k1)
+        j2, j3 = np.nonzero(valid)
+        absk = np.abs(np.stack([np.full(j2.size, k1), ks[j2], ks[j3]]))
+        piece = (i1, j2, j3, k[valid] + K, -3 * prod[valid])
+        rows = slice(ends[i1] - j2.size, ends[i1])
+        for col, values in zip(columns, (*piece, absk.max(axis=0), absk.min(axis=0))):
+            col[rows] = values
+    return _Triples(K, *columns)
 
 
 def to_real_samples(u: FourierField, n: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from conftest import (
     random_real_field,
     resonance_identity_residual,
     to_real_samples,
+    triple_table_oracle,
 )
 from mkdvlab import (
     REAL_SYMMETRY_TOL,
@@ -538,15 +539,25 @@ class TestTripleTable:
         for j, name in enumerate(table._fields[1:]):
             assert getattr(table, name).tolist() == [row[j] for row in rows], name
 
+    @pytest.mark.parametrize("K", [0, 8, 16, 33, 64, 91, 127])
+    def test_matches_mask_oracle(self, K):
+        # the closed-form bounds give the rows, their order and dtypes of two
+        # mask passes per k1 slice, up to the K <= 127 ceiling
+        table, oracle = _triple_table(K), triple_table_oracle(K)
+        assert table.K == oracle.K == K
+        for name, col, ref in zip(table._fields[1:], table[1:], oracle[1:]):
+            assert col.dtype == ref.dtype and np.array_equal(col, ref), name
+
     def test_build_memory_ceiling(self):
-        # a dense (2K+1)^3 enumeration peaks near 234 MB at K = 64
+        # the build adds one k1 slice's temporaries to the table's columns; a
+        # dense (2K+1)^3 enumeration peaks near 234 MB at K = 64
         tracemalloc.start()
         try:
-            _triple_table(64)
+            table = _triple_table(64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 200e6
+        assert peak <= sum(col.nbytes for col in table[1:]) + 2 * 2**20
 
     def test_compact_columns(self):
         table = _triple_table(64)
@@ -671,6 +682,13 @@ class TestResonantAndDirect:
         assert u.real_symmetric and not plain.real_symmetric
         assert np.array_equal(out.coeffs, direct_nonlinearity(plain).coeffs)
 
+    @pytest.mark.parametrize("K", [4, 16])
+    def test_direct_counts_the_mean_in_c(self, K):
+        # c = mean(u^2) includes |u_hat(0)|^2: a field of mean 0.7 against the oracle
+        u = real_draw(K, seed=K)
+        out = direct_nonlinearity(u)
+        assert np.max(np.abs(out.coeffs - direct_oracle(u))) <= 1e-13 * np.max(np.abs(out.coeffs))
+
     def test_decomposition_fails_with_mean(self):
         # the identity needs a mean-zero field; a nonzero k = 0 mode breaks it
         u = random_real_field(8, seed=2)
@@ -743,6 +761,39 @@ def masked_quotient_formula(
     out = t.out[keep]
     sums = np.bincount(out, terms.real, n) + 1j * np.bincount(out, terms.imag, n)
     return sums[K + 1 :]
+
+
+def plan_oracle(f: FourierField, cutoff: int, case: str | None, t) -> tuple:
+    """(pair, i2, i3, out, scale) of one case by the per-case rule, on full-length masks of table t.
+
+    Raises DenominatorError at the first kept row whose corrected
+    denominator is smaller than DENOMINATOR_FLOOR in size.
+    """
+    K = f.K
+    bins = {None: t.kmax >= 0, "comparable": t.kmax <= 2 * t.kmin, "separated": t.kmax > 2 * t.kmin}
+    kept = (t.kmax > cutoff) & bins[case]
+    kp = np.arange(-K, K + 1) * np.abs(f.coeffs) ** 2
+    denom = kp[t.i1[kept]] + kp[t.i2[kept]] + kp[t.i3[kept]] - kp[t.out[kept]] + t.base[kept]
+    bad = np.flatnonzero(np.abs(denom) < nonlinearity.DENOMINATOR_FLOOR)
+    if bad.size:
+        j = np.flatnonzero(kept)[bad[0]]
+        triple = (int(t.i1[j]) - K, int(t.i2[j]) - K, int(t.i3[j]) - K)
+        raise DenominatorError(
+            f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}",
+            triple=triple,
+        )
+    out = t.out[kept]
+    pair = out.astype(np.int32) * np.int32(2 * K + 1) + t.i1[kept]
+    return pair, t.i2[kept], t.i3[kept], out, 1.0 / denom
+
+
+def build_outcome(build) -> tuple:
+    """The bytes and dtypes of the (pair, i2, i3, out, scale) columns build() returns, or its DenominatorError."""
+    try:
+        columns = build()
+    except DenominatorError as error:
+        return error.triple, str(error)
+    return tuple((col.dtype, col.tobytes()) for col in columns)
 
 
 def assert_mirrors(out: FourierField, half: np.ndarray) -> None:
@@ -913,12 +964,72 @@ class TestQuotientForm:
         f = cosine_field(64)
         table = _triple_table(64)
         k0 = select_frequency_cutoff(f, table=table)
-        plans = [_quotient_plan(f, k0, case, table) for case in ("comparable", "separated")]
+        plans = _quotient_plan(f, k0, ("comparable", "separated"), table)
         kept = int(np.count_nonzero(table.kmax > k0))
         held = [a for plan in plans for a in plan[3:]]
         assert kept and sum(a.nbytes for a in held) <= 18 * kept
         floats = [a for a in held if a.dtype == np.float64]
         assert [id(a) for a in floats] == [id(plan.scale) for plan in plans]
+
+    @pytest.mark.parametrize(
+        "K, amplitude, k0",
+        [(64, None, 0), (16, 30.0, 11), (32, 30.0, 11), (91, 1.0, 0)],
+    )
+    def test_joint_plans_match_the_per_case_rule(self, K, amplitude, k0):
+        # one walk for both cases gives each case's plan byte for byte, as
+        # does a one-case build, the library call's route
+        f = cosine_field(K) if amplitude is None else amplitude * random_real_field(K, 11)
+        table = _triple_table(K)
+        assert select_frequency_cutoff(f, table=table) == k0
+        cases = ("comparable", "separated")
+        for plan, case in zip(_quotient_plan(f, k0, cases, table), cases):
+            assert plan.profile is f and (plan.cutoff, plan.case) == (k0, case)
+            assert build_outcome(lambda: plan[3:]) == build_outcome(
+                lambda: plan_oracle(f, k0, case, table)
+            )
+        for case in QUOTIENT_CASES if K <= 32 else ():
+            assert build_outcome(lambda: _quotient_plan(f, k0, (case,), table)[0][3:]) == (
+                build_outcome(lambda: plan_oracle(f, k0, case, table))
+            )
+
+    def test_denominator_error_names_the_first_kept_row(self):
+        # |f_hat(1)|^2 = 8 zeroes the corrected denominator at the comparable
+        # (1, 1, 1) and at the separated (-1, -1, 3), its permutations after
+        # it; a one-case build names its own first kept row, as the per-case
+        # rule does, and a joint build the first kept row of either case in
+        # table order, whatever the order of the cases
+        amp = math.sqrt(8.0)
+        f = field_from_modes(4, {1: amp, -1: amp})
+        table = _triple_table(4)
+        for cutoff in (0, 1, 3):
+            for case in QUOTIENT_CASES:
+                assert build_outcome(lambda: _quotient_plan(f, cutoff, (case,), table)[0][3:]) == (
+                    build_outcome(lambda: plan_oracle(f, cutoff, case, table))
+                )
+        joint = [
+            build_outcome(lambda: _quotient_plan(f, cutoff, cases, table)[0][3:])
+            for cases in (("comparable", "separated"), ("separated", "comparable"))
+            for cutoff in (0, 1)
+        ]
+        assert [outcome[0] for outcome in joint] == [(-1, -1, 3)] * 4
+        assert build_outcome(lambda: plan_oracle(f, 0, "comparable", table))[0] == (1, 1, 1)
+        # an unknown case raises also where the table has no rows
+        z = FourierField.zeros(0)
+        with pytest.raises(FieldError, match="unknown case 'resonant'"):
+            trilinear_quotient_form(z, z, z, z, case="resonant")
+
+    def test_plan_walk_memory_ceiling(self):
+        # the walk for both K = 64 plans adds block-sized temporaries to the
+        # plans it fills
+        f = cosine_field(64)
+        table = _triple_table(64)
+        tracemalloc.start()
+        try:
+            plans = _quotient_plan(f, 0, ("comparable", "separated"), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(a.nbytes for plan in plans for a in plan[3:]) + 4 * 2**20
 
     def test_held_plan_and_table_must_match(self):
         # a plan gives the per-call result; one of another profile (by
@@ -930,7 +1041,7 @@ class TestQuotientForm:
         table = _triple_table(K)
         cutoff = select_frequency_cutoff(f, table=table)
         assert cutoff == select_frequency_cutoff(f)
-        plan = _quotient_plan(f, cutoff, "separated", table)
+        (plan,) = _quotient_plan(f, cutoff, ("separated",), table)
         held = trilinear_quotient_form(*vs, f, cutoff, "separated", plan=plan)
         own = trilinear_quotient_form(*vs, f, cutoff, "separated")
         assert np.array_equal(held.coeffs, own.coeffs) and held.real_symmetric
@@ -953,7 +1064,7 @@ class TestQuotientForm:
         masks = {"comparable": t.kmax <= 2 * t.kmin, "separated": t.kmax > 2 * t.kmin}
         for case, mask in masks.items():
             kept = (t.kmax > cutoff) & mask
-            pair, i2, i3, out, _ = _quotient_plan(f, cutoff, case)[3:]
+            pair, i2, i3, out, _ = _quotient_plan(f, cutoff, (case,))[0][3:]
             assert np.array_equal(pair, t.out[kept].astype(np.int64) * (2 * K + 1) + t.i1[kept])
             assert pair.max() > np.iinfo(np.int16).max
             for col, column in ((i2, t.i2), (i3, t.i3), (out, t.out)):

@@ -469,8 +469,8 @@ def counting_everywhere(monkeypatch, home, name):
 def test_probes_build_their_tables_once_per_cutoff(monkeypatch, probe, bumps):
     # a cutoff's tables are built before its samples, not per sample: the
     # damping factor, the growth factor without bumps and the weights of each
-    # exponent pair, or the triple table and one plan per case; a free
-    # trajectory with bumps builds its own factor
+    # exponent pair, or the triple table and one plan build for both cases;
+    # a free trajectory with bumps builds its own factor
     spec = EnsembleSpec(seed=1, count=3, K=16, decay_exponent=1.0, modulation_bumps=bumps)
     builds = {
         name: counting_everywhere(monkeypatch, module, name)
@@ -488,7 +488,7 @@ def test_probes_build_their_tables_once_per_cutoff(monkeypatch, probe, bumps):
         assert signs == [] and builds["_proxy_weights"] == []
         assert len(builds["_triple_table"]) == cutoffs
         assert [args[2] for args in builds["_quotient_plan"]] == [
-            "comparable", "separated"
+            ("comparable", "separated")
         ] * cutoffs
         return
     growth = 3 * spec.count if bumps else 1
