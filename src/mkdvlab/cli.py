@@ -96,7 +96,7 @@ _ETD_MODES = ("simulate", "compare", "smoothing")
 # the work that the ETD stepper repeats T / dt times, a phase solve up to
 # phase_max_sweeps times and the probes count times, which bounds their run
 # time (a phase_tol that no sweep meets would otherwise never end). The
-# O(K^3) triple table that probe700 builds is held to MAX_TRIPLES.
+# O(K^3) triple table that probe700 walks, and so its plans, to MAX_TRIPLES.
 MAX_FRAME_VALUES = 2**26
 
 

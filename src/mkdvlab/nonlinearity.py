@@ -69,77 +69,76 @@ def _require_same_K(*fields: FourierField | Trajectory) -> int:
 
 
 # ---------------------------------------------------------------------------
-# One triple table serves the naive NR sum and the quotient form: every
-# (k1, k2, k3) with |kj| <= K, k = k1 + k2 + k3 in 1..K and a nonzero kernel
-# product (k1+k2)(k2+k3)(k3+k1), zero input modes included, in ascending
-# order; the triples of k <= -1 are their negations, at indices 2K - i. The
-# NR sum zeroes the k = 0 entry of its inputs, so the triples with a zero
-# input add exact zeros to it. For k1 + k2 != 0, k3 runs over the bounds
-# max(-K, 1 - k1 - k2)..min(K, K - k1 - k2) less the kernel's roots -k2 and
-# -k1; the bounds size each column, filled one k1 slice at a time by each run
-# that needs it (once, and passed down). The index and size columns are
-# int16, enough for K <= 127, where (2K+1)^3 <= 2^24; base is int32, exact
-# since |base| <= 3 (2K)^3 < 2^31 there. k = out - K. 16 bytes per row.
+# One row source serves the naive NR sum and the quotient form: the triple
+# table of every (k1, k2, k3) with |kj| <= K, k = k1 + k2 + k3 in 1..K and a
+# nonzero kernel product (k1+k2)(k2+k3)(k3+k1), zero input modes included, in
+# ascending order; the triples of k <= -1 are their negations, at indices
+# 2K - i. The NR sum zeroes the k = 0 entry of its inputs, so the triples
+# with a zero input add exact zeros to it. For k1 + k2 != 0, k3 runs over the
+# bounds max(-K, 1 - k1 - k2)..min(K, K - k1 - k2) less the kernel's roots
+# -k2 and -k1. _triple_blocks yields the rows a block of k1 slices at a time
+# and no walk holds the whole table. A block's columns are the indices i1,
+# i2, i3 and out of k1, k2, k3 and k in -K..K (k = out - K), base =
+# -3 (k1+k2)(k2+k3)(k3+k1), and kmax and kmin, the max and min of |kj|. The
+# index and size columns are int16, enough for K <= 127, where
+# (2K+1)^3 <= 2^24; base is int32, exact since |base| <= 3 (2K)^3 < 2^31.
+_Triples = NamedTuple("_Triples", [(c, np.ndarray) for c in "i1 i2 i3 out base kmax kmin".split()])
 
 
-class _Triples(NamedTuple):
-    K: int  # the cutoff the table was built for
-    i1: np.ndarray  # indices of k1, k2, k3 and k in -K..K
-    i2: np.ndarray
-    i3: np.ndarray
-    out: np.ndarray
-    base: np.ndarray  # -3 (k1+k2)(k2+k3)(k3+k1)
-    kmax: np.ndarray  # max |kj|
-    kmin: np.ndarray  # min |kj|
-
-
-# Ceiling on (2K + 1)^3, that is K <= 127. The table takes about 5 bytes per
-# (2K + 1)^3 entry (11 MB at K = 64, 86 MB at K = 127); its build adds one k1
-# slice of temporaries, a plan build or a naive NR call one block of rows.
+# Ceiling on (2K + 1)^3, that is K <= 127, for the int16 columns. A walk of
+# the rows holds one block of them; the plans it fills take 18 bytes per
+# kept triple, about 6 bytes per (2K + 1)^3 entry at cutoff 0.
 MAX_TRIPLES = 2**24
 
+# The row walks go in blocks of about this many rows, so that their
+# temporaries, a few arrays of one block each, stay in cache.
+_TABLE_BLOCK = 2**14
 
-def _triple_table(K: int) -> _Triples:
+
+def _pair_ranges(K: int) -> tuple:
+    """ks and, per (k1, k2), lo, span and roots: the pair's k3 are lo..lo+span-1 less roots of them."""
     if (2 * K + 1) ** 3 > MAX_TRIPLES:
         raise FieldError(f"the triple table needs K <= 127, got {K}")
     ks = np.arange(-K, K + 1)
     k1, k2 = ks[:, None], ks[None, :]
     s = k1 + k2
     lo, hi = np.maximum(-K, 1 - s), np.minimum(K, K - s)
-    span = np.where(s != 0, np.maximum(hi - lo + 1, 0), 0)  # k3 = lo..hi per (k1, k2)
+    span = np.where(s != 0, np.maximum(hi - lo + 1, 0), 0)
     roots = ((lo <= -k2) & (-k2 <= hi)).astype(int) + ((lo <= -k1) & (-k1 <= hi) & (k1 != k2))
-    ends = np.cumsum(np.sum(span - roots * (s != 0), axis=1))
-    dtypes = [np.int32 if c == "base" else np.int16 for c in _Triples._fields[1:]]
-    columns = [np.empty(ends[-1], d) for d in dtypes]
-    for i1, k1 in enumerate(ks):
-        n = span[i1]  # the (k1, k2) pairs' ranges of k3 laid end to end, lo first
-        k2, k3 = np.repeat(ks, n), np.arange(n.sum()) + np.repeat(lo[i1] - np.cumsum(n) + n, n)
+    return ks, lo, span, roots * (s != 0)
+
+
+def _triple_blocks(K: int):
+    """Yield the triple table's rows as _Triples, a block of whole k1 slices at a time.
+
+    A block is the slices whose last rows end in one _TABLE_BLOCK-row
+    stretch of the table; K = 0 yields one empty block.
+    """
+    ks, lo, span, roots = _pair_ranges(K)
+    group = np.cumsum(np.sum(span - roots, axis=1)) // _TABLE_BLOCK
+    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), 2 * K + 1]
+    k = ks.astype(np.int16)  # int16 throughout: exact for sums of up to three |kj| <= 127
+    for a, b in zip(cuts, cuts[1:]):
+        n = span[a:b].ravel()  # the (k1, k2) pairs' ranges of k3 laid end to end, lo first
+        k1, k2 = np.repeat(np.repeat(k[a:b], 2 * K + 1), n), np.repeat(np.tile(k, b - a), n)
+        k3 = (np.arange(n.sum()) + np.repeat(lo[a:b].ravel() - np.cumsum(n) + n, n)).astype(np.int16)
         kept = (k3 != -k2) & (k3 != -k1)
-        k2, k3 = k2[kept], k3[kept]
-        absk = np.abs([np.full(k2.size, k1), k2, k3])
-        base = -3 * (k1 + k2) * (k2 + k3) * (k3 + k1)
-        piece = (i1, k2 + K, k3 + K, k1 + k2 + k3 + K, base, absk.max(axis=0), absk.min(axis=0))
-        for col, values in zip(columns, piece):
-            col[ends[i1] - k2.size : ends[i1]] = values
-    return _Triples(K, *columns)
+        k1, k2, k3 = k1[kept], k2[kept], k3[kept]
+        a1, a2, a3, s = np.abs(k1), np.abs(k2), np.abs(k3), k1 + k2
+        base = -3 * s.astype(np.int32) * (k2 + k3) * (k3 + k1)
+        yield _Triples(k1 + K, k2 + K, k3 + K, s + k3 + K, base,
+                       np.maximum(np.maximum(a1, a2), a3), np.minimum(np.minimum(a1, a2), a3))
 
 
-# The table routes walk their rows in blocks of this many, so that their
-# temporaries, a few arrays of one block each, stay in cache.
-_TABLE_BLOCK = 2**14
+def _block_sums(n: int, blocks) -> np.ndarray:
+    """Sum of the terms of a walk's blocks into n output modes.
 
-
-def _block_sums(n: int, size: int, block) -> np.ndarray:
-    """Sum of the terms of rows 0..size-1 into n output modes, one block at a time.
-
-    block(rows) returns (output index, real part, imaginary part) of the
-    terms of a slice of rows. np.add.at adds in row order from +0.0, as
-    bincount does, so the blocks leave every sum as one pass over all rows
-    would.
+    Each block is (output index, real part, imaginary part) of the terms of
+    its rows. np.add.at adds in row order from +0.0, as bincount does, so
+    the blocks leave every sum as one pass over all rows would.
     """
     re, im = np.zeros(n), np.zeros(n)
-    for start in range(0, size, _TABLE_BLOCK):
-        out, terms_re, terms_im = block(slice(start, start + _TABLE_BLOCK))
+    for out, terms_re, terms_im in blocks:
         np.add.at(re, out, terms_re)
         np.add.at(im, out, terms_im)
     return re + 1j * im
@@ -151,23 +150,24 @@ def nr_trilinear_naive(
     """Nonresonant trilinear term by direct summation over the triple table.
 
     The independent oracle of the real kernel, used only by the tests; it
-    takes complex fields as well. The table's rows give the modes k >= 1,
-    and the same walk over the reversed inputs, reversed, the modes k <= -1.
+    takes complex fields as well. A walk of the table's rows gives the
+    modes k >= 1, and the same walk over the reversed inputs, reversed, the
+    modes k <= -1.
     """
     K = _require_same_K(v1, v2, v3)
     n = 2 * K + 1
-    t = _triple_table(K)
     stripped = np.array([v1.coeffs, v2.coeffs, v3.coeffs])
     stripped[:, K] = 0.0
 
     def table_sums(b1, b2, b3) -> np.ndarray:
         pair = (b1[:, None] * b2[None, :]).ravel()
-        # intp copies of the narrow table columns, as in trilinear_quotient_form
-        def block(rows: slice) -> tuple:
-            pair_index = t.i1[rows].astype(np.intp) * n + t.i2[rows]
-            prods = pair[pair_index] * b3[t.i3[rows].astype(np.intp)]
-            return t.out[rows].astype(np.intp), prods.real, prods.imag
-        return _block_sums(n, t.out.size, block)
+
+        # intp copies of the narrow columns, as in trilinear_quotient_form
+        def block(t: _Triples) -> tuple:
+            prods = pair[t.i1.astype(np.intp) * n + t.i2] * b3[t.i3.astype(np.intp)]
+            return t.out.astype(np.intp), prods.real, prods.imag
+
+        return _block_sums(n, map(block, _triple_blocks(K)))
 
     sums = table_sums(*stripped) + table_sums(*stripped[:, ::-1])[::-1]
     return FourierField((-1j / 3.0) * np.arange(-K, K + 1) * sums)
@@ -304,15 +304,8 @@ def direct_nonlinearity(u: FourierField) -> FourierField:
     return _mirrored_field(0.0, 1j * np.arange(1, K + 1) * out)
 
 
-def _corrected_denominators(kp: np.ndarray, t: _Triples, rows: slice) -> np.ndarray:
-    """-3 (k1+k2)(k2+k3)(k3+k1) + kp(k1) + kp(k2) + kp(k3) - kp(k), kp = k |f_hat(k)|^2, per row."""
-    # kp is gathered by intp copies of the int16 columns, which numpy takes twice as fast
-    i1, i2, i3, out = (col[rows].astype(np.intp) for col in (t.i1, t.i2, t.i3, t.out))
-    return kp[i1] + kp[i2] + kp[i3] - kp[out] + t.base[rows]
-
-
 class _QuotientPlan(NamedTuple):
-    """The kept triples of the quotient form for one (profile, cutoff, case); see _quotient_plan."""
+    """The kept triples of the quotient form for one (profile, cutoff, case); see _quotient_plans."""
 
     profile: FourierField
     cutoff: int
@@ -324,47 +317,69 @@ class _QuotientPlan(NamedTuple):
     scale: np.ndarray
 
 
-def _quotient_plan(
-    f: FourierField, cutoff: int, cases: tuple, table: _Triples | None = None
-) -> list[_QuotientPlan]:
-    """The plans of (f, cutoff, case) for the given cases, from table or a table of its own.
+def _case_sizes(K: int, cases: tuple) -> list[int]:
+    """The rows of each case at cutoff 0, from the pair ranges.
 
-    A plan keeps the rows of kmax > cutoff in its case bin (all for case
-    None): the table's int16 i2, i3 and out there; pair = out * (2K+1) + i1,
-    int32 from K = 91 on, into the (k, k1) table of k * v1_hat(k1) that
-    trilinear_quotient_form builds per call; and scale = 1 / denom, float64:
-    18 bytes per kept triple. A counting pass sizes the plans, and one walk
-    of the table by blocks computes each row's denominator once and fills
-    them all. A denominator below DENOMINATOR_FLOOR in size raises
-    DenominatorError at the first row in table order that one of them keeps.
+    A pair of a = min |kj| and b = max |kj| <= 2a has its comparable k3 at
+    ceil(b/2) <= |k3| <= 2a, both roots among them; for b > 2a it has none.
+    """
+    ks, lo, span, roots = _pair_ranges(K)
+    a, b = np.sort(np.broadcast_arrays(abs(ks[:, None]), abs(ks)), axis=0)
+    bounds = (((b + 1) // 2, 2 * a), (-2 * a, -((b + 1) // 2)))
+    ranges = sum(np.maximum(np.minimum(lo + span, top + 1) - np.maximum(lo, bottom), 0)
+                 for bottom, top in bounds)
+    rows, comparable = np.sum(span - roots), np.sum(((span > 0) & (b <= 2 * a)) * (ranges - roots))
+    return [{None: rows, "comparable": comparable, "separated": rows - comparable}[c] for c in cases]
+
+
+def _quotient_plans(
+    f: FourierField, cases: tuple, cutoff: int | None = None
+) -> tuple[int, list[_QuotientPlan]]:
+    """(cutoff, plans of f at it for the cases), by one walk of the triple table's rows.
+
+    Without a cutoff it is select_frequency_cutoff's. A plan keeps the rows
+    of kmax > cutoff in its case bin (all for case None): their int16 i2,
+    i3 and out; pair = out * (2K+1) + i1, int32 from K = 91 on, into the
+    (k, k1) table of k * v1_hat(k1) of trilinear_quotient_form; and scale
+    = 1 / denom, float64: 18 bytes per kept triple. The plans are sized at
+    cutoff 0, filled with the denominators that the cutoff scan uses too,
+    then compacted to kmax > cutoff one column at a time. For a given
+    cutoff, a denominator below DENOMINATOR_FLOOR in size raises
+    DenominatorError at the first row in table order that a case keeps;
+    the selected cutoff drops all such rows, as |D| < 1/2 <= kmax/2 there.
     """
     K = f.K
-    t = _triple_table(K) if table is None else table
-    blocks = [slice(start, start + _TABLE_BLOCK) for start in range(0, t.out.size, _TABLE_BLOCK)]
-
-    def kept(rows: slice) -> list[np.ndarray]:
-        live, comparable = t.kmax[rows] > cutoff, t.kmax[rows] <= 2 * t.kmin[rows]
-        bins = {None: live, "comparable": live & comparable, "separated": live & ~comparable}
-        return [bins[case] for case in cases]
-
-    sizes = sum((np.count_nonzero(kept(r), axis=1) for r in blocks), np.zeros(len(cases), int))
-    plans = [_QuotientPlan(f, cutoff, case, np.empty(n, np.int32), *np.empty((3, n), np.int16),
-                           np.empty(n)) for case, n in zip(cases, sizes)]
-    kp, filled = f.wavenumbers * np.abs(f.coeffs) ** 2, [0] * len(cases)
-    for rows in blocks:
-        masks, denom = kept(rows), _corrected_denominators(kp, t, rows)
-        bad = np.flatnonzero((np.abs(denom) < DENOMINATOR_FLOOR) & np.logical_or.reduce(masks))
-        if bad.size:
-            triple = tuple(int(col[rows.start + bad[0]]) - K for col in (t.i1, t.i2, t.i3))
-            message = f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}"
-            raise DenominatorError(message, triple=triple)
-        for j, (plan, mask) in enumerate(zip(plans, masks)):
+    columns = [[np.empty(n, np.int32), *np.empty((3, n), np.int16), np.empty(n)]
+               for n in _case_sizes(K, cases)]
+    kp, filled, flagged = f.wavenumbers * np.abs(f.coeffs) ** 2, [0] * len(cases), 0
+    for t in _triple_blocks(K):
+        comparable = t.kmax <= 2 * t.kmin
+        bins = {None: t.kmax > 0, "comparable": comparable, "separated": ~comparable}
+        i1, i2, i3, out = (col.astype(np.intp) for col in t[:4])  # numpy gathers by intp twice as fast
+        masks, denom = [bins[case] for case in cases], kp[i1] + kp[i2] + kp[i3] - kp[out] + t.base
+        if cutoff is None:
+            flagged = max(flagged, int(t.kmax[np.abs(denom) < 0.5 * t.kmax].max(initial=0)))
+        else:
+            bad = (np.abs(denom) < DENOMINATOR_FLOOR) & (t.kmax > cutoff)
+            bad = np.flatnonzero(bad & np.logical_or.reduce(masks))
+            if bad.size:
+                triple = tuple(int(col[bad[0]]) - K for col in t[:3])
+                message = f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}"
+                raise DenominatorError(message, triple=triple)
+        # cols[j] by index only, so that no name holds a column the compaction replaces
+        for j, (cols, mask) in enumerate(zip(columns, masks)):
             at = slice(filled[j], filled[j] + np.count_nonzero(mask))
             filled[j] = at.stop
-            i1, plan.i2[at], plan.i3[at], plan.out[at] = (col[rows][mask] for col in t[1:5])
-            plan.pair[at] = plan.out[at] * np.int32(2 * K + 1) + i1
-            plan.scale[at] = 1.0 / denom[mask]
-    return plans
+            cols[1][at], cols[2][at], cols[3][at] = (col[mask] for col in t[1:4])
+            cols[0][at] = cols[3][at] * np.int32(2 * K + 1) + t.i1[mask]
+            cols[4][at] = 1.0 / denom[mask]
+    cutoff = flagged if cutoff is None else cutoff
+    for cols in columns if cutoff > 0 else ():
+        keep = np.abs(cols[0] % (2 * K + 1) - K) > cutoff  # |k1|, as pair = out * (2K+1) + i1
+        keep |= (np.abs(cols[1] - K) > cutoff) | (np.abs(cols[2] - K) > cutoff)
+        for j in range(5):
+            cols[j] = cols[j][keep]
+    return cutoff, [_QuotientPlan(f, cutoff, case, *cols) for case, cols in zip(cases, columns)]
 
 
 def trilinear_quotient_form(
@@ -390,7 +405,7 @@ def trilinear_quotient_form(
     raises DenominatorError naming the first such triple. The kept
     triples and the reciprocals of their denominators are the plan, which a
     caller of many forms on one (f, cutoff, case) builds once by
-    _quotient_plan, else the call's own; a plan of another profile (by
+    _quotient_plans, else the call's own; a plan of another profile (by
     identity), cutoff or case raises GridMismatchError. k / D is even
     under negating the triple, so for real fields only the modes k >= 1 are
     summed; the result is their marked mirror.
@@ -411,7 +426,7 @@ def trilinear_quotient_form(
     if plan is None:
         if case not in (None, "comparable", "separated"):
             raise FieldError(f"unknown case {case!r}; expected 'comparable' or 'separated'")
-        (plan,) = _quotient_plan(f, cutoff, (case,))
+        _, (plan,) = _quotient_plans(f, (case,), cutoff)
     elif plan.profile is not f or plan.cutoff != cutoff or plan.case != case:
         raise GridMismatchError("the held plan belongs to another profile, cutoff or case")
     pair, i2, i3, out_idx, scale = plan[3:]
@@ -424,32 +439,21 @@ def trilinear_quotient_form(
         terms = kv1[j] * v2.coeffs[j2] * v3.coeffs[j3]
         return out, terms.real * scale[rows], terms.imag * scale[rows]
 
-    return _mirrored_field(0.0, _block_sums(2 * K + 1, pair.size, block)[K + 1 :])
+    rows = (slice(start, start + _TABLE_BLOCK) for start in range(0, pair.size, _TABLE_BLOCK))
+    return _mirrored_field(0.0, _block_sums(2 * K + 1, map(block, rows))[K + 1 :])
 
 
-def select_frequency_cutoff(f: FourierField, *, table: _Triples | None = None) -> int:
+def select_frequency_cutoff(f: FourierField) -> int:
     """Smallest safe truncation level for the quotient form around a real profile f.
 
-    Scans the triple table of f's cutoff, the given one (GridMismatchError
-    if it is another cutoff's) or one of its own, a block of rows at a
-    time, and flags the triples where the corrected denominator fails
-    |D| >= kmax / 2; returns the largest kmax among the flagged triples (0
-    when the bound holds everywhere), so that dropping max |kj| <= cutoff
-    removes every flagged interaction. The negated triples, of k <= -1,
-    have the same |D|, bit for bit when f is exactly conjugate-symmetric.
+    The largest kmax among the triples whose corrected denominator fails
+    |D| >= kmax / 2 (0 when the bound holds everywhere), found by a walk of
+    the rows for no case, so that dropping max |kj| <= cutoff removes every
+    flagged interaction. The negated triples, of k <= -1, have the same
+    |D|, bit for bit when f is exactly conjugate-symmetric.
     """
     _require_real(f, "the frequency cutoff is defined for real profiles")
-    if table is None:
-        table = _triple_table(f.K)
-    elif table.K != f.K:
-        raise GridMismatchError(f"mode cutoffs differ: {table.K} vs {f.K}")
-    kmax, kp = table.kmax, f.wavenumbers * np.abs(f.coeffs) ** 2
-    flagged = 0
-    for start in range(0, kmax.size, _TABLE_BLOCK):
-        rows = slice(start, start + _TABLE_BLOCK)
-        bad = np.abs(_corrected_denominators(kp, table, rows)) < 0.5 * kmax[rows]
-        flagged = max(flagged, int(kmax[rows][bad].max(initial=0)))
-    return flagged
+    return _quotient_plans(f, ())[0]
 
 
 def _conserved(u: FourierField | Trajectory) -> np.ndarray:

@@ -22,7 +22,7 @@ construction rather than sampling luck. The loop is cutoff-major, all
 samples at one cutoff before the next, so the tables a cutoff derives are
 built once before its samples and dropped after them.
 
-A probe's prepare maps (fc, c), fc the profile truncated to c, to the
+A probe's prepare maps fc, the profile truncated to a cutoff c, to the
 evaluate of cutoff c, which holds that cutoff's tables and maps (fields,
 bumps), bumps None without modulation bumps, to (ratio, scales, (cases,
 extra)): scales holds one normalizing norm per slot, cases the per-case
@@ -51,14 +51,7 @@ import numpy as np
 
 from .errors import ConfigError, FieldError, GridMismatchError
 from .gauge import modulated_profile, phase_from_trajectory
-from .nonlinearity import (
-    _quotient_plan,
-    _QuotientPlan,
-    _triple_table,
-    nr_framewise,
-    select_frequency_cutoff,
-    trilinear_quotient_form,
-)
+from .nonlinearity import _quotient_plans, _QuotientPlan, nr_framewise, trilinear_quotient_form
 from .norms import (
     NormProxyConfig,
     _free_phase_factor,
@@ -373,7 +366,7 @@ def _run_probe(
     argmax_sample: dict | None = None
     for c in cutoffs:
         centre = slice(K - c, K + c + 1)
-        evaluate = prepare(resize_field(f, c), c)
+        evaluate = prepare(resize_field(f, c))
         for j in range(spec.count):
             nu = None if bumps is None else bumps[j, :, centre]
             result = evaluate(fields[j, :, centre], nu)
@@ -415,8 +408,8 @@ def _trajectory_preparer(spec: EnsembleSpec, ratio: Callable[..., float]) -> Cal
     params, proxy = spec.params, spec.proxy
     exponents = ((params.s0, params.b), (params.s0, params.b - 1.0 + params.delta))
 
-    def prepare(fc, c):
-        grid = GridSpec(c, spec.M, spec.T)
+    def prepare(fc):
+        grid = GridSpec(fc.K, spec.M, spec.T)
         tables = _proxy_tables(grid, fc, proxy, exponents, growth=not spec.modulation_bumps)
 
         def evaluate(fields, bumps):
@@ -450,10 +443,10 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
     """Ensemble search over the static quotient form, binned by frequency case.
 
     The per-sample ratio is the larger of the two case ratios; both are
-    kept in the report extras. Each cutoff builds its triple table, the
-    truncation level protecting the denominators of its truncated profile
-    and, in one walk of the table, both case plans; only the plans outlive
-    prepare. The static form takes no modulation_bumps: a nonzero value
+    kept in the report extras. Each cutoff finds the truncation level
+    protecting the denominators of its truncated profile and both case
+    plans in one walk of the triple table's rows, which it never holds
+    whole. The static form takes no modulation_bumps: a nonzero value
     raises ConfigError.
     """
     if spec.modulation_bumps:
@@ -461,10 +454,8 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
         raise ConfigError(f"modulation_bumps applies to probe16 and probe12, got {bumps!r}")
     params = spec.params
 
-    def prepare(fc, c):
-        table = _triple_table(c)
-        k0 = select_frequency_cutoff(fc, table=table)
-        plans = {p.case: p for p in _quotient_plan(fc, k0, ("comparable", "separated"), table)}
+    def prepare(fc):
+        k0, plans = _quotient_plans(fc, ("comparable", "separated"))
 
         def evaluate(fields, bumps):
             scales = hs_norms(fields, params.s0)
@@ -472,8 +463,8 @@ def probe_quotient_form(f: FourierField, spec: EnsembleSpec) -> ProbeReport:
                 return None
             v1, v2, v3 = (_mark(FourierField(g)) for g in fields / scales[:, None])
             cases = {
-                case: quotient_form_ratio(v1, v2, v3, fc, params, k0, case, plan=plan)
-                for case, plan in plans.items()
+                p.case: quotient_form_ratio(v1, v2, v3, fc, params, k0, p.case, plan=p)
+                for p in plans
             }
             return max(cases.values()), scales, (cases, {"frequency_cutoff": k0})
 

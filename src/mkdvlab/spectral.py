@@ -340,9 +340,11 @@ def cosine_field(K: int, amplitude: float = 1.0, harmonic: int = 1) -> FourierFi
 def field_from_modes(
     K: int, modes: dict[int, complex], symmetrize: bool = False
 ) -> FourierField:
-    """Place explicit mode values; optionally mirror conjugates onto -k."""
+    """Place mode values, their conjugates onto -k if symmetrize; ConfigError for a non-integer K or k."""
+    K = _integer(K, "K must be an integer >= 0", 0)
     c = np.zeros(2 * K + 1, dtype=complex)
     for k, val in modes.items():
+        k = _integer(k, "mode k must be an integer", -math.inf)
         if abs(k) > K:
             raise FieldError(f"mode {k} outside |k| <= {K}")
         c[K + k] = val
@@ -396,9 +398,10 @@ def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:
     """Mean-zero real random field: |u_hat(k)| = U(0,1) <k>^-decay, uniform phase.
 
     seed is anything np.random.default_rng accepts (an int or a sequence of
-    ints); equal seeds give bit-identical fields. The decay is not checked
-    here; config values pass _check_decay first.
+    ints); equal seeds give bit-identical fields. ConfigError unless K is an
+    integer >= 0; the decay is not checked, config values pass _check_decay.
     """
+    K = _integer(K, "K must be an integer >= 0", 0)
     rng = np.random.default_rng(seed)
     moduli = rng.random(K) * bracket_sq(K)[K + 1 :] ** (-0.5 * decay)
     phases = rng.random(K) * (2.0 * np.pi)
@@ -406,7 +409,8 @@ def random_real_field(K: int, seed, decay: float = 1.0) -> FourierField:
 
 
 def resize_field(u: FourierField, K: int) -> FourierField:
-    """Truncate or zero-pad the mode vector to the cutoff K."""
+    """Truncate or zero-pad the mode vector to the cutoff K; ConfigError unless K is an integer >= 0."""
+    K = _integer(K, "K must be an integer >= 0", 0)
     if K == u.K:
         return u
     c = np.zeros(2 * K + 1, dtype=complex)

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from mkdvlab import random_real_field  # noqa: F401  (re-exported to the tests)
 from mkdvlab import (
+    DenominatorError,
     FieldError,
     FourierField,
     GridMismatchError,
@@ -20,7 +21,8 @@ from mkdvlab import (
     phase_rates,
     picard_rhs,
 )
-from mkdvlab.nonlinearity import MAX_TRIPLES, _Triples
+from mkdvlab import nonlinearity
+from mkdvlab.nonlinearity import MAX_TRIPLES, _QuotientPlan, _Triples
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -94,9 +96,9 @@ def _nr_array(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
 
 
 def triple_table_oracle(K: int) -> _Triples:
-    """The triple table by two passes of the (k2, k3) admissibility mask per k1 slice.
+    """The whole triple table, as one block, by two passes of the (k2, k3) admissibility mask per k1 slice.
 
-    The oracle of nonlinearity._triple_table, which builds the same rows
+    The oracle of nonlinearity._triple_blocks, which yields the same rows
     from closed-form bounds: a counting pass sizes each column, then each
     k1 slice fills its rows in np.nonzero order, ascending (k2, k3).
     """
@@ -111,7 +113,7 @@ def triple_table_oracle(K: int) -> _Triples:
         return k, prod, (k >= 1) & (k <= K) & (prod != 0)
 
     ends = np.cumsum([np.count_nonzero(admissible(k1)[2]) for k1 in ks])
-    dtypes = [np.int32 if c == "base" else np.int16 for c in _Triples._fields[1:]]
+    dtypes = [np.int32 if c == "base" else np.int16 for c in _Triples._fields]
     columns = [np.empty(ends[-1], d) for d in dtypes]
     for i1, k1 in enumerate(ks):
         k, prod, valid = admissible(k1)
@@ -121,7 +123,61 @@ def triple_table_oracle(K: int) -> _Triples:
         rows = slice(ends[i1] - j2.size, ends[i1])
         for col, values in zip(columns, (*piece, absk.max(axis=0), absk.min(axis=0))):
             col[rows] = values
-    return _Triples(K, *columns)
+    return _Triples(*columns)
+
+
+def _denominators(kp: np.ndarray, b: _Triples) -> np.ndarray:
+    """The corrected denominators of the rows of b, as the package forms them, from intp indices."""
+    i1, i2, i3, out = (col.astype(np.intp) for col in b[:4])
+    return kp[i1] + kp[i2] + kp[i3] - kp[out] + b.base
+
+
+def held_cutoff(f: FourierField, t: _Triples) -> int:
+    """select_frequency_cutoff by a block walk of the held table t, the route before the rows were streamed."""
+    kp, flagged = f.wavenumbers * np.abs(f.coeffs) ** 2, 0
+    for start in range(0, t.out.size, nonlinearity._TABLE_BLOCK):
+        block = _Triples(*(col[start : start + nonlinearity._TABLE_BLOCK] for col in t))
+        bad = np.abs(_denominators(kp, block)) < 0.5 * block.kmax
+        flagged = max(flagged, int(block.kmax[bad].max(initial=0)))
+    return flagged
+
+
+def held_plans(f: FourierField, cutoff: int, cases: tuple, t: _Triples) -> list[_QuotientPlan]:
+    """The plans of (f, cutoff, case) for cases, filled by block walks of the held table t.
+
+    The route before the rows were streamed: a counting walk sizes each
+    plan at the cutoff, then one walk computes each row's denominator and
+    fills the kept rows; a denominator below DENOMINATOR_FLOOR in size
+    raises DenominatorError at the first row in table order that one of
+    the cases keeps.
+    """
+    K, step = f.K, nonlinearity._TABLE_BLOCK
+    blocks = [_Triples(*(col[s : s + step] for col in t)) for s in range(0, t.out.size, step)]
+
+    def kept(b: _Triples) -> list[np.ndarray]:
+        live, comparable = b.kmax > cutoff, b.kmax <= 2 * b.kmin
+        bins = {None: live, "comparable": live & comparable, "separated": live & ~comparable}
+        return [bins[case] for case in cases]
+
+    sizes = sum((np.count_nonzero(kept(b), axis=1) for b in blocks), np.zeros(len(cases), int))
+    plans = [_QuotientPlan(f, cutoff, case, np.empty(n, np.int32), *np.empty((3, n), np.int16),
+                           np.empty(n)) for case, n in zip(cases, sizes)]
+    kp, filled = f.wavenumbers * np.abs(f.coeffs) ** 2, [0] * len(cases)
+    for b in blocks:
+        masks, denom = kept(b), _denominators(kp, b)
+        bad = np.flatnonzero((np.abs(denom) < nonlinearity.DENOMINATOR_FLOOR)
+                             & np.logical_or.reduce(masks))
+        if bad.size:
+            triple = tuple(int(col[bad[0]]) - K for col in b[:3])
+            message = f"corrected denominator {denom[bad[0]]:.3e} below floor at triple {triple}"
+            raise DenominatorError(message, triple=triple)
+        for j, (plan, mask) in enumerate(zip(plans, masks)):
+            at = slice(filled[j], filled[j] + np.count_nonzero(mask))
+            filled[j] = at.stop
+            i1, plan.i2[at], plan.i3[at], plan.out[at] = (col[mask] for col in b[:4])
+            plan.pair[at] = plan.out[at] * np.int32(2 * K + 1) + i1
+            plan.scale[at] = 1.0 / denom[mask]
+    return plans
 
 
 def to_real_samples(u: FourierField, n: int) -> np.ndarray:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     _nr_array,
+    held_cutoff,
+    held_plans,
     random_complex_field,
     random_real_field,
     resonance_identity_residual,
@@ -38,7 +40,6 @@ from mkdvlab import (
     nr_trilinear_fast,
     nr_trilinear_naive,
     probe_quotient_form,
-    resize_field,
     resonant_term,
     select_frequency_cutoff,
     trilinear_quotient_form,
@@ -48,9 +49,16 @@ from mkdvlab.nonlinearity import (
     _alias_free_length,
     _cube_modes,
     _nr_modes,
-    _quotient_plan,
-    _triple_table,
+    _quotient_plans,
+    _triple_blocks,
+    _Triples,
 )
+
+
+def streamed_table(K: int) -> _Triples:
+    """The blocks of _triple_blocks(K) laid end to end, as one block."""
+    blocks = list(_triple_blocks(K))
+    return _Triples(*(np.concatenate(cols) for cols in zip(*blocks)))
 
 
 def complex_oracle(v1: FourierField, v2: FourierField, v3: FourierField) -> FourierField:
@@ -534,35 +542,37 @@ class TestTripleTable:
                         continue
                     a = (abs(k1), abs(k2), abs(k3))
                     rows.append((k1 + K, k2 + K, k3 + K, k + K, -3 * prod, max(a), min(a)))
-        table = _triple_table(K)
-        assert table.K == K
-        for j, name in enumerate(table._fields[1:]):
+        table = streamed_table(K)
+        for j, name in enumerate(table._fields):
             assert getattr(table, name).tolist() == [row[j] for row in rows], name
 
-    @pytest.mark.parametrize("K", [0, 8, 16, 33, 64, 91, 127])
+    @pytest.mark.parametrize("K", [*range(7), 8, 16, 33, 64, 91, 127])
     def test_matches_mask_oracle(self, K):
-        # the closed-form bounds give the rows, their order and dtypes of two
-        # mask passes per k1 slice, up to the K <= 127 ceiling
-        table, oracle = _triple_table(K), triple_table_oracle(K)
-        assert table.K == oracle.K == K
-        for name, col, ref in zip(table._fields[1:], table[1:], oracle[1:]):
+        # the closed-form bounds give, block after block, the rows, their
+        # order and dtypes of two mask passes per k1 slice, up to the K <= 127
+        # ceiling
+        table, oracle = streamed_table(K), triple_table_oracle(K)
+        for name, col, ref in zip(table._fields, table, oracle):
             assert col.dtype == ref.dtype and np.array_equal(col, ref), name
 
     def test_build_memory_ceiling(self):
-        # the build adds one k1 slice's temporaries to the table's columns; a
-        # dense (2K+1)^3 enumeration peaks near 234 MB at K = 64
+        # a walk of the K = 64 rows holds one block and its temporaries at a
+        # time (1.4 MiB); the held table took 10.4 MiB, and a dense (2K+1)^3
+        # enumeration peaks near 234 MB
         tracemalloc.start()
         try:
-            table = _triple_table(64)
+            rows = [block.out.size for block in _triple_blocks(64)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= sum(col.nbytes for col in table[1:]) + 2 * 2**20
+        # blocks group whole k1 slices into about _TABLE_BLOCK rows each
+        assert 1 < len(rows) <= sum(rows) // nonlinearity._TABLE_BLOCK + 1
+        assert max(rows) < 2 * nonlinearity._TABLE_BLOCK
+        assert peak <= 2 * 2**20
 
     def test_compact_columns(self):
-        table = _triple_table(64)
-        rows = table.out.size
-        assert sum(col.nbytes for col in table[1:]) <= 16 * rows
+        for block in _triple_blocks(64):
+            assert sum(col.nbytes for col in block) <= 16 * block.out.size
 
     def test_naive_index_does_not_overflow(self):
         # i1 * (2K + 1) passes the int16 range from K = 91 on
@@ -576,11 +586,12 @@ class TestTripleTable:
     def test_naive_walks_the_table_in_blocks(self):
         # bit-identical to two bincount passes over the whole table, its rows
         # for k >= 1 and its negated rows, at indices 2K - i, for k <= -1; and
-        # one K = 64 call allocates no table-length temporaries (52.6 MiB when
-        # it did) beyond the table it builds
+        # one K = 64 call holds no table-length array (52.6 MiB with
+        # table-length temporaries, 12.1 MiB with the held table; 2.4 MiB
+        # walking the streamed rows)
         K = 16
         v1, v2, v3 = (random_complex_field(K, seed=160 + j) for j in range(3))
-        t = _triple_table(K)
+        t = triple_table_oracle(K)
         a1, a2, a3 = (np.where(np.arange(-K, K + 1) == 0, 0, v.coeffs) for v in (v1, v2, v3))
         n = 2 * K + 1
         sums = np.zeros(n, dtype=complex)
@@ -592,21 +603,22 @@ class TestTripleTable:
         assert np.array_equal(nr_trilinear_naive(v1, v2, v3).coeffs, expected)
 
         u = random_real_field(64, seed=640)
-        table_bytes = sum(col.nbytes for col in _triple_table(64)[1:])
         tracemalloc.start()
         try:
             nr_trilinear_naive(u, u, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < table_bytes + 4 * 2**20
+        assert peak < 4 * 2**20
 
     def test_size_guard(self):
         with pytest.raises(FieldError):
-            _triple_table(128)
+            next(_triple_blocks(128))
         u = cosine_field(128)
         with pytest.raises(FieldError):
             nr_trilinear_naive(u, u, u)
+        with pytest.raises(FieldError, match="K <= 127"):
+            select_frequency_cutoff(u)
 
 
 class TestResonantAndDirect:
@@ -739,7 +751,7 @@ def masked_quotient_formula(
 ) -> np.ndarray:
     """Modes 1..K of the quotient form: the straight formula over the table's columns, per call."""
     K = f.K
-    t = _triple_table(K)
+    t = triple_table_oracle(K)
     k = t.out - K
     masks = {
         None: np.ones(k.size, dtype=bool),
@@ -895,7 +907,7 @@ class TestQuotientForm:
         # only a corrected denominator smaller than the floor in size raises:
         # with a zero profile at K = 2 every kept denominator is +6 or -6
         f, v = FourierField.zeros(2), cosine_field(2)
-        assert set(_triple_table(2).base.tolist()) == {-6, 6}
+        assert set(triple_table_oracle(2).base.tolist()) == {-6, 6}
         monkeypatch.setattr(nonlinearity, "DENOMINATOR_FLOOR", 6.0)
         trilinear_quotient_form(v, v, v, f)
         monkeypatch.setattr(nonlinearity, "DENOMINATOR_FLOOR", np.nextafter(6.0, 7.0))
@@ -943,8 +955,9 @@ class TestQuotientForm:
         assert np.array_equal(out.coeffs, trilinear_quotient_form(v, v, v, f).coeffs)
 
     def test_probe_memory_ceiling(self):
-        # one probe700 sample at K = 64 peaks at 23.9 MiB with the table of
-        # the output modes k >= 1 only, and at 48.4 MiB with both halves;
+        # one probe700 sample at K = 64 peaks at 14.8 MiB with the streamed
+        # rows, at 23.9 MiB with the held table of the output modes k >= 1
+        # only, and at 48.4 MiB with both halves;
         # with every cutoff's tables resident, and a plan's old arrays held
         # through its rebuild, the peak was 114.7 MiB, and with cached
         # full-table denominators and intp plan columns 87.6 MiB
@@ -955,17 +968,15 @@ class TestQuotientForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 26 * 2**20
+        assert peak < 16 * 2**20
 
     def test_store_sizes(self):
         # the two case plans of a K = 64 profile, which keep disjoint rows,
         # hold 18 bytes per kept triple; their only float64 arrays are the
         # reciprocal denominators
         f = cosine_field(64)
-        table = _triple_table(64)
-        k0 = select_frequency_cutoff(f, table=table)
-        plans = _quotient_plan(f, k0, ("comparable", "separated"), table)
-        kept = int(np.count_nonzero(table.kmax > k0))
+        k0, plans = _quotient_plans(f, ("comparable", "separated"))
+        kept = int(np.count_nonzero(triple_table_oracle(64).kmax > k0))
         held = [a for plan in plans for a in plan[3:]]
         assert kept and sum(a.nbytes for a in held) <= 18 * kept
         floats = [a for a in held if a.dtype == np.float64]
@@ -977,40 +988,63 @@ class TestQuotientForm:
     )
     def test_joint_plans_match_the_per_case_rule(self, K, amplitude, k0):
         # one walk for both cases gives each case's plan byte for byte, as
-        # does a one-case build, the library call's route
+        # does a one-case build at the given cutoff, the library call's route
         f = cosine_field(K) if amplitude is None else amplitude * random_real_field(K, 11)
-        table = _triple_table(K)
-        assert select_frequency_cutoff(f, table=table) == k0
+        table = triple_table_oracle(K)
         cases = ("comparable", "separated")
-        for plan, case in zip(_quotient_plan(f, k0, cases, table), cases):
+        cutoff, plans = _quotient_plans(f, cases)
+        assert cutoff == select_frequency_cutoff(f) == k0
+        for plan, case in zip(plans, cases):
             assert plan.profile is f and (plan.cutoff, plan.case) == (k0, case)
             assert build_outcome(lambda: plan[3:]) == build_outcome(
                 lambda: plan_oracle(f, k0, case, table)
             )
         for case in QUOTIENT_CASES if K <= 32 else ():
-            assert build_outcome(lambda: _quotient_plan(f, k0, (case,), table)[0][3:]) == (
+            assert build_outcome(lambda: _quotient_plans(f, (case,), k0)[1][0][3:]) == (
                 build_outcome(lambda: plan_oracle(f, k0, case, table))
             )
+
+    @pytest.mark.parametrize(
+        "K, amplitude, seed, k0",
+        [(64, None, None, 0), (16, 30.0, 11, 11), (32, 30.0, 11, 11), (64, 30.0, 11, 11),
+         (32, 30.0, 3, 6)],
+    )
+    def test_plans_match_the_held_table_route(self, K, amplitude, seed, k0):
+        # the streamed build, which fills both plans at cutoff 0 and compacts
+        # them to the cutoff it finds, gives the cutoff and the plans, dtypes
+        # included, of a cutoff scan and a plan walk over the held table
+        f = cosine_field(K) if amplitude is None else amplitude * random_real_field(K, seed)
+        table, cases = triple_table_oracle(K), ("comparable", "separated")
+        assert held_cutoff(f, table) == k0
+        held = held_plans(f, k0, cases, table)
+        for cutoff in (None, k0):
+            found, plans = _quotient_plans(f, cases, cutoff)
+            assert found == k0
+            for plan, ref in zip(plans, held):
+                assert plan[:3] == ref[:3] == (f, k0, ref.case)
+                for col, expected in zip(plan[3:], ref[3:]):
+                    assert col.dtype == expected.dtype and np.array_equal(col, expected)
 
     def test_denominator_error_names_the_first_kept_row(self):
         # |f_hat(1)|^2 = 8 zeroes the corrected denominator at the comparable
         # (1, 1, 1) and at the separated (-1, -1, 3), its permutations after
-        # it; a one-case build names its own first kept row, as the per-case
-        # rule does, and a joint build the first kept row of either case in
-        # table order, whatever the order of the cases
+        # it; a one-case build at a given cutoff names its own first kept
+        # row, as the per-case rule does, and a joint build the first kept
+        # row of either case in table order, whatever the order of the
+        # cases, as the held-table walk does
         amp = math.sqrt(8.0)
         f = field_from_modes(4, {1: amp, -1: amp})
-        table = _triple_table(4)
+        table = triple_table_oracle(4)
         for cutoff in (0, 1, 3):
             for case in QUOTIENT_CASES:
-                assert build_outcome(lambda: _quotient_plan(f, cutoff, (case,), table)[0][3:]) == (
+                assert build_outcome(lambda: _quotient_plans(f, (case,), cutoff)[1][0][3:]) == (
                     build_outcome(lambda: plan_oracle(f, cutoff, case, table))
                 )
-        joint = [
-            build_outcome(lambda: _quotient_plan(f, cutoff, cases, table)[0][3:])
-            for cases in (("comparable", "separated"), ("separated", "comparable"))
-            for cutoff in (0, 1)
-        ]
+        joint = []
+        for cases in (("comparable", "separated"), ("separated", "comparable")):
+            for cutoff in (0, 1):
+                joint.append(build_outcome(lambda: _quotient_plans(f, cases, cutoff)[1][0][3:]))
+                assert joint[-1] == build_outcome(lambda: held_plans(f, cutoff, cases, table)[0][3:])
         assert [outcome[0] for outcome in joint] == [(-1, -1, 3)] * 4
         assert build_outcome(lambda: plan_oracle(f, 0, "comparable", table))[0] == (1, 1, 1)
         # an unknown case raises also where the table has no rows
@@ -1019,13 +1053,12 @@ class TestQuotientForm:
             trilinear_quotient_form(z, z, z, z, case="resonant")
 
     def test_plan_walk_memory_ceiling(self):
-        # the walk for both K = 64 plans adds block-sized temporaries to the
-        # plans it fills
+        # the whole build of both K = 64 plans, the row walk and the cutoff
+        # scan included, adds block-sized temporaries to the plans it fills
         f = cosine_field(64)
-        table = _triple_table(64)
         tracemalloc.start()
         try:
-            plans = _quotient_plan(f, 0, ("comparable", "separated"), table)
+            _, plans = _quotient_plans(f, ("comparable", "separated"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1033,15 +1066,13 @@ class TestQuotientForm:
 
     def test_held_plan_and_table_must_match(self):
         # a plan gives the per-call result; one of another profile (by
-        # identity, so an equal copy fails too), cutoff or case raises, and
-        # so does a triple table of another cutoff
+        # identity, so an equal copy fails too), cutoff or case raises; no
+        # triple table is held, so the cutoff scan takes none
         K = 8
         f = 0.5 * random_real_field(K, seed=4)
         vs = [real_draw(K, [8, j]) for j in range(3)]
-        table = _triple_table(K)
-        cutoff = select_frequency_cutoff(f, table=table)
+        cutoff, (plan,) = _quotient_plans(f, ("separated",))
         assert cutoff == select_frequency_cutoff(f)
-        (plan,) = _quotient_plan(f, cutoff, ("separated",), table)
         held = trilinear_quotient_form(*vs, f, cutoff, "separated", plan=plan)
         own = trilinear_quotient_form(*vs, f, cutoff, "separated")
         assert np.array_equal(held.coeffs, own.coeffs) and held.real_symmetric
@@ -1050,8 +1081,8 @@ class TestQuotientForm:
                      (*vs, f, cutoff, "comparable"), (*vs, f, cutoff, None)):
             with pytest.raises(GridMismatchError):
                 trilinear_quotient_form(*args, plan=plan)
-        with pytest.raises(GridMismatchError):
-            select_frequency_cutoff(resize_field(f, K - 1), table=table)
+        with pytest.raises(TypeError):
+            select_frequency_cutoff(f, table=None)
 
     def test_pair_index_beyond_int16(self):
         # K = 91 is the first cutoff where out * (2K+1) + i1 exceeds the
@@ -1060,11 +1091,11 @@ class TestQuotientForm:
         assert (2 * K) * (2 * K + 1) + 2 * K > np.iinfo(np.int16).max >= 180 * 181 + 180
         f = random_real_field(K, 11)
         cutoff = select_frequency_cutoff(f)
-        t = _triple_table(K)
+        t = triple_table_oracle(K)
         masks = {"comparable": t.kmax <= 2 * t.kmin, "separated": t.kmax > 2 * t.kmin}
         for case, mask in masks.items():
             kept = (t.kmax > cutoff) & mask
-            pair, i2, i3, out, _ = _quotient_plan(f, cutoff, (case,))[0][3:]
+            pair, i2, i3, out, _ = _quotient_plans(f, (case,), cutoff)[1][0][3:]
             assert np.array_equal(pair, t.out[kept].astype(np.int64) * (2 * K + 1) + t.i1[kept])
             assert pair.max() > np.iinfo(np.int16).max
             for col, column in ((i2, t.i2), (i3, t.i3), (out, t.out)):

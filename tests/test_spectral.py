@@ -301,6 +301,34 @@ class TestFieldConstructors:
             field_from_modes(2, {3: 1.0})
         assert field_from_modes(2, {-2: 1.0}).mode(-2) == 1.0
 
+    @pytest.mark.parametrize(
+        "K, modes",
+        [(8.5, {1: 1.0}), (-1, {}), (True, {}), ("8", {}), (8, {1.5: 1.0}), (8, {True: 1.0}),
+         (8, {"1": 1.0}), (8, {float("nan"): 1.0})],
+    )
+    def test_field_from_modes_reads_integers(self, K, modes):
+        # an integral float is read as its int, anything else not integral
+        # is a ConfigError, not numpy's bare TypeError or IndexError
+        with pytest.raises(ConfigError, match="got"):
+            field_from_modes(K, modes)
+        u = field_from_modes(8.0, {np.float64(-2.0): 1.0, np.int64(1): 0.5})
+        assert u.K == 8 and type(u.K) is int
+        assert np.array_equal(u.coeffs, field_from_modes(8, {-2: 1.0, 1: 0.5}).coeffs)
+
+    @pytest.mark.parametrize("K", [-1, True, 8.5, "8", float("nan")])
+    def test_resize_field_reads_integers(self, K):
+        u = random_real_field(6, seed=3)
+        with pytest.raises(ConfigError, match="K must be an integer >= 0, got"):
+            resize_field(u, K)
+        assert resize_field(u, 6.0) is u and resize_field(u, np.int64(0)).K == 0
+
+    @pytest.mark.parametrize("K", [-1, True, 8.5, "8", float("inf")])
+    def test_random_real_field_reads_integers(self, K):
+        with pytest.raises(ConfigError, match="K must be an integer >= 0, got"):
+            library_random_real_field(K, 1, 1.0)
+        a, b = library_random_real_field(8.0, 1, 1.0), library_random_real_field(8, 1, 1.0)
+        assert a.K == 8 and np.array_equal(a.coeffs, b.coeffs)
+
     def test_symmetry_gauge(self):
         u = random_real_field(8, seed=1)
         assert check_real_symmetry(u) == 0.0

@@ -469,16 +469,17 @@ def counting_everywhere(monkeypatch, home, name):
 def test_probes_build_their_tables_once_per_cutoff(monkeypatch, probe, bumps):
     # a cutoff's tables are built before its samples, not per sample: the
     # damping factor, the growth factor without bumps and the weights of each
-    # exponent pair, or the triple table and one plan build for both cases;
-    # a free trajectory with bumps builds its own factor
+    # exponent pair, or one build of both case plans, which walks the triple
+    # table's rows once and holds no whole table; a free trajectory with
+    # bumps builds its own factor
     spec = EnsembleSpec(seed=1, count=3, K=16, decay_exponent=1.0, modulation_bumps=bumps)
     builds = {
         name: counting_everywhere(monkeypatch, module, name)
         for module, name in (
             (norms, "_free_phase_factor"),
             (norms, "_proxy_weights"),
-            (nonlinearity, "_triple_table"),
-            (nonlinearity, "_quotient_plan"),
+            (nonlinearity, "_triple_blocks"),
+            (nonlinearity, "_quotient_plans"),
         )
     }
     getattr(probes, probe)(random_real_field(16, 2, 1.0), spec)
@@ -486,15 +487,16 @@ def test_probes_build_their_tables_once_per_cutoff(monkeypatch, probe, bumps):
     signs = [args[1] for args in builds["_free_phase_factor"]]
     if probe == "probe_quotient_form":
         assert signs == [] and builds["_proxy_weights"] == []
-        assert len(builds["_triple_table"]) == cutoffs
-        assert [args[2] for args in builds["_quotient_plan"]] == [
-            ("comparable", "separated")
+        assert not hasattr(nonlinearity, "_triple_table")
+        assert [args[1:] for args in builds["_quotient_plans"]] == [
+            (("comparable", "separated"),)
         ] * cutoffs
+        assert [args[0] for args in builds["_triple_blocks"]] == list(spec.cutoffs())
         return
     growth = 3 * spec.count if bumps else 1
     assert signs.count(-1) == cutoffs and signs.count(1) == growth * cutoffs
     assert len(builds["_proxy_weights"]) == 2 * cutoffs
-    assert builds["_triple_table"] == builds["_quotient_plan"] == []
+    assert builds["_triple_blocks"] == builds["_quotient_plans"] == []
 
 
 def test_picard_builds_its_tables_once_per_solve(monkeypatch):
