@@ -17,9 +17,9 @@ _phase_sweep on raw arrays of any set of mode columns, and it returns q:
 seed + q is the swept Q. Both solvers stop on the update of q, which the
 doubles resolve, not on that of Q, whose last bit is coarser than the
 default tolerance. solve_phase iterates the map to a fixed point for a given
-z on all 2K+1 columns; picard_solve applies it once per iterate on the
-columns k = 0..K (Q is odd in k for a real solution), reusing the e^{iQ}
-table of the iterate's right side, so z and Q settle together.
+z, and picard_solve applies it once per iterate, reusing the e^{iQ} table of
+the iterate's right side, so z and Q settle together. Q is odd in k for a real
+solution: picard_solve sweeps k = 0..K, and solve_phase does for marked input.
 
 All time integrals use the trapezoid rule on the trajectory's own grid, so
 the phase solver, the iteration solver, and the diagnostics all see the same
@@ -106,9 +106,9 @@ class PhaseSolveReport:
     ratios: list[float] = field(default_factory=list)
 
 
-def _phase_seed(f: FourierField, grid: GridSpec) -> np.ndarray:
-    """t (k^3 + k |f_hat|^2) on grid: the phase of z = 0, and every sweep's free term."""
-    seed = grid.times[:, None] * phase_rates(f.K, f)[None, :]
+def _phase_seed(f: FourierField, grid: GridSpec, cols: slice) -> np.ndarray:
+    """t (k^3 + k |f_hat|^2) on grid's columns cols: the phase of z = 0, each sweep's free term."""
+    seed = grid.times[:, None] * phase_rates(f.K, f)[None, cols]
     if not np.all(np.isfinite(seed)):
         # PhaseTable rejects the non-finite t = 0 row this leaves, so report
         # it as the first sweep would
@@ -148,22 +148,28 @@ def solve_phase(
     stagnation. Fails with the last update size when the sweeps do not
     settle, which usually means T is too large for this data. Raises
     ConfigError when max_sweeps is not an integer >= 1 or tol is not >= 0,
-    which no sweep could meet.
+    which no sweep could meet. With f and z both marked real_symmetric only
+    their columns k >= 0 are swept, and the table is their exact odd
+    extension Q(-k) = -Q(k); unmarked input is swept on all 2K+1 columns.
     """
     if f.K != z.K:
         raise GridMismatchError(f"mode cutoffs differ: {f.K} vs {z.K}")
     max_sweeps = _integer(max_sweeps, "max_sweeps must be an integer >= 1", 1)
     if not tol >= 0:
         raise ConfigError(f"tol must be >= 0, got {tol!r}")
-    seed = _phase_seed(f, z.grid)
+    half = f.real_symmetric and z.real_symmetric
+    cols = slice(z.K, None) if half else slice(None)
+    seed = _phase_seed(f, z.grid, cols)
+    modes = f.coeffs[cols]
+    zc = z.coeffs[:, cols]
     dt = z.grid.dt
-    ks = z.grid.wavenumbers
+    ks = z.grid.wavenumbers[cols]
     q = np.zeros_like(seed)
     values = seed
     updates: list[float] = []
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        new = _phase_sweep(_modulate(f.coeffs, values), z.coeffs, dt, ks)
+        new = _phase_sweep(_modulate(modes, values), zc, dt, ks)
         values = seed + new
         if not np.all(np.isfinite(values)):
             raise InstabilityError(
@@ -181,7 +187,7 @@ def solve_phase(
             f"(last update {updates[-1]:.3e}); reduce the time horizon T",
             residual=updates[-1],
         )
-    again = _phase_sweep(_modulate(f.coeffs, values), z.coeffs, dt, ks)
+    again = _phase_sweep(_modulate(modes, values), zc, dt, ks)
     residual = float(np.max(np.abs(again - q)))
     # every update but the last exceeds tol >= 0, so no ratio divides by zero
     ratios = [updates[i + 1] / updates[i] for i in range(len(updates) - 1)]
@@ -191,6 +197,7 @@ def solve_phase(
         update_norms=updates,
         ratios=ratios,
     )
+    values = np.concatenate((-values[:, :0:-1], values), axis=1) if half else values
     return PhaseTable(z.grid, values), report
 
 

@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _WINDOWS = ("hann", "rect")
+# complex values of the padded time table that _tau_power transforms at once
+_COLUMN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,17 +160,24 @@ def _proxy_tables(
 def _tau_power(windowed: np.ndarray, Mp: int, dt: float, tau_weight: np.ndarray) -> np.ndarray:
     """sum_m <tau_m>^{2b} |G(m)|^2 per column, G the time-DFT (times dt) of windowed padded to Mp.
 
-    In place, bit-identical to out-of-place products: with windowed passed
-    as a temporary, at most one padded complex and one padded real table are live.
+    Transformed in blocks of about _COLUMN_BLOCK padded values: one padded
+    complex and one padded real block are live, and the bits are those of one
+    whole-table transform. The last block takes a lone leftover column along,
+    since numpy sums a lone column pairwise and the rows of a wider one in order.
     """
-    spectrum = np.fft.fft(windowed, n=Mp, axis=0)
-    del windowed
-    spectrum *= dt
-    power = np.abs(spectrum)
-    del spectrum
-    power *= power
-    power *= tau_weight
-    return np.sum(power, axis=0)
+    n = windowed.shape[1]
+    step = max(2, _COLUMN_BLOCK // Mp)
+    sums = []
+    for lo in range(0, max(n - 1, 1), step):
+        hi = lo + step if n - lo > step + 1 else n
+        spectrum = np.fft.fft(windowed[:, lo:hi], n=Mp, axis=0)
+        spectrum *= dt
+        power = np.abs(spectrum)
+        del spectrum
+        power *= power
+        power *= tau_weight
+        sums.append(power.sum(axis=0))
+    return np.concatenate(sums)
 
 
 def _free_proxy_norms(

@@ -28,7 +28,8 @@ arrays, from the first iterate to the last. Each frame of w is mirrored
 into a field marked by spectral's trusted path for its NR call, which
 takes the real-transform route; the calls stay one per frame, because the
 benchmark's traced runs check nr_calls == iterates x M. The iterates are
-mirrored into marked trajectories for the X norms, and z once more at the end.
+mirrored into marked trajectories for the X norms, and z once more at the
+end, which a marked profile's certifying solve then reads on k = 0..K.
 picard_rhs checks its z and f against the verdict and runs the same _rhs on
 their columns k = 0..K, mirroring the result; duhamel_integrate applies
 _duhamel to full columns. Each formula has one home.
@@ -291,7 +292,7 @@ def picard_solve(
     K = grid.K
     ks = np.arange(K + 1)
     modes = f.coeffs[K:]
-    seed = _phase_seed(f, grid)[:, K:]
+    seed = _phase_seed(f, grid, slice(K, None))
     tables = _proxy_tables(grid, f, cfg.proxy, ((cfg.params.s0, cfg.params.b),))
     damping = tables.damping[:, K:]
     z0 = np.zeros(K + 1, dtype=complex)

@@ -219,6 +219,14 @@ def airy_exact(u0: FourierField, t: float, f: FourierField | None = None) -> Fou
     return FourierField(factor * u0.coeffs, real_symmetric=u0.real_symmetric and odd)
 
 
+def tau_power_oracle(
+    windowed: np.ndarray, Mp: int, dt: float, tau_weight: np.ndarray
+) -> np.ndarray:
+    """sum_m <tau_m>^{2b} |G(m)|^2 per column from one whole-table transform padded to Mp."""
+    spectrum = np.fft.fft(windowed, n=Mp, axis=0) * dt
+    return np.sum(np.abs(spectrum) ** 2 * tau_weight, axis=0)
+
+
 def gauge_decompose(u: Trajectory, table: PhaseTable, f: FourierField) -> Trajectory:
     """z_hat(t,k) = u_hat(t,k) - f_hat(k) exp(i Q(t,k)), the inverse of gauge_compose."""
     coeffs = u.coeffs - modulated_profile(f, table).coeffs

@@ -64,6 +64,13 @@ def constant_trajectory(z: FourierField, grid: GridSpec) -> Trajectory:
     return Trajectory(grid, np.tile(z.coeffs, (grid.M, 1)), z.real_symmetric)
 
 
+def smooth_remainder(g: FourierField, grid: GridSpec) -> Trajectory:
+    """0.1 t g_hat(k) e^{i t k^3}, marked: exactly conjugate-symmetric for a mirrored g."""
+    t = grid.times[:, None]
+    airy = np.exp(1j * t * grid.wavenumbers.astype(float) ** 3)
+    return Trajectory(grid, 0.1 * t * g.coeffs * airy, real_symmetric=True)
+
+
 def rk4_phase_oracle(
     f: FourierField, z: FourierField, grid: GridSpec, substeps: int = 100
 ) -> np.ndarray:
@@ -146,7 +153,8 @@ class TestSolvePhase:
         grid = GridSpec(K=8, M=16, T=0.01)
         z = field_from_modes(8, {2: 0.1 + 0.3j}, symmetrize=True)
         table, _ = solve_phase(f, constant_trajectory(z, grid))
-        assert check_phase_oddness(table) < 1e-12
+        # marked inputs are swept on k >= 0 and the table is their odd extension
+        assert check_phase_oddness(table) == 0.0
 
     def test_oddness_gauge_detects_skew(self):
         grid = GridSpec(K=2, M=2, T=1.0)
@@ -228,6 +236,18 @@ class TestGaugeMaps:
         expected = f.coeffs[None, :] * np.exp(1j * table.values)
         assert np.max(np.abs(u.coeffs - expected)) == 0.0
 
+    def test_compose_reads_every_column_of_a_table_that_is_not_odd(self):
+        # the marks bound z and f, not Q: with Q = t k^2 the -k columns of u
+        # are z + f e^{iQ} as written, not the conjugates of the k columns
+        grid = GridSpec(K=2, M=8, T=1.0)
+        f = cosine_field(2)
+        z = smooth_remainder(random_real_field(2, seed=9), grid)
+        table = PhaseTable(grid, np.outer(grid.times, np.arange(-2, 3).astype(float) ** 2))
+        assert f.real_symmetric and z.real_symmetric
+        u = gauge_compose(z, table, f)
+        assert np.array_equal(u.coeffs, z.coeffs + f.coeffs * np.exp(1j * table.values))
+        assert not u.real_symmetric
+
     def test_round_trip_exact(self):
         grid = GridSpec(K=6, M=5, T=0.3)
         f = random_real_field(6, seed=8)
@@ -249,6 +269,43 @@ class TestGaugeMaps:
             gauge_compose(Trajectory.zeros(grid), PhaseTable.zeros(other), cosine_field(4))
         with pytest.raises(GridMismatchError):
             gauge_compose(Trajectory.zeros(grid), PhaseTable.zeros(grid), cosine_field(5))
+
+
+class TestHalfSpectrumRoutes:
+    """solve_phase reads marked inputs by their columns k >= 0, unmarked copies by all 2K+1."""
+
+    @pytest.mark.parametrize("K", [1, 16, 128])
+    @pytest.mark.parametrize("kind", ["random", "cosine"])
+    def test_bits_match_the_full_route(self, K, kind):
+        # for exactly conjugate-symmetric data the -k columns of the full
+        # route are the odd mirror of the k columns, bit for bit
+        grid = GridSpec(K=K, M=32, T=0.01)
+        if kind == "random":
+            f, g = random_real_field(K, seed=400 + K), random_real_field(K, seed=401 + K)
+        else:
+            f, g = cosine_field(K), cosine_field(K, 0.5, harmonic=K)
+        z = smooth_remainder(g, grid)
+        z_full, f_full = Trajectory(grid, z.coeffs), FourierField(f.coeffs)
+        table, report = solve_phase(f, z)
+        full, full_report = solve_phase(f_full, z_full)
+        assert np.array_equal(table.values, full.values)
+        assert report == full_report and report.sweeps > 1
+
+    def test_inexact_mark_is_read_by_the_nonnegative_columns(self):
+        # the -1 mode of f sits 1e-10 off its mirror, inside the realness
+        # verdict: the marked route never reads it, the full route does
+        K = 16
+        grid = GridSpec(K=K, M=32, T=0.01)
+        exact = random_real_field(K, seed=420)
+        c = exact.coeffs.copy()
+        c[K - 1] += 1e-10
+        f = FourierField(c, real_symmetric=True)
+        z = smooth_remainder(random_real_field(K, seed=421), grid)
+        table, _ = solve_phase(f, z)
+        assert check_phase_oddness(table) == 0.0
+        assert np.array_equal(table.values, solve_phase(exact, z)[0].values)
+        full, _ = solve_phase(FourierField(c), Trajectory(grid, z.coeffs))
+        assert check_phase_oddness(full) > 0.0
 
 
 class TestPhaseFromTrajectory:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_real_field
+from conftest import random_real_field, tau_power_oracle
 from mkdvlab import (
     ConfigError,
     FourierField,
@@ -422,3 +422,44 @@ class TestFreePhaseCache:
         values = {ysb_norm_proxy(z, 0.3, 0.51, f, tables=tables) for _ in range(10)}
         assert len(values) == 1
         assert len(calls) == 1 and calls[0][0] == 5 and calls[0][1] is f
+
+
+class TestTauPowerBlocks:
+    """_tau_power's column blocks against one whole-table transform."""
+
+    @pytest.mark.parametrize("K, M, pad", [(128, 256, 4), (8, 16, 4)])
+    def test_blocks_match_one_whole_table_transform(self, K, M, pad):
+        # at K = 128 the 129 and 257 columns end in a block of 17, not in a
+        # lone column, which numpy would sum pairwise rather than row by row
+        grid = GridSpec(K, M, 0.01)
+        proxy = NormProxyConfig(pad_factor=pad)
+        w, Mp, tau_weight, *_ = norms._proxy_weights(grid, proxy, 0.3, 0.51)
+        rng = np.random.default_rng(K)
+        for n in (K + 1, 2 * K + 1):
+            windowed = w * (rng.standard_normal((M, n)) + 1j * rng.standard_normal((M, n)))
+            got = norms._tau_power(windowed, Mp, grid.dt, tau_weight)
+            assert np.array_equal(got, tau_power_oracle(windowed, Mp, grid.dt, tau_weight))
+        assert (Mp * (K + 1) > norms._COLUMN_BLOCK) == (K == 128)
+
+    def test_one_column_call(self):
+        # the free power of _proxy_weights transforms the window alone
+        grid = GridSpec(128, 256, 0.01)
+        w, Mp, tau_weight, _, _, free = norms._proxy_weights(grid, NormProxyConfig(), 0.3, 0.51)
+        expected = tau_power_oracle(w, Mp, grid.dt, tau_weight) / (Mp * grid.dt)
+        assert np.array_equal(free, expected)
+
+    def test_proxy_memory_ceiling(self):
+        # a marked trajectory on K = 128, M = 256 with the call's own tables:
+        # 2.2 MiB with column blocks, 4.0 MiB with the whole padded table
+        grid = GridSpec(128, 256, 0.01)
+        f = random_real_field(128, seed=1000)
+        g = random_real_field(128, seed=1001)
+        z = Trajectory(grid, np.tile(g.coeffs, (grid.M, 1)), real_symmetric=True)
+        params = SobolevIndex()
+        tracemalloc.start()
+        try:
+            ysb_norm_proxy(z, params.s0, params.b, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20

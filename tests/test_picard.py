@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,6 +483,36 @@ class TestPicardSolve:
         z, _, _ = picard_solve(random_real_field(8, 5), PicardConfig(grid=GridSpec(8, 16, 0.01)))
         assert z.real_symmetric
         assert check_real_symmetry(z.frame(15)) == 0.0
+
+
+def traced_peak(call) -> float:
+    """The tracemalloc peak of call(), in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Memory ceilings of the Picard path on the benchmark grid K = 128, M = 256."""
+
+    f = random_real_field(128, seed=1000)
+    cfg = PicardConfig(grid=GridSpec(128, 256, 0.01))
+
+    def test_picard_solve_ceiling(self):
+        # 5.9 MiB with the certifying solve on k >= 0 and the proxy's padded
+        # table transformed in column blocks; 8.1 MiB on all 2K+1 columns
+        # and with the whole padded table
+        assert traced_peak(lambda: picard_solve(self.f, self.cfg)) <= 6.5
+
+    def test_certifying_solve_ceiling(self):
+        # picard_solve returns a marked z, so the solve sweeps k >= 0 only:
+        # 2.1 MiB, against 4.1 MiB on all 2K+1 columns
+        z, _, _ = picard_solve(self.f, self.cfg)
+        assert z.real_symmetric
+        assert traced_peak(lambda: solve_phase(self.f, z)) <= 2.5
 
 
 class TestNestedOracle:
